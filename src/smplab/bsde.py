@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractionFailure
-from .malliavin import PolynomialBasis, fit_conditional, project_conditional
+from .malliavin import PolynomialBasis, StateProjector, state_features
 from .simulate import NoiseBundle, PathBundle, gamma_process
 
 # Atoms whose expected step count falls below this are reported as r = 0
@@ -49,6 +49,27 @@ def l2_dtP_norm(a: np.ndarray, dt: float) -> float:
     return math.sqrt(float(np.mean(np.sum(a**2, axis=1) * dt)))
 
 
+def unidentifiable_atoms(noise: NoiseBundle) -> tuple[int, ...]:
+    """Atoms whose expected step count lam_k dt falls below UNIDENTIFIABLE_RATE."""
+    rates = noise.levy.intensities * noise.grid.dt
+    return tuple(k for k, rate in enumerate(rates) if rate < UNIDENTIFIABLE_RATE)
+
+
+def fit_qr_step(projector: StateProjector, increment: np.ndarray, noise: NoiseBundle, step: int, q, r, dead) -> None:
+    """Fill q[:, step] and r[:, step, k] from one martingale increment of p.
+
+    q is the projection of increment dB_i / dt and r_k that of
+    increment (dN_k - lam_k dt) / (lam_k dt); atoms in ``dead`` keep r = 0.
+    """
+    dt = noise.grid.dt
+    q[:, step] = projector.fit(increment * noise.dB[:, step] / dt).fitted
+    lam = noise.levy.intensities
+    for k in range(noise.levy.n_atoms):
+        if k not in dead:
+            rate = lam[k] * dt
+            r[:, step, k] = projector.fit(increment * noise.compensated_counts()[:, step, k] / rate).fitted
+
+
 def extract_qr(
     p: np.ndarray,
     noise: NoiseBundle,
@@ -71,30 +92,14 @@ def extract_qr(
     n_paths, n_steps = p.shape[0], grid.n_steps
     if p.shape != (n_paths, n_steps + 1):
         raise ValueError("p must hold one value per path and grid node")
-    dt = grid.dt
-    if features is None:
-        cols = [noise.brownian()]
-        if levy.n_atoms:
-            cols.append(noise.compensated_jump_path())
-        features = np.stack(cols, axis=2)
-    features = np.asarray(features, dtype=float)
-
-    comp = noise.compensated_counts() if levy.n_atoms else None
-    lam = levy.intensities
     q = np.empty((n_paths, n_steps))
     r = np.zeros((n_paths, n_steps, levy.n_atoms))
-    dead = set()
+    dead = unidentifiable_atoms(noise)
     d_p = p[:, 1:] - p[:, :-1]
     for i in range(n_steps):
-        feats = features[:, i]
-        q[:, i] = project_conditional(d_p[:, i] * noise.dB[:, i] / dt, feats, basis)
-        for k in range(levy.n_atoms):
-            rate = lam[k] * dt
-            if rate < UNIDENTIFIABLE_RATE:
-                dead.add(k)
-                continue
-            r[:, i, k] = project_conditional(d_p[:, i] * comp[:, i, k] / rate, feats, basis)
-    return q, r, tuple(sorted(dead))
+        feats = state_features(noise, i) if features is None else np.asarray(features, dtype=float)[:, i]
+        fit_qr_step(StateProjector(feats, basis), d_p[:, i], noise, i, q, r, dead)
+    return q, r, dead
 
 
 def solve_linear_explicit(
@@ -112,7 +117,7 @@ def solve_linear_explicit(
     p(t_i) = E[Gamma(T)/Gamma(t_i) terminal
               + sum_{j>=i} Gamma(t_j)/Gamma(t_i) f_x(t_j) dt | F_{t_i}],
     the conditional expectation realized by regression on X(t_i).  (q, r)
-    are filled by ``extract_qr`` on the same state features.
+    are fitted as in ``extract_qr`` against the same per-step projector.
     """
     noise = forward.noise
     grid = noise.grid
@@ -122,13 +127,17 @@ def solve_linear_explicit(
 
     gam = gamma_process(b_x, sigma_x, gamma_x, noise)
     p = np.empty((n_paths, n_steps + 1))
+    q = np.empty((n_paths, n_steps))
+    r = np.zeros((n_paths, n_steps, noise.levy.n_atoms))
+    dead = unidentifiable_atoms(noise)
     p[:, n_steps] = terminal
     f_x = np.broadcast_to(np.asarray(f_x, dtype=float), (n_paths, n_steps))
     tail = gam[:, n_steps] * terminal
     for i in range(n_steps - 1, -1, -1):
         tail = tail + gam[:, i] * f_x[:, i] * dt
-        p[:, i] = project_conditional(tail / gam[:, i], forward.X[:, i], basis)
-    q, r, dead = extract_qr(p, noise, features=forward.X, basis=basis)
+        projector = StateProjector(forward.X[:, i], basis)
+        p[:, i] = projector.fit(tail / gam[:, i]).fitted
+        fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i, q, r, dead)
     return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=dead)
 
 
@@ -154,26 +163,17 @@ def solve_regression(
     n_paths, n_steps = forward.n_paths, grid.n_steps
     dt = grid.dt
     times = grid.times()
-    lam = levy.intensities
-    comp = noise.compensated_counts() if levy.n_atoms else None
 
     p = np.empty((n_paths, n_steps + 1))
     q = np.empty((n_paths, n_steps))
     r = np.zeros((n_paths, n_steps, levy.n_atoms))
-    dead = set()
+    dead = unidentifiable_atoms(noise)
     p[:, n_steps] = np.asarray(terminal(forward.X[:, n_steps]), dtype=float)
 
     for i in range(n_steps - 1, -1, -1):
-        feats = forward.X[:, i]
-        cond = fit_conditional(p[:, i + 1], feats, basis).fitted
-        mart = p[:, i + 1] - cond
-        q[:, i] = project_conditional(mart * noise.dB[:, i] / dt, feats, basis)
-        for k in range(levy.n_atoms):
-            rate = lam[k] * dt
-            if rate < UNIDENTIFIABLE_RATE:
-                dead.add(k)
-                continue
-            r[:, i, k] = project_conditional(mart * comp[:, i, k] / rate, feats, basis)
+        projector = StateProjector(forward.X[:, i], basis)
+        cond = projector.fit(p[:, i + 1]).fitted
+        fit_qr_step(projector, p[:, i + 1] - cond, noise, i, q, r, dead)
 
         p_i = cond
         prev_res = math.inf
@@ -190,7 +190,7 @@ def solve_regression(
         else:
             raise ContractionFailure(f"no convergence in {max_iters} iterations on step {i}")
         p[:, i] = p_i
-    return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=tuple(sorted(dead)))
+    return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=dead)
 
 
 def dump_adjoint_csv(triple: AdjointTriple, path, max_paths: int | None = None) -> None:

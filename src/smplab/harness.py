@@ -38,7 +38,7 @@ from .model import (
     OpenLoopLaw,
     TimeGrid,
     build_lq_coefficients,
-    validate_coefficients,
+    like,
 )
 from .simulate import LinearCoefficients, dump_paths_csv, euler_forward, linear_closed_form, sample_noise
 from .smp import adjoint_for, check_necessary_condition
@@ -315,10 +315,6 @@ def build_model(cfg: dict) -> tuple[ControlledCoefficients, LevyMeasure, float]:
     x0 = m["x0"]
     family = m["family"]
 
-    def like(value, x, u):
-        shape = np.broadcast(np.asarray(x), np.asarray(u)).shape
-        return np.broadcast_to(np.asarray(value, dtype=float), shape)
-
     if family == "lq":
         scale = m["gamma_scale"]
         coeffs = build_lq_coefficients(m["sigma"], levy, lambda zeta: scale * zeta)
@@ -368,7 +364,7 @@ def build_model(cfg: dict) -> tuple[ControlledCoefficients, LevyMeasure, float]:
         gamma_x=lambda t, x, u, zeta: zeta * like(g_d(x), x, u),
         gamma_u=lambda t, x, u, zeta: like(0.0, x, u),
         f_x=lambda t, x, u: like(f_d(x), x, u),
-        f_u=lambda t, x, u: -np.asarray(u, dtype=float) * np.ones(np.broadcast(np.asarray(x), np.asarray(u)).shape),
+        f_u=lambda t, x, u: like(-np.asarray(u, dtype=float), x, u),
         g_x=lambda x: gg_d(x),
         control_set=(m["u_min"], m["u_max"]),
     )

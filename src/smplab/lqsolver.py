@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bsde import AdjointTriple, extract_qr, l2_dtP_norm, relative_l2_dtP
-from .malliavin import ConditionalFit, PolynomialBasis, fit_conditional
+from .bsde import AdjointTriple, fit_qr_step, l2_dtP_norm, relative_l2_dtP, unidentifiable_atoms
+from .malliavin import PolynomialBasis, StateProjector
 from .model import FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
 from .simulate import euler_forward, sample_noise
 from .smp import performance_values
@@ -89,9 +89,10 @@ def solve_constrained(params: LqParams) -> LqSolution:
     residual_history: list[float] = []
     converged = False
     for _ in range(params.max_iters):
-        forward = euler_forward(coeffs, OpenLoopLaw(u, bounds=coeffs.control_set), noise, params.x0)
-        p = _adjoint_values(forward.X, basis)[0]
-        target = np.maximum(p[:, :n_steps], 0.0)
+        X = euler_forward(coeffs, OpenLoopLaw(u, bounds=coeffs.control_set), noise, params.x0).X
+        terminal = -X[:, -1]
+        p = np.column_stack([StateProjector(X[:, i], basis).fit(terminal).fitted for i in range(n_steps)])
+        target = np.maximum(p, 0.0)
         u_next = (1.0 - params.damping) * u + params.damping * target
         residual = l2_dtP_norm(u_next - u, dt)
         residual_history.append(residual)
@@ -101,9 +102,20 @@ def solve_constrained(params: LqParams) -> LqSolution:
             break
 
     # Final diagnostics: one more backward pass under the returned control.
-    forward = euler_forward(coeffs, OpenLoopLaw(u, bounds=coeffs.control_set), noise, params.x0)
-    p, fits = _adjoint_values(forward.X, basis)
-    q, r, dead = extract_qr(p, noise, features=forward.X, basis=basis)
+    # p(t_i) = -E[X(T) | X(t_i)] with p(T) exact; (q, r) share p's projector.
+    X = euler_forward(coeffs, OpenLoopLaw(u, bounds=coeffs.control_set), noise, params.x0).X
+    terminal = -X[:, -1]
+    p = np.empty_like(X)
+    p[:, n_steps] = terminal
+    q = np.empty((params.n_paths, n_steps))
+    r = np.zeros((params.n_paths, n_steps, params.levy.n_atoms))
+    dead = unidentifiable_atoms(noise)
+    fits = [None] * n_steps
+    for i in range(n_steps - 1, -1, -1):
+        projector = StateProjector(X[:, i], basis)
+        fits[i] = projector.fit(terminal)
+        p[:, i] = fits[i].fitted
+        fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i, q, r, dead)
     p_hat = AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=dead)
     fbsde_residual = l2_dtP_norm(u - np.maximum(p[:, :n_steps], 0.0), dt)
     return LqSolution(
@@ -114,19 +126,6 @@ def solve_constrained(params: LqParams) -> LqSolution:
         fbsde_residual=fbsde_residual,
         converged=converged,
     )
-
-
-def _adjoint_values(X: np.ndarray, basis: PolynomialBasis) -> tuple[np.ndarray, list[ConditionalFit]]:
-    """Adjoint p(t_i) = -E[X(T) | X(t_i)] by per-step regression; p(T) exact."""
-    n_paths, n_nodes = X.shape
-    p = np.empty((n_paths, n_nodes))
-    p[:, -1] = -X[:, -1]
-    fits = []
-    for i in range(n_nodes - 1):
-        fit = fit_conditional(-X[:, -1], X[:, i], basis)
-        fits.append(fit)
-        p[:, i] = fit.fitted
-    return p, fits
 
 
 def closed_form_unconstrained(X: np.ndarray, grid: TimeGrid) -> np.ndarray:

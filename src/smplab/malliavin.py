@@ -414,45 +414,51 @@ class ConditionalFit:
         return self.basis.design(z) @ self.coeffs
 
 
-def fit_conditional(values: np.ndarray, features: np.ndarray, basis: PolynomialBasis | None = None) -> ConditionalFit:
-    """Least-squares fit of values against polynomial features of the state.
+class StateProjector:
+    """Least-squares projection onto polynomial features of one state sample.
 
-    Features are standardized internally; a trace-scaled ridge refit
-    (lambda = 1e-8 tr(A'A)/m) replaces the plain solve when the design is
-    rank-deficient.
+    Standardization, design, Gram matrix and rank check happen once; a
+    trace-scaled ridge (lambda = 1e-8 tr(A'A)/m) replaces the plain solve
+    when the design is rank-deficient.  Each ``fit`` solves one target on
+    that Gram matrix, bit-identical to fitting the target alone.
     """
-    basis = basis or PolynomialBasis()
-    values = np.asarray(values, dtype=float)
-    features = np.asarray(features, dtype=float)
-    if features.ndim == 1:
-        features = features[:, None]
-    n = values.shape[0]
-    dim = basis.dimension(features.shape[1])
-    if n < dim + 10:
-        raise InsufficientPaths(f"{n} paths for a {dim}-dimensional basis (need >= {dim + 10})")
-    mean = features.mean(axis=0)
-    scale = features.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    A = basis.design((features - mean) / scale)
-    # Normal equations on the standardized design; the tiny Gram solve is far
-    # cheaper than a tall-matrix SVD at these path counts.
-    gram = A.T @ A
-    rhs = A.T @ values
-    rank = np.linalg.matrix_rank(gram, hermitian=True)
-    deficient = bool(rank < A.shape[1])
-    if deficient:
-        lam = 1e-8 * np.trace(gram) / A.shape[1]
-        coeffs = np.linalg.solve(gram + lam * np.eye(A.shape[1]), rhs)
-    else:
-        coeffs = np.linalg.solve(gram, rhs)
-    return ConditionalFit(
-        basis=basis,
-        coeffs=coeffs,
-        feature_mean=mean,
-        feature_scale=scale,
-        rank_deficient=deficient,
-        fitted=A @ coeffs,
-    )
+
+    def __init__(self, features: np.ndarray, basis: PolynomialBasis | None = None):
+        self.basis = basis = basis or PolynomialBasis()
+        features = np.asarray(features, dtype=float)
+        if features.ndim == 1:
+            features = features[:, None]
+        n, dim = features.shape[0], basis.dimension(features.shape[1])
+        if n < dim + 10:
+            raise InsufficientPaths(f"{n} paths for a {dim}-dimensional basis (need >= {dim + 10})")
+        self.feature_mean = features.mean(axis=0)
+        self.feature_scale = features.std(axis=0)
+        self.feature_scale[self.feature_scale == 0.0] = 1.0
+        self.design = basis.design((features - self.feature_mean) / self.feature_scale)
+        # Normal equations on the standardized design; the tiny Gram solve is
+        # far cheaper than a tall-matrix SVD at these path counts.
+        gram = self.design.T @ self.design
+        self.rank_deficient = bool(np.linalg.matrix_rank(gram, hermitian=True) < dim)
+        if self.rank_deficient:
+            gram = gram + 1e-8 * np.trace(gram) / dim * np.eye(dim)
+        self._gram = gram
+
+    def fit(self, values: np.ndarray) -> ConditionalFit:
+        """Fit of one target, one value per path of the state sample."""
+        coeffs = np.linalg.solve(self._gram, self.design.T @ np.asarray(values, dtype=float))
+        return ConditionalFit(
+            basis=self.basis,
+            coeffs=coeffs,
+            feature_mean=self.feature_mean,
+            feature_scale=self.feature_scale,
+            rank_deficient=self.rank_deficient,
+            fitted=self.design @ coeffs,
+        )
+
+
+def fit_conditional(values: np.ndarray, features: np.ndarray, basis: PolynomialBasis | None = None) -> ConditionalFit:
+    """Least-squares fit of values against polynomial features of the state."""
+    return StateProjector(features, basis).fit(values)
 
 
 def project_conditional(values: np.ndarray, features: np.ndarray, basis: PolynomialBasis | None = None) -> np.ndarray:
@@ -460,7 +466,7 @@ def project_conditional(values: np.ndarray, features: np.ndarray, basis: Polynom
     return fit_conditional(values, features, basis).fitted
 
 
-def _state_features(bundle: NoiseBundle, node: int) -> np.ndarray:
+def state_features(bundle: NoiseBundle, node: int) -> np.ndarray:
     """Driving-state features at a grid node: Brownian value, plus the
     compensated jump value whenever the model carries atoms."""
     if not bundle.levy.n_atoms:
@@ -495,7 +501,7 @@ def conditional_derivative(
     vals = evaluate(d, bundle, _memo)
     if is_deterministic(d):
         return vals
-    return project_conditional(vals, _state_features(bundle, step), basis)
+    return StateProjector(state_features(bundle, step), basis).fit(vals).fitted
 
 
 # --------------------------------------------------------------------------

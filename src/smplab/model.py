@@ -1,11 +1,11 @@
 """Controlled jump-diffusion model data: time grid, jump measure, coefficients, control laws.
 
 Coefficient maps follow a single calling convention: ``b(t, x, u)``,
-``sigma(t, x, u)``, ``f(t, x, u)`` and their partials take a scalar time
-``t`` plus numpy arrays (or scalars) ``x`` and ``u`` of a common broadcast
-shape and return an array of that shape; ``gamma(t, x, u, zeta)`` and its
-partials additionally take one scalar jump size ``zeta``; ``g(x)`` and
-``g_x(x)`` take the terminal state only.  All maps must be pure functions.
+``sigma(t, x, u)``, ``f(t, x, u)`` and their partials take a time ``t``
+plus numpy arrays (or scalars) ``x`` and ``u`` of a common broadcast shape
+and return an array of that shape; ``gamma(t, x, u, zeta)`` and its partials
+additionally take one scalar jump size ``zeta``; ``g(x)`` and ``g_x(x)``
+take the terminal state only.  All maps must be pure and elementwise.
 """
 
 from __future__ import annotations
@@ -128,7 +128,10 @@ class ControlledCoefficients:
     """Evaluation maps of the controlled system and their partials.
 
     Partials are user-supplied; ``validate_coefficients`` cross-checks them
-    against central finite differences on a probe set.
+    against central finite differences on a probe set.  Maps must broadcast
+    elementwise: partials are evaluated over whole (path, step) arrays, with
+    ``t`` of shape (1, N) against ``x`` and ``u`` of shape (n_paths, N), and
+    may return read-only broadcast views (``like``) that callers copy first.
     """
 
     b: CoeffMap
@@ -324,6 +327,12 @@ def validate_coefficients(coeffs: ControlledCoefficients, probe) -> ValidationRe
     return report
 
 
+def like(value, x, u) -> np.ndarray:
+    """``value`` as a read-only float view broadcast to the common shape of ``x`` and ``u``."""
+    shape = np.broadcast(np.asarray(x), np.asarray(u)).shape
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
 def build_lq_coefficients(sigma: float, levy: LevyMeasure, gamma_map: Callable[[float], float]) -> ControlledCoefficients:
     """Linear-quadratic model: dX = u dt + sigma dB + jumps, cost -u^2/2, payoff -x^2/2.
 
@@ -336,10 +345,6 @@ def build_lq_coefficients(sigma: float, levy: LevyMeasure, gamma_map: Callable[[
     for zeta in levy.zetas:
         if not math.isfinite(float(gamma_map(zeta))):
             raise ValueError(f"gamma_map not finite at atom {zeta}")
-
-    def like(value, x, u):
-        shape = np.broadcast(np.asarray(x), np.asarray(u)).shape
-        return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
     return ControlledCoefficients(
         b=lambda t, x, u: like(u, x, u),

@@ -58,7 +58,7 @@ def hamiltonian_du(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyM
 
 @dataclass(frozen=True, eq=False)
 class CoefficientPartials:
-    """State and control partials evaluated along a path bundle."""
+    """State and control partials along a path bundle; fields may be read-only broadcast views."""
 
     f_x: np.ndarray  # (n_paths, N)
     b_x: np.ndarray
@@ -71,33 +71,19 @@ class CoefficientPartials:
 
 
 def partials_along(coeffs: ControlledCoefficients, levy: LevyMeasure, forward: PathBundle) -> CoefficientPartials:
-    grid = forward.grid
-    n_paths, n_steps = forward.n_paths, grid.n_steps
-    times = grid.times()
-    out = {name: np.empty((n_paths, n_steps)) for name in ("f_x", "b_x", "sigma_x", "f_u", "b_u", "sigma_u")}
-    gx = np.empty((n_paths, n_steps, levy.n_atoms))
-    gu = np.empty((n_paths, n_steps, levy.n_atoms))
-    for i in range(n_steps):
-        t, x, u = times[i], forward.X[:, i], forward.u[:, i]
-        out["f_x"][:, i] = coeffs.f_x(t, x, u)
-        out["b_x"][:, i] = coeffs.b_x(t, x, u)
-        out["sigma_x"][:, i] = coeffs.sigma_x(t, x, u)
-        out["f_u"][:, i] = coeffs.f_u(t, x, u)
-        out["b_u"][:, i] = coeffs.b_u(t, x, u)
-        out["sigma_u"][:, i] = coeffs.sigma_u(t, x, u)
-        for k in range(levy.n_atoms):
-            gx[:, i, k] = coeffs.gamma_x(t, x, u, levy.zetas[k])
-            gu[:, i, k] = coeffs.gamma_u(t, x, u, levy.zetas[k])
-    return CoefficientPartials(
-        f_x=out["f_x"],
-        b_x=out["b_x"],
-        sigma_x=out["sigma_x"],
-        gamma_x=gx,
-        f_u=out["f_u"],
-        b_u=out["b_u"],
-        sigma_u=out["sigma_u"],
-        gamma_u=gu,
-    )
+    """Each partial evaluated once at the left nodes of all steps: ``t`` of
+    shape (1, N) against ``x``, ``u`` of shape (n_paths, N)."""
+    shape = forward.u.shape
+    t, x, u = forward.grid.times()[None, :-1], forward.X[:, :-1], forward.u
+    fields = {
+        name: np.broadcast_to(np.asarray(getattr(coeffs, name)(t, x, u), dtype=float), shape)
+        for name in ("f_x", "b_x", "sigma_x", "f_u", "b_u", "sigma_u")
+    }
+    for name in ("gamma_x", "gamma_u"):
+        fields[name] = np.empty(shape + (levy.n_atoms,))
+        for k, zeta in enumerate(levy.zetas):
+            fields[name][:, :, k] = getattr(coeffs, name)(t, x, u, zeta)
+    return CoefficientPartials(**fields)
 
 
 def adjoint_for(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smplab.bsde import (
+    UNIDENTIFIABLE_RATE,
     dump_adjoint_csv,
     extract_qr,
     l2_dtP_norm,
@@ -12,9 +13,18 @@ from smplab.bsde import (
     solve_regression,
 )
 from smplab.errors import ContractionFailure, InsufficientPaths
-from smplab.malliavin import Brownian, Compose, bm_integral, conditional_derivative, hm_derivative, evaluate, square_map
+from smplab.malliavin import (
+    Brownian,
+    Compose,
+    bm_integral,
+    conditional_derivative,
+    evaluate,
+    fit_conditional,
+    hm_derivative,
+    square_map,
+)
 from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
-from smplab.simulate import PathBundle, euler_forward, sample_noise
+from smplab.simulate import PathBundle, euler_forward, gamma_process, sample_noise
 from smplab.smp import adjoint_for
 
 GRID = TimeGrid(1.0, 100)
@@ -258,3 +268,88 @@ class TestNorms:
         a = np.full((4, 10), 1.1)
         b = np.ones((4, 10))
         assert relative_l2_dtP(a, b, 0.1) == pytest.approx(0.1, rel=1e-9)
+
+
+class TestSharedProjectorBitContract:
+    """Every solver fits p, q and r_k against one projector per step; each fit
+    must equal, bit for bit, the same target fitted alone."""
+
+    grid = TimeGrid(1.0, 10)
+    # one live atom and one whose step rate falls below UNIDENTIFIABLE_RATE
+    levy = LevyMeasure.from_pairs([(0.2, 2.0), (-0.1, 1e-12)])
+
+    def bundle(self):
+        assert self.levy.intensities[1] * self.grid.dt < UNIDENTIFIABLE_RATE <= self.levy.intensities[0] * self.grid.dt
+        noise = sample_noise(self.grid, self.levy, 400, 21)
+        X = 0.5 + noise.brownian() + noise.compensated_jump_path()
+        return PathBundle(grid=self.grid, X=X, u=np.zeros((400, self.grid.n_steps)), noise=noise)
+
+    def fit_qr_alone(self, increment, feats, noise, i, q, r):
+        dt = self.grid.dt
+        q[:, i] = fit_conditional(increment * noise.dB[:, i] / dt, feats).fitted
+        rate = self.levy.intensities[0] * dt
+        r[:, i, 0] = fit_conditional(increment * noise.compensated_counts()[:, i, 0] / rate, feats).fitted
+
+    def empty_triple(self):
+        n, N = 400, self.grid.n_steps
+        return np.empty((n, N + 1)), np.empty((n, N)), np.zeros((n, N, 2))
+
+    def test_solve_linear_explicit(self):
+        fw = self.bundle()
+        noise, dt, N = fw.noise, self.grid.dt, self.grid.n_steps
+        f_x = 0.5 * fw.X[:, :-1]
+        b_x = np.full((400, N), 0.3)
+        sigma_x = np.full((400, N), 0.2)
+        gamma_x = np.zeros((400, N, 2))
+        gamma_x[:, :, 0] = 0.1
+        terminal = fw.X[:, -1] ** 2
+        triple = solve_linear_explicit(f_x, b_x, sigma_x, gamma_x, terminal, fw)
+
+        p, q, r = self.empty_triple()
+        gam = gamma_process(b_x, sigma_x, gamma_x, noise)
+        p[:, N] = terminal
+        tail = gam[:, N] * terminal
+        for i in range(N - 1, -1, -1):
+            tail = tail + gam[:, i] * f_x[:, i] * dt
+            p[:, i] = fit_conditional(tail / gam[:, i], fw.X[:, i]).fitted
+            self.fit_qr_alone(p[:, i + 1] - p[:, i], fw.X[:, i], noise, i, q, r)
+        assert np.array_equal(triple.p, p)
+        assert np.array_equal(triple.q, q)
+        assert np.array_equal(triple.r, r)
+        assert np.any(r[:, :, 0] != 0.0) and np.all(r[:, :, 1] == 0.0)
+        assert triple.unidentifiable_atoms == (1,)
+
+    def test_solve_regression(self):
+        fw = self.bundle()
+        noise, dt, N = fw.noise, self.grid.dt, self.grid.n_steps
+
+        # free of p, so the fixed point is reached on the second iterate
+        def driver(t, x, p, q, r):
+            return 0.5 * q + 0.3 * r[..., 0]
+
+        triple = solve_regression(driver, lambda x: x**2, fw)
+
+        p, q, r = self.empty_triple()
+        p[:, N] = fw.X[:, N] ** 2
+        for i in range(N - 1, -1, -1):
+            cond = fit_conditional(p[:, i + 1], fw.X[:, i]).fitted
+            self.fit_qr_alone(p[:, i + 1] - cond, fw.X[:, i], noise, i, q, r)
+            p[:, i] = cond + driver(None, None, None, q[:, i], r[:, i]) * dt
+        assert np.array_equal(triple.p, p)
+        assert np.array_equal(triple.q, q)
+        assert np.array_equal(triple.r, r)
+        assert triple.unidentifiable_atoms == (1,)
+
+    def test_extract_qr(self):
+        fw = self.bundle()
+        noise = fw.noise
+        q_out, r_out, dead = extract_qr(fw.X, noise)
+
+        _, q, r = self.empty_triple()
+        features = np.stack([noise.brownian(), noise.compensated_jump_path()], axis=2)
+        d_p = fw.X[:, 1:] - fw.X[:, :-1]
+        for i in range(self.grid.n_steps):
+            self.fit_qr_alone(d_p[:, i], features[:, i], noise, i, q, r)
+        assert np.array_equal(q_out, q)
+        assert np.array_equal(r_out, r)
+        assert dead == (1,)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smplab.harness import build_model, parse_config
 from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import (
@@ -13,6 +14,7 @@ from smplab.smp import (
     check_necessary_condition,
     hamiltonian,
     hamiltonian_du,
+    partials_along,
     performance_J,
     performance_values,
     spike_perturb,
@@ -238,6 +240,45 @@ class TestVariationalZ:
         agreement = np.sqrt(np.mean((Zc[:, -1] - Zd[:, -1]) ** 2))
         assert discrepancy > 1e-3
         assert agreement < 1e-10
+
+
+class TestPartialsAlong:
+    def test_matches_per_step_evaluation(self, tmp_path):
+        # custom-polynomial partials depend on x, and gamma_x / gamma_u carry
+        # one column per atom
+        path = tmp_path / "model.ini"
+        path.write_text(
+            "[experiment]\nkind = simulate\n[model]\nfamily = custom-polynomial\n"
+            "atoms = 0.2:1.0; -0.1:2.0\nb_poly = 0.1, 0.2, -0.05\nb_u = 1.0\n"
+            "sigma_poly = 0.2, 0.1\nsigma_u = 0.1\ngamma_poly = 0.05, 0.1, 0.2\n"
+            "f_poly = 0.0, 0.3, -0.2\ng_poly = 0.0, 0.0, -0.5\n"
+        )
+        coeffs, levy, x0 = build_model(parse_config(path))
+        grid = TimeGrid(1.0, 20)
+        noise = sample_noise(grid, levy, 300, 31)
+        forward = euler_forward(coeffs, OpenLoopLaw(np.linspace(-0.5, 0.5, 20)), noise, x0)
+        part = partials_along(coeffs, levy, forward)
+
+        times = grid.times()
+        for name in ("f_x", "b_x", "sigma_x", "f_u", "b_u", "sigma_u"):
+            expected = np.column_stack(
+                [getattr(coeffs, name)(times[i], forward.X[:, i], forward.u[:, i]) for i in range(20)]
+            )
+            assert getattr(part, name).shape == (300, 20)
+            assert np.array_equal(getattr(part, name), expected), name
+        for name in ("gamma_x", "gamma_u"):
+            expected = np.stack(
+                [
+                    np.column_stack(
+                        [getattr(coeffs, name)(times[i], forward.X[:, i], forward.u[:, i], zeta) for i in range(20)]
+                    )
+                    for zeta in levy.zetas
+                ],
+                axis=2,
+            )
+            assert getattr(part, name).shape == (300, 20, 2)
+            assert np.array_equal(getattr(part, name), expected), name
+        assert np.ptp(part.b_x) > 0.0 and np.ptp(part.gamma_x[:, :, 0]) > 0.0
 
 
 class TestAdjointFor:
