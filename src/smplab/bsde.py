@@ -8,7 +8,6 @@ control problem has generator h = dH/dx.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ContractionFailure
 from .malliavin import PolynomialBasis, StateProjector, state_features
-from .simulate import NoiseBundle, PathBundle, gamma_process
+from .simulate import NoiseBundle, PathBundle, gamma_process, write_csv
 
 # Atoms whose expected step count falls below this are reported as r = 0
 # rather than divided out.
@@ -202,15 +201,10 @@ def dump_adjoint_csv(triple: AdjointTriple, path, max_paths: int | None = None) 
     n_atoms = triple.r.shape[2]
     n_paths = triple.n_paths if max_paths is None else min(max_paths, triple.n_paths)
 
-    def fmt(v) -> str:
-        return format(float(v), ".17g")
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "step", "t", "p", "q"] + [f"r_atom{k}" for k in range(n_atoms)])
+    def rows():
         for j in range(n_paths):
             for i in range(n_steps):
-                row = [j, i, fmt(times[i]), fmt(triple.p[j, i]), fmt(triple.q[j, i])]
-                row += [fmt(triple.r[j, i, k]) for k in range(n_atoms)]
-                writer.writerow(row)
-            writer.writerow([j, n_steps, fmt(times[-1]), fmt(triple.p[j, -1]), ""] + [""] * n_atoms)
+                yield [j, i, times[i], triple.p[j, i], triple.q[j, i], *triple.r[j, i]]
+            yield [j, n_steps, times[-1], triple.p[j, -1], ""] + [""] * n_atoms
+
+    write_csv(path, ["path_id", "step", "t", "p", "q"] + [f"r_atom{k}" for k in range(n_atoms)], rows())

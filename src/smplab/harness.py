@@ -13,7 +13,7 @@ import configparser
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from hashlib import sha256
 from pathlib import Path
 
@@ -45,20 +45,9 @@ from .smp import adjoint_for, check_necessary_condition
 from .lqsolver import (
     LqParams,
     compare_to_unconstrained,
-    dump_comparison_json,
     dump_feedback_csv,
     dump_residuals_csv,
     solve_constrained,
-)
-
-EXPERIMENTS = (
-    "simulate",
-    "check-duality",
-    "clark-ocone",
-    "solve-bsde",
-    "check-smp",
-    "solve-lq",
-    "convergence-study",
 )
 
 EXIT_PASS = 0
@@ -69,40 +58,24 @@ EXIT_NUMERICAL = 3
 
 def _float(raw, key):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a real number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite real number, got {raw!r}")
+    return value
 
 
 def _int(raw, key):
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-    return value
 
 
-def _bool(raw, key):
-    lowered = str(raw).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-
-
-def _float_list(raw, key):
-    try:
-        return [float(tok) for tok in str(raw).replace(";", ",").split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a comma-separated list of reals, got {raw!r}") from exc
-
-
-def _int_list(raw, key):
-    try:
-        return [int(tok) for tok in str(raw).replace(";", ",").split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a comma-separated list of integers, got {raw!r}") from exc
+def _list_of(parse):
+    """Parser of a comma- (or semicolon-) separated list of ``parse`` values."""
+    return lambda raw, key: [parse(tok, key) for tok in str(raw).replace(";", ",").split(",") if tok.strip()]
 
 
 def _atoms(raw, key):
@@ -125,16 +98,13 @@ def _atoms(raw, key):
 _PARSERS = {
     "float": _float,
     "int": _int,
-    "bool": _bool,
-    "float_list": _float_list,
-    "int_list": _int_list,
+    "float_list": _list_of(_float),
+    "int_list": _list_of(_int),
     "atoms": _atoms,
     "str": lambda raw, key: str(raw).strip(),
 }
 
-# Section schemas: key -> (type, default); REQUIRED means no default.
-REQUIRED = object()
-
+# Section schemas: key -> (type, default).
 _COMMON_SCHEMA = {
     "experiment": {"kind": ("str", None)},
     "grid": {"horizon": ("float", 1.0), "n_steps": ("int", 100)},
@@ -215,6 +185,8 @@ _EXPERIMENT_SCHEMA = {
     },
 }
 
+EXPERIMENTS = tuple(_EXPERIMENT_SCHEMA)
+
 
 def schema_for(kind: str) -> dict:
     if kind not in EXPERIMENTS:
@@ -258,8 +230,6 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
                 continue
             if parser.has_option(section, key):
                 resolved[section][key] = _PARSERS[typ](parser.get(section, key), f"[{section}] {key}")
-            elif default is REQUIRED:
-                raise ConfigError(f"missing required key {key!r} in section [{section}]")
             else:
                 resolved[section][key] = default
 
@@ -268,6 +238,8 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
             resolved["mc"]["seed"] = int(overrides["seed"])
         if overrides.get("n_paths") is not None:
             resolved["mc"]["n_paths"] = int(overrides["n_paths"])
+    if resolved["model"]["family"] == "lq" and any(parser.has_option("model", k) for k in ("u_min", "u_max")):
+        raise ConfigError("[model] u_min and u_max do not apply to the lq family, whose controls lie in [0, inf)")
     _validate_resolved(resolved)
     return resolved
 
@@ -284,6 +256,8 @@ def _validate_resolved(cfg: dict) -> None:
     family = cfg["model"]["family"]
     if family not in ("lq", "linear", "custom-polynomial"):
         raise ConfigError(f"unknown model family {family!r}")
+    if cfg["model"]["u_min"] > cfg["model"]["u_max"]:
+        raise ConfigError("[model] u_min must not exceed u_max")
     for zeta, lam in cfg["model"]["atoms"]:
         if zeta == 0.0:
             raise ConfigError("[model] atoms: jump sizes must be nonzero")
@@ -371,6 +345,34 @@ def build_model(cfg: dict) -> tuple[ControlledCoefficients, LevyMeasure, float]:
     return coeffs, levy, x0
 
 
+def _linear_coefficients(cfg: dict, levy: LevyMeasure) -> LinearCoefficients:
+    """Closed-form coefficients of the uncontrolled 'linear' model family."""
+    m = cfg["model"]
+    return LinearCoefficients(
+        b0=m["drift_const"],
+        b1=m["drift_x"],
+        s0=m["diff_const"],
+        s1=m["diff_x"],
+        g0=levy.zetas * m["jump_const"] if levy.n_atoms else 0.0,
+        g1=levy.zetas * m["jump_x"] if levy.n_atoms else 0.0,
+    )
+
+
+def _lq_params(cfg: dict, grid: TimeGrid, levy: LevyMeasure, **iteration) -> LqParams:
+    """Constrained-LQ solver inputs from the [model], [mc] and [basis] blocks."""
+    return LqParams(
+        x0=cfg["model"]["x0"],
+        sigma=cfg["model"]["sigma"],
+        levy=levy,
+        grid=grid,
+        n_paths=cfg["mc"]["n_paths"],
+        seed=cfg["mc"]["seed"],
+        gamma_map=lambda zeta: cfg["model"]["gamma_scale"] * zeta,
+        degree=cfg["basis"]["degree"],
+        **iteration,
+    )
+
+
 def _control_law(name: str, value: float, grid: TimeGrid, bounds) -> OpenLoopLaw:
     if name == "zero":
         return OpenLoopLaw(np.zeros(grid.n_steps), bounds=bounds)
@@ -415,6 +417,16 @@ def _digest(arr: np.ndarray) -> str:
     return sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
+def _plain(report) -> dict:
+    """A report dataclass as a JSON-ready dict, arrays as nested lists."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value for key, value in asdict(report).items()}
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+
+
 def _run_simulate(cfg, out_dir: Path | None):
     grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
     coeffs, levy, x0 = build_model(cfg)
@@ -426,16 +438,7 @@ def _run_simulate(cfg, out_dir: Path | None):
     elif scheme == "closed-form":
         if cfg["model"]["family"] != "linear":
             raise ConfigError("the closed-form scheme needs the 'linear' model family")
-        m = cfg["model"]
-        lin = LinearCoefficients(
-            b0=m["drift_const"],
-            b1=m["drift_x"],
-            s0=m["diff_const"],
-            s1=m["diff_x"],
-            g0=levy.zetas * m["jump_const"] if levy.n_atoms else 0.0,
-            g1=levy.zetas * m["jump_x"] if levy.n_atoms else 0.0,
-        )
-        bundle = linear_closed_form(lin, noise, x0)
+        bundle = linear_closed_form(_linear_coefficients(cfg, levy), noise, x0)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     terminal = bundle.X[:, -1]
@@ -475,10 +478,9 @@ def _run_check_duality(cfg, out_dir: Path | None):
         grid=grid,
         basis=PolynomialBasis(cfg["basis"]["degree"]),
     )
-    payload = report.to_dict()
+    payload = _plain(report)
     if out_dir is not None:
-        with open(out_dir / "duality.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(out_dir / "duality.json", payload)
     lines = [
         f"duality ({mode}) of {d['functional']} against {d['integrand']}",
         f"lhs {report.lhs:.6g} (se {report.se_lhs:.2g}), rhs {report.rhs:.6g} (se {report.se_rhs:.2g})",
@@ -496,10 +498,9 @@ def _run_clark_ocone(cfg, out_dir: Path | None):
         F, cfg["mc"]["n_paths"], cfg["mc"]["seed"], grid=grid, basis=PolynomialBasis(cfg["basis"]["degree"])
     )
     ok = report.l2_error <= c["max_rel_error"]
-    payload = dict(report.to_dict(), max_rel_error=c["max_rel_error"], verdict=bool(ok))
+    payload = dict(_plain(report), max_rel_error=c["max_rel_error"], verdict=bool(ok))
     if out_dir is not None:
-        with open(out_dir / "clark_ocone.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(out_dir / "clark_ocone.json", payload)
     lines = [
         f"martingale reconstruction of {c['functional']} on {grid.n_steps} steps",
         f"relative squared-L2 error {report.l2_error:.4g} (threshold {c['max_rel_error']:.4g})",
@@ -546,25 +547,15 @@ def _run_check_smp(cfg, out_dir: Path | None):
     if s["candidate"] == "lq-opt":
         if cfg["model"]["family"] != "lq":
             raise ConfigError("candidate 'lq-opt' needs the lq model family")
-        params = LqParams(
-            x0=x0,
-            sigma=cfg["model"]["sigma"],
-            levy=levy,
-            grid=grid,
-            n_paths=cfg["mc"]["n_paths"],
-            seed=cfg["mc"]["seed"],
-            gamma_map=lambda zeta: cfg["model"]["gamma_scale"] * zeta,
-            degree=cfg["basis"]["degree"],
-        )
-        candidate = solve_constrained(params).feedback_law(grid)
+        candidate = solve_constrained(_lq_params(cfg, grid, levy)).feedback_law(grid)
     else:
         candidate = _control_law(s["candidate"], s["candidate_value"], grid, coeffs.control_set)
     verdict = check_necessary_condition(
         candidate, coeffs, levy, noise, x0, s["tau_grid"], s["v_grid"], s["eps_grid"], basis=basis
     )
-    payload = verdict.to_dict()
+    payload = _plain(verdict)
     if out_dir is not None:
-        verdict.dump_json(out_dir / "smp_verdict.json")
+        _write_json(out_dir / "smp_verdict.json", payload)
         verdict.dump_csv(out_dir / "smp_verdict.csv")
     worst = float(np.max(verdict.statistic - 3.0 * verdict.statistic_se))
     lines = [
@@ -579,21 +570,8 @@ def _run_solve_lq(cfg, out_dir: Path | None):
     grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
     if cfg["model"]["family"] != "lq":
         raise ConfigError("solve-lq needs the lq model family")
-    _, levy, x0 = build_model(cfg)
-    it = cfg["iteration"]
-    params = LqParams(
-        x0=x0,
-        sigma=cfg["model"]["sigma"],
-        levy=levy,
-        grid=grid,
-        n_paths=cfg["mc"]["n_paths"],
-        seed=cfg["mc"]["seed"],
-        gamma_map=lambda zeta: cfg["model"]["gamma_scale"] * zeta,
-        degree=cfg["basis"]["degree"],
-        max_iters=it["max_iters"],
-        damping=it["damping"],
-        tol=it["tol"],
-    )
+    _, levy, _ = build_model(cfg)
+    params = _lq_params(cfg, grid, levy, **cfg["iteration"])
     sol = solve_constrained(params)
     comparison = compare_to_unconstrained(sol, params)
     payload = {
@@ -602,13 +580,13 @@ def _run_solve_lq(cfg, out_dir: Path | None):
         "residual_history": [float(r) for r in sol.residual_history],
         "control_norm": float(l2_dtP_norm(sol.u_values, grid.dt)),
         "fbsde_residual": float(sol.fbsde_residual),
-        "comparison": comparison.to_dict(),
+        "comparison": _plain(comparison),
         "control_digest": _digest(sol.u_values),
     }
     if out_dir is not None:
         dump_feedback_csv(sol, grid, out_dir / "feedback_coefficients.csv")
         dump_residuals_csv(sol, out_dir / "residuals.csv")
-        dump_comparison_json(comparison, out_dir / "comparison.json")
+        _write_json(out_dir / "comparison.json", payload["comparison"])
     lines = [
         f"constrained solver {'converged' if sol.converged else 'DID NOT converge'} in {len(sol.residual_history)} sweeps",
         f"control L2(dt x P) norm {payload['control_norm']:.4g}, fixed-point residual {sol.fbsde_residual:.3g}",
@@ -621,7 +599,7 @@ def _run_convergence_study(cfg, out_dir: Path | None):
     if cfg["model"]["family"] != "linear":
         raise ConfigError("convergence-study needs the 'linear' model family")
     coeffs, levy, x0 = build_model(cfg)
-    m = cfg["model"]
+    lin = _linear_coefficients(cfg, levy)
     conv = cfg["convergence"]
     rmses = []
     for n_steps in conv["n_steps_list"]:
@@ -629,14 +607,6 @@ def _run_convergence_study(cfg, out_dir: Path | None):
         noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
         law = OpenLoopLaw(np.zeros(grid.n_steps), bounds=coeffs.control_set)
         eul = euler_forward(coeffs, law, noise, x0)
-        lin = LinearCoefficients(
-            b0=m["drift_const"],
-            b1=m["drift_x"],
-            s0=m["diff_const"],
-            s1=m["diff_x"],
-            g0=levy.zetas * m["jump_const"] if levy.n_atoms else 0.0,
-            g1=levy.zetas * m["jump_x"] if levy.n_atoms else 0.0,
-        )
         closed = linear_closed_form(lin, noise, x0)
         rmses.append(float(np.sqrt(np.mean((eul.X[:, -1] - closed.X[:, -1]) ** 2))))
     ratios = [rmses[i] / rmses[i + 1] for i in range(len(rmses) - 1)]
@@ -650,8 +620,7 @@ def _run_convergence_study(cfg, out_dir: Path | None):
         "verdict": bool(ok),
     }
     if out_dir is not None:
-        with open(out_dir / "convergence.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        _write_json(out_dir / "convergence.json", payload)
     lines = [
         "terminal RMSE between the Euler scheme and the closed form on common noise",
         "rmse " + ", ".join(f"{n}: {r:.6g}" for n, r in zip(payload["n_steps_list"], rmses)),
@@ -709,8 +678,7 @@ def run(cfg: dict, out_dir=None, write: bool = True) -> RunResult:
     report_path = None
     if write:
         report_path = out_path / "report.json"
-        with open(report_path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        _write_json(report_path, report)
         with open(out_path / "summary.txt", "w") as fh:
             fh.write(f"experiment: {kind} (seed {cfg['mc']['seed']}, version {__version__})\n")
             for line in lines:

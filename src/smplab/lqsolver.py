@@ -10,8 +10,6 @@ benchmark when the constraint stays inactive.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +19,7 @@ import numpy as np
 from .bsde import AdjointTriple, fit_qr_step, l2_dtP_norm, relative_l2_dtP, unidentifiable_atoms
 from .malliavin import PolynomialBasis, StateProjector
 from .model import FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
-from .simulate import euler_forward, sample_noise
+from .simulate import euler_forward, sample_noise, write_csv
 from .smp import performance_values
 
 
@@ -153,16 +151,6 @@ class ComparisonReport:
     j_unconstrained_se: float
     binding_fraction: float
 
-    def to_dict(self) -> dict:
-        return {
-            "control_distance": self.control_distance,
-            "j_constrained": self.j_constrained,
-            "j_constrained_se": self.j_constrained_se,
-            "j_unconstrained": self.j_unconstrained,
-            "j_unconstrained_se": self.j_unconstrained_se,
-            "binding_fraction": self.binding_fraction,
-        }
-
 
 def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonReport:
     """Simulate u* on the solver's noise and compare controls and values.
@@ -196,24 +184,10 @@ def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonRep
 def dump_feedback_csv(sol: LqSolution, grid: TimeGrid, path) -> None:
     """Per-step polynomial coefficients of the fitted adjoint (standardized basis)."""
     times = grid.times()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        degree = len(sol.feedback[0].coeffs) - 1
-        writer.writerow(["step", "t", "feature_mean", "feature_scale"] + [f"c{k}" for k in range(degree + 1)])
-        for i, fit in enumerate(sol.feedback):
-            row = [i, format(float(times[i]), ".17g"), format(float(fit.feature_mean[0]), ".17g"), format(float(fit.feature_scale[0]), ".17g")]
-            row += [format(float(c), ".17g") for c in fit.coeffs]
-            writer.writerow(row)
+    degree = len(sol.feedback[0].coeffs) - 1
+    rows = ([i, times[i], fit.feature_mean[0], fit.feature_scale[0], *fit.coeffs] for i, fit in enumerate(sol.feedback))
+    write_csv(path, ["step", "t", "feature_mean", "feature_scale"] + [f"c{k}" for k in range(degree + 1)], rows)
 
 
 def dump_residuals_csv(sol: LqSolution, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual"])
-        for k, res in enumerate(sol.residual_history):
-            writer.writerow([k, format(float(res), ".17g")])
-
-
-def dump_comparison_json(report: ComparisonReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+    write_csv(path, ["iteration", "residual"], enumerate(sol.residual_history))

@@ -89,20 +89,6 @@ def product_map() -> SmoothMap:
     )
 
 
-def polynomial_map(coeffs: tuple[float, ...]) -> SmoothMap:
-    """One-variable polynomial sum_k coeffs[k] x^k."""
-    c = np.asarray(coeffs, dtype=float)
-    d1 = np.polynomial.polynomial.polyder(c)
-    d2 = np.polynomial.polynomial.polyder(c, 2)
-    return SmoothMap(
-        fn=lambda a: np.polynomial.polynomial.polyval(a[0], c),
-        grad=lambda a: [np.polynomial.polynomial.polyval(a[0], d1)],
-        hess=lambda a: [[np.polynomial.polynomial.polyval(a[0], d2)]],
-        name="polynomial",
-        arity=1,
-    )
-
-
 def _chain_sum_map(phi: SmoothMap) -> SmoothMap:
     """Map (x, y) -> sum_i dPhi/dx_i(x) y_i over doubled arguments."""
     if phi.grad is None:
@@ -524,18 +510,6 @@ class DualityReport:
     def __post_init__(self):
         self.verdict = bool(abs(self.lhs - self.rhs) <= 3.0 * (self.se_lhs + self.se_rhs))
 
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "se_lhs": self.se_lhs,
-            "se_rhs": self.se_rhs,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "mode": self.mode,
-            "verdict": self.verdict,
-        }
-
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     n = values.shape[0]
@@ -626,14 +600,6 @@ class ClarkOconeReport:
     mean_value: float
     n_paths: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "l2_error": self.l2_error,
-            "mean_value": self.mean_value,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-        }
 
 
 def clark_ocone_reconstruct(

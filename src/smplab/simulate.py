@@ -267,11 +267,24 @@ def gamma_process(b_x: np.ndarray, sigma_x: np.ndarray, gamma_x: np.ndarray, noi
     return 1.0 / _upsilon(arrs[1], arrs[3], arrs[5], noise)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header row and data rows as CSV.
+
+    Floats (``np.float64`` included) carry 17 significant digits; every
+    other cell, such as an int, a bool or ``""``, is written as it is.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+
+
 def dump_paths_csv(bundle: PathBundle, path, max_paths: int | None = None) -> None:
     """Write per-path rows (path_id, step, t, X, u, dB, jump_sum).
 
-    Values carry 17 significant digits.  The terminal node row (step = N)
-    reports the state only; the interval columns are left empty.
+    The terminal node row (step = N) reports the state only; the interval
+    columns are left empty.
     """
     noise = bundle.noise
     times = bundle.grid.times()
@@ -282,18 +295,13 @@ def dump_paths_csv(bundle: PathBundle, path, max_paths: int | None = None) -> No
     else:
         jump_sum = np.zeros((bundle.n_paths, n_steps))
 
-    def fmt(v) -> str:
-        return format(float(v), ".17g")
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path_id", "step", "t", "X", "u", "dB", "jump_sum"])
+    def rows():
         for j in range(n_paths):
             for i in range(n_steps):
-                writer.writerow(
-                    [j, i, fmt(times[i]), fmt(bundle.X[j, i]), fmt(bundle.u[j, i]), fmt(noise.dB[j, i]), fmt(jump_sum[j, i])]
-                )
-            writer.writerow([j, n_steps, fmt(times[-1]), fmt(bundle.X[j, -1]), "", "", ""])
+                yield [j, i, times[i], bundle.X[j, i], bundle.u[j, i], noise.dB[j, i], jump_sum[j, i]]
+            yield [j, n_steps, times[-1], bundle.X[j, -1], "", "", ""]
+
+    write_csv(path, ["path_id", "step", "t", "X", "u", "dB", "jump_sum"], rows())
 
 
 def perturbed_after(noise: NoiseBundle, step: int) -> NoiseBundle:

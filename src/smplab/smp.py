@@ -9,8 +9,6 @@ quotient-statistic gaps shrink as eps does, within Monte Carlo bands.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -19,7 +17,7 @@ import numpy as np
 from .bsde import AdjointTriple, solve_linear_explicit, solve_regression
 from .malliavin import PolynomialBasis
 from .model import ControlLaw, ControlledCoefficients, LevyMeasure, SpikedLaw, TimeGrid
-from .simulate import NoiseBundle, PathBundle, euler_forward, linear_closed_form, LinearCoefficients
+from .simulate import LinearCoefficients, NoiseBundle, PathBundle, euler_forward, linear_closed_form, write_csv
 
 
 @dataclass(frozen=True)
@@ -38,22 +36,23 @@ class SpikeSpec:
             raise ValueError("epsilon must be positive")
 
 
-def hamiltonian(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
-    """f + b p + sigma q + sum_k gamma(.., zeta_k) r_k lam_k, elementwise."""
-    out = coeffs.f(t, x, u) + coeffs.b(t, x, u) * p + coeffs.sigma(t, x, u) * q
+def _hamiltonian_sum(t, x, u, p, q, r, levy: LevyMeasure, f, b, sigma, gamma):
+    """f + b p + sigma q + sum_k gamma(.., zeta_k) r_k lam_k for the given maps."""
+    out = f(t, x, u) + b(t, x, u) * p + sigma(t, x, u) * q
     r = np.asarray(r, dtype=float)
     for k in range(levy.n_atoms):
-        out = out + coeffs.gamma(t, x, u, levy.zetas[k]) * r[..., k] * levy.intensities[k]
+        out = out + gamma(t, x, u, levy.zetas[k]) * r[..., k] * levy.intensities[k]
     return out
+
+
+def hamiltonian(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
+    """f + b p + sigma q + sum_k gamma(.., zeta_k) r_k lam_k, elementwise."""
+    return _hamiltonian_sum(t, x, u, p, q, r, levy, coeffs.f, coeffs.b, coeffs.sigma, coeffs.gamma)
 
 
 def hamiltonian_du(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
     """Control derivative f_u + b_u p + sigma_u q + sum_k gamma_u r_k lam_k."""
-    out = coeffs.f_u(t, x, u) + coeffs.b_u(t, x, u) * p + coeffs.sigma_u(t, x, u) * q
-    r = np.asarray(r, dtype=float)
-    for k in range(levy.n_atoms):
-        out = out + coeffs.gamma_u(t, x, u, levy.zetas[k]) * r[..., k] * levy.intensities[k]
-    return out
+    return _hamiltonian_sum(t, x, u, p, q, r, levy, coeffs.f_u, coeffs.b_u, coeffs.sigma_u, coeffs.gamma_u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +176,6 @@ def variational_Z(
     noise: NoiseBundle,
     x0: float,
     base_law: ControlLaw,
-    extra_window_jump_term: bool = False,
 ) -> np.ndarray:
     """State sensitivity Z of the spiked control, per path on grid nodes.
 
@@ -186,11 +184,6 @@ def variational_Z(
     equations driven by (v - u) on the window and homogeneously after it;
     ``closed_form`` evaluates the variation-of-constants solution through
     the same reciprocal-exponential weight used for linear forward models.
-    ``extra_window_jump_term`` subtracts the full compensated jump increment
-    inside the window on top of the standard integrand, a bookkeeping
-    variant retained only so comparison reports can quantify it against the
-    direct simulation; it does not vanish at zero perturbation and is off by
-    default.
     """
     if mode not in ("direct", "closed_form"):
         raise ValueError(f"mode must be 'direct' or 'closed_form', got {mode!r}")
@@ -228,18 +221,12 @@ def variational_Z(
             Z[:, i + 1] = z + dz
         return Z
 
-    g0 = part.gamma_u * du[:, :, None]
-    if extra_window_jump_term and levy.n_atoms:
-        # g0 -> g0 - (1 + gamma_x) on window steps, so the jump integrand
-        # g0 / (1 + gamma_x) picks up exactly -1 there.
-        g0 = g0.copy()
-        g0[:, window, :] -= 1.0 + part.gamma_x[:, window, :]
     lin = LinearCoefficients(
         b0=part.b_u * du,
         b1=part.b_x,
         s0=part.sigma_u * du,
         s1=part.sigma_x,
-        g0=g0,
+        g0=part.gamma_u * du[:, :, None],
         g1=part.gamma_x,
     )
     return linear_closed_form(lin, noise, 0.0).X
@@ -260,40 +247,15 @@ class SmpVerdict:
     gap_shrinks: np.ndarray  # (n_tau, n_v) bool
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "tau_grid": list(map(float, self.tau_grid)),
-            "v_grid": list(map(float, self.v_grid)),
-            "eps_grid": list(map(float, self.eps_grid)),
-            "statistic": self.statistic.tolist(),
-            "statistic_se": self.statistic_se.tolist(),
-            "diff_quotient": self.diff_quotient.tolist(),
-            "diff_quotient_se": self.diff_quotient_se.tolist(),
-            "pass_cells": self.pass_cells.tolist(),
-            "gap_shrinks": self.gap_shrinks.tolist(),
-            "passed": self.passed,
-        }
-
-    def dump_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-
     def dump_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "v", "eps", "statistic", "se", "diff_quotient", "pass"])
-            for a, tau in enumerate(self.tau_grid):
-                for b, v in enumerate(self.v_grid):
-                    for c, eps in enumerate(self.eps_grid):
-                        writer.writerow([
-                            format(float(tau), ".17g"),
-                            format(float(v), ".17g"),
-                            format(float(eps), ".17g"),
-                            format(float(self.statistic[a, b]), ".17g"),
-                            format(float(self.statistic_se[a, b]), ".17g"),
-                            format(float(self.diff_quotient[a, b, c]), ".17g"),
-                            bool(self.pass_cells[a, b]),
-                        ])
+        rows = (
+            [tau, v, eps, self.statistic[a, b], self.statistic_se[a, b], self.diff_quotient[a, b, c],
+             bool(self.pass_cells[a, b])]
+            for a, tau in enumerate(self.tau_grid)
+            for b, v in enumerate(self.v_grid)
+            for c, eps in enumerate(self.eps_grid)
+        )
+        write_csv(path, ["tau", "v", "eps", "statistic", "se", "diff_quotient", "pass"], rows)
 
 
 def check_necessary_condition(

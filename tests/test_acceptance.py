@@ -24,7 +24,7 @@ from smplab.malliavin import (
     jump_integral,
     square_map,
 )
-from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
+from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, like
 from smplab.simulate import LinearCoefficients, PathBundle, euler_forward, linear_closed_form, sample_noise
 from smplab.smp import SpikeSpec, check_necessary_condition, variational_Z
 
@@ -34,26 +34,21 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _like(value, x, u):
-    shape = np.broadcast(np.asarray(x), np.asarray(u)).shape
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
-
-
 def _linear_jump_model(b1, s1):
     return ControlledCoefficients(
         b=lambda t, x, u: b1 * np.asarray(x, dtype=float),
         sigma=lambda t, x, u: s1 * np.asarray(x, dtype=float),
         gamma=lambda t, x, u, zeta: zeta * np.asarray(x, dtype=float),
-        f=lambda t, x, u: _like(0.0, x, u),
+        f=lambda t, x, u: like(0.0, x, u),
         g=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        b_x=lambda t, x, u: _like(b1, x, u),
-        b_u=lambda t, x, u: _like(0.0, x, u),
-        sigma_x=lambda t, x, u: _like(s1, x, u),
-        sigma_u=lambda t, x, u: _like(0.0, x, u),
-        gamma_x=lambda t, x, u, zeta: _like(zeta, x, u),
-        gamma_u=lambda t, x, u, zeta: _like(0.0, x, u),
-        f_x=lambda t, x, u: _like(0.0, x, u),
-        f_u=lambda t, x, u: _like(0.0, x, u),
+        b_x=lambda t, x, u: like(b1, x, u),
+        b_u=lambda t, x, u: like(0.0, x, u),
+        sigma_x=lambda t, x, u: like(s1, x, u),
+        sigma_u=lambda t, x, u: like(0.0, x, u),
+        gamma_x=lambda t, x, u, zeta: like(zeta, x, u),
+        gamma_u=lambda t, x, u, zeta: like(0.0, x, u),
+        f_x=lambda t, x, u: like(0.0, x, u),
+        f_u=lambda t, x, u: like(0.0, x, u),
         g_x=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
 

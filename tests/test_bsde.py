@@ -115,25 +115,22 @@ class TestSolveRegression:
         # state-dependent drift, diffusion, and jump coefficient make every
         # adjoint channel active: generator coupling through (p, q, r) and a
         # stochastic weight process
-        from smplab.model import ControlledCoefficients
-
-        def _like(v, x, u):
-            return np.broadcast_to(np.asarray(v, dtype=float), np.broadcast(np.asarray(x), np.asarray(u)).shape)
+        from smplab.model import ControlledCoefficients, like
 
         lq = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         coeffs = ControlledCoefficients(
             **{
                 **lq.__dict__,
                 "b": lambda t, x, u: 0.2 * np.asarray(x, dtype=float),
-                "b_x": lambda t, x, u: _like(0.2, x, u),
-                "b_u": lambda t, x, u: _like(0.0, x, u),
+                "b_x": lambda t, x, u: like(0.2, x, u),
+                "b_u": lambda t, x, u: like(0.0, x, u),
                 "sigma": lambda t, x, u: 0.3 * np.asarray(x, dtype=float) + 0.1,
-                "sigma_x": lambda t, x, u: _like(0.3, x, u),
+                "sigma_x": lambda t, x, u: like(0.3, x, u),
                 "gamma": lambda t, x, u, z: z * np.asarray(x, dtype=float),
-                "gamma_x": lambda t, x, u, z: _like(z, x, u),
-                "f": lambda t, x, u: _like(0.0, x, u),
-                "f_x": lambda t, x, u: _like(0.0, x, u),
-                "f_u": lambda t, x, u: _like(0.0, x, u),
+                "gamma_x": lambda t, x, u, z: like(z, x, u),
+                "f": lambda t, x, u: like(0.0, x, u),
+                "f_x": lambda t, x, u: like(0.0, x, u),
+                "f_u": lambda t, x, u: like(0.0, x, u),
             }
         )
         levy = LevyMeasure.from_pairs([(-0.1, 0.5)])

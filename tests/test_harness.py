@@ -13,7 +13,7 @@ BASE = """
 kind = {kind}
 
 [grid]
-horizon = 1.0
+horizon = {horizon}
 n_steps = {n_steps}
 
 [mc]
@@ -22,8 +22,8 @@ seed = {seed}
 """
 
 
-def write_config(tmp_path, kind, extra="", n_steps=40, n_paths=2000, seed=5, name="cfg.ini"):
-    text = BASE.format(kind=kind, n_steps=n_steps, n_paths=n_paths, seed=seed) + extra
+def write_config(tmp_path, kind, extra="", n_steps=40, n_paths=2000, seed=5, name="cfg.ini", horizon="1.0"):
+    text = BASE.format(kind=kind, horizon=horizon, n_steps=n_steps, n_paths=n_paths, seed=seed) + extra
     path = tmp_path / name
     path.write_text(text)
     return path
@@ -76,6 +76,27 @@ class TestConfigParsing:
         path = write_config(tmp_path, "simulate", extra="\n[model]\natoms = 0.1;0.5\n")
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "kind, extra, horizon",
+        [
+            ("simulate", "", "nan"),
+            ("simulate", "\n[model]\nsigma = inf\n", "1.0"),
+            ("simulate", "\n[model]\nfamily = linear\nu_min = nan\n", "1.0"),
+            ("check-smp", "\n[smp]\ntau_grid = 0.5, -inf\n", "1.0"),
+            ("simulate", "\n[model]\nfamily = linear\nu_min = 2.0\nu_max = 1.0\n", "1.0"),
+            ("simulate", "\n[model]\nfamily = lq\nu_min = -1.0\n", "1.0"),
+            ("solve-lq", "\n[model]\nu_max = 5.0\n", "1.0"),
+        ],
+        ids=["nan-horizon", "inf-sigma", "nan-u_min", "inf-in-list", "u_min-above-u_max", "lq-u_min", "lq-u_max"],
+    )
+    def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, horizon):
+        path = write_config(tmp_path, kind, extra=extra, horizon=horizon)
+        with pytest.raises(ConfigError):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestBuildModel:
@@ -215,6 +236,37 @@ class TestRunAndReplay:
         path = write_config(tmp_path, "check-duality", extra=extra, n_paths=5000)
         result = run(parse_config(path), out_dir=tmp_path / "out")
         assert result.exit_code == 0
+
+
+# experiment -> (config extra, {artifact: payload key it holds, None for the whole payload})
+ARTIFACTS = {
+    "simulate": ("", {"paths.csv": None}),
+    "check-duality": ("\n[duality]\nfunctional = bm_squared\n", {"duality.json": None}),
+    "clark-ocone": ("", {"clark_ocone.json": None}),
+    "solve-bsde": ("", {"adjoint.csv": None}),
+    "check-smp": (
+        "\n[smp]\ntau_grid = 0.5\nv_grid = 1.0\neps_grid = 0.2, 0.1\n",
+        {"smp_verdict.json": None, "smp_verdict.csv": None},
+    ),
+    "solve-lq": ("", {"feedback_coefficients.csv": None, "residuals.csv": None, "comparison.json": "comparison"}),
+    "convergence-study": (
+        "\n[model]\nfamily = linear\ndiff_x = 0.2\n\n[convergence]\nn_steps_list = 16, 32\n",
+        {"convergence.json": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_artifacts_written(tmp_path, kind):
+    extra, artifacts = ARTIFACTS[kind]
+    path = write_config(tmp_path, kind, extra=extra, n_steps=20, n_paths=1000)
+    out = tmp_path / "out"
+    run(parse_config(path), out_dir=out)
+    assert {f.name for f in out.iterdir()} == {"report.json", "summary.txt"} | set(artifacts)
+    payload = json.load(open(out / "report.json"))["payload"]
+    for name, key in artifacts.items():
+        if name.endswith(".json"):
+            assert json.load(open(out / name)) == (payload if key is None else payload[key])
 
 
 class TestCli:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from smplab.bsde import l2_dtP_norm, relative_l2_dtP
+from smplab.harness import _plain, _write_json
 from smplab.lqsolver import (
     LqParams,
     closed_form_unconstrained,
     compare_to_unconstrained,
-    dump_comparison_json,
     dump_feedback_csv,
     dump_residuals_csv,
     solve_constrained,
@@ -161,7 +161,7 @@ class TestDumps:
         report = compare_to_unconstrained(sol, p)
         dump_feedback_csv(sol, GRID, tmp_path / "fb.csv")
         dump_residuals_csv(sol, tmp_path / "res.csv")
-        dump_comparison_json(report, tmp_path / "cmp.json")
+        _write_json(tmp_path / "cmp.json", _plain(report))
         rows = list(csv.reader(open(tmp_path / "fb.csv", newline="")))
         assert rows[0][:4] == ["step", "t", "feature_mean", "feature_scale"]
         assert len(rows) == 1 + GRID.n_steps

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -233,7 +234,7 @@ class TestDuality:
 
     def test_report_json_fields(self):
         report = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", NO_JUMPS, 2000, 16)
-        blob = json.dumps(report.to_dict())
+        blob = json.dumps(dataclasses.asdict(report))
         parsed = json.loads(blob)
         assert set(parsed) == {"lhs", "rhs", "se_lhs", "se_rhs", "n_paths", "seed", "mode", "verdict"}
         assert parsed["n_paths"] == 2000 and parsed["seed"] == 16

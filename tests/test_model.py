@@ -14,31 +14,27 @@ from smplab.model import (
     OpenLoopLaw,
     TimeGrid,
     build_lq_coefficients,
+    like,
     validate_coefficients,
 )
-
-
-def _like(value, x, u):
-    shape = np.broadcast(np.asarray(x), np.asarray(u)).shape
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
 def make_coeffs(**overrides):
     """Baseline smooth model b=sin(x), sigma=const, gamma=zeta*x with exact partials."""
     base = dict(
         b=lambda t, x, u: np.sin(np.asarray(x, dtype=float)),
-        sigma=lambda t, x, u: _like(0.3, x, u),
+        sigma=lambda t, x, u: like(0.3, x, u),
         gamma=lambda t, x, u, zeta: zeta * 0.1 * np.asarray(x, dtype=float),
-        f=lambda t, x, u: -0.5 * np.asarray(u, dtype=float) ** 2 * _like(1.0, x, u),
+        f=lambda t, x, u: -0.5 * np.asarray(u, dtype=float) ** 2 * like(1.0, x, u),
         g=lambda x: -0.5 * np.asarray(x, dtype=float) ** 2,
         b_x=lambda t, x, u: np.cos(np.asarray(x, dtype=float)),
-        b_u=lambda t, x, u: _like(0.0, x, u),
-        sigma_x=lambda t, x, u: _like(0.0, x, u),
-        sigma_u=lambda t, x, u: _like(0.0, x, u),
-        gamma_x=lambda t, x, u, zeta: _like(zeta * 0.1, x, u),
-        gamma_u=lambda t, x, u, zeta: _like(0.0, x, u),
-        f_x=lambda t, x, u: _like(0.0, x, u),
-        f_u=lambda t, x, u: -np.asarray(u, dtype=float) * _like(1.0, x, u),
+        b_u=lambda t, x, u: like(0.0, x, u),
+        sigma_x=lambda t, x, u: like(0.0, x, u),
+        sigma_u=lambda t, x, u: like(0.0, x, u),
+        gamma_x=lambda t, x, u, zeta: like(zeta * 0.1, x, u),
+        gamma_u=lambda t, x, u, zeta: like(0.0, x, u),
+        f_x=lambda t, x, u: like(0.0, x, u),
+        f_u=lambda t, x, u: -np.asarray(u, dtype=float) * like(1.0, x, u),
         g_x=lambda x: -np.asarray(x, dtype=float),
     )
     base.update(overrides)
@@ -103,7 +99,7 @@ class TestValidateCoefficients:
         # b = u with b_u claimed to be 0: discrepancy ~ 1
         coeffs = build_lq_coefficients(0.1, LevyMeasure.empty(), lambda z: z)
         broken = ControlledCoefficients(
-            **{**coeffs.__dict__, "b_u": lambda t, x, u: _like(0.0, x, u)}
+            **{**coeffs.__dict__, "b_u": lambda t, x, u: like(0.0, x, u)}
         )
         report = validate_coefficients(broken, PROBES)
         assert not report.passed
@@ -118,7 +114,7 @@ class TestValidateCoefficients:
         # b = 2x dominates; gamma slope 0.1 * zeta adds in quadrature
         coeffs = make_coeffs(
             b=lambda t, x, u: 2.0 * np.asarray(x, dtype=float),
-            b_x=lambda t, x, u: _like(2.0, x, u),
+            b_x=lambda t, x, u: like(2.0, x, u),
         )
         report = validate_coefficients(coeffs, PROBES)
         assert report.lipschitz_x == pytest.approx(math.hypot(2.0, 0.1 * 0.2), rel=1e-9)
@@ -128,7 +124,7 @@ class TestValidateCoefficients:
             validate_coefficients(make_coeffs(), [])
 
     def test_non_finite_evaluation(self):
-        bad = make_coeffs(b=lambda t, x, u: _like(np.inf, x, u))
+        bad = make_coeffs(b=lambda t, x, u: like(np.inf, x, u))
         with pytest.raises(NonFiniteEvaluation):
             validate_coefficients(bad, PROBES)
 
@@ -140,7 +136,7 @@ class TestValidateCoefficients:
     def test_gamma_near_singular_fails(self):
         coeffs = make_coeffs(
             gamma=lambda t, x, u, zeta: -np.asarray(x, dtype=float),
-            gamma_x=lambda t, x, u, zeta: _like(-1.0, x, u),
+            gamma_x=lambda t, x, u, zeta: like(-1.0, x, u),
         )
         report = validate_coefficients(coeffs, PROBES)
         assert report.min_one_plus_gamma_x < DELTA_SING

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from smplab.errors import NonFiniteState, SingularJumpCoefficient
-from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
+from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, like
 from smplab.simulate import (
     LinearCoefficients,
     dump_paths_csv,
@@ -13,13 +13,9 @@ from smplab.simulate import (
     gamma_process,
     linear_closed_form,
     sample_noise,
+    write_csv,
     _path_generator,
 )
-
-
-def _like(value, x, u):
-    shape = np.broadcast(np.asarray(x), np.asarray(u)).shape
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
 def linear_jump_coeffs(b1, s1):
@@ -28,16 +24,16 @@ def linear_jump_coeffs(b1, s1):
         b=lambda t, x, u: b1 * np.asarray(x, dtype=float),
         sigma=lambda t, x, u: s1 * np.asarray(x, dtype=float),
         gamma=lambda t, x, u, zeta: zeta * np.asarray(x, dtype=float),
-        f=lambda t, x, u: _like(0.0, x, u),
+        f=lambda t, x, u: like(0.0, x, u),
         g=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        b_x=lambda t, x, u: _like(b1, x, u),
-        b_u=lambda t, x, u: _like(0.0, x, u),
-        sigma_x=lambda t, x, u: _like(s1, x, u),
-        sigma_u=lambda t, x, u: _like(0.0, x, u),
-        gamma_x=lambda t, x, u, zeta: _like(zeta, x, u),
-        gamma_u=lambda t, x, u, zeta: _like(0.0, x, u),
-        f_x=lambda t, x, u: _like(0.0, x, u),
-        f_u=lambda t, x, u: _like(0.0, x, u),
+        b_x=lambda t, x, u: like(b1, x, u),
+        b_u=lambda t, x, u: like(0.0, x, u),
+        sigma_x=lambda t, x, u: like(s1, x, u),
+        sigma_u=lambda t, x, u: like(0.0, x, u),
+        gamma_x=lambda t, x, u, zeta: like(zeta, x, u),
+        gamma_u=lambda t, x, u, zeta: like(0.0, x, u),
+        f_x=lambda t, x, u: like(0.0, x, u),
+        f_u=lambda t, x, u: like(0.0, x, u),
         g_x=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
 
@@ -128,19 +124,19 @@ class TestEulerForward:
     def test_pure_jump_compensation(self):
         # b=0, sigma=0, gamma=zeta: compensated jumps are a martingale
         coeffs = ControlledCoefficients(
-            b=lambda t, x, u: _like(0.0, x, u),
-            sigma=lambda t, x, u: _like(0.0, x, u),
-            gamma=lambda t, x, u, zeta: _like(zeta, x, u),
-            f=lambda t, x, u: _like(0.0, x, u),
+            b=lambda t, x, u: like(0.0, x, u),
+            sigma=lambda t, x, u: like(0.0, x, u),
+            gamma=lambda t, x, u, zeta: like(zeta, x, u),
+            f=lambda t, x, u: like(0.0, x, u),
             g=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            b_x=lambda t, x, u: _like(0.0, x, u),
-            b_u=lambda t, x, u: _like(0.0, x, u),
-            sigma_x=lambda t, x, u: _like(0.0, x, u),
-            sigma_u=lambda t, x, u: _like(0.0, x, u),
-            gamma_x=lambda t, x, u, zeta: _like(0.0, x, u),
-            gamma_u=lambda t, x, u, zeta: _like(0.0, x, u),
-            f_x=lambda t, x, u: _like(0.0, x, u),
-            f_u=lambda t, x, u: _like(0.0, x, u),
+            b_x=lambda t, x, u: like(0.0, x, u),
+            b_u=lambda t, x, u: like(0.0, x, u),
+            sigma_x=lambda t, x, u: like(0.0, x, u),
+            sigma_u=lambda t, x, u: like(0.0, x, u),
+            gamma_x=lambda t, x, u, zeta: like(0.0, x, u),
+            gamma_u=lambda t, x, u, zeta: like(0.0, x, u),
+            f_x=lambda t, x, u: like(0.0, x, u),
+            f_u=lambda t, x, u: like(0.0, x, u),
             g_x=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         )
         noise = sample_noise(GRID, ATOM, 100_000, 17)
@@ -274,3 +270,14 @@ class TestPathCsv:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 1 + 2 * 5
+
+
+class TestWriteCsv:
+    def test_cells(self, tmp_path):
+        floats = [0.1, 1.0 / 3.0, np.float64(np.pi), np.float64(-2.5e-300), np.nextafter(1.0, 2.0)]
+        write_csv(tmp_path / "w.csv", ["a", "b", "c", "d", "e"], [floats, [7, True, False, "", np.float64(1e300)]])
+        rows = list(csv.reader(open(tmp_path / "w.csv", newline="")))
+        assert rows[0] == ["a", "b", "c", "d", "e"]
+        assert rows[1] == [format(float(v), ".17g") for v in floats]
+        assert [float(cell) for cell in rows[1]] == [float(v) for v in floats]
+        assert rows[2] == ["7", "True", "False", "", "1.0000000000000001e+300"]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smplab.harness import build_model, parse_config
-from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
+from smplab.harness import _plain, _write_json, build_model, parse_config
+from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, like
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import (
     SpikeSpec,
@@ -26,20 +26,15 @@ NO_JUMPS = LevyMeasure.empty()
 ATOM = LevyMeasure.from_pairs([(0.2, 1.0)])
 
 
-def _like(value, x, u):
-    shape = np.broadcast(np.asarray(x), np.asarray(u)).shape
-    return np.broadcast_to(np.asarray(value, dtype=float), shape)
-
-
 def affine_cost_coeffs(run_u=-0.6):
     """Hamiltonian affine in the control: f = run_u * u, b = u, g = -x^2/2."""
     lq = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
     return ControlledCoefficients(
         **{
             **lq.__dict__,
-            "f": lambda t, x, u: _like(run_u * np.asarray(u, dtype=float), x, u),
-            "f_u": lambda t, x, u: _like(run_u, x, u),
-            "f_x": lambda t, x, u: _like(0.0, x, u),
+            "f": lambda t, x, u: like(run_u * np.asarray(u, dtype=float), x, u),
+            "f_u": lambda t, x, u: like(run_u, x, u),
+            "f_x": lambda t, x, u: like(0.0, x, u),
             "control_set": (0.0, 2.0),
         }
     )
@@ -66,7 +61,7 @@ class TestHamiltonian:
 
     def test_du_control_independent_coefficients(self):
         coeffs = affine_cost_coeffs(run_u=-0.6)
-        frozen = ControlledCoefficients(**{**coeffs.__dict__, "b_u": lambda t, x, u: _like(0.0, x, u)})
+        frozen = ControlledCoefficients(**{**coeffs.__dict__, "b_u": lambda t, x, u: like(0.0, x, u)})
         assert float(hamiltonian_du(0.0, 1.0, 0.5, 3.0, 2.0, np.zeros(0), frozen, NO_JUMPS)) == pytest.approx(-0.6)
 
     @given(
@@ -147,7 +142,7 @@ class TestPerformance:
         zeroed = ControlledCoefficients(
             **{
                 **coeffs.__dict__,
-                "f": lambda t, x, u: _like(0.0, x, u),
+                "f": lambda t, x, u: like(0.0, x, u),
                 "g": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             }
         )
@@ -214,7 +209,7 @@ class TestVariationalZ:
             **{
                 **lq.__dict__,
                 "b": lambda t, x, u: 0.3 * np.asarray(x, dtype=float) + np.asarray(u, dtype=float),
-                "b_x": lambda t, x, u: _like(0.3, x, u),
+                "b_x": lambda t, x, u: like(0.3, x, u),
             }
         )
         grid = TimeGrid(1.0, 400)
@@ -225,20 +220,16 @@ class TestVariationalZ:
         rel = np.sqrt(np.mean((Zd[:, -1] - Zc[:, -1]) ** 2) / np.mean(Zc[:, -1] ** 2))
         assert rel < 0.01
 
-    def test_extra_window_jump_term_reported_not_reconciled(self):
-        # with atoms, the bookkeeping variant differs from the direct
-        # simulation; the standard closed form agrees with it
+    def test_closed_form_matches_direct_with_atoms(self):
+        # with atoms, the closed form still agrees with the direct simulation
         coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
         noise = sample_noise(GRID, ATOM, 3000, 39)
         base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
         spike = SpikeSpec(0.5, 0.1, 1.0)
         Zd = variational_Z(spike, "direct", coeffs, ATOM, noise, 1.0, base)
         Zc = variational_Z(spike, "closed_form", coeffs, ATOM, noise, 1.0, base)
-        Zvar = variational_Z(spike, "closed_form", coeffs, ATOM, noise, 1.0, base, extra_window_jump_term=True)
         assert np.allclose(Zd, Zc, atol=1e-10)
-        discrepancy = np.sqrt(np.mean((Zvar[:, -1] - Zd[:, -1]) ** 2))
         agreement = np.sqrt(np.mean((Zc[:, -1] - Zd[:, -1]) ** 2))
-        assert discrepancy > 1e-3
         assert agreement < 1e-10
 
 
@@ -287,8 +278,8 @@ class TestAdjointFor:
         coeffs = ControlledCoefficients(
             **{
                 **lq.__dict__,
-                "f": lambda t, x, u: _like(0.0, x, u),
-                "f_u": lambda t, x, u: _like(0.0, x, u),
+                "f": lambda t, x, u: like(0.0, x, u),
+                "f_u": lambda t, x, u: like(0.0, x, u),
                 "g": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                 "g_x": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             }
@@ -307,10 +298,10 @@ class TestAdjointFor:
             **{
                 **lq.__dict__,
                 "b": lambda t, x, u: c * np.asarray(x, dtype=float),
-                "b_x": lambda t, x, u: _like(c, x, u),
-                "b_u": lambda t, x, u: _like(0.0, x, u),
-                "f": lambda t, x, u: _like(0.0, x, u),
-                "f_u": lambda t, x, u: _like(0.0, x, u),
+                "b_x": lambda t, x, u: like(c, x, u),
+                "b_u": lambda t, x, u: like(0.0, x, u),
+                "f": lambda t, x, u: like(0.0, x, u),
+                "f_u": lambda t, x, u: like(0.0, x, u),
                 "g": lambda x: np.asarray(x, dtype=float),
                 "g_x": lambda x: np.ones_like(np.asarray(x, dtype=float)),
             }
@@ -365,7 +356,7 @@ class TestNecessaryCondition:
         noise = sample_noise(GRID, NO_JUMPS, 2000, 45)
         law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
         verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1])
-        verdict.dump_json(tmp_path / "v.json")
+        _write_json(tmp_path / "v.json", _plain(verdict))
         verdict.dump_csv(tmp_path / "v.csv")
         import csv
         import json
