@@ -9,7 +9,7 @@ control problem has generator h = dH/dx.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ class AdjointTriple:
     q: np.ndarray  # (n_paths, N)
     r: np.ndarray  # (n_paths, N, K)
     unidentifiable_atoms: tuple[int, ...] = ()
+    p_fits: tuple = ()  # per-step ConditionalFit of p, without training values (explicit solver)
 
     @property
     def n_paths(self) -> int:
@@ -117,6 +118,8 @@ def solve_linear_explicit(
               + sum_{j>=i} Gamma(t_j)/Gamma(t_i) f_x(t_j) dt | F_{t_i}],
     the conditional expectation realized by regression on X(t_i).  (q, r)
     are fitted as in ``extract_qr`` against the same per-step projector.
+    Gamma is exactly 1 when b_x, sigma_x and gamma_x all vanish, and is then
+    not computed.  The per-step fits of p are kept in ``p_fits``.
     """
     noise = forward.noise
     grid = noise.grid
@@ -124,20 +127,26 @@ def solve_linear_explicit(
     dt = grid.dt
     terminal = np.asarray(terminal, dtype=float)
 
-    gam = gamma_process(b_x, sigma_x, gamma_x, noise)
+    if np.any(b_x) or np.any(sigma_x) or np.any(gamma_x):
+        gam = gamma_process(b_x, sigma_x, gamma_x, noise)
+    else:
+        gam = np.ones((1, n_steps + 1))
     p = np.empty((n_paths, n_steps + 1))
     q = np.empty((n_paths, n_steps))
     r = np.zeros((n_paths, n_steps, noise.levy.n_atoms))
     dead = unidentifiable_atoms(noise)
+    fits = [None] * n_steps
     p[:, n_steps] = terminal
     f_x = np.broadcast_to(np.asarray(f_x, dtype=float), (n_paths, n_steps))
     tail = gam[:, n_steps] * terminal
     for i in range(n_steps - 1, -1, -1):
         tail = tail + gam[:, i] * f_x[:, i] * dt
         projector = StateProjector(forward.X[:, i], basis)
-        p[:, i] = projector.fit(tail / gam[:, i]).fitted
+        fit = projector.fit(tail / gam[:, i])
+        p[:, i] = fit.fitted
+        fits[i] = replace(fit, fitted=None)
         fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i, q, r, dead)
-    return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=dead)
+    return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=dead, p_fits=tuple(fits))
 
 
 def solve_regression(

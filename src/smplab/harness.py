@@ -40,7 +40,7 @@ from .model import (
     build_lq_coefficients,
     like,
 )
-from .simulate import LinearCoefficients, dump_paths_csv, euler_forward, linear_closed_form, sample_noise
+from .simulate import LinearCoefficients, NoiseBundle, dump_paths_csv, euler_forward, linear_closed_form, sample_noise
 from .smp import adjoint_for, check_necessary_condition
 from .lqsolver import (
     LqParams,
@@ -187,6 +187,17 @@ _EXPERIMENT_SCHEMA = {
 
 EXPERIMENTS = tuple(_EXPERIMENT_SCHEMA)
 
+# [model] keys each family reads; any other [model] key in a config is an error.
+_SHARED_MODEL_KEYS = ("family", "x0", "atoms")
+_FAMILY_KEYS = {
+    "lq": _SHARED_MODEL_KEYS + ("sigma", "gamma_scale"),
+    "linear": _SHARED_MODEL_KEYS
+    + ("drift_const", "drift_x", "drift_u", "diff_const", "diff_x", "diff_u", "jump_const", "jump_x", "jump_u")
+    + ("run_cost_x", "run_cost_u", "terminal_x", "u_min", "u_max"),
+    "custom-polynomial": _SHARED_MODEL_KEYS
+    + ("b_poly", "b_u", "sigma_poly", "sigma_u", "gamma_poly", "f_poly", "g_poly", "u_min", "u_max"),
+}
+
 
 def schema_for(kind: str) -> dict:
     if kind not in EXPERIMENTS:
@@ -204,10 +215,14 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
     subcommand) must agree with [experiment] kind when both are given.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        given = {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path} is malformed: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
-    file_kind = parser.get("experiment", "kind", fallback=None)
+    file_kind = given.get("experiment", {}).get("kind")
     if kind is None:
         kind = file_kind
     if kind is None:
@@ -217,10 +232,10 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
 
     schema = schema_for(kind)
     resolved: dict = {"experiment": {"kind": kind}}
-    for section in parser.sections():
+    for section, keys in given.items():
         if section not in schema:
             raise ConfigError(f"unknown config section [{section}] for experiment {kind!r}")
-        for key in parser[section]:
+        for key in keys:
             if key not in schema[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
     for section, keys in schema.items():
@@ -228,8 +243,8 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
         for key, (typ, default) in keys.items():
             if section == "experiment" and key == "kind":
                 continue
-            if parser.has_option(section, key):
-                resolved[section][key] = _PARSERS[typ](parser.get(section, key), f"[{section}] {key}")
+            if key in given.get(section, {}):
+                resolved[section][key] = _PARSERS[typ](given[section][key], f"[{section}] {key}")
             else:
                 resolved[section][key] = default
 
@@ -238,9 +253,11 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
             resolved["mc"]["seed"] = int(overrides["seed"])
         if overrides.get("n_paths") is not None:
             resolved["mc"]["n_paths"] = int(overrides["n_paths"])
-    if resolved["model"]["family"] == "lq" and any(parser.has_option("model", k) for k in ("u_min", "u_max")):
-        raise ConfigError("[model] u_min and u_max do not apply to the lq family, whose controls lie in [0, inf)")
     _validate_resolved(resolved)
+    family = resolved["model"]["family"]
+    stray = [key for key in given.get("model", {}) if key not in _FAMILY_KEYS[family]]
+    if stray:
+        raise ConfigError(f"[model] {', '.join(stray)} not read by the {family!r} family")
     return resolved
 
 
@@ -254,7 +271,7 @@ def _validate_resolved(cfg: dict) -> None:
     if cfg["basis"]["degree"] < 1:
         raise ConfigError("[basis] degree must be >= 1")
     family = cfg["model"]["family"]
-    if family not in ("lq", "linear", "custom-polynomial"):
+    if family not in _FAMILY_KEYS:
         raise ConfigError(f"unknown model family {family!r}")
     if cfg["model"]["u_min"] > cfg["model"]["u_max"]:
         raise ConfigError("[model] u_min must not exceed u_max")
@@ -358,26 +375,23 @@ def _linear_coefficients(cfg: dict, levy: LevyMeasure) -> LinearCoefficients:
     )
 
 
-def _lq_params(cfg: dict, grid: TimeGrid, levy: LevyMeasure, **iteration) -> LqParams:
-    """Constrained-LQ solver inputs from the [model], [mc] and [basis] blocks."""
+def _lq_params(cfg: dict, noise: NoiseBundle, **iteration) -> LqParams:
+    """Constrained-LQ solver inputs from the [model] and [basis] blocks on the run's noise."""
     return LqParams(
         x0=cfg["model"]["x0"],
         sigma=cfg["model"]["sigma"],
-        levy=levy,
-        grid=grid,
-        n_paths=cfg["mc"]["n_paths"],
-        seed=cfg["mc"]["seed"],
+        noise=noise,
         gamma_map=lambda zeta: cfg["model"]["gamma_scale"] * zeta,
         degree=cfg["basis"]["degree"],
         **iteration,
     )
 
 
-def _control_law(name: str, value: float, grid: TimeGrid, bounds) -> OpenLoopLaw:
+def _control_law(name: str, value: float, grid: TimeGrid) -> OpenLoopLaw:
     if name == "zero":
-        return OpenLoopLaw(np.zeros(grid.n_steps), bounds=bounds)
+        return OpenLoopLaw(np.zeros(grid.n_steps))
     if name == "constant":
-        return OpenLoopLaw(np.full(grid.n_steps, value), bounds=bounds)
+        return OpenLoopLaw(np.full(grid.n_steps, value))
     raise ConfigError(f"unknown control {name!r}; expected 'zero' or 'constant'")
 
 
@@ -433,7 +447,7 @@ def _run_simulate(cfg, out_dir: Path | None):
     noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
     scheme = cfg["simulate"]["scheme"]
     if scheme == "euler":
-        law = _control_law(cfg["simulate"]["control"], cfg["simulate"]["control_value"], grid, coeffs.control_set)
+        law = _control_law(cfg["simulate"]["control"], cfg["simulate"]["control_value"], grid)
         bundle = euler_forward(coeffs, law, noise, x0)
     elif scheme == "closed-form":
         if cfg["model"]["family"] != "linear":
@@ -514,7 +528,7 @@ def _run_solve_bsde(cfg, out_dir: Path | None):
     coeffs, levy, x0 = build_model(cfg)
     noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
     basis = PolynomialBasis(cfg["basis"]["degree"])
-    law = _control_law(cfg["bsde"]["control"], cfg["bsde"]["control_value"], grid, coeffs.control_set)
+    law = _control_law(cfg["bsde"]["control"], cfg["bsde"]["control_value"], grid)
     forward = euler_forward(coeffs, law, noise, x0)
     explicit = adjoint_for(law, coeffs, levy, noise, x0, basis=basis, forward=forward)
     regression = adjoint_for(law, coeffs, levy, noise, x0, basis=basis, forward=forward, method="regression")
@@ -547,9 +561,9 @@ def _run_check_smp(cfg, out_dir: Path | None):
     if s["candidate"] == "lq-opt":
         if cfg["model"]["family"] != "lq":
             raise ConfigError("candidate 'lq-opt' needs the lq model family")
-        candidate = solve_constrained(_lq_params(cfg, grid, levy)).feedback_law(grid)
+        candidate = solve_constrained(_lq_params(cfg, noise)).feedback_law()
     else:
-        candidate = _control_law(s["candidate"], s["candidate_value"], grid, coeffs.control_set)
+        candidate = _control_law(s["candidate"], s["candidate_value"], grid)
     verdict = check_necessary_condition(
         candidate, coeffs, levy, noise, x0, s["tau_grid"], s["v_grid"], s["eps_grid"], basis=basis
     )
@@ -571,7 +585,8 @@ def _run_solve_lq(cfg, out_dir: Path | None):
     if cfg["model"]["family"] != "lq":
         raise ConfigError("solve-lq needs the lq model family")
     _, levy, _ = build_model(cfg)
-    params = _lq_params(cfg, grid, levy, **cfg["iteration"])
+    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
+    params = _lq_params(cfg, noise, **cfg["iteration"])
     sol = solve_constrained(params)
     comparison = compare_to_unconstrained(sol, params)
     payload = {
@@ -605,8 +620,7 @@ def _run_convergence_study(cfg, out_dir: Path | None):
     for n_steps in conv["n_steps_list"]:
         grid = TimeGrid(cfg["grid"]["horizon"], int(n_steps))
         noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-        law = OpenLoopLaw(np.zeros(grid.n_steps), bounds=coeffs.control_set)
-        eul = euler_forward(coeffs, law, noise, x0)
+        eul = euler_forward(coeffs, OpenLoopLaw(np.zeros(grid.n_steps)), noise, x0)
         closed = linear_closed_form(lin, noise, x0)
         rmses.append(float(np.sqrt(np.mean((eul.X[:, -1] - closed.X[:, -1]) ** 2))))
     ratios = [rmses[i] / rmses[i + 1] for i in range(len(rmses) - 1)]

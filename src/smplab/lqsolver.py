@@ -16,21 +16,20 @@ from typing import Callable
 
 import numpy as np
 
-from .bsde import AdjointTriple, fit_qr_step, l2_dtP_norm, relative_l2_dtP, unidentifiable_atoms
+from .bsde import AdjointTriple, l2_dtP_norm, relative_l2_dtP
 from .malliavin import PolynomialBasis, StateProjector
-from .model import FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
-from .simulate import euler_forward, sample_noise, write_csv
-from .smp import performance_values
+from .model import FeedbackLaw, OpenLoopLaw, TimeGrid, build_lq_coefficients
+from .simulate import NoiseBundle, euler_forward, write_csv
+from .smp import adjoint_for, performance_values
 
 
 @dataclass(frozen=True)
 class LqParams:
+    """Solver inputs; ``noise`` is the run's common noise, shared by every sweep."""
+
     x0: float
     sigma: float
-    levy: LevyMeasure
-    grid: TimeGrid
-    n_paths: int
-    seed: int
+    noise: NoiseBundle
     gamma_map: Callable[[float], float] = lambda zeta: zeta
     degree: int = 3
     max_iters: int = 80
@@ -51,21 +50,15 @@ class LqSolution:
     """Converged control, its adjoint, and iteration diagnostics."""
 
     u_values: np.ndarray  # (n_paths, N) on the training noise
-    feedback: list  # per-step ConditionalFit of the adjoint p
-    p_hat: AdjointTriple
+    p_hat: AdjointTriple  # its p_fits are the per-step fits of the feedback law
     residual_history: list
     fbsde_residual: float
     converged: bool
 
-    def feedback_law(self, grid: TimeGrid) -> FeedbackLaw:
-        """Out-of-sample control u(t, x) = max(p_fit_i(x), 0)."""
-        fits = self.feedback
-
-        def fn(t, x):
-            i = grid.step_of(t)
-            return np.maximum(fits[i](np.atleast_1d(x)), 0.0)
-
-        return FeedbackLaw(fn, bounds=(0.0, math.inf))
+    def feedback_law(self) -> FeedbackLaw:
+        """Out-of-sample control u(t_i, x) = p_fit_i(x); the forward step clamps it to [0, inf)."""
+        fits = self.p_hat.p_fits
+        return FeedbackLaw(lambda step, t, x: fits[step](np.atleast_1d(x)))
 
 
 def solve_constrained(params: LqParams) -> LqSolution:
@@ -73,25 +66,23 @@ def solve_constrained(params: LqParams) -> LqSolution:
 
     Starts from the zero control; each sweep regresses -X(T) on X(t_i) per
     step for the adjoint and replaces the control by a damped mix with its
-    nonnegative part.  A run that exhausts max_iters returns the best
-    iterate flagged unconverged rather than raising.
+    projection onto the control set.  A run that exhausts max_iters returns
+    the best iterate flagged unconverged rather than raising.
     """
-    coeffs = build_lq_coefficients(params.sigma, params.levy, params.gamma_map)
-    noise = sample_noise(params.grid, params.levy, params.n_paths, params.seed)
-    grid = params.grid
-    n_steps = grid.n_steps
-    dt = grid.dt
+    noise = params.noise
+    coeffs = build_lq_coefficients(params.sigma, noise.levy, params.gamma_map)
+    n_steps = noise.grid.n_steps
+    dt = noise.grid.dt
     basis = PolynomialBasis(degree=params.degree)
 
-    u = np.zeros((params.n_paths, n_steps))
+    u = np.zeros((noise.n_paths, n_steps))
     residual_history: list[float] = []
     converged = False
     for _ in range(params.max_iters):
-        X = euler_forward(coeffs, OpenLoopLaw(u, bounds=coeffs.control_set), noise, params.x0).X
+        X = euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0).X
         terminal = -X[:, -1]
         p = np.column_stack([StateProjector(X[:, i], basis).fit(terminal).fitted for i in range(n_steps)])
-        target = np.maximum(p, 0.0)
-        u_next = (1.0 - params.damping) * u + params.damping * target
+        u_next = (1.0 - params.damping) * u + params.damping * coeffs.clamp(p)
         residual = l2_dtP_norm(u_next - u, dt)
         residual_history.append(residual)
         u = u_next
@@ -99,26 +90,12 @@ def solve_constrained(params: LqParams) -> LqSolution:
             converged = True
             break
 
-    # Final diagnostics: one more backward pass under the returned control.
-    # p(t_i) = -E[X(T) | X(t_i)] with p(T) exact; (q, r) share p's projector.
-    X = euler_forward(coeffs, OpenLoopLaw(u, bounds=coeffs.control_set), noise, params.x0).X
-    terminal = -X[:, -1]
-    p = np.empty_like(X)
-    p[:, n_steps] = terminal
-    q = np.empty((params.n_paths, n_steps))
-    r = np.zeros((params.n_paths, n_steps, params.levy.n_atoms))
-    dead = unidentifiable_atoms(noise)
-    fits = [None] * n_steps
-    for i in range(n_steps - 1, -1, -1):
-        projector = StateProjector(X[:, i], basis)
-        fits[i] = projector.fit(terminal)
-        p[:, i] = fits[i].fitted
-        fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i, q, r, dead)
-    p_hat = AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=dead)
-    fbsde_residual = l2_dtP_norm(u - np.maximum(p[:, :n_steps], 0.0), dt)
+    # Final diagnostics: the explicit adjoint under the returned control,
+    # p(t_i) = E[g_x(X(T)) | X(t_i)] = -E[X(T) | X(t_i)] since Gamma = 1 and f_x = 0.
+    p_hat = adjoint_for(OpenLoopLaw(u), coeffs, noise.levy, noise, params.x0, basis)
+    fbsde_residual = l2_dtP_norm(u - coeffs.clamp(p_hat.p[:, :n_steps]), dt)
     return LqSolution(
         u_values=u,
-        feedback=fits,
         p_hat=p_hat,
         residual_history=residual_history,
         fbsde_residual=fbsde_residual,
@@ -137,7 +114,12 @@ def closed_form_unconstrained(X: np.ndarray, grid: TimeGrid) -> np.ndarray:
 
 
 def unconstrained_feedback_law(grid: TimeGrid) -> FeedbackLaw:
-    return FeedbackLaw(lambda t, x: -np.asarray(x, dtype=float) / (grid.horizon + 1.0 - t))
+    """The textbook feedback u*(t, x) = -x / (T + 1 - t).
+
+    Simulated through ``euler_forward`` under the LQ coefficients, its
+    values are clipped to [0, inf) wherever the constraint would bind.
+    """
+    return FeedbackLaw(lambda step, t, x: -np.asarray(x, dtype=float) / (grid.horizon + 1.0 - t))
 
 
 @dataclass
@@ -155,20 +137,20 @@ class ComparisonReport:
 def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonReport:
     """Simulate u* on the solver's noise and compare controls and values.
 
-    ``binding_fraction`` is the share of (path, step) cells where the
-    nonnegativity constraint binds, i.e. the adjoint is negative.
+    u* runs through ``euler_forward``, so it is clipped to [0, inf) wherever
+    the constraint would bind.  ``binding_fraction`` is the share of
+    (path, step) cells where the nonnegativity constraint binds, i.e. the
+    adjoint is negative.
     """
-    coeffs = build_lq_coefficients(params.sigma, params.levy, params.gamma_map)
-    noise = sample_noise(params.grid, params.levy, params.n_paths, params.seed)
-    grid = params.grid
-    dt = grid.dt
+    noise = params.noise
+    coeffs = build_lq_coefficients(params.sigma, noise.levy, params.gamma_map)
+    grid = noise.grid
 
     star_forward = euler_forward(coeffs, unconstrained_feedback_law(grid), noise, params.x0)
-    u_star = star_forward.u
-    distance = relative_l2_dtP(sol.u_values, u_star, dt)
+    distance = relative_l2_dtP(sol.u_values, star_forward.u, grid.dt)
 
-    n = params.n_paths
-    j_con = performance_values(OpenLoopLaw(sol.u_values, bounds=coeffs.control_set), coeffs, noise, params.x0)
+    n = noise.n_paths
+    j_con = performance_values(OpenLoopLaw(sol.u_values), coeffs, noise, params.x0)
     j_unc = performance_values(unconstrained_feedback_law(grid), coeffs, noise, params.x0, forward=star_forward)
     binding = float(np.mean(sol.p_hat.p[:, : grid.n_steps] < 0.0))
     return ComparisonReport(
@@ -184,8 +166,9 @@ def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonRep
 def dump_feedback_csv(sol: LqSolution, grid: TimeGrid, path) -> None:
     """Per-step polynomial coefficients of the fitted adjoint (standardized basis)."""
     times = grid.times()
-    degree = len(sol.feedback[0].coeffs) - 1
-    rows = ([i, times[i], fit.feature_mean[0], fit.feature_scale[0], *fit.coeffs] for i, fit in enumerate(sol.feedback))
+    fits = sol.p_hat.p_fits
+    degree = len(fits[0].coeffs) - 1
+    rows = ([i, times[i], fit.feature_mean[0], fit.feature_scale[0], *fit.coeffs] for i, fit in enumerate(fits))
     write_csv(path, ["step", "t", "feature_mean", "feature_scale"] + [f"c{k}" for k in range(degree + 1)], rows)
 
 

@@ -151,22 +151,19 @@ class ControlledCoefficients:
     control_set: tuple[float, float] = (-math.inf, math.inf)
 
     def clamp(self, u):
+        """Projection onto ``control_set``; the forward step applies it to every control value."""
         lo, hi = self.control_set
         return np.clip(u, lo, hi)
 
 
 class ControlLaw:
-    """A control process; emitted values are clamped to ``bounds``."""
+    """A control process: one value per path at each step.
 
-    def __init__(self, bounds: tuple[float, float] = (-math.inf, math.inf)):
-        self.bounds = (float(bounds[0]), float(bounds[1]))
+    Laws do not clamp; ``euler_forward`` applies the model's control set.
+    """
 
     def control_at(self, step: int, t: float, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _clip(self, u, x):
-        lo, hi = self.bounds
-        return np.clip(np.broadcast_to(np.asarray(u, dtype=float), np.shape(x)), lo, hi)
 
 
 class OpenLoopLaw(ControlLaw):
@@ -175,8 +172,7 @@ class OpenLoopLaw(ControlLaw):
     ``values`` has shape (N,) shared by all paths or (n_paths, N).
     """
 
-    def __init__(self, values: np.ndarray, bounds=(-math.inf, math.inf)):
-        super().__init__(bounds)
+    def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if values.ndim not in (1, 2):
             raise ValueError("open-loop values must be 1- or 2-dimensional")
@@ -187,36 +183,32 @@ class OpenLoopLaw(ControlLaw):
         return self.values.shape[-1]
 
     def control_at(self, step, t, x):
-        if self.values.ndim == 1:
-            u = self.values[step]
-        else:
-            u = self.values[:, step]
-        return self._clip(u, x)
+        u = self.values[step] if self.values.ndim == 1 else self.values[:, step]
+        return like(u, x, u)
 
 
 class FeedbackLaw(ControlLaw):
-    """Markovian feedback u = fn(t, x)."""
+    """Markovian feedback u = fn(step, t, x); ``step`` indexes the grid interval [t_step, t_step+1)."""
 
-    def __init__(self, fn: Callable[[float, np.ndarray], np.ndarray], bounds=(-math.inf, math.inf)):
-        super().__init__(bounds)
+    def __init__(self, fn: Callable[[int, float, np.ndarray], np.ndarray]):
         self.fn = fn
 
     def control_at(self, step, t, x):
-        return self._clip(self.fn(t, np.asarray(x, dtype=float)), x)
+        u = self.fn(step, t, np.asarray(x, dtype=float))
+        return like(u, x, u)
 
 
 class SpikedLaw(ControlLaw):
     """Base law overridden by a fixed value on a window of steps."""
 
     def __init__(self, base: ControlLaw, window: np.ndarray, spike_values):
-        super().__init__(base.bounds)
         self.base = base
         self.window = np.asarray(window, dtype=bool)
         self.spike_values = spike_values
 
     def control_at(self, step, t, x):
         if self.window[step]:
-            return self._clip(self.spike_values, x)
+            return like(self.spike_values, x, self.spike_values)
         return self.base.control_at(step, t, x)
 
 

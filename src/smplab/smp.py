@@ -36,23 +36,26 @@ class SpikeSpec:
             raise ValueError("epsilon must be positive")
 
 
-def _hamiltonian_sum(t, x, u, p, q, r, levy: LevyMeasure, f, b, sigma, gamma):
-    """f + b p + sigma q + sum_k gamma(.., zeta_k) r_k lam_k for the given maps."""
-    out = f(t, x, u) + b(t, x, u) * p + sigma(t, x, u) * q
+def _hamiltonian_sum(f, b, sigma, gammas, p, q, r, levy: LevyMeasure):
+    """f + b p + sigma q + sum_k gammas[k] r_k lam_k over evaluated coefficient values."""
+    out = f + b * p + sigma * q
     r = np.asarray(r, dtype=float)
+    lam = levy.intensities
     for k in range(levy.n_atoms):
-        out = out + gamma(t, x, u, levy.zetas[k]) * r[..., k] * levy.intensities[k]
+        out = out + gammas[k] * r[..., k] * lam[k]
     return out
 
 
 def hamiltonian(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
     """f + b p + sigma q + sum_k gamma(.., zeta_k) r_k lam_k, elementwise."""
-    return _hamiltonian_sum(t, x, u, p, q, r, levy, coeffs.f, coeffs.b, coeffs.sigma, coeffs.gamma)
+    gammas = [coeffs.gamma(t, x, u, zeta) for zeta in levy.zetas]
+    return _hamiltonian_sum(coeffs.f(t, x, u), coeffs.b(t, x, u), coeffs.sigma(t, x, u), gammas, p, q, r, levy)
 
 
 def hamiltonian_du(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
     """Control derivative f_u + b_u p + sigma_u q + sum_k gamma_u r_k lam_k."""
-    return _hamiltonian_sum(t, x, u, p, q, r, levy, coeffs.f_u, coeffs.b_u, coeffs.sigma_u, coeffs.gamma_u)
+    gammas = [coeffs.gamma_u(t, x, u, zeta) for zeta in levy.zetas]
+    return _hamiltonian_sum(coeffs.f_u(t, x, u), coeffs.b_u(t, x, u), coeffs.sigma_u(t, x, u), gammas, p, q, r, levy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,14 +112,11 @@ def adjoint_for(
         return solve_linear_explicit(part.f_x, part.b_x, part.sigma_x, part.gamma_x, terminal, forward, basis)
     if method == "regression":
         grid = noise.grid
-        lam = levy.intensities
 
         def generator(t, x, p, q, r):
             i = grid.step_of(t)
-            h = part.f_x[:, i] + part.b_x[:, i] * p + part.sigma_x[:, i] * q
-            for k in range(levy.n_atoms):
-                h = h + part.gamma_x[:, i, k] * r[..., k] * lam[k]
-            return h
+            gammas = part.gamma_x[:, i].T  # atom-major: gammas[k] is atom k's column
+            return _hamiltonian_sum(part.f_x[:, i], part.b_x[:, i], part.sigma_x[:, i], gammas, p, q, r, levy)
 
         return solve_regression(generator, lambda x: coeffs.g_x(x), forward, basis)
     raise ValueError(f"unknown method {method!r}")

@@ -138,7 +138,7 @@ def test_criterion_06_cross_solver_equivalence():
     levy = LevyMeasure.empty()
     coeffs = build_lq_coefficients(0.1, levy, lambda z: z)
     noise = sample_noise(grid, levy, 100_000, 77)
-    law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+    law = OpenLoopLaw(np.zeros(100))
     forward = euler_forward(coeffs, law, noise, 1.0)
     explicit = adjoint_for(law, coeffs, levy, noise, 1.0, forward=forward)
     regression = adjoint_for(law, coeffs, levy, noise, 1.0, forward=forward, method="regression")
@@ -150,16 +150,16 @@ def test_criterion_07_constrained_lq():
     started = time.perf_counter()
     grid = TimeGrid(1.0, 100)
     # (a) x0 = 1: constraint binds, control norm < 0.05
-    params_a = LqParams(x0=1.0, sigma=0.1, levy=LevyMeasure.empty(), grid=grid, n_paths=20_000, seed=201)
+    params_a = LqParams(x0=1.0, sigma=0.1, noise=sample_noise(grid, LevyMeasure.empty(), 20_000, 201))
     sol_a = solve_constrained(params_a)
     norm_a = l2_dtP_norm(sol_a.u_values, grid.dt)
     # (b) x0 = -1: within 5% of the unconstrained feedback law
-    params_b = LqParams(x0=-1.0, sigma=0.1, levy=LevyMeasure.empty(), grid=grid, n_paths=20_000, seed=202)
+    params_b = LqParams(x0=-1.0, sigma=0.1, noise=sample_noise(grid, LevyMeasure.empty(), 20_000, 202))
     sol_b = solve_constrained(params_b)
     rep_b = compare_to_unconstrained(sol_b, params_b)
     # (c) deterministic: sigma = 0, N = 1000, distance < 1e-3
     grid_c = TimeGrid(1.0, 1000)
-    params_c = LqParams(x0=-1.0, sigma=0.0, levy=LevyMeasure.empty(), grid=grid_c, n_paths=64, seed=203, tol=1e-8)
+    params_c = LqParams(x0=-1.0, sigma=0.0, noise=sample_noise(grid_c, LevyMeasure.empty(), 64, 203), tol=1e-8)
     sol_c = solve_constrained(params_c)
     rep_c = compare_to_unconstrained(sol_c, params_c)
     elapsed = time.perf_counter() - started
@@ -187,13 +187,13 @@ def test_criterion_08_maximum_principle_verdict():
     noise = sample_noise(grid, levy, 20_000, 301)
     taus, vs, eps = [0.25, 0.5, 0.75], [0.0, 0.5, 1.0], [0.2, 0.1, 0.05]
     # converged constrained solution passes on the 3x3 grid
-    params = LqParams(x0=1.0, sigma=0.1, levy=levy, grid=grid, n_paths=20_000, seed=301)
+    params = LqParams(x0=1.0, sigma=0.1, noise=noise)
     sol = solve_constrained(params)
-    law = OpenLoopLaw(sol.u_values, bounds=(0.0, math.inf))
+    law = OpenLoopLaw(sol.u_values)
     verdict_opt = check_necessary_condition(law, coeffs, levy, noise, 1.0, taus, vs, eps)
     # the deliberately suboptimal constant control 1 fails with a positive
     # statistic beyond 3 standard errors
-    bad = OpenLoopLaw(np.ones(100), bounds=(0.0, math.inf))
+    bad = OpenLoopLaw(np.ones(100))
     verdict_bad = check_necessary_condition(bad, coeffs, levy, noise, 1.0, taus, [0.0], eps)
     margin = float(np.max(verdict_bad.statistic - 3.0 * verdict_bad.statistic_se))
     ok = verdict_opt.passed and (not verdict_bad.passed) and margin > 0.0
@@ -209,7 +209,7 @@ def test_criterion_09_spike_gateaux_consistency():
     levy = LevyMeasure.empty()
     coeffs = build_lq_coefficients(0.1, levy, lambda z: z)
     noise = sample_noise(grid, levy, 40_000, 401)
-    law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+    law = OpenLoopLaw(np.zeros(100))
     verdict = check_necessary_condition(law, coeffs, levy, noise, 1.0, [0.5], [1.0], [0.2, 0.1, 0.05])
     stat = float(verdict.statistic[0, 0])
     se = float(verdict.statistic_se[0, 0])

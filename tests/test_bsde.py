@@ -68,7 +68,7 @@ class TestSolveLinearExplicit:
     def test_lq_adjoint_is_negated_conditional_terminal(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 50_000, 4)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.zeros(100))
         triple = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0)
         fw = euler_forward(coeffs, law, noise, 1.0)
         # zero control makes X a martingale: p(t) ~ -X(t)
@@ -105,7 +105,7 @@ class TestSolveRegression:
     def test_cross_solver_equivalence_lq(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 8)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
         explicit = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0, forward=fw)
         regression = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0, forward=fw, method="regression")
@@ -135,7 +135,7 @@ class TestSolveRegression:
         )
         levy = LevyMeasure.from_pairs([(-0.1, 0.5)])
         noise = sample_noise(GRID, levy, 30_000, 55)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
         explicit = adjoint_for(law, coeffs, levy, noise, 1.0, forward=fw)
         regression = adjoint_for(law, coeffs, levy, noise, 1.0, forward=fw, method="regression")
@@ -215,7 +215,7 @@ class TestExtractQr:
         # meaningful noise floor)
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 16)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.zeros(100))
         triple = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0)
         d_p = np.diff(triple.p, axis=1)
         residual = d_p - triple.q * noise.dB
@@ -295,26 +295,32 @@ class TestSharedProjectorBitContract:
         fw = self.bundle()
         noise, dt, N = fw.noise, self.grid.dt, self.grid.n_steps
         f_x = 0.5 * fw.X[:, :-1]
-        b_x = np.full((400, N), 0.3)
-        sigma_x = np.full((400, N), 0.2)
-        gamma_x = np.zeros((400, N, 2))
-        gamma_x[:, :, 0] = 0.1
         terminal = fw.X[:, -1] ** 2
-        triple = solve_linear_explicit(f_x, b_x, sigma_x, gamma_x, terminal, fw)
+        # nonzero b_x, sigma_x, gamma_x, then all-zero ones, where the solver skips
+        # Gamma: the reference still computes it (exactly 1)
+        for scale in (1.0, 0.0):
+            b_x = np.full((400, N), 0.3 * scale)
+            sigma_x = np.full((400, N), 0.2 * scale)
+            gamma_x = np.zeros((400, N, 2))
+            gamma_x[:, :, 0] = 0.1 * scale
+            triple = solve_linear_explicit(f_x, b_x, sigma_x, gamma_x, terminal, fw)
 
-        p, q, r = self.empty_triple()
-        gam = gamma_process(b_x, sigma_x, gamma_x, noise)
-        p[:, N] = terminal
-        tail = gam[:, N] * terminal
-        for i in range(N - 1, -1, -1):
-            tail = tail + gam[:, i] * f_x[:, i] * dt
-            p[:, i] = fit_conditional(tail / gam[:, i], fw.X[:, i]).fitted
-            self.fit_qr_alone(p[:, i + 1] - p[:, i], fw.X[:, i], noise, i, q, r)
-        assert np.array_equal(triple.p, p)
-        assert np.array_equal(triple.q, q)
-        assert np.array_equal(triple.r, r)
-        assert np.any(r[:, :, 0] != 0.0) and np.all(r[:, :, 1] == 0.0)
-        assert triple.unidentifiable_atoms == (1,)
+            p, q, r = self.empty_triple()
+            gam = gamma_process(b_x, sigma_x, gamma_x, noise)
+            assert scale or np.all(gam == 1.0)
+            p[:, N] = terminal
+            tail = gam[:, N] * terminal
+            for i in range(N - 1, -1, -1):
+                tail = tail + gam[:, i] * f_x[:, i] * dt
+                p[:, i] = fit_conditional(tail / gam[:, i], fw.X[:, i]).fitted
+                self.fit_qr_alone(p[:, i + 1] - p[:, i], fw.X[:, i], noise, i, q, r)
+            assert np.array_equal(triple.p, p)
+            assert np.array_equal(triple.q, q)
+            assert np.array_equal(triple.r, r)
+            assert np.any(r[:, :, 0] != 0.0) and np.all(r[:, :, 1] == 0.0)
+            assert triple.unidentifiable_atoms == (1,)
+            assert [fit.fitted for fit in triple.p_fits] == [None] * N
+            assert np.array_equal(np.column_stack([fit(fw.X[:, i]) for i, fit in enumerate(triple.p_fits)]), p[:, :N])
 
     def test_solve_regression(self):
         fw = self.bundle()

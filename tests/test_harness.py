@@ -98,6 +98,31 @@ class TestConfigParsing:
         assert main([kind, "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[mc]\nseed = 1\n[mc]\nn_paths = 50\n", "[mc]\nseed = 1\nseed = 2\n", "seed = 1\n[mc]\nn_paths = 50\n"],
+        ids=["duplicate-section", "duplicate-key", "missing-section-header"],
+    )
+    def test_malformed_files_are_config_errors(self, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            parse_config(path, kind="simulate")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "family, key", [("lq", "drift_x"), ("linear", "sigma"), ("custom-polynomial", "gamma_scale")]
+    )
+    def test_keys_of_another_family_rejected(self, tmp_path, family, key):
+        path = write_config(tmp_path, "simulate", extra=f"\n[model]\nfamily = {family}\n{key} = 5.0\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestBuildModel:
     def test_linear_family_partials_validate(self, tmp_path):

@@ -16,16 +16,17 @@ from smplab.lqsolver import (
     solve_constrained,
     unconstrained_feedback_law,
 )
+from smplab.malliavin import PolynomialBasis
 from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
 from smplab.simulate import euler_forward, sample_noise
-from smplab.smp import check_necessary_condition, performance_values
+from smplab.smp import adjoint_for, check_necessary_condition, performance_values
 
 GRID = TimeGrid(1.0, 100)
 NO_JUMPS = LevyMeasure.empty()
 
 
-def params(**overrides):
-    base = dict(x0=1.0, sigma=0.1, levy=NO_JUMPS, grid=GRID, n_paths=20_000, seed=201)
+def params(levy=NO_JUMPS, grid=GRID, n_paths=20_000, seed=201, **overrides):
+    base = dict(x0=1.0, sigma=0.1, noise=sample_noise(grid, levy, n_paths, seed))
     base.update(overrides)
     return LqParams(**base)
 
@@ -95,10 +96,10 @@ class TestSolveConstrained:
     def test_improvement_over_zero_control(self):
         p = params(x0=-1.0, seed=205)
         sol = solve_constrained(p)
-        coeffs = build_lq_coefficients(p.sigma, p.levy, p.gamma_map)
-        noise = sample_noise(p.grid, p.levy, p.n_paths, p.seed)
-        j_hat = performance_values(OpenLoopLaw(sol.u_values, bounds=(0.0, math.inf)), coeffs, noise, p.x0)
-        j_zero = performance_values(OpenLoopLaw(np.zeros(GRID.n_steps), bounds=(0.0, math.inf)), coeffs, noise, p.x0)
+        coeffs = build_lq_coefficients(p.sigma, p.noise.levy, p.gamma_map)
+        noise = p.noise
+        j_hat = performance_values(OpenLoopLaw(sol.u_values), coeffs, noise, p.x0)
+        j_zero = performance_values(OpenLoopLaw(np.zeros(GRID.n_steps)), coeffs, noise, p.x0)
         diff = j_hat - j_zero
         se = diff.std(ddof=1) / math.sqrt(diff.shape[0])
         assert diff.mean() >= -3 * se
@@ -128,22 +129,39 @@ class TestSolveConstrained:
     def test_optimality_cross_check(self):
         p = params(x0=1.0, seed=209)
         sol = solve_constrained(p)
-        coeffs = build_lq_coefficients(p.sigma, p.levy, p.gamma_map)
-        noise = sample_noise(p.grid, p.levy, p.n_paths, p.seed)
-        law = OpenLoopLaw(sol.u_values, bounds=(0.0, math.inf))
+        coeffs = build_lq_coefficients(p.sigma, p.noise.levy, p.gamma_map)
+        noise = p.noise
+        law = OpenLoopLaw(sol.u_values)
         verdict = check_necessary_condition(
-            law, coeffs, p.levy, noise, p.x0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1]
+            law, coeffs, p.noise.levy, noise, p.x0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1]
         )
         assert verdict.passed
 
     def test_out_of_sample_feedback_law(self):
         p = params(x0=-1.0, seed=210)
         sol = solve_constrained(p)
-        coeffs = build_lq_coefficients(p.sigma, p.levy, p.gamma_map)
-        fresh = sample_noise(p.grid, p.levy, 5000, 999)
-        fw = euler_forward(coeffs, sol.feedback_law(p.grid), fresh, p.x0)
-        star = euler_forward(coeffs, unconstrained_feedback_law(p.grid), fresh, p.x0)
+        coeffs = build_lq_coefficients(p.sigma, p.noise.levy, p.gamma_map)
+        fresh = sample_noise(GRID, p.noise.levy, 5000, 999)
+        fw = euler_forward(coeffs, sol.feedback_law(), fresh, p.x0)
+        star = euler_forward(coeffs, unconstrained_feedback_law(GRID), fresh, p.x0)
         assert relative_l2_dtP(fw.u, star.u, GRID.dt) < 0.05
+
+    def test_final_adjoint_is_adjoint_for(self):
+        # the returned adjoint and its feedback fits are the explicit solver's
+        # on the returned control and the run's noise, bit for bit
+        levy = LevyMeasure.from_pairs([(-0.1, 0.5)])
+        p = params(levy=levy, x0=-1.0, seed=212, n_paths=2000)
+        sol = solve_constrained(p)
+        coeffs = build_lq_coefficients(p.sigma, levy, p.gamma_map)
+        basis = PolynomialBasis(degree=p.degree)
+        triple = adjoint_for(OpenLoopLaw(sol.u_values), coeffs, levy, p.noise, p.x0, basis)
+        for name in ("p", "q", "r"):
+            assert np.array_equal(getattr(sol.p_hat, name), getattr(triple, name)), name
+        assert np.any(triple.r != 0.0)
+        assert len(sol.p_hat.p_fits) == len(triple.p_fits) == GRID.n_steps
+        for mine, theirs in zip(sol.p_hat.p_fits, triple.p_fits):
+            assert np.array_equal(mine.coeffs, theirs.coeffs)
+            assert mine.fitted is None
 
     def test_rejects_bad_iteration_parameters(self):
         with pytest.raises(ValueError):

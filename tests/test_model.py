@@ -12,11 +12,13 @@ from smplab.model import (
     FeedbackLaw,
     LevyMeasure,
     OpenLoopLaw,
+    SpikedLaw,
     TimeGrid,
     build_lq_coefficients,
     like,
     validate_coefficients,
 )
+from smplab.simulate import euler_forward, sample_noise
 
 
 def make_coeffs(**overrides):
@@ -169,22 +171,33 @@ class TestBuildLq:
 
 
 class TestControlLaws:
+    """Laws emit raw values; ``euler_forward`` clamps them to ``coeffs.control_set``."""
+
+    grid = TimeGrid(1.0, 4)
+
+    def forward(self, law, x0=0.0):
+        coeffs = make_coeffs(control_set=(0.0, 2.0))
+        return euler_forward(coeffs, law, sample_noise(self.grid, LevyMeasure.empty(), 8, 3), x0)
+
     @given(st.floats(-100.0, 100.0))
     @settings(max_examples=50, deadline=None)
-    def test_feedback_clamped(self, x):
-        law = FeedbackLaw(lambda t, xx: 10.0 * xx, bounds=(0.0, 2.0))
-        u = law.control_at(0, 0.0, np.array([x]))
-        assert 0.0 <= float(u[0]) <= 2.0
+    def test_feedback_clamped_by_euler_forward(self, x0):
+        fw = self.forward(FeedbackLaw(lambda step, t, xx: 10.0 * xx), x0)
+        assert np.all((0.0 <= fw.u) & (fw.u <= 2.0))
+        assert np.array_equal(fw.u, np.clip(10.0 * fw.X[:, :-1], 0.0, 2.0))
 
     def test_open_loop_values_per_step(self):
         values = np.arange(5.0)
-        law = OpenLoopLaw(values, bounds=(-math.inf, math.inf))
+        law = OpenLoopLaw(values)
         assert law.n_steps == 5
         x = np.zeros(3)
         assert np.all(law.control_at(2, 0.0, x) == 2.0)
 
-    def test_open_loop_clamps(self):
-        law = OpenLoopLaw(np.array([-1.0, 5.0]), bounds=(0.0, 2.0))
-        x = np.zeros(2)
-        assert np.all(law.control_at(0, 0.0, x) == 0.0)
-        assert np.all(law.control_at(1, 0.0, x) == 2.0)
+    def test_open_loop_clamped_by_euler_forward(self):
+        fw = self.forward(OpenLoopLaw(np.array([-1.0, 5.0, 0.5, 2.0])))
+        assert np.all(fw.u == [0.0, 2.0, 0.5, 2.0])
+
+    def test_spiked_clamped_by_euler_forward(self):
+        law = SpikedLaw(OpenLoopLaw(np.full(4, -3.0)), np.array([False, True, True, False]), 7.0)
+        fw = self.forward(law)
+        assert np.all(fw.u == [0.0, 2.0, 2.0, 0.0])

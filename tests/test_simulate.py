@@ -110,13 +110,13 @@ class TestEulerForward:
     def test_unit_drift(self):
         coeffs = build_lq_coefficients(0.0, LevyMeasure.empty(), lambda z: z)
         noise = sample_noise(GRID, LevyMeasure.empty(), 16, 1)
-        pb = euler_forward(coeffs, OpenLoopLaw(np.ones(100), bounds=(0.0, math.inf)), noise, 0.0)
+        pb = euler_forward(coeffs, OpenLoopLaw(np.ones(100)), noise, 0.0)
         assert pb.X[:, -1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_control_martingale(self):
         coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
         noise = sample_noise(GRID, ATOM, 50_000, 5)
-        pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf)), noise, 1.0)
+        pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(100)), noise, 1.0)
         terminal = pb.X[:, -1]
         se = terminal.std(ddof=1) / math.sqrt(terminal.shape[0])
         assert abs(terminal.mean() - 1.0) <= 5 * se
@@ -236,7 +236,7 @@ class TestGammaProcess:
         # all state partials vanish in the LQ model
         coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
         noise = sample_noise(GRID, ATOM, 25, 3)
-        pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf)), noise, 1.0)
+        pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(100)), noise, 1.0)
         t0 = GRID.times()[0]
         bx = coeffs.b_x(t0, pb.X[:, :-1], pb.u)
         assert np.all(bx == 0.0)
@@ -248,7 +248,7 @@ class TestPathCsv:
     def test_header_digits_and_roundtrip(self, tmp_path):
         coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
         noise = sample_noise(TimeGrid(1.0, 5), ATOM, 3, 9)
-        pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(5), bounds=(0.0, math.inf)), noise, 1.0)
+        pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(5)), noise, 1.0)
         out = tmp_path / "paths.csv"
         dump_paths_csv(pb, out)
         with open(out, newline="") as fh:

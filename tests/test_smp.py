@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,7 +78,7 @@ class TestHamiltonian:
 
 class TestSpikePerturb:
     def test_index_arithmetic(self):
-        base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(100))
         law = spike_perturb(base, SpikeSpec(0.5, 0.1, 1.0), GRID)
         x = np.zeros(4)
         values = np.array([float(law.control_at(i, GRID.times()[i], x)[0]) for i in range(100)])
@@ -89,27 +87,27 @@ class TestSpikePerturb:
         assert np.all(values[60:] == 0.0)
 
     def test_window_covering_everything(self):
-        base = OpenLoopLaw(np.linspace(0, 1, 100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.linspace(0, 1, 100))
         law = spike_perturb(base, SpikeSpec(0.0, 1.0, 0.7), GRID)
         x = np.zeros(2)
         assert all(float(law.control_at(i, 0.0, x)[0]) == 0.7 for i in range(100))
 
     def test_sub_step_window_hits_one_step(self):
-        base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(100))
         law = spike_perturb(base, SpikeSpec(0.5, 0.004, 1.0), GRID)
         x = np.zeros(1)
         hits = [i for i in range(100) if float(law.control_at(i, 0.0, x)[0]) == 1.0]
         assert hits == [50]
 
     def test_feedback_spike_value_frozen_at_tau(self):
-        base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(100))
         x_tau = np.array([1.0, 2.0, 3.0])
         law = spike_perturb(base, SpikeSpec(0.5, 0.1, lambda x: 0.5 * x), GRID, x_at_tau=x_tau)
         out = law.control_at(55, 0.55, np.array([9.0, 9.0, 9.0]))
         assert np.allclose(out, [0.5, 1.0, 1.5])
 
     def test_feedback_spike_requires_state(self):
-        base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(100))
         with pytest.raises(ValueError):
             spike_perturb(base, SpikeSpec(0.5, 0.1, lambda x: x), GRID)
 
@@ -129,7 +127,7 @@ class TestSpikePerturb:
     def test_spike_identity_bit_exact(self):
         coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
         noise = sample_noise(GRID, ATOM, 500, 30)
-        base = OpenLoopLaw(np.full(100, 0.3), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.full(100, 0.3))
         spiked = spike_perturb(base, SpikeSpec(0.4, 0.2, 0.3), GRID)
         j0 = performance_values(base, coeffs, noise, 1.0)
         j1 = performance_values(spiked, coeffs, noise, 1.0)
@@ -147,19 +145,19 @@ class TestPerformance:
             }
         )
         noise = sample_noise(GRID, NO_JUMPS, 100, 31)
-        out = performance_J(OpenLoopLaw(np.zeros(100), bounds=(0.0, 2.0)), zeroed, noise, 1.0)
+        out = performance_J(OpenLoopLaw(np.zeros(100)), zeroed, noise, 1.0)
         assert out["estimate"] == 0.0
 
     def test_deterministic_lq_value(self):
         coeffs = build_lq_coefficients(0.0, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 16, 32)
-        out = performance_J(OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf)), coeffs, noise, 1.0)
+        out = performance_J(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0)
         assert out["estimate"] == pytest.approx(-0.5, abs=1e-12)
 
     def test_gaussian_second_moment(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 100_000, 33)
-        out = performance_J(OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf)), coeffs, noise, 1.0)
+        out = performance_J(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0)
         assert abs(out["estimate"] - (-0.505)) <= 5 * out["se"]
 
 
@@ -167,7 +165,7 @@ class TestVariationalZ:
     def test_zero_perturbation(self):
         coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
         noise = sample_noise(GRID, ATOM, 400, 34)
-        base = OpenLoopLaw(np.full(100, 0.4), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.full(100, 0.4))
         for mode in ("direct", "closed_form"):
             Z = variational_Z(SpikeSpec(0.3, 0.2, 0.4), mode, coeffs, ATOM, noise, 1.0, base)
             assert np.allclose(Z, 0.0, atol=1e-14)
@@ -175,7 +173,7 @@ class TestVariationalZ:
     def test_lq_drift_only_integral(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 200, 35)
-        base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(100))
         Z = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, NO_JUMPS, noise, 1.0, base)
         assert np.allclose(Z[:, -1], 0.1, atol=1e-12)
         Zc = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "closed_form", coeffs, NO_JUMPS, noise, 1.0, base)
@@ -184,7 +182,7 @@ class TestVariationalZ:
     def test_quadratic_scaling(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 200, 36)
-        base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(100))
         z_big = variational_Z(SpikeSpec(0.5, 0.2, 1.0), "direct", coeffs, NO_JUMPS, noise, 1.0, base)
         z_small = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, NO_JUMPS, noise, 1.0, base)
         ratio = np.mean(z_big[:, -1] ** 2) / np.mean(z_small[:, -1] ** 2)
@@ -193,7 +191,7 @@ class TestVariationalZ:
     def test_monotone_shrinkage(self):
         coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
         noise = sample_noise(GRID, ATOM, 2000, 37)
-        base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(100))
         seconds, sups = [], []
         for eps in (0.4, 0.2, 0.1, 0.05):
             Z = variational_Z(SpikeSpec(0.5, eps, 1.0), "direct", coeffs, ATOM, noise, 1.0, base)
@@ -214,7 +212,7 @@ class TestVariationalZ:
         )
         grid = TimeGrid(1.0, 400)
         noise = sample_noise(grid, NO_JUMPS, 2000, 38)
-        base = OpenLoopLaw(np.zeros(400), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(400))
         Zd = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, NO_JUMPS, noise, 1.0, base)
         Zc = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "closed_form", coeffs, NO_JUMPS, noise, 1.0, base)
         rel = np.sqrt(np.mean((Zd[:, -1] - Zc[:, -1]) ** 2) / np.mean(Zc[:, -1] ** 2))
@@ -224,7 +222,7 @@ class TestVariationalZ:
         # with atoms, the closed form still agrees with the direct simulation
         coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
         noise = sample_noise(GRID, ATOM, 3000, 39)
-        base = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        base = OpenLoopLaw(np.zeros(100))
         spike = SpikeSpec(0.5, 0.1, 1.0)
         Zd = variational_Z(spike, "direct", coeffs, ATOM, noise, 1.0, base)
         Zc = variational_Z(spike, "closed_form", coeffs, ATOM, noise, 1.0, base)
@@ -285,7 +283,7 @@ class TestAdjointFor:
             }
         )
         noise = sample_noise(GRID, NO_JUMPS, 1000, 40)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.zeros(100))
         triple = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0)
         assert np.allclose(triple.p, 0.0, atol=1e-9)
         assert np.allclose(triple.q, 0.0, atol=1e-7)
@@ -307,7 +305,7 @@ class TestAdjointFor:
             }
         )
         noise = sample_noise(GRID, NO_JUMPS, 2000, 41)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.zeros(100))
         triple = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0)
         expected = np.exp(c * (GRID.horizon - GRID.times()))
         assert np.abs(triple.p - expected[None, :]).max() < 1e-8
@@ -317,7 +315,7 @@ class TestNecessaryCondition:
     def test_lq_zero_control_statistic_and_quotients(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 40_000, 42)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.zeros(100))
         verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.5], [1.0], [0.2, 0.1, 0.05])
         stat = verdict.statistic[0, 0]
         assert abs(stat - (-1.0)) <= 5 * verdict.statistic_se[0, 0] + 0.01
@@ -336,7 +334,7 @@ class TestNecessaryCondition:
         # initial value over two halvings
         coeffs = affine_cost_coeffs(run_u=-0.6)
         noise = sample_noise(GRID, NO_JUMPS, 40_000, 43)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, 2.0))
+        law = OpenLoopLaw(np.zeros(100))
         verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.5], [1.0], [0.4, 0.2, 0.1])
         gaps = np.abs(verdict.diff_quotient[0, 0] - verdict.statistic[0, 0])
         assert gaps[-1] < 0.5 * gaps[0]
@@ -345,7 +343,7 @@ class TestNecessaryCondition:
     def test_suboptimal_constant_control_fails(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 20_000, 44)
-        law = OpenLoopLaw(np.ones(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.ones(100))
         verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.5], [0.0], [0.2, 0.1])
         stat = verdict.statistic[0, 0]
         assert stat > 3 * verdict.statistic_se[0, 0]
@@ -354,7 +352,7 @@ class TestNecessaryCondition:
     def test_verdict_serialization(self, tmp_path):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 2000, 45)
-        law = OpenLoopLaw(np.zeros(100), bounds=(0.0, math.inf))
+        law = OpenLoopLaw(np.zeros(100))
         verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1])
         _write_json(tmp_path / "v.json", _plain(verdict))
         verdict.dump_csv(tmp_path / "v.csv")
