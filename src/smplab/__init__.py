@@ -36,7 +36,6 @@ from .malliavin import (
     evaluate,
     hm_derivative,
     jump_integral,
-    project_conditional,
     square_map,
 )
 from .bsde import AdjointTriple, extract_qr, solve_linear_explicit, solve_regression

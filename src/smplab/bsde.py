@@ -71,22 +71,17 @@ def fit_qr_step(projector: StateProjector, increment: np.ndarray, noise: NoiseBu
 
 
 def extract_qr(
-    p: np.ndarray,
-    noise: NoiseBundle,
-    features: np.ndarray | None = None,
-    basis: PolynomialBasis | None = None,
+    p: np.ndarray, noise: NoiseBundle, basis: PolynomialBasis | None = None
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Martingale coefficients of an adapted process by conditional regression.
 
     q(t_i) and r(t_i, zeta_k) are the fitted conditional expectations of
     (p(t_{i+1}) - p(t_i)) dB_i / dt and
     (p(t_{i+1}) - p(t_i)) (dN_k - lam_k dt) / (lam_k dt)
-    against polynomial features of the time-t_i state; this is the grid
-    surrogate for the right limits E[D_t p(t+) | F_t] identifying (q, r).
-
-    ``features`` holds the regression state per node, shape (n_paths, N+1)
-    or (n_paths, N+1, d); by default the driving noise state is used.
-    Atoms with lam_k dt below 1e-10 are unidentifiable and yield r = 0.
+    against polynomial features of the time-t_i driving noise state
+    (``state_features``); this is the grid surrogate for the right limits
+    E[D_t p(t+) | F_t] identifying (q, r).  Atoms with lam_k dt below 1e-10
+    are unidentifiable and yield r = 0.
     """
     grid, levy = noise.grid, noise.levy
     n_paths, n_steps = p.shape[0], grid.n_steps
@@ -97,8 +92,7 @@ def extract_qr(
     dead = unidentifiable_atoms(noise)
     d_p = p[:, 1:] - p[:, :-1]
     for i in range(n_steps):
-        feats = state_features(noise, i) if features is None else np.asarray(features, dtype=float)[:, i]
-        fit_qr_step(StateProjector(feats, basis), d_p[:, i], noise, i, q, r, dead)
+        fit_qr_step(StateProjector(state_features(noise, i), basis), d_p[:, i], noise, i, q, r, dead)
     return q, r, dead
 
 

@@ -40,7 +40,15 @@ from .model import (
     build_lq_coefficients,
     like,
 )
-from .simulate import LinearCoefficients, NoiseBundle, dump_paths_csv, euler_forward, linear_closed_form, sample_noise
+from .simulate import (
+    MAX_STEP_RATE,
+    LinearCoefficients,
+    NoiseBundle,
+    dump_paths_csv,
+    euler_forward,
+    linear_closed_form,
+    sample_noise,
+)
 from .smp import adjoint_for, check_necessary_condition
 from .lqsolver import (
     LqParams,
@@ -275,11 +283,20 @@ def _validate_resolved(cfg: dict) -> None:
         raise ConfigError(f"unknown model family {family!r}")
     if cfg["model"]["u_min"] > cfg["model"]["u_max"]:
         raise ConfigError("[model] u_min must not exceed u_max")
+    kind = cfg["experiment"]["kind"]
+    if kind == "clark-ocone" and cfg["model"]["atoms"]:
+        raise ConfigError("[model] atoms: clark-ocone reconstructs Brownian functionals and takes no atoms")
+    step_counts = cfg["convergence"]["n_steps_list"] if kind == "convergence-study" else [cfg["grid"]["n_steps"]]
+    if min(step_counts, default=2) < 2:
+        raise ConfigError("[convergence] n_steps_list entries must be >= 2")
+    dts = [cfg["grid"]["horizon"] / n for n in step_counts]
     for zeta, lam in cfg["model"]["atoms"]:
         if zeta == 0.0:
             raise ConfigError("[model] atoms: jump sizes must be nonzero")
         if lam < 0.0:
             raise ConfigError("[model] atoms: intensities must be >= 0")
+        if any(lam * dt > MAX_STEP_RATE for dt in dts):
+            raise ConfigError(f"[model] atoms: intensity * dt must not exceed {MAX_STEP_RATE:g} jumps per step")
 
 
 # --------------------------------------------------------------------------
@@ -482,16 +499,8 @@ def _run_check_duality(cfg, out_dir: Path | None):
         raise ConfigError(f"[duality] mode must be 'brownian' or 'jump', got {mode!r}")
     F = _functional(d["functional"], grid, levy)
     integrand = _integrand(d["integrand"], d["integrand_value"], mode, levy)
-    report = check_duality(
-        F,
-        integrand,
-        mode,
-        levy,
-        cfg["mc"]["n_paths"],
-        cfg["mc"]["seed"],
-        grid=grid,
-        basis=PolynomialBasis(cfg["basis"]["degree"]),
-    )
+    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
+    report = check_duality(F, integrand, mode, noise, basis=PolynomialBasis(cfg["basis"]["degree"]))
     payload = _plain(report)
     if out_dir is not None:
         _write_json(out_dir / "duality.json", payload)
@@ -505,12 +514,11 @@ def _run_check_duality(cfg, out_dir: Path | None):
 
 def _run_clark_ocone(cfg, out_dir: Path | None):
     grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
-    _, levy, _ = build_model(cfg)
+    levy = LevyMeasure.empty()
     c = cfg["clark_ocone"]
-    F = _functional(c["functional"], grid, LevyMeasure.empty())
-    report = clark_ocone_reconstruct(
-        F, cfg["mc"]["n_paths"], cfg["mc"]["seed"], grid=grid, basis=PolynomialBasis(cfg["basis"]["degree"])
-    )
+    F = _functional(c["functional"], grid, levy)
+    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
+    report = clark_ocone_reconstruct(F, noise, basis=PolynomialBasis(cfg["basis"]["degree"]))
     ok = report.l2_error <= c["max_rel_error"]
     payload = dict(_plain(report), max_rel_error=c["max_rel_error"], verdict=bool(ok))
     if out_dir is not None:
@@ -530,8 +538,8 @@ def _run_solve_bsde(cfg, out_dir: Path | None):
     basis = PolynomialBasis(cfg["basis"]["degree"])
     law = _control_law(cfg["bsde"]["control"], cfg["bsde"]["control_value"], grid)
     forward = euler_forward(coeffs, law, noise, x0)
-    explicit = adjoint_for(law, coeffs, levy, noise, x0, basis=basis, forward=forward)
-    regression = adjoint_for(law, coeffs, levy, noise, x0, basis=basis, forward=forward, method="regression")
+    explicit = adjoint_for(coeffs, forward, basis=basis)
+    regression = adjoint_for(coeffs, forward, basis=basis, method="regression")
     distance = relative_l2_dtP(regression.p, explicit.p, grid.dt)
     ok = distance <= cfg["bsde"]["max_rel_distance"]
     payload = {
@@ -565,7 +573,7 @@ def _run_check_smp(cfg, out_dir: Path | None):
     else:
         candidate = _control_law(s["candidate"], s["candidate_value"], grid)
     verdict = check_necessary_condition(
-        candidate, coeffs, levy, noise, x0, s["tau_grid"], s["v_grid"], s["eps_grid"], basis=basis
+        candidate, coeffs, noise, x0, s["tau_grid"], s["v_grid"], s["eps_grid"], basis=basis
     )
     payload = _plain(verdict)
     if out_dir is not None:

@@ -10,14 +10,13 @@ benchmark when the constraint stays inactive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .bsde import AdjointTriple, l2_dtP_norm, relative_l2_dtP
-from .malliavin import PolynomialBasis, StateProjector
+from .malliavin import PolynomialBasis, StateProjector, mean_se
 from .model import FeedbackLaw, OpenLoopLaw, TimeGrid, build_lq_coefficients
 from .simulate import NoiseBundle, euler_forward, write_csv
 from .smp import adjoint_for, performance_values
@@ -92,7 +91,7 @@ def solve_constrained(params: LqParams) -> LqSolution:
 
     # Final diagnostics: the explicit adjoint under the returned control,
     # p(t_i) = E[g_x(X(T)) | X(t_i)] = -E[X(T) | X(t_i)] since Gamma = 1 and f_x = 0.
-    p_hat = adjoint_for(OpenLoopLaw(u), coeffs, noise.levy, noise, params.x0, basis)
+    p_hat = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0), basis)
     fbsde_residual = l2_dtP_norm(u - coeffs.clamp(p_hat.p[:, :n_steps]), dt)
     return LqSolution(
         u_values=u,
@@ -149,16 +148,17 @@ def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonRep
     star_forward = euler_forward(coeffs, unconstrained_feedback_law(grid), noise, params.x0)
     distance = relative_l2_dtP(sol.u_values, star_forward.u, grid.dt)
 
-    n = noise.n_paths
-    j_con = performance_values(OpenLoopLaw(sol.u_values), coeffs, noise, params.x0)
-    j_unc = performance_values(unconstrained_feedback_law(grid), coeffs, noise, params.x0, forward=star_forward)
+    j_con, j_con_se = mean_se(performance_values(OpenLoopLaw(sol.u_values), coeffs, noise, params.x0))
+    j_unc, j_unc_se = mean_se(
+        performance_values(unconstrained_feedback_law(grid), coeffs, noise, params.x0, forward=star_forward)
+    )
     binding = float(np.mean(sol.p_hat.p[:, : grid.n_steps] < 0.0))
     return ComparisonReport(
         control_distance=distance,
-        j_constrained=float(j_con.mean()),
-        j_constrained_se=float(j_con.std(ddof=1) / math.sqrt(n)),
-        j_unconstrained=float(j_unc.mean()),
-        j_unconstrained_se=float(j_unc.std(ddof=1) / math.sqrt(n)),
+        j_constrained=j_con,
+        j_constrained_se=j_con_se,
+        j_unconstrained=j_unc,
+        j_unconstrained_se=j_unc_se,
         binding_fraction=binding,
     )
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InsufficientPaths, JumpDependentFunctional, NonAdaptedIntegrand, UnsupportedNode
 from .model import LevyMeasure, TimeGrid
-from .simulate import NoiseBundle, perturbed_after, sample_noise
+from .simulate import NoiseBundle, perturbed_after
 
 # --------------------------------------------------------------------------
 # Smooth maps
@@ -442,16 +442,6 @@ class StateProjector:
         )
 
 
-def fit_conditional(values: np.ndarray, features: np.ndarray, basis: PolynomialBasis | None = None) -> ConditionalFit:
-    """Least-squares fit of values against polynomial features of the state."""
-    return StateProjector(features, basis).fit(values)
-
-
-def project_conditional(values: np.ndarray, features: np.ndarray, basis: PolynomialBasis | None = None) -> np.ndarray:
-    """Per-path estimate of E[values | state at t] on the fitting sample."""
-    return fit_conditional(values, features, basis).fitted
-
-
 def state_features(bundle: NoiseBundle, node: int) -> np.ndarray:
     """Driving-state features at a grid node: Brownian value, plus the
     compensated jump value whenever the model carries atoms."""
@@ -467,27 +457,36 @@ def conditional_derivative(
     F: WienerFunctional,
     bundle: NoiseBundle,
     step: int,
-    direction_kind: str,
-    atom: int | None = None,
+    mode: str,
     basis: PolynomialBasis | None = None,
     _memo: dict | None = None,
 ) -> np.ndarray:
-    """Per-path E[D F | F_{t_i}] for the direction anchored at node t_i.
+    """Per-path E[D F | F_{t_i}] for the directions anchored at node t_i.
 
-    Deterministic derivative trees are used exactly; stochastic ones are
-    projected onto polynomial features of the time-t_i driving state.
+    ``brownian`` mode returns shape (n_paths,); ``jump`` mode returns one
+    column per atom of the bundle, shape (n_paths, K).  Deterministic
+    derivative trees are used exactly; stochastic ones are projected onto
+    polynomial features of the time-t_i driving state, through one
+    projector per step shared by every atom.
     """
     t = bundle.grid.times()[step]
-    if direction_kind == "brownian":
-        d = hm_derivative(F, Brownian(t))
-    elif direction_kind == "jump":
-        d = hm_derivative(F, Jump(t, float(bundle.levy.zetas[atom])))
+    if mode == "brownian":
+        directions = [Brownian(t)]
+    elif mode == "jump":
+        directions = [Jump(t, float(zeta)) for zeta in bundle.levy.zetas]
     else:
-        raise ValueError(f"unknown direction kind {direction_kind!r}")
-    vals = evaluate(d, bundle, _memo)
-    if is_deterministic(d):
-        return vals
-    return StateProjector(state_features(bundle, step), basis).fit(vals).fitted
+        raise ValueError(f"mode must be 'brownian' or 'jump', got {mode!r}")
+    out = np.empty((bundle.n_paths, len(directions)))
+    projector = None
+    for k, direction in enumerate(directions):
+        d = hm_derivative(F, direction)
+        vals = evaluate(d, bundle, _memo)
+        if not is_deterministic(d):
+            if projector is None:
+                projector = StateProjector(state_features(bundle, step), basis)
+            vals = projector.fit(vals).fitted
+        out[:, k] = vals
+    return out[:, 0] if mode == "brownian" else out
 
 
 # --------------------------------------------------------------------------
@@ -511,7 +510,8 @@ class DualityReport:
         self.verdict = bool(abs(self.lhs - self.rhs) <= 3.0 * (self.se_lhs + self.se_rhs))
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
+def mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (0 for a single value)."""
     n = values.shape[0]
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
@@ -530,34 +530,37 @@ def _probe_adapted(integrand, bundle: NoiseBundle, reference: np.ndarray) -> Non
             raise NonAdaptedIntegrand(f"integrand value at or before step {i} depends on increments from step {i} on")
 
 
+def _bundle_grid(F: WienerFunctional, noise: NoiseBundle) -> TimeGrid:
+    """The bundle's grid, after checking that F's stochastic leaves live on it."""
+    grid = tree_grid(F)
+    if grid is not None and grid != noise.grid:
+        raise ValueError(f"functional grid {grid} does not match the bundle grid {noise.grid}")
+    return noise.grid
+
+
 def check_duality(
     F: WienerFunctional,
     integrand,
     mode: str,
-    levy: LevyMeasure,
-    n_paths: int,
-    seed: int,
-    grid: TimeGrid | None = None,
+    noise: NoiseBundle,
     basis: PolynomialBasis | None = None,
 ) -> DualityReport:
     """Monte Carlo comparison of E[F * int phi dDriver] with the dual side
-    E[int E[D F | F_t] phi d(t x measure)].
+    E[int E[D F | F_t] phi d(t x measure)] on the noise bundle.
 
     ``integrand`` maps a noise bundle to adapted step values: shape
     (n_paths, N) in Brownian mode, (n_paths, N, K) in jump mode.  Adaptedness
-    is enforced by a dependence probe on perturbed bundles.  The grid is
-    taken from the functional tree unless F is deterministic.
+    is enforced by a dependence probe on perturbed bundles.  F's stochastic
+    leaves must live on the bundle's grid.
     """
     if mode not in ("brownian", "jump"):
         raise ValueError(f"mode must be 'brownian' or 'jump', got {mode!r}")
-    grid = grid or tree_grid(F)
-    if grid is None:
-        raise ValueError("a deterministic functional needs an explicit grid")
-    bundle = sample_noise(grid, levy, n_paths, seed)
+    grid = _bundle_grid(F, noise)
+    levy, n_paths = noise.levy, noise.n_paths
     dt = grid.dt
     n_steps = grid.n_steps
 
-    phi = np.asarray(integrand(bundle), dtype=float)
+    phi = np.asarray(integrand(noise), dtype=float)
     if mode == "brownian":
         if phi.shape != (n_paths, n_steps):
             raise ValueError(f"Brownian integrand must have shape (n_paths, N), got {phi.shape}")
@@ -566,30 +569,30 @@ def check_duality(
             raise ValueError("jump-mode duality needs at least one atom")
         if phi.shape != (n_paths, n_steps, levy.n_atoms):
             raise ValueError(f"jump integrand must have shape (n_paths, N, K), got {phi.shape}")
-    _probe_adapted(integrand, bundle, phi)
+    _probe_adapted(integrand, noise, phi)
 
     memo: dict = {}
-    f_vals = evaluate(F, bundle, memo)
+    f_vals = evaluate(F, noise, memo)
     if mode == "brownian":
-        stoch = (phi * bundle.dB).sum(axis=1)
+        stoch = (phi * noise.dB).sum(axis=1)
         lhs_vals = f_vals * stoch
         rhs_vals = np.zeros(n_paths)
         for i in range(n_steps):
-            cond = conditional_derivative(F, bundle, i, "brownian", basis=basis, _memo=memo)
+            cond = conditional_derivative(F, noise, i, "brownian", basis=basis, _memo=memo)
             rhs_vals += cond * phi[:, i] * dt
     else:
-        stoch = (phi * bundle.compensated_counts()).sum(axis=(1, 2))
+        stoch = (phi * noise.compensated_counts()).sum(axis=(1, 2))
         lhs_vals = f_vals * stoch
         rhs_vals = np.zeros(n_paths)
         lam = levy.intensities
         for i in range(n_steps):
+            cond = conditional_derivative(F, noise, i, "jump", basis=basis, _memo=memo)
             for k in range(levy.n_atoms):
-                cond = conditional_derivative(F, bundle, i, "jump", atom=k, basis=basis, _memo=memo)
-                rhs_vals += cond * phi[:, i, k] * lam[k] * dt
+                rhs_vals += cond[:, k] * phi[:, i, k] * lam[k] * dt
 
-    lhs, se_lhs = _mean_se(lhs_vals)
-    rhs, se_rhs = _mean_se(rhs_vals)
-    return DualityReport(lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs, n_paths=n_paths, seed=seed, mode=mode)
+    lhs, se_lhs = mean_se(lhs_vals)
+    rhs, se_rhs = mean_se(rhs_vals)
+    return DualityReport(lhs=lhs, rhs=rhs, se_lhs=se_lhs, se_rhs=se_rhs, n_paths=n_paths, seed=noise.seed, mode=mode)
 
 
 @dataclass
@@ -604,33 +607,32 @@ class ClarkOconeReport:
 
 def clark_ocone_reconstruct(
     F: WienerFunctional,
-    n_paths: int,
-    seed: int,
-    grid: TimeGrid | None = None,
+    noise: NoiseBundle,
     basis: PolynomialBasis | None = None,
     return_paths: bool = False,
 ):
     """Rebuild F as mean(F) + sum_i E[D_{t_i} F | F_{t_i}] dB_i per path.
 
-    Covers the Brownian filtration only; trees containing jump integrals are
-    rejected.  Reported error is the squared-L2 ratio E[(F - Fhat)^2]/E[F^2].
-    The grid is taken from the functional tree unless F is deterministic.
+    Covers the Brownian filtration only: trees containing jump integrals are
+    rejected, and so is a bundle that carries atoms.  F's stochastic leaves
+    must live on the bundle's grid.  Reported error is the squared-L2 ratio
+    E[(F - Fhat)^2]/E[F^2]; ``return_paths`` adds the per-path values of F
+    and of the reconstruction.
     """
     if has_jump_nodes(F):
         raise JumpDependentFunctional("reconstruction is defined for Brownian functionals only")
-    grid = grid or tree_grid(F)
-    if grid is None:
-        raise ValueError("a deterministic functional needs an explicit grid")
-    bundle = sample_noise(grid, LevyMeasure.empty(), n_paths, seed)
+    if noise.levy.n_atoms:
+        raise ValueError("reconstruction needs a Brownian bundle without atoms")
+    grid = _bundle_grid(F, noise)
     memo: dict = {}
-    f_vals = evaluate(F, bundle, memo)
-    recon = np.full(n_paths, f_vals.mean())
+    f_vals = evaluate(F, noise, memo)
+    recon = np.full(noise.n_paths, f_vals.mean())
     for i in range(grid.n_steps):
-        cond = conditional_derivative(F, bundle, i, "brownian", basis=basis, _memo=memo)
-        recon += cond * bundle.dB[:, i]
+        cond = conditional_derivative(F, noise, i, "brownian", basis=basis, _memo=memo)
+        recon += cond * noise.dB[:, i]
     denom = float(np.mean(f_vals**2))
     err = float(np.mean((f_vals - recon) ** 2) / denom) if denom > 0.0 else 0.0
-    report = ClarkOconeReport(l2_error=err, mean_value=float(f_vals.mean()), n_paths=n_paths, seed=seed)
+    report = ClarkOconeReport(l2_error=err, mean_value=float(f_vals.mean()), n_paths=noise.n_paths, seed=noise.seed)
     if return_paths:
-        return report, f_vals, recon, bundle
+        return report, f_vals, recon
     return report

@@ -18,6 +18,10 @@ from .model import DELTA_SING, ControlLaw, ControlledCoefficients, LevyMeasure, 
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
+# Largest admissible expected jump count lam_k dt per atom and step.  Counts
+# are stored as int16, and P(Poisson(1e4) > 32767) is far below 1e-100.
+MAX_STEP_RATE = 1e4
+
 
 @dataclass(frozen=True, eq=False)
 class NoiseBundle:
@@ -96,6 +100,8 @@ def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> 
     n_steps = grid.n_steps
     sqrt_dt = np.sqrt(grid.dt)
     rates = levy.intensities * grid.dt
+    if np.any(rates > MAX_STEP_RATE):
+        raise ValueError(f"expected jump count per step lam_k dt must not exceed {MAX_STEP_RATE:g}")
     dB = np.empty((n_paths, n_steps))
     counts = np.zeros((n_paths, n_steps, levy.n_atoms), dtype=np.int16)
     # Re-keying one Philox instance per path is bit-identical to constructing

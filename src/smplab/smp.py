@@ -9,13 +9,12 @@ quotient-statistic gaps shrink as eps does, within Monte Carlo bands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bsde import AdjointTriple, solve_linear_explicit, solve_regression
-from .malliavin import PolynomialBasis
+from .malliavin import PolynomialBasis, mean_se
 from .model import ControlLaw, ControlledCoefficients, LevyMeasure, SpikedLaw, TimeGrid
 from .simulate import LinearCoefficients, NoiseBundle, PathBundle, euler_forward, linear_closed_form, write_csv
 
@@ -72,9 +71,11 @@ class CoefficientPartials:
     gamma_u: np.ndarray
 
 
-def partials_along(coeffs: ControlledCoefficients, levy: LevyMeasure, forward: PathBundle) -> CoefficientPartials:
+def partials_along(coeffs: ControlledCoefficients, forward: PathBundle) -> CoefficientPartials:
     """Each partial evaluated once at the left nodes of all steps: ``t`` of
-    shape (1, N) against ``x``, ``u`` of shape (n_paths, N)."""
+    shape (1, N) against ``x``, ``u`` of shape (n_paths, N); the jump
+    partials carry one column per atom of the path bundle's noise."""
+    levy = forward.noise.levy
     shape = forward.u.shape
     t, x, u = forward.grid.times()[None, :-1], forward.X[:, :-1], forward.u
     fields = {
@@ -89,29 +90,24 @@ def partials_along(coeffs: ControlledCoefficients, levy: LevyMeasure, forward: P
 
 
 def adjoint_for(
-    candidate: ControlLaw,
     coeffs: ControlledCoefficients,
-    levy: LevyMeasure,
-    noise: NoiseBundle,
-    x0: float,
+    forward: PathBundle,
     basis: PolynomialBasis | None = None,
     method: str = "explicit",
-    forward: PathBundle | None = None,
 ) -> AdjointTriple:
-    """Adjoint triple for a candidate control.
+    """Adjoint triple along the simulated paths of a control.
 
     ``explicit`` uses the weighted conditional-expectation formula of the
     linear equation; ``regression`` runs the backward scheme with generator
-    dH/dx and serves as a cross-check.
+    dH/dx and serves as a cross-check.  Grid and atoms come from the path
+    bundle's noise.
     """
-    if forward is None:
-        forward = euler_forward(coeffs, candidate, noise, x0)
-    part = partials_along(coeffs, levy, forward)
+    part = partials_along(coeffs, forward)
     terminal = np.asarray(coeffs.g_x(forward.X[:, -1]), dtype=float)
     if method == "explicit":
         return solve_linear_explicit(part.f_x, part.b_x, part.sigma_x, part.gamma_x, terminal, forward, basis)
     if method == "regression":
-        grid = noise.grid
+        grid, levy = forward.grid, forward.noise.levy
 
         def generator(t, x, p, q, r):
             i = grid.step_of(t)
@@ -162,36 +158,27 @@ def performance_values(
 
 
 def performance_J(law, coeffs, noise, x0, forward=None) -> dict:
-    vals = performance_values(law, coeffs, noise, x0, forward)
-    n = vals.shape[0]
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return {"estimate": float(vals.mean()), "se": se}
+    estimate, se = mean_se(performance_values(law, coeffs, noise, x0, forward))
+    return {"estimate": estimate, "se": se}
 
 
-def variational_Z(
-    spike: SpikeSpec,
-    mode: str,
-    coeffs: ControlledCoefficients,
-    levy: LevyMeasure,
-    noise: NoiseBundle,
-    x0: float,
-    base_law: ControlLaw,
-) -> np.ndarray:
+def variational_Z(spike: SpikeSpec, mode: str, coeffs: ControlledCoefficients, forward: PathBundle) -> np.ndarray:
     """State sensitivity Z of the spiked control, per path on grid nodes.
 
-    Both modes linearize around the base trajectory (partials at the base
-    state and control) with Z(tau) = 0.  ``direct`` Euler-steps the linear
-    equations driven by (v - u) on the window and homogeneously after it;
-    ``closed_form`` evaluates the variation-of-constants solution through
-    the same reciprocal-exponential weight used for linear forward models.
+    Both modes linearize around the base path bundle ``forward`` (partials
+    at the base state and control, on its noise) with Z(tau) = 0.
+    ``direct`` Euler-steps the linear equations driven by (v - u) on the
+    window and homogeneously after it; ``closed_form`` evaluates the
+    variation-of-constants solution through the same reciprocal-exponential
+    weight used for linear forward models.
     """
     if mode not in ("direct", "closed_form"):
         raise ValueError(f"mode must be 'direct' or 'closed_form', got {mode!r}")
-    grid = noise.grid
+    noise = forward.noise
+    grid, levy = noise.grid, noise.levy
     n_paths, n_steps = noise.n_paths, grid.n_steps
     dt = grid.dt
-    forward = euler_forward(coeffs, base_law, noise, x0)
-    part = partials_along(coeffs, levy, forward)
+    part = partials_along(coeffs, forward)
 
     window = grid.window_steps(spike.tau, spike.epsilon)
     if not window.any():
@@ -261,7 +248,6 @@ class SmpVerdict:
 def check_necessary_condition(
     candidate: ControlLaw,
     coeffs: ControlledCoefficients,
-    levy: LevyMeasure,
     noise: NoiseBundle,
     x0: float,
     tau_grid,
@@ -273,17 +259,16 @@ def check_necessary_condition(
 
     Pass requires every cell statistic <= 3 SE (one-sided) and, per cell,
     |diff_quotient - statistic| non-increasing along shrinking eps within
-    3 SE noise bands.
+    3 SE noise bands.  The Hamiltonian sums over the atoms of the noise
+    bundle, the same measure that drives the state and fits the adjoint.
     """
-    grid = noise.grid
+    grid, levy = noise.grid, noise.levy
     tau_grid = [float(t) for t in tau_grid]
     v_grid = [float(v) for v in v_grid]
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
-    n = noise.n_paths
-    sqrt_n = math.sqrt(n)
 
     forward = euler_forward(coeffs, candidate, noise, x0)
-    triple = adjoint_for(candidate, coeffs, levy, noise, x0, basis=basis, forward=forward)
+    triple = adjoint_for(coeffs, forward, basis=basis)
     j_base = performance_values(candidate, coeffs, noise, x0, forward=forward)
     times = grid.times()
 
@@ -299,15 +284,11 @@ def check_necessary_condition(
         x_i, u_i = forward.X[:, i], forward.u[:, i]
         dh_du = hamiltonian_du(t_i, x_i, u_i, triple.p[:, i], triple.q[:, i], triple.r[:, i], coeffs, levy)
         for b, v in enumerate(v_grid):
-            cell = dh_du * (v - u_i)
-            stat[a, b] = cell.mean()
-            stat_se[a, b] = cell.std(ddof=1) / sqrt_n
+            stat[a, b], stat_se[a, b] = mean_se(dh_du * (v - u_i))
             for c, eps in enumerate(eps_grid):
                 law = spike_perturb(candidate, SpikeSpec(tau, eps, v), grid, x_at_tau=x_i)
                 j_eps = performance_values(law, coeffs, noise, x0)
-                quot = (j_eps - j_base) / eps
-                dq[a, b, c] = quot.mean()
-                dq_se[a, b, c] = quot.std(ddof=1) / sqrt_n
+                dq[a, b, c], dq_se[a, b, c] = mean_se((j_eps - j_base) / eps)
 
     pass_cells = stat <= 3.0 * stat_se
     gap_ok = np.ones(shape, dtype=bool)

@@ -77,7 +77,8 @@ def test_criterion_02_brownian_duality():
     # Carlo verdict passes at 3 standard errors with 1e5 paths
     grid = TimeGrid(1.0, 100)
     F = Compose(square_map(), (bm_integral(grid, 1.0),))
-    report = check_duality(F, lambda b: b.brownian()[:, :-1], "brownian", LevyMeasure.empty(), 100_000, 11)
+    noise = sample_noise(grid, LevyMeasure.empty(), 100_000, 11)
+    report = check_duality(F, lambda b: b.brownian()[:, :-1], "brownian", noise)
     ok = report.verdict and abs(report.lhs - 1.0) < 0.05 and abs(report.rhs - 1.0) < 0.05
     _report(2, ok, f"lhs {report.lhs:.4f}, rhs {report.rhs:.4f}, verdict at 3se: {report.verdict}")
 
@@ -88,7 +89,7 @@ def test_criterion_03_jump_duality():
     levy = LevyMeasure.from_pairs([(0.2, 1.0)])
     F = Compose(square_map(), (jump_integral(grid, levy, np.tile(levy.zetas, (grid.n_steps, 1))),))
     integrand = lambda b: np.broadcast_to(b.levy.zetas[None, None, :], (b.n_paths, grid.n_steps, 1))
-    report = check_duality(F, integrand, "jump", levy, 100_000, 12)
+    report = check_duality(F, integrand, "jump", sample_noise(grid, levy, 100_000, 12))
     ok = report.verdict and abs(report.lhs - 0.008) < 0.002 and abs(report.rhs - 0.008) < 0.002
     _report(3, ok, f"lhs {report.lhs:.5f}, rhs {report.rhs:.5f} (oracle 0.008), verdict: {report.verdict}")
 
@@ -98,7 +99,8 @@ def test_criterion_04_martingale_reconstruction():
     # against the Ito oracle B(T)^2 = T + 2 int B dB
     grid = TimeGrid(1.0, 200)
     F = Compose(square_map(), (bm_integral(grid, 1.0),))
-    report, f_vals, recon, bundle = clark_ocone_reconstruct(F, 100_000, 13, return_paths=True)
+    bundle = sample_noise(grid, LevyMeasure.empty(), 100_000, 13)
+    report, f_vals, recon = clark_ocone_reconstruct(F, bundle, return_paths=True)
     B = bundle.brownian()
     oracle = grid.horizon + 2.0 * np.sum(B[:, :-1] * bundle.dB, axis=1)
     vs_oracle = float(np.mean((recon - oracle) ** 2) / np.mean(oracle**2))
@@ -118,7 +120,7 @@ def test_criterion_05_martingale_coefficient_surrogate():
     # (b) p(t) = B(t)^2 - t: extracted q within 5% L2 of 2B(t), and the
     # symbolic conditional derivative matches the regression
     p_man = B**2 - grid.times()[None, :]
-    q, _, _ = extract_qr(p_man, noise, features=B)
+    q, _, _ = extract_qr(p_man, noise)
     truth = 2.0 * B[:, :-1]
     q2_err = math.sqrt(float(np.mean((q - truth) ** 2) / np.mean(truth**2)))
     F = Compose(square_map(), (bm_integral(grid, 1.0),))
@@ -140,8 +142,8 @@ def test_criterion_06_cross_solver_equivalence():
     noise = sample_noise(grid, levy, 100_000, 77)
     law = OpenLoopLaw(np.zeros(100))
     forward = euler_forward(coeffs, law, noise, 1.0)
-    explicit = adjoint_for(law, coeffs, levy, noise, 1.0, forward=forward)
-    regression = adjoint_for(law, coeffs, levy, noise, 1.0, forward=forward, method="regression")
+    explicit = adjoint_for(coeffs, forward)
+    regression = adjoint_for(coeffs, forward, method="regression")
     distance = relative_l2_dtP(regression.p, explicit.p, grid.dt)
     _report(6, distance <= 0.05, f"relative L2(dt x P) distance {distance:.5f} <= 0.05")
 
@@ -190,11 +192,11 @@ def test_criterion_08_maximum_principle_verdict():
     params = LqParams(x0=1.0, sigma=0.1, noise=noise)
     sol = solve_constrained(params)
     law = OpenLoopLaw(sol.u_values)
-    verdict_opt = check_necessary_condition(law, coeffs, levy, noise, 1.0, taus, vs, eps)
+    verdict_opt = check_necessary_condition(law, coeffs, noise, 1.0, taus, vs, eps)
     # the deliberately suboptimal constant control 1 fails with a positive
     # statistic beyond 3 standard errors
     bad = OpenLoopLaw(np.ones(100))
-    verdict_bad = check_necessary_condition(bad, coeffs, levy, noise, 1.0, taus, [0.0], eps)
+    verdict_bad = check_necessary_condition(bad, coeffs, noise, 1.0, taus, [0.0], eps)
     margin = float(np.max(verdict_bad.statistic - 3.0 * verdict_bad.statistic_se))
     ok = verdict_opt.passed and (not verdict_bad.passed) and margin > 0.0
     _report(
@@ -210,7 +212,7 @@ def test_criterion_09_spike_gateaux_consistency():
     coeffs = build_lq_coefficients(0.1, levy, lambda z: z)
     noise = sample_noise(grid, levy, 40_000, 401)
     law = OpenLoopLaw(np.zeros(100))
-    verdict = check_necessary_condition(law, coeffs, levy, noise, 1.0, [0.5], [1.0], [0.2, 0.1, 0.05])
+    verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [1.0], [0.2, 0.1, 0.05])
     stat = float(verdict.statistic[0, 0])
     se = float(verdict.statistic_se[0, 0])
     gaps = np.abs(verdict.diff_quotient[0, 0] - stat)
@@ -220,7 +222,7 @@ def test_criterion_09_spike_gateaux_consistency():
     ratios = []
     z_prev = None
     for eps in (0.2, 0.1, 0.05):
-        Z = variational_Z(SpikeSpec(0.5, eps, 1.0), "direct", coeffs, levy, noise, 1.0, law)
+        Z = variational_Z(SpikeSpec(0.5, eps, 1.0), "direct", coeffs, euler_forward(coeffs, law, noise, 1.0))
         z_sq = float(np.mean(Z[:, -1] ** 2))
         if z_prev is not None:
             ratios.append(z_prev / z_sq)

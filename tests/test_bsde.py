@@ -19,8 +19,8 @@ from smplab.malliavin import (
     bm_integral,
     conditional_derivative,
     evaluate,
-    fit_conditional,
     hm_derivative,
+    StateProjector,
     square_map,
 )
 from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
@@ -69,7 +69,7 @@ class TestSolveLinearExplicit:
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 50_000, 4)
         law = OpenLoopLaw(np.zeros(100))
-        triple = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0)
+        triple = adjoint_for(coeffs, euler_forward(coeffs, law, noise, 1.0))
         fw = euler_forward(coeffs, law, noise, 1.0)
         # zero control makes X a martingale: p(t) ~ -X(t)
         assert relative_l2_dtP(triple.p, -fw.X, GRID.dt) < 0.03
@@ -107,8 +107,8 @@ class TestSolveRegression:
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 8)
         law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
-        explicit = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0, forward=fw)
-        regression = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0, forward=fw, method="regression")
+        explicit = adjoint_for(coeffs, fw)
+        regression = adjoint_for(coeffs, fw, method="regression")
         assert relative_l2_dtP(regression.p, explicit.p, GRID.dt) < 0.02
 
     def test_cross_solver_equivalence_all_channels(self):
@@ -137,8 +137,8 @@ class TestSolveRegression:
         noise = sample_noise(GRID, levy, 30_000, 55)
         law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
-        explicit = adjoint_for(law, coeffs, levy, noise, 1.0, forward=fw)
-        regression = adjoint_for(law, coeffs, levy, noise, 1.0, forward=fw, method="regression")
+        explicit = adjoint_for(coeffs, fw)
+        regression = adjoint_for(coeffs, fw, method="regression")
         assert relative_l2_dtP(regression.p, explicit.p, GRID.dt) < 0.05
         # both channels carry signal in this model
         assert math.sqrt(float(np.mean(explicit.q**2))) > 0.1
@@ -216,7 +216,7 @@ class TestExtractQr:
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 16)
         law = OpenLoopLaw(np.zeros(100))
-        triple = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0)
+        triple = adjoint_for(coeffs, euler_forward(coeffs, law, noise, 1.0))
         d_p = np.diff(triple.p, axis=1)
         residual = d_p - triple.q * noise.dB
         mean = residual.mean(axis=0)
@@ -283,9 +283,9 @@ class TestSharedProjectorBitContract:
 
     def fit_qr_alone(self, increment, feats, noise, i, q, r):
         dt = self.grid.dt
-        q[:, i] = fit_conditional(increment * noise.dB[:, i] / dt, feats).fitted
+        q[:, i] = StateProjector(feats).fit(increment * noise.dB[:, i] / dt).fitted
         rate = self.levy.intensities[0] * dt
-        r[:, i, 0] = fit_conditional(increment * noise.compensated_counts()[:, i, 0] / rate, feats).fitted
+        r[:, i, 0] = StateProjector(feats).fit(increment * noise.compensated_counts()[:, i, 0] / rate).fitted
 
     def empty_triple(self):
         n, N = 400, self.grid.n_steps
@@ -312,7 +312,7 @@ class TestSharedProjectorBitContract:
             tail = gam[:, N] * terminal
             for i in range(N - 1, -1, -1):
                 tail = tail + gam[:, i] * f_x[:, i] * dt
-                p[:, i] = fit_conditional(tail / gam[:, i], fw.X[:, i]).fitted
+                p[:, i] = StateProjector(fw.X[:, i]).fit(tail / gam[:, i]).fitted
                 self.fit_qr_alone(p[:, i + 1] - p[:, i], fw.X[:, i], noise, i, q, r)
             assert np.array_equal(triple.p, p)
             assert np.array_equal(triple.q, q)
@@ -335,7 +335,7 @@ class TestSharedProjectorBitContract:
         p, q, r = self.empty_triple()
         p[:, N] = fw.X[:, N] ** 2
         for i in range(N - 1, -1, -1):
-            cond = fit_conditional(p[:, i + 1], fw.X[:, i]).fitted
+            cond = StateProjector(fw.X[:, i]).fit(p[:, i + 1]).fitted
             self.fit_qr_alone(p[:, i + 1] - cond, fw.X[:, i], noise, i, q, r)
             p[:, i] = cond + driver(None, None, None, q[:, i], r[:, i]) * dt
         assert np.array_equal(triple.p, p)

@@ -87,8 +87,28 @@ class TestConfigParsing:
             ("simulate", "\n[model]\nfamily = linear\nu_min = 2.0\nu_max = 1.0\n", "1.0"),
             ("simulate", "\n[model]\nfamily = lq\nu_min = -1.0\n", "1.0"),
             ("solve-lq", "\n[model]\nu_max = 5.0\n", "1.0"),
+            ("simulate", "\n[model]\natoms = 0.001:800000\n", "1.0"),
+            (
+                "convergence-study",
+                "\n[model]\nfamily = linear\natoms = 0.001:300000\n[convergence]\nn_steps_list = 16, 32\n",
+                "1.0",
+            ),
+            ("clark-ocone", "\n[model]\natoms = 0.2:3.0\n", "1.0"),
+            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 1, 2\n", "1.0"),
         ],
-        ids=["nan-horizon", "inf-sigma", "nan-u_min", "inf-in-list", "u_min-above-u_max", "lq-u_min", "lq-u_max"],
+        ids=[
+            "nan-horizon",
+            "inf-sigma",
+            "nan-u_min",
+            "inf-in-list",
+            "u_min-above-u_max",
+            "lq-u_min",
+            "lq-u_max",
+            "jump-rate-above-bound",
+            "jump-rate-above-bound-on-study-grid",
+            "clark-ocone-atoms",
+            "study-grid-below-two-steps",
+        ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, horizon):
         path = write_config(tmp_path, kind, extra=extra, horizon=horizon)

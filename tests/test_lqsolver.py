@@ -132,9 +132,7 @@ class TestSolveConstrained:
         coeffs = build_lq_coefficients(p.sigma, p.noise.levy, p.gamma_map)
         noise = p.noise
         law = OpenLoopLaw(sol.u_values)
-        verdict = check_necessary_condition(
-            law, coeffs, p.noise.levy, noise, p.x0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1]
-        )
+        verdict = check_necessary_condition(law, coeffs, noise, p.x0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1])
         assert verdict.passed
 
     def test_out_of_sample_feedback_law(self):
@@ -154,7 +152,7 @@ class TestSolveConstrained:
         sol = solve_constrained(p)
         coeffs = build_lq_coefficients(p.sigma, levy, p.gamma_map)
         basis = PolynomialBasis(degree=p.degree)
-        triple = adjoint_for(OpenLoopLaw(sol.u_values), coeffs, levy, p.noise, p.x0, basis)
+        triple = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0), basis)
         for name in ("p", "q", "r"):
             assert np.array_equal(getattr(sol.p_hat, name), getattr(triple, name)), name
         assert np.any(triple.r != 0.0)

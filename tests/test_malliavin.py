@@ -19,6 +19,7 @@ from smplab.malliavin import (
     Constant,
     Jump,
     PolynomialBasis,
+    StateProjector,
     affine_map,
     bm_integral,
     check_duality,
@@ -26,20 +27,24 @@ from smplab.malliavin import (
     conditional_derivative,
     constant,
     evaluate,
-    fit_conditional,
     hm_derivative,
     is_deterministic,
     jump_integral,
     product_map,
-    project_conditional,
     square_map,
+    state_features,
 )
+from smplab import malliavin
 from smplab.model import LevyMeasure, TimeGrid
 from smplab.simulate import sample_noise
 
 GRID = TimeGrid(1.0, 100)
 LEVY = LevyMeasure.from_pairs([(0.2, 1.0)])
 NO_JUMPS = LevyMeasure.empty()
+
+
+def draw(n_paths, seed, levy=NO_JUMPS, grid=GRID):
+    return sample_noise(grid, levy, n_paths, seed)
 
 
 def bm_squared(grid=GRID):
@@ -149,13 +154,13 @@ class TestProjection:
     def test_constant_values_exact(self):
         noise = sample_noise(GRID, NO_JUMPS, 2000, 7)
         feats = noise.brownian()[:, 50]
-        out = project_conditional(np.full(2000, 3.25), feats)
+        out = StateProjector(feats).fit(np.full(2000, 3.25)).fitted
         assert np.allclose(out, 3.25, atol=1e-8)
 
     def test_martingale_projection(self):
         noise = sample_noise(GRID, NO_JUMPS, 100_000, 8)
         B = noise.brownian()
-        fit = project_conditional(2.0 * B[:, -1], B[:, 50])
+        fit = StateProjector(B[:, 50]).fit(2.0 * B[:, -1]).fitted
         truth = 2.0 * B[:, 50]
         rel = math.sqrt(np.mean((fit - truth) ** 2) / np.mean(truth**2))
         assert rel < 0.02
@@ -163,26 +168,26 @@ class TestProjection:
     def test_gaussian_second_moment_projection(self):
         noise = sample_noise(GRID, NO_JUMPS, 100_000, 9)
         B = noise.brownian()
-        fit = project_conditional(B[:, -1] ** 2, B[:, 50])
+        fit = StateProjector(B[:, 50]).fit(B[:, -1] ** 2).fitted
         truth = B[:, 50] ** 2 + 0.5
         rel = math.sqrt(np.mean((fit - truth) ** 2) / np.mean(truth**2))
         assert rel < 0.02
 
     def test_insufficient_paths(self):
         with pytest.raises(InsufficientPaths):
-            project_conditional(np.zeros(5), np.zeros(5))
+            StateProjector(np.zeros(5)).fit(np.zeros(5))
 
     def test_rank_deficient_falls_back_to_ridge(self):
         values = np.full(100, 2.0)
         feats = np.full(100, 1.3)  # constant feature: deficient design
-        fit = fit_conditional(values, feats)
+        fit = StateProjector(feats).fit(values)
         assert fit.rank_deficient
         assert np.allclose(fit.fitted, 2.0, atol=1e-6)
 
     def test_out_of_sample_evaluation_matches(self):
         noise = sample_noise(GRID, NO_JUMPS, 20_000, 10)
         B = noise.brownian()
-        fit = fit_conditional(B[:, -1], B[:, 50])
+        fit = StateProjector(B[:, 50]).fit(B[:, -1])
         fresh = np.linspace(-1.0, 1.0, 7)
         assert np.allclose(fit(fresh), fit(fresh))
         # affine truth: fitted function approximates identity on the bulk
@@ -191,7 +196,7 @@ class TestProjection:
 
 class TestDuality:
     def test_brownian_duality_squared(self):
-        report = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", NO_JUMPS, 50_000, 11)
+        report = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", draw(50_000, 11))
         assert report.verdict
         # discrete oracle: both sides have expectation sum_i 2 t_i dt
         oracle = float(sum(2.0 * t * GRID.dt for t in GRID.times()[:-1]))
@@ -199,7 +204,7 @@ class TestDuality:
         assert abs(report.rhs - oracle) <= 5 * report.se_rhs
 
     def test_constant_functional_both_sides_zero(self):
-        report = check_duality(constant(4.0), lambda b: b.brownian()[:, :-1], "brownian", NO_JUMPS, 2000, 12, grid=GRID)
+        report = check_duality(constant(4.0), lambda b: b.brownian()[:, :-1], "brownian", draw(2000, 12))
         # derivative side is exactly zero; the product side is zero in mean
         assert report.rhs == 0.0
         assert abs(report.lhs) <= 5 * report.se_lhs
@@ -217,49 +222,49 @@ class TestDuality:
         oracle = float(oracle)
         assert oracle == pytest.approx(zeta**3 * lam * horizon, rel=1e-9)
         integrand = lambda b: np.broadcast_to(b.levy.zetas[None, None, :], (b.n_paths, GRID.n_steps, 1))
-        report = check_duality(eta_squared(), integrand, "jump", LEVY, 50_000, 13)
+        report = check_duality(eta_squared(), integrand, "jump", draw(50_000, 13, LEVY))
         assert report.verdict
         assert abs(report.lhs - oracle) <= 5 * report.se_lhs + 1e-3
 
     def test_non_adapted_integrand_detected(self):
         peeking = lambda b: np.broadcast_to(b.brownian()[:, -1][:, None], (b.n_paths, GRID.n_steps))
         with pytest.raises(NonAdaptedIntegrand):
-            check_duality(bm_squared(), peeking, "brownian", NO_JUMPS, 500, 14)
+            check_duality(bm_squared(), peeking, "brownian", draw(500, 14))
 
     def test_reproducible_bit_exact(self):
-        kwargs = dict(mode="brownian", levy=NO_JUMPS, n_paths=4000, seed=15)
-        a = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], **kwargs)
-        b = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], **kwargs)
+        a = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", draw(4000, 15))
+        b = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", draw(4000, 15))
         assert (a.lhs, a.rhs, a.se_lhs, a.se_rhs) == (b.lhs, b.rhs, b.se_lhs, b.se_rhs)
 
     def test_report_json_fields(self):
-        report = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", NO_JUMPS, 2000, 16)
+        report = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", draw(2000, 16))
         blob = json.dumps(dataclasses.asdict(report))
         parsed = json.loads(blob)
         assert set(parsed) == {"lhs", "rhs", "se_lhs", "se_rhs", "n_paths", "seed", "mode", "verdict"}
         assert parsed["n_paths"] == 2000 and parsed["seed"] == 16
 
     def test_verdict_rule(self):
-        report = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", NO_JUMPS, 2000, 17)
+        report = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", draw(2000, 17))
         assert report.verdict == (abs(report.lhs - report.rhs) <= 3.0 * (report.se_lhs + report.se_rhs))
 
 
 class TestClarkOcone:
     def test_bm_integral_reconstructs_exactly(self):
         h = np.linspace(0.2, 1.0, GRID.n_steps)
-        report, f_vals, recon, _ = clark_ocone_reconstruct(bm_integral(GRID, h), 5000, 18, return_paths=True)
+        report, f_vals, recon = clark_ocone_reconstruct(bm_integral(GRID, h), draw(5000, 18), return_paths=True)
         # the integrand part reconstructs exactly on a matched grid: the only
         # residual is the estimated mean, itself CLT-sized
         assert np.allclose(recon - f_vals, f_vals.mean(), atol=1e-12)
         assert report.l2_error < 1e-3
 
     def test_constant_exact(self):
-        report = clark_ocone_reconstruct(constant(2.0), 1000, 19, grid=GRID)
+        report = clark_ocone_reconstruct(constant(2.0), draw(1000, 19))
         assert report.l2_error == 0.0
 
     def test_bm_squared_against_ito_oracle(self):
         grid = TimeGrid(1.0, 200)
-        report, f_vals, recon, bundle = clark_ocone_reconstruct(bm_squared(grid), 50_000, 20, return_paths=True)
+        bundle = sample_noise(grid, NO_JUMPS, 50_000, 20)
+        report, f_vals, recon = clark_ocone_reconstruct(bm_squared(grid), bundle, return_paths=True)
         assert report.l2_error < 0.03
         # oracle: B(T)^2 = T + 2 int B dB, discretized on the same bundle
         B = bundle.brownian()
@@ -269,7 +274,7 @@ class TestClarkOcone:
 
     def test_jump_functional_rejected(self):
         with pytest.raises(JumpDependentFunctional):
-            clark_ocone_reconstruct(eta_squared(), 1000, 21)
+            clark_ocone_reconstruct(eta_squared(), draw(1000, 21))
 
 
 class TestConditionalDerivative:
@@ -287,3 +292,43 @@ class TestConditionalDerivative:
         truth = 2.0 * noise.brownian()[:, 50]
         rel = math.sqrt(np.mean((cond - truth) ** 2) / np.mean(truth**2))
         assert rel < 0.02
+
+    def test_jump_mode_shares_one_projector_per_step(self, monkeypatch):
+        # two atoms with stochastic derivatives: each column equals the fit on
+        # its own projector, bit for bit, and the step builds one projector
+        levy = LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])
+        F = eta_squared(levy=levy)
+        noise = draw(2000, 24, levy)
+        step = 40
+        expected = []
+        for zeta in levy.zetas:
+            d = hm_derivative(F, Jump(GRID.times()[step], float(zeta)))
+            assert not is_deterministic(d)
+            expected.append(StateProjector(state_features(noise, step)).fit(evaluate(d, noise)).fitted)
+        built = []
+
+        class CountingProjector(StateProjector):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(malliavin, "StateProjector", CountingProjector)
+        cond = conditional_derivative(F, noise, step, "jump")
+        assert cond.shape == (2000, 2)
+        assert not np.array_equal(expected[0], expected[1])
+        for k in range(2):
+            assert np.array_equal(cond[:, k], expected[k]), k
+        assert len(built) == 1
+
+
+class TestBundleChecks:
+    @pytest.mark.parametrize("other", [TimeGrid(1.0, 50), TimeGrid(2.0, 100)], ids=["n_steps", "horizon"])
+    def test_functional_on_another_grid_rejected(self, other):
+        with pytest.raises(ValueError, match="grid"):
+            check_duality(bm_squared(other), lambda b: b.brownian()[:, :-1], "brownian", draw(500, 25))
+        with pytest.raises(ValueError, match="grid"):
+            clark_ocone_reconstruct(bm_squared(other), draw(500, 25))
+
+    def test_clark_ocone_rejects_bundle_with_atoms(self):
+        with pytest.raises(ValueError, match="atoms"):
+            clark_ocone_reconstruct(bm_squared(), draw(500, 26, LEVY))

@@ -7,6 +7,7 @@ import pytest
 from smplab.errors import NonFiniteState, SingularJumpCoefficient
 from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, like
 from smplab.simulate import (
+    MAX_STEP_RATE,
     LinearCoefficients,
     dump_paths_csv,
     euler_forward,
@@ -89,6 +90,15 @@ class TestSampleNoise:
         cell = bundle.jump_counts[:, 37, 0]
         se = math.sqrt(rate / bundle.n_paths)
         assert abs(cell.mean() - rate) <= 5 * se
+
+    def test_step_rate_bound(self):
+        # int16 counts cannot wrap: at the bound the counts sit near lam dt,
+        # above it sampling is refused
+        grid = TimeGrid(1.0, 10)
+        at_bound = sample_noise(grid, LevyMeasure.from_pairs([(0.001, MAX_STEP_RATE * 10)]), 4, 1)
+        assert np.all(np.abs(at_bound.jump_counts - MAX_STEP_RATE) < 10 * math.sqrt(MAX_STEP_RATE))
+        with pytest.raises(ValueError):
+            sample_noise(grid, LevyMeasure.from_pairs([(0.001, 400_000.0)]), 4, 1)
 
     def test_jump_event_listing(self):
         bundle = sample_noise(GRID, ATOM, 200, 7)

@@ -167,24 +167,24 @@ class TestVariationalZ:
         noise = sample_noise(GRID, ATOM, 400, 34)
         base = OpenLoopLaw(np.full(100, 0.4))
         for mode in ("direct", "closed_form"):
-            Z = variational_Z(SpikeSpec(0.3, 0.2, 0.4), mode, coeffs, ATOM, noise, 1.0, base)
+            Z = variational_Z(SpikeSpec(0.3, 0.2, 0.4), mode, coeffs, euler_forward(coeffs, base, noise, 1.0))
             assert np.allclose(Z, 0.0, atol=1e-14)
 
     def test_lq_drift_only_integral(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 200, 35)
         base = OpenLoopLaw(np.zeros(100))
-        Z = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, NO_JUMPS, noise, 1.0, base)
+        Z = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
         assert np.allclose(Z[:, -1], 0.1, atol=1e-12)
-        Zc = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "closed_form", coeffs, NO_JUMPS, noise, 1.0, base)
+        Zc = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0))
         assert np.allclose(Z, Zc, atol=1e-12)
 
     def test_quadratic_scaling(self):
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 200, 36)
         base = OpenLoopLaw(np.zeros(100))
-        z_big = variational_Z(SpikeSpec(0.5, 0.2, 1.0), "direct", coeffs, NO_JUMPS, noise, 1.0, base)
-        z_small = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, NO_JUMPS, noise, 1.0, base)
+        z_big = variational_Z(SpikeSpec(0.5, 0.2, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
+        z_small = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
         ratio = np.mean(z_big[:, -1] ** 2) / np.mean(z_small[:, -1] ** 2)
         assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
 
@@ -194,7 +194,7 @@ class TestVariationalZ:
         base = OpenLoopLaw(np.zeros(100))
         seconds, sups = [], []
         for eps in (0.4, 0.2, 0.1, 0.05):
-            Z = variational_Z(SpikeSpec(0.5, eps, 1.0), "direct", coeffs, ATOM, noise, 1.0, base)
+            Z = variational_Z(SpikeSpec(0.5, eps, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
             seconds.append(float(np.mean(Z[:, -1] ** 2)))
             sups.append(float(np.abs(Z).max()))
         assert all(a >= b for a, b in zip(seconds, seconds[1:]))
@@ -213,8 +213,8 @@ class TestVariationalZ:
         grid = TimeGrid(1.0, 400)
         noise = sample_noise(grid, NO_JUMPS, 2000, 38)
         base = OpenLoopLaw(np.zeros(400))
-        Zd = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, NO_JUMPS, noise, 1.0, base)
-        Zc = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "closed_form", coeffs, NO_JUMPS, noise, 1.0, base)
+        Zd = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
+        Zc = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0))
         rel = np.sqrt(np.mean((Zd[:, -1] - Zc[:, -1]) ** 2) / np.mean(Zc[:, -1] ** 2))
         assert rel < 0.01
 
@@ -224,8 +224,8 @@ class TestVariationalZ:
         noise = sample_noise(GRID, ATOM, 3000, 39)
         base = OpenLoopLaw(np.zeros(100))
         spike = SpikeSpec(0.5, 0.1, 1.0)
-        Zd = variational_Z(spike, "direct", coeffs, ATOM, noise, 1.0, base)
-        Zc = variational_Z(spike, "closed_form", coeffs, ATOM, noise, 1.0, base)
+        Zd = variational_Z(spike, "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
+        Zc = variational_Z(spike, "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0))
         assert np.allclose(Zd, Zc, atol=1e-10)
         agreement = np.sqrt(np.mean((Zc[:, -1] - Zd[:, -1]) ** 2))
         assert agreement < 1e-10
@@ -246,7 +246,7 @@ class TestPartialsAlong:
         grid = TimeGrid(1.0, 20)
         noise = sample_noise(grid, levy, 300, 31)
         forward = euler_forward(coeffs, OpenLoopLaw(np.linspace(-0.5, 0.5, 20)), noise, x0)
-        part = partials_along(coeffs, levy, forward)
+        part = partials_along(coeffs, forward)
 
         times = grid.times()
         for name in ("f_x", "b_x", "sigma_x", "f_u", "b_u", "sigma_u"):
@@ -284,7 +284,7 @@ class TestAdjointFor:
         )
         noise = sample_noise(GRID, NO_JUMPS, 1000, 40)
         law = OpenLoopLaw(np.zeros(100))
-        triple = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0)
+        triple = adjoint_for(coeffs, euler_forward(coeffs, law, noise, 1.0))
         assert np.allclose(triple.p, 0.0, atol=1e-9)
         assert np.allclose(triple.q, 0.0, atol=1e-7)
 
@@ -306,7 +306,7 @@ class TestAdjointFor:
         )
         noise = sample_noise(GRID, NO_JUMPS, 2000, 41)
         law = OpenLoopLaw(np.zeros(100))
-        triple = adjoint_for(law, coeffs, NO_JUMPS, noise, 1.0)
+        triple = adjoint_for(coeffs, euler_forward(coeffs, law, noise, 1.0))
         expected = np.exp(c * (GRID.horizon - GRID.times()))
         assert np.abs(triple.p - expected[None, :]).max() < 1e-8
 
@@ -316,7 +316,7 @@ class TestNecessaryCondition:
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 40_000, 42)
         law = OpenLoopLaw(np.zeros(100))
-        verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.5], [1.0], [0.2, 0.1, 0.05])
+        verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [1.0], [0.2, 0.1, 0.05])
         stat = verdict.statistic[0, 0]
         assert abs(stat - (-1.0)) <= 5 * verdict.statistic_se[0, 0] + 0.01
         # common-noise quotient approaches the Hamiltonian increment
@@ -335,7 +335,7 @@ class TestNecessaryCondition:
         coeffs = affine_cost_coeffs(run_u=-0.6)
         noise = sample_noise(GRID, NO_JUMPS, 40_000, 43)
         law = OpenLoopLaw(np.zeros(100))
-        verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.5], [1.0], [0.4, 0.2, 0.1])
+        verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [1.0], [0.4, 0.2, 0.1])
         gaps = np.abs(verdict.diff_quotient[0, 0] - verdict.statistic[0, 0])
         assert gaps[-1] < 0.5 * gaps[0]
         assert verdict.passed == bool(verdict.statistic[0, 0] <= 3 * verdict.statistic_se[0, 0])
@@ -344,7 +344,7 @@ class TestNecessaryCondition:
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 20_000, 44)
         law = OpenLoopLaw(np.ones(100))
-        verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.5], [0.0], [0.2, 0.1])
+        verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [0.0], [0.2, 0.1])
         stat = verdict.statistic[0, 0]
         assert stat > 3 * verdict.statistic_se[0, 0]
         assert not verdict.passed
@@ -353,7 +353,7 @@ class TestNecessaryCondition:
         coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
         noise = sample_noise(GRID, NO_JUMPS, 2000, 45)
         law = OpenLoopLaw(np.zeros(100))
-        verdict = check_necessary_condition(law, coeffs, NO_JUMPS, noise, 1.0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1])
+        verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1])
         _write_json(tmp_path / "v.json", _plain(verdict))
         verdict.dump_csv(tmp_path / "v.csv")
         import csv
