@@ -38,12 +38,11 @@ from .model import (
     OpenLoopLaw,
     TimeGrid,
     build_lq_coefficients,
-    like,
+    polynomial_coefficients,
 )
 from .simulate import (
     MAX_STEP_RATE,
     LinearCoefficients,
-    NoiseBundle,
     dump_paths_csv,
     euler_forward,
     linear_closed_form,
@@ -112,13 +111,60 @@ _PARSERS = {
     "str": lambda raw, key: str(raw).strip(),
 }
 
-# Section schemas: key -> (type, default).
+# Functionals of [duality] and [clark_ocone]: name -> F(grid, levy).
+_FUNCTIONALS = {
+    "bm_squared": lambda grid, levy: Compose(square_map(), (bm_integral(grid, 1.0),)),
+    "bm_integral": lambda grid, levy: bm_integral(grid, 1.0),
+    "jump_squared": lambda grid, levy: Compose(
+        square_map(), (jump_integral(grid, levy, np.tile(levy.zetas, (grid.n_steps, 1))),)
+    ),
+    "constant": lambda grid, levy: constant(1.0),
+}
+_INTEGRANDS = {"brownian": ("brownian", "constant"), "jump": ("zeta", "constant")}
+_CONTROLS = ("zero", "constant")
+# Options that need one model family: (section, key, value) -> family.
+_NEEDS_FAMILY = {
+    ("experiment", "kind", "solve-lq"): "lq",
+    ("experiment", "kind", "convergence-study"): "linear",
+    ("simulate", "scheme", "closed-form"): "linear",
+    ("smp", "candidate", "lq-opt"): "lq",
+}
+
+# Model families: a builder and its arguments, each a [model] key, a literal
+# number, or a tuple of these.  The keys a row names (plus family, x0 and
+# atoms) are the keys the family reads; any other [model] key is an error.
+_FAMILIES = {
+    "lq": (build_lq_coefficients, {"sigma": "sigma", "gamma_scale": "gamma_scale"}),
+    "linear": (
+        polynomial_coefficients,
+        {
+            "b_poly": ("drift_const", "drift_x"),
+            "b_u": "drift_u",
+            "sigma_poly": ("diff_const", "diff_x"),
+            "sigma_u": "diff_u",
+            "gamma_poly": ("jump_const", "jump_x"),
+            "gamma_u": "jump_u",
+            "f_poly": (0.0, "run_cost_x"),
+            "f_u": "run_cost_u",
+            "g_poly": (0.0, "terminal_x"),
+            "control_set": ("u_min", "u_max"),
+        },
+    ),
+    "custom-polynomial": (
+        polynomial_coefficients,
+        {key: key for key in ("b_poly", "b_u", "sigma_poly", "sigma_u", "gamma_poly", "f_poly", "g_poly")}
+        | {"u_cost": 1.0, "control_set": ("u_min", "u_max")},
+    ),
+}
+
+# Section schemas: key -> (type, default); a tuple type is a string that must be
+# one of its values.
 _COMMON_SCHEMA = {
     "experiment": {"kind": ("str", None)},
     "grid": {"horizon": ("float", 1.0), "n_steps": ("int", 100)},
     "mc": {"n_paths": ("int", 10000), "seed": ("int", 1)},
     "model": {
-        "family": ("str", "lq"),
+        "family": (tuple(_FAMILIES), "lq"),
         "sigma": ("float", 0.1),
         "x0": ("float", 1.0),
         "atoms": ("atoms", []),
@@ -152,29 +198,33 @@ _COMMON_SCHEMA = {
 
 _EXPERIMENT_SCHEMA = {
     "simulate": {
-        "simulate": {"control": ("str", "zero"), "control_value": ("float", 0.0), "scheme": ("str", "euler")}
+        "simulate": {
+            "control": (_CONTROLS, "zero"),
+            "control_value": ("float", 0.0),
+            "scheme": (("euler", "closed-form"), "euler"),
+        }
     },
     "check-duality": {
         "duality": {
-            "functional": ("str", "bm_squared"),
-            "mode": ("str", "brownian"),
-            "integrand": ("str", "brownian"),
+            "functional": (tuple(_FUNCTIONALS), "bm_squared"),
+            "mode": (tuple(_INTEGRANDS), "brownian"),
+            "integrand": (("brownian", "zeta", "constant"), "brownian"),
             "integrand_value": ("float", 1.0),
         }
     },
     "clark-ocone": {
-        "clark_ocone": {"functional": ("str", "bm_squared"), "max_rel_error": ("float", 0.03)}
+        "clark_ocone": {"functional": (tuple(_FUNCTIONALS), "bm_squared"), "max_rel_error": ("float", 0.03)}
     },
     "solve-bsde": {
         "bsde": {
-            "control": ("str", "zero"),
+            "control": (_CONTROLS, "zero"),
             "control_value": ("float", 0.0),
             "max_rel_distance": ("float", 0.05),
         }
     },
     "check-smp": {
         "smp": {
-            "candidate": ("str", "zero"),
+            "candidate": (_CONTROLS + ("lq-opt",), "zero"),
             "candidate_value": ("float", 0.0),
             "tau_grid": ("float_list", [0.25, 0.5, 0.75]),
             "v_grid": ("float_list", [0.0, 0.5, 1.0]),
@@ -195,16 +245,19 @@ _EXPERIMENT_SCHEMA = {
 
 EXPERIMENTS = tuple(_EXPERIMENT_SCHEMA)
 
-# [model] keys each family reads; any other [model] key in a config is an error.
-_SHARED_MODEL_KEYS = ("family", "x0", "atoms")
-_FAMILY_KEYS = {
-    "lq": _SHARED_MODEL_KEYS + ("sigma", "gamma_scale"),
-    "linear": _SHARED_MODEL_KEYS
-    + ("drift_const", "drift_x", "drift_u", "diff_const", "diff_x", "diff_u", "jump_const", "jump_x", "jump_u")
-    + ("run_cost_x", "run_cost_u", "terminal_x", "u_min", "u_max"),
-    "custom-polynomial": _SHARED_MODEL_KEYS
-    + ("b_poly", "b_u", "sigma_poly", "sigma_u", "gamma_poly", "f_poly", "g_poly", "u_min", "u_max"),
-}
+def _form(cfg: dict) -> dict:
+    """Builder arguments of the configured family, read from its [model] keys."""
+    m = cfg["model"]
+    value = lambda item: m[item] if isinstance(item, str) else item
+    return {
+        arg: tuple(map(value, spec)) if isinstance(spec, tuple) else value(spec)
+        for arg, spec in _FAMILIES[m["family"]][1].items()
+    }
+
+
+def _family_keys(family: str) -> set:
+    items = [item for spec in _FAMILIES[family][1].values() for item in (spec if isinstance(spec, tuple) else (spec,))]
+    return {"family", "x0", "atoms"} | {item for item in items if isinstance(item, str)}
 
 
 def schema_for(kind: str) -> dict:
@@ -252,7 +305,7 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
             if section == "experiment" and key == "kind":
                 continue
             if key in given.get(section, {}):
-                resolved[section][key] = _PARSERS[typ](given[section][key], f"[{section}] {key}")
+                resolved[section][key] = _PARSERS.get(typ, _PARSERS["str"])(given[section][key], f"[{section}] {key}")
             else:
                 resolved[section][key] = default
 
@@ -263,7 +316,7 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
             resolved["mc"]["n_paths"] = int(overrides["n_paths"])
     _validate_resolved(resolved)
     family = resolved["model"]["family"]
-    stray = [key for key in given.get("model", {}) if key not in _FAMILY_KEYS[family]]
+    stray = [key for key in given.get("model", {}) if key not in _family_keys(family)]
     if stray:
         raise ConfigError(f"[model] {', '.join(stray)} not read by the {family!r} family")
     return resolved
@@ -278,12 +331,22 @@ def _validate_resolved(cfg: dict) -> None:
         raise ConfigError("[grid] n_steps must be >= 2")
     if cfg["basis"]["degree"] < 1:
         raise ConfigError("[basis] degree must be >= 1")
+    kind = cfg["experiment"]["kind"]
+    for section, keys in schema_for(kind).items():
+        for key, (typ, _) in keys.items():
+            if isinstance(typ, tuple) and cfg[section][key] not in typ:
+                raise ConfigError(f"[{section}] {key} must be one of {', '.join(typ)}, got {cfg[section][key]!r}")
+    if kind == "check-duality" and cfg["duality"]["integrand"] not in _INTEGRANDS[cfg["duality"]["mode"]]:
+        raise ConfigError(f"[duality] integrand {cfg['duality']['integrand']!r} does not apply in its mode")
     family = cfg["model"]["family"]
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown model family {family!r}")
     if cfg["model"]["u_min"] > cfg["model"]["u_max"]:
         raise ConfigError("[model] u_min must not exceed u_max")
-    kind = cfg["experiment"]["kind"]
+    for (section, key, value), needed in _NEEDS_FAMILY.items():
+        if cfg.get(section, {}).get(key) == value and family != needed:
+            raise ConfigError(f"[{section}] {key} = {value} needs the {needed!r} model family")
+    functionals = [cfg[section]["functional"] for section in ("duality", "clark_ocone") if section in cfg]
+    if "jump_squared" in functionals and not cfg["model"]["atoms"]:
+        raise ConfigError("functional 'jump_squared' needs at least one atom")
     if kind == "clark-ocone" and cfg["model"]["atoms"]:
         raise ConfigError("[model] atoms: clark-ocone reconstructs Brownian functionals and takes no atoms")
     step_counts = cfg["convergence"]["n_steps_list"] if kind == "convergence-study" else [cfg["grid"]["n_steps"]]
@@ -303,141 +366,34 @@ def _validate_resolved(cfg: dict) -> None:
 # Model families
 
 
-def _poly(coeffs):
-    c = np.asarray(coeffs, dtype=float)
-
-    def ev(x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), c)
-
-    return ev
-
-
-def _poly_deriv(coeffs):
-    return _poly(np.polynomial.polynomial.polyder(np.asarray(coeffs, dtype=float)))
-
-
 def build_model(cfg: dict) -> tuple[ControlledCoefficients, LevyMeasure, float]:
     """Instantiate the configured model family."""
     m = cfg["model"]
-    levy = LevyMeasure.from_pairs(m["atoms"])
-    x0 = m["x0"]
-    family = m["family"]
-
-    if family == "lq":
-        scale = m["gamma_scale"]
-        coeffs = build_lq_coefficients(m["sigma"], levy, lambda zeta: scale * zeta)
-        return coeffs, levy, x0
-
-    if family == "linear":
-        b0, b1, bu = m["drift_const"], m["drift_x"], m["drift_u"]
-        s0, s1, su = m["diff_const"], m["diff_x"], m["diff_u"]
-        j0, j1, ju = m["jump_const"], m["jump_x"], m["jump_u"]
-        fx, fu, gx = m["run_cost_x"], m["run_cost_u"], m["terminal_x"]
-        coeffs = ControlledCoefficients(
-            b=lambda t, x, u: b0 + b1 * np.asarray(x, dtype=float) + bu * np.asarray(u, dtype=float),
-            sigma=lambda t, x, u: s0 + s1 * np.asarray(x, dtype=float) + su * np.asarray(u, dtype=float),
-            gamma=lambda t, x, u, zeta: zeta * (j0 + j1 * np.asarray(x, dtype=float) + ju * np.asarray(u, dtype=float)),
-            f=lambda t, x, u: fx * np.asarray(x, dtype=float) + fu * np.asarray(u, dtype=float),
-            g=lambda x: gx * np.asarray(x, dtype=float),
-            b_x=lambda t, x, u: like(b1, x, u),
-            b_u=lambda t, x, u: like(bu, x, u),
-            sigma_x=lambda t, x, u: like(s1, x, u),
-            sigma_u=lambda t, x, u: like(su, x, u),
-            gamma_x=lambda t, x, u, zeta: like(zeta * j1, x, u),
-            gamma_u=lambda t, x, u, zeta: like(zeta * ju, x, u),
-            f_x=lambda t, x, u: like(fx, x, u),
-            f_u=lambda t, x, u: like(fu, x, u),
-            g_x=lambda x: np.full_like(np.asarray(x, dtype=float), gx),
-            control_set=(m["u_min"], m["u_max"]),
-        )
-        return coeffs, levy, x0
-
-    # custom-polynomial: drift/diffusion polynomial in x plus linear control,
-    # jump coefficient zeta * poly(x), quadratic control cost plus poly(x).
-    b_p, s_p, g_p = _poly(m["b_poly"]), _poly(m["sigma_poly"]), _poly(m["gamma_poly"])
-    b_d, s_d, g_d = _poly_deriv(m["b_poly"]), _poly_deriv(m["sigma_poly"]), _poly_deriv(m["gamma_poly"])
-    f_p, f_d = _poly(m["f_poly"]), _poly_deriv(m["f_poly"])
-    gg_p, gg_d = _poly(m["g_poly"]), _poly_deriv(m["g_poly"])
-    bu, su = m["b_u"], m["sigma_u"]
-    coeffs = ControlledCoefficients(
-        b=lambda t, x, u: b_p(x) + bu * np.asarray(u, dtype=float),
-        sigma=lambda t, x, u: s_p(x) + su * np.asarray(u, dtype=float),
-        gamma=lambda t, x, u, zeta: zeta * like(g_p(x), x, u),
-        f=lambda t, x, u: f_p(x) - 0.5 * np.asarray(u, dtype=float) ** 2,
-        g=lambda x: gg_p(x),
-        b_x=lambda t, x, u: like(b_d(x), x, u),
-        b_u=lambda t, x, u: like(bu, x, u),
-        sigma_x=lambda t, x, u: like(s_d(x), x, u),
-        sigma_u=lambda t, x, u: like(su, x, u),
-        gamma_x=lambda t, x, u, zeta: zeta * like(g_d(x), x, u),
-        gamma_u=lambda t, x, u, zeta: like(0.0, x, u),
-        f_x=lambda t, x, u: like(f_d(x), x, u),
-        f_u=lambda t, x, u: like(-np.asarray(u, dtype=float), x, u),
-        g_x=lambda x: gg_d(x),
-        control_set=(m["u_min"], m["u_max"]),
-    )
-    return coeffs, levy, x0
+    build = _FAMILIES[m["family"]][0]
+    return build(**_form(cfg)), LevyMeasure.from_pairs(m["atoms"]), m["x0"]
 
 
 def _linear_coefficients(cfg: dict, levy: LevyMeasure) -> LinearCoefficients:
-    """Closed-form coefficients of the uncontrolled 'linear' model family."""
-    m = cfg["model"]
-    return LinearCoefficients(
-        b0=m["drift_const"],
-        b1=m["drift_x"],
-        s0=m["diff_const"],
-        s1=m["diff_x"],
-        g0=levy.zetas * m["jump_const"] if levy.n_atoms else 0.0,
-        g1=levy.zetas * m["jump_x"] if levy.n_atoms else 0.0,
-    )
-
-
-def _lq_params(cfg: dict, noise: NoiseBundle, **iteration) -> LqParams:
-    """Constrained-LQ solver inputs from the [model] and [basis] blocks on the run's noise."""
-    return LqParams(
-        x0=cfg["model"]["x0"],
-        sigma=cfg["model"]["sigma"],
-        noise=noise,
-        gamma_map=lambda zeta: cfg["model"]["gamma_scale"] * zeta,
-        degree=cfg["basis"]["degree"],
-        **iteration,
-    )
+    """Closed-form coefficients of the 'linear' family's uncontrolled part, read from its row."""
+    form = _form(cfg)
+    (b0, b1), (s0, s1), (j0, j1) = form["b_poly"], form["sigma_poly"], form["gamma_poly"]
+    return LinearCoefficients(b0=b0, b1=b1, s0=s0, s1=s1, g0=levy.zetas * j0, g1=levy.zetas * j1)
 
 
 def _control_law(name: str, value: float, grid: TimeGrid) -> OpenLoopLaw:
-    if name == "zero":
-        return OpenLoopLaw(np.zeros(grid.n_steps))
-    if name == "constant":
-        return OpenLoopLaw(np.full(grid.n_steps, value))
-    raise ConfigError(f"unknown control {name!r}; expected 'zero' or 'constant'")
+    """The 'zero' or 'constant' open-loop control."""
+    return OpenLoopLaw(np.full(grid.n_steps, value if name == "constant" else 0.0))
 
 
-def _functional(name: str, grid: TimeGrid, levy: LevyMeasure):
-    if name == "bm_squared":
-        return Compose(square_map(), (bm_integral(grid, 1.0),))
-    if name == "bm_integral":
-        return bm_integral(grid, 1.0)
-    if name == "jump_squared":
-        if not levy.n_atoms:
-            raise ConfigError("functional 'jump_squared' needs at least one atom")
-        return Compose(square_map(), (jump_integral(grid, levy, np.tile(levy.zetas, (grid.n_steps, 1))),))
-    if name == "constant":
-        return constant(1.0)
-    raise ConfigError(f"unknown functional {name!r}")
-
-
-def _integrand(name: str, value: float, mode: str, levy: LevyMeasure):
-    if mode == "brownian":
-        if name == "brownian":
-            return lambda b: b.brownian()[:, :-1]
-        if name == "constant":
-            return lambda b: np.full((b.n_paths, b.grid.n_steps), value)
-        raise ConfigError(f"unknown Brownian integrand {name!r}")
+def _integrand(name: str, value: float, mode: str):
+    """The [duality] integrand of the noise bundle; ``name`` is one of ``_INTEGRANDS[mode]``."""
+    if name == "brownian":
+        return lambda b: b.brownian()[:, :-1]
     if name == "zeta":
         return lambda b: np.broadcast_to(b.levy.zetas[None, None, :], (b.n_paths, b.grid.n_steps, b.levy.n_atoms))
-    if name == "constant":
-        return lambda b: np.full((b.n_paths, b.grid.n_steps, b.levy.n_atoms), value)
-    raise ConfigError(f"unknown jump integrand {name!r}")
+    if mode == "brownian":
+        return lambda b: np.full((b.n_paths, b.grid.n_steps), value)
+    return lambda b: np.full((b.n_paths, b.grid.n_steps, b.levy.n_atoms), value)
 
 
 # --------------------------------------------------------------------------
@@ -466,12 +422,8 @@ def _run_simulate(cfg, out_dir: Path | None):
     if scheme == "euler":
         law = _control_law(cfg["simulate"]["control"], cfg["simulate"]["control_value"], grid)
         bundle = euler_forward(coeffs, law, noise, x0)
-    elif scheme == "closed-form":
-        if cfg["model"]["family"] != "linear":
-            raise ConfigError("the closed-form scheme needs the 'linear' model family")
-        bundle = linear_closed_form(_linear_coefficients(cfg, levy), noise, x0)
     else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
+        bundle = linear_closed_form(_linear_coefficients(cfg, levy), noise, x0)
     terminal = bundle.X[:, -1]
     payload = {
         "mean_terminal": float(terminal.mean()),
@@ -495,10 +447,8 @@ def _run_check_duality(cfg, out_dir: Path | None):
     _, levy, _ = build_model(cfg)
     d = cfg["duality"]
     mode = d["mode"]
-    if mode not in ("brownian", "jump"):
-        raise ConfigError(f"[duality] mode must be 'brownian' or 'jump', got {mode!r}")
-    F = _functional(d["functional"], grid, levy)
-    integrand = _integrand(d["integrand"], d["integrand_value"], mode, levy)
+    F = _FUNCTIONALS[d["functional"]](grid, levy)
+    integrand = _integrand(d["integrand"], d["integrand_value"], mode)
     noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
     report = check_duality(F, integrand, mode, noise, basis=PolynomialBasis(cfg["basis"]["degree"]))
     payload = _plain(report)
@@ -516,7 +466,7 @@ def _run_clark_ocone(cfg, out_dir: Path | None):
     grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
     levy = LevyMeasure.empty()
     c = cfg["clark_ocone"]
-    F = _functional(c["functional"], grid, levy)
+    F = _FUNCTIONALS[c["functional"]](grid, levy)
     noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
     report = clark_ocone_reconstruct(F, noise, basis=PolynomialBasis(cfg["basis"]["degree"]))
     ok = report.l2_error <= c["max_rel_error"]
@@ -567,9 +517,8 @@ def _run_check_smp(cfg, out_dir: Path | None):
     basis = PolynomialBasis(cfg["basis"]["degree"])
     s = cfg["smp"]
     if s["candidate"] == "lq-opt":
-        if cfg["model"]["family"] != "lq":
-            raise ConfigError("candidate 'lq-opt' needs the lq model family")
-        candidate = solve_constrained(_lq_params(cfg, noise)).feedback_law()
+        params = LqParams(x0=x0, coeffs=coeffs, noise=noise, degree=cfg["basis"]["degree"])
+        candidate = solve_constrained(params).feedback_law()
     else:
         candidate = _control_law(s["candidate"], s["candidate_value"], grid)
     verdict = check_necessary_condition(
@@ -590,11 +539,9 @@ def _run_check_smp(cfg, out_dir: Path | None):
 
 def _run_solve_lq(cfg, out_dir: Path | None):
     grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
-    if cfg["model"]["family"] != "lq":
-        raise ConfigError("solve-lq needs the lq model family")
-    _, levy, _ = build_model(cfg)
+    coeffs, levy, x0 = build_model(cfg)
     noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-    params = _lq_params(cfg, noise, **cfg["iteration"])
+    params = LqParams(x0=x0, coeffs=coeffs, noise=noise, degree=cfg["basis"]["degree"], **cfg["iteration"])
     sol = solve_constrained(params)
     comparison = compare_to_unconstrained(sol, params)
     payload = {
@@ -619,8 +566,6 @@ def _run_solve_lq(cfg, out_dir: Path | None):
 
 
 def _run_convergence_study(cfg, out_dir: Path | None):
-    if cfg["model"]["family"] != "linear":
-        raise ConfigError("convergence-study needs the 'linear' model family")
     coeffs, levy, x0 = build_model(cfg)
     lin = _linear_coefficients(cfg, levy)
     conv = cfg["convergence"]
@@ -715,7 +660,11 @@ def _canonical(payload) -> str:
 
 
 def replay(report_path) -> int:
-    """Re-run the embedded config and demand a bit-identical numeric payload."""
+    """Re-run the embedded config and demand a bit-identical numeric payload.
+
+    The embedded config is checked by the rules of a resolved config file
+    first, so a report edited to break one is a ConfigError.
+    """
     path = Path(report_path)
     if not path.is_file():
         raise ConfigError(f"report file {path} not found")
@@ -724,6 +673,7 @@ def replay(report_path) -> int:
             report = json.load(fh)
         cfg = report["config"]
         recorded = report["payload"]
+        _validate_resolved(cfg)
     except (json.JSONDecodeError, KeyError) as exc:
         raise ConfigError(f"report file {path} is not a valid run report: {exc}") from exc
     result = run(cfg, write=False)

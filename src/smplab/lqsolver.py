@@ -11,25 +11,25 @@ benchmark when the constraint stays inactive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .bsde import AdjointTriple, l2_dtP_norm, relative_l2_dtP
 from .malliavin import PolynomialBasis, StateProjector, mean_se
-from .model import FeedbackLaw, OpenLoopLaw, TimeGrid, build_lq_coefficients
+from .model import ControlledCoefficients, FeedbackLaw, OpenLoopLaw, TimeGrid
 from .simulate import NoiseBundle, euler_forward, write_csv
 from .smp import adjoint_for, performance_values
 
 
 @dataclass(frozen=True)
 class LqParams:
-    """Solver inputs; ``noise`` is the run's common noise, shared by every sweep."""
+    """Solver inputs: the LQ model ``coeffs`` (``build_lq_coefficients``), whose
+    Hamiltonian the Picard update u = clamp(p) maximizes pointwise, and the
+    run's common noise, shared by every sweep."""
 
     x0: float
-    sigma: float
+    coeffs: ControlledCoefficients
     noise: NoiseBundle
-    gamma_map: Callable[[float], float] = lambda zeta: zeta
     degree: int = 3
     max_iters: int = 80
     damping: float = 0.5
@@ -63,13 +63,12 @@ class LqSolution:
 def solve_constrained(params: LqParams) -> LqSolution:
     """Damped Picard iteration on the coupled state-adjoint system.
 
-    Starts from the zero control; each sweep regresses -X(T) on X(t_i) per
-    step for the adjoint and replaces the control by a damped mix with its
+    Starts from the zero control; each sweep regresses g_x(X(T)) = -X(T) on
+    X(t_i) per step for the adjoint and replaces the control by a damped mix with its
     projection onto the control set.  A run that exhausts max_iters returns
     the best iterate flagged unconverged rather than raising.
     """
-    noise = params.noise
-    coeffs = build_lq_coefficients(params.sigma, noise.levy, params.gamma_map)
+    noise, coeffs = params.noise, params.coeffs
     n_steps = noise.grid.n_steps
     dt = noise.grid.dt
     basis = PolynomialBasis(degree=params.degree)
@@ -79,7 +78,7 @@ def solve_constrained(params: LqParams) -> LqSolution:
     converged = False
     for _ in range(params.max_iters):
         X = euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0).X
-        terminal = -X[:, -1]
+        terminal = coeffs.g_x(X[:, -1])
         p = np.column_stack([StateProjector(X[:, i], basis).fit(terminal).fitted for i in range(n_steps)])
         u_next = (1.0 - params.damping) * u + params.damping * coeffs.clamp(p)
         residual = l2_dtP_norm(u_next - u, dt)
@@ -141,8 +140,7 @@ def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonRep
     (path, step) cells where the nonnegativity constraint binds, i.e. the
     adjoint is negative.
     """
-    noise = params.noise
-    coeffs = build_lq_coefficients(params.sigma, noise.levy, params.gamma_map)
+    noise, coeffs = params.noise, params.coeffs
     grid = noise.grid
 
     star_forward = euler_forward(coeffs, unconstrained_feedback_law(grid), noise, params.x0)

@@ -272,8 +272,8 @@ def validate_coefficients(coeffs: ControlledCoefficients, probe) -> ValidationRe
         ("gamma_u", coeffs.gamma, coeffs.gamma_u, 2, 4),
         ("f_x", coeffs.f, coeffs.f_x, 1, 3),
         ("f_u", coeffs.f, coeffs.f_u, 2, 3),
+        ("g_x", lambda t, x: coeffs.g(x), lambda t, x: coeffs.g_x(x), 1, 2),
     ]
-    min_gx = math.inf
     for name, fn, partial, index, arity in checks:
         worst = 0.0
         for t, x, u, zeta in probe:
@@ -286,16 +286,7 @@ def validate_coefficients(coeffs: ControlledCoefficients, probe) -> ValidationRe
             worst = max(worst, float(abs(fd - exact) / max(1.0, abs(exact))))
         report.discrepancies[name] = worst
 
-    worst = 0.0
-    for t, x, u, zeta in probe:
-        exact = np.asarray(coeffs.g_x(x), dtype=float)
-        _check_finite("g_x", exact)
-        h = _FD_STEP * max(1.0, abs(x))
-        fd = (coeffs.g(x + h) - coeffs.g(x - h)) / (2.0 * h)
-        _check_finite("g_x (finite difference)", fd)
-        worst = max(worst, float(abs(fd - exact) / max(1.0, abs(exact))))
-        min_gx = min(min_gx, 1.0 + float(coeffs.gamma_x(t, x, u, zeta)))
-    report.discrepancies["g_x"] = worst
+    min_gx = min(1.0 + float(coeffs.gamma_x(t, x, u, zeta)) for t, x, u, zeta in probe)
 
     # Empirical Lipschitz-in-x constant over probe pairs, aggregating drift,
     # diffusion and jump coefficients the way the model regularity bound does.
@@ -325,33 +316,92 @@ def like(value, x, u) -> np.ndarray:
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
-def build_lq_coefficients(sigma: float, levy: LevyMeasure, gamma_map: Callable[[float], float]) -> ControlledCoefficients:
-    """Linear-quadratic model: dX = u dt + sigma dB + jumps, cost -u^2/2, payoff -x^2/2.
+def _horner(c, x):
+    """sum_k c[k] x**k by Horner's rule; zero coefficients are skipped, not added."""
+    acc = c[-1]
+    for ck in c[-2::-1]:
+        acc = acc * x
+        if ck:
+            acc = ck + acc
+    return acc
 
-    The control set is [0, inf); the jump coefficient depends on the jump
-    size only.
-    """
-    sigma = float(sigma)
-    if not math.isfinite(sigma):
-        raise ValueError("sigma must be finite")
-    for zeta in levy.zetas:
-        if not math.isfinite(float(gamma_map(zeta))):
-            raise ValueError(f"gamma_map not finite at atom {zeta}")
 
+def _term_map(poly, slope=0.0, quad=0.0, scaled=False):
+    """Map (t, x, u) -> poly(x) + slope u + quad u**2 broadcast over x and u; a ``scaled``
+    map is (t, x, u, zeta) -> zeta times that.  A zero term is never evaluated, and a map
+    constant in (x, u) returns a read-only ``like`` view."""
+    c = tuple(np.trim_zeros(np.asarray(poly, dtype=float), "b"))
+    if len(c) <= 1 and not slope and not quad:
+        value = c[0] if c else 0.0
+        return (lambda t, x, u, zeta: like(zeta * value, x, u)) if scaled else (lambda t, x, u: like(value, x, u))
+
+    def ev(t, x, u):
+        u = np.asarray(u, dtype=float)
+        terms = [_horner(c, np.asarray(x, dtype=float))] if c else []
+        if slope:
+            terms.append(slope * u)
+        if quad:
+            terms.append(quad * u**2)
+        return like(sum(terms[1:], terms[0]), x, u)
+
+    return (lambda t, x, u, zeta: zeta * ev(t, x, u)) if scaled else ev
+
+
+def polynomial_coefficients(
+    b_poly=(),
+    b_u=0.0,
+    sigma_poly=(),
+    sigma_u=0.0,
+    gamma_poly=(),
+    gamma_u=0.0,
+    f_poly=(),
+    f_u=0.0,
+    u_cost=0.0,
+    g_poly=(),
+    control_set=(-math.inf, math.inf),
+) -> ControlledCoefficients:
+    """The one model form of every family; the control enters drift, diffusion and jumps:
+
+        b = B(x) + b_u u,   sigma = S(x) + sigma_u u,   gamma = zeta (G(x) + gamma_u u),
+        f = F(x) + f_u u - (u_cost / 2) u**2,   g = Gp(x),
+
+    with B, S, G, F, Gp = ``b_poly``, ``sigma_poly``, ``gamma_poly``, ``f_poly``, ``g_poly``
+    (constant term first) and exact partials (``polyder``).  Decided from the values at build
+    time: a zero term is never evaluated, and a map or partial constant in (x, u) is a
+    read-only ``like`` view."""
+    coefficients = (b_poly, b_u, sigma_poly, sigma_u, gamma_poly, gamma_u, f_poly, f_u, u_cost, g_poly)
+    if not all(np.all(np.isfinite(np.asarray(a, dtype=float))) for a in coefficients):
+        raise ValueError(f"model coefficients must be finite, got {coefficients}")
+    d = np.polynomial.polynomial.polyder
+    payoff, payoff_x = _term_map(g_poly), _term_map(d(g_poly))
     return ControlledCoefficients(
-        b=lambda t, x, u: like(u, x, u),
-        sigma=lambda t, x, u: like(sigma, x, u),
-        gamma=lambda t, x, u, zeta: like(float(gamma_map(zeta)), x, u),
-        f=lambda t, x, u: like(-0.5 * np.asarray(u, dtype=float) ** 2, x, u),
-        g=lambda x: -0.5 * np.asarray(x, dtype=float) ** 2,
-        b_x=lambda t, x, u: like(0.0, x, u),
-        b_u=lambda t, x, u: like(1.0, x, u),
-        sigma_x=lambda t, x, u: like(0.0, x, u),
-        sigma_u=lambda t, x, u: like(0.0, x, u),
-        gamma_x=lambda t, x, u, zeta: like(0.0, x, u),
-        gamma_u=lambda t, x, u, zeta: like(0.0, x, u),
-        f_x=lambda t, x, u: like(0.0, x, u),
-        f_u=lambda t, x, u: like(-np.asarray(u, dtype=float), x, u),
-        g_x=lambda x: -np.asarray(x, dtype=float),
+        b=_term_map(b_poly, b_u),
+        sigma=_term_map(sigma_poly, sigma_u),
+        gamma=_term_map(gamma_poly, gamma_u, scaled=True),
+        f=_term_map(f_poly, f_u, -0.5 * u_cost),
+        g=lambda x: payoff(None, x, x),
+        b_x=_term_map(d(b_poly)),
+        b_u=_term_map((b_u,)),
+        sigma_x=_term_map(d(sigma_poly)),
+        sigma_u=_term_map((sigma_u,)),
+        gamma_x=_term_map(d(gamma_poly), scaled=True),
+        gamma_u=_term_map((gamma_u,), scaled=True),
+        f_x=_term_map(d(f_poly)),
+        f_u=_term_map((f_u,), -u_cost),
+        g_x=lambda x: payoff_x(None, x, x),
+        control_set=(float(control_set[0]), float(control_set[1])),
+    )
+
+
+def build_lq_coefficients(sigma: float, gamma_scale: float = 1.0) -> ControlledCoefficients:
+    """Linear-quadratic model dX = u dt + sigma dB + gamma_scale zeta (dN - lam dt), reward
+    -u^2/2, payoff -x^2/2, controls in [0, inf): the polynomial form with B = 0, b_u = 1,
+    S = (sigma,), G = (gamma_scale,), u_cost = 1, Gp = (0, 0, -1/2)."""
+    return polynomial_coefficients(
+        b_u=1.0,
+        sigma_poly=(sigma,),
+        gamma_poly=(gamma_scale,),
+        u_cost=1.0,
+        g_poly=(0.0, 0.0, -0.5),
         control_set=(0.0, math.inf),
     )

@@ -138,7 +138,7 @@ def test_criterion_06_cross_solver_equivalence():
 
     grid = TimeGrid(1.0, 100)
     levy = LevyMeasure.empty()
-    coeffs = build_lq_coefficients(0.1, levy, lambda z: z)
+    coeffs = build_lq_coefficients(0.1)
     noise = sample_noise(grid, levy, 100_000, 77)
     law = OpenLoopLaw(np.zeros(100))
     forward = euler_forward(coeffs, law, noise, 1.0)
@@ -152,16 +152,18 @@ def test_criterion_07_constrained_lq():
     started = time.perf_counter()
     grid = TimeGrid(1.0, 100)
     # (a) x0 = 1: constraint binds, control norm < 0.05
-    params_a = LqParams(x0=1.0, sigma=0.1, noise=sample_noise(grid, LevyMeasure.empty(), 20_000, 201))
+    lq = build_lq_coefficients(0.1)
+    params_a = LqParams(x0=1.0, coeffs=lq, noise=sample_noise(grid, LevyMeasure.empty(), 20_000, 201))
     sol_a = solve_constrained(params_a)
     norm_a = l2_dtP_norm(sol_a.u_values, grid.dt)
     # (b) x0 = -1: within 5% of the unconstrained feedback law
-    params_b = LqParams(x0=-1.0, sigma=0.1, noise=sample_noise(grid, LevyMeasure.empty(), 20_000, 202))
+    params_b = LqParams(x0=-1.0, coeffs=lq, noise=sample_noise(grid, LevyMeasure.empty(), 20_000, 202))
     sol_b = solve_constrained(params_b)
     rep_b = compare_to_unconstrained(sol_b, params_b)
     # (c) deterministic: sigma = 0, N = 1000, distance < 1e-3
     grid_c = TimeGrid(1.0, 1000)
-    params_c = LqParams(x0=-1.0, sigma=0.0, noise=sample_noise(grid_c, LevyMeasure.empty(), 64, 203), tol=1e-8)
+    noise_c = sample_noise(grid_c, LevyMeasure.empty(), 64, 203)
+    params_c = LqParams(x0=-1.0, coeffs=build_lq_coefficients(0.0), noise=noise_c, tol=1e-8)
     sol_c = solve_constrained(params_c)
     rep_c = compare_to_unconstrained(sol_c, params_c)
     elapsed = time.perf_counter() - started
@@ -185,11 +187,11 @@ def test_criterion_07_constrained_lq():
 def test_criterion_08_maximum_principle_verdict():
     grid = TimeGrid(1.0, 100)
     levy = LevyMeasure.empty()
-    coeffs = build_lq_coefficients(0.1, levy, lambda z: z)
+    coeffs = build_lq_coefficients(0.1)
     noise = sample_noise(grid, levy, 20_000, 301)
     taus, vs, eps = [0.25, 0.5, 0.75], [0.0, 0.5, 1.0], [0.2, 0.1, 0.05]
     # converged constrained solution passes on the 3x3 grid
-    params = LqParams(x0=1.0, sigma=0.1, noise=noise)
+    params = LqParams(x0=1.0, coeffs=coeffs, noise=noise)
     sol = solve_constrained(params)
     law = OpenLoopLaw(sol.u_values)
     verdict_opt = check_necessary_condition(law, coeffs, noise, 1.0, taus, vs, eps)
@@ -209,7 +211,7 @@ def test_criterion_08_maximum_principle_verdict():
 def test_criterion_09_spike_gateaux_consistency():
     grid = TimeGrid(1.0, 100)
     levy = LevyMeasure.empty()
-    coeffs = build_lq_coefficients(0.1, levy, lambda z: z)
+    coeffs = build_lq_coefficients(0.1)
     noise = sample_noise(grid, levy, 40_000, 401)
     law = OpenLoopLaw(np.zeros(100))
     verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [1.0], [0.2, 0.1, 0.05])

@@ -66,7 +66,7 @@ class TestSolveLinearExplicit:
         assert math.sqrt(np.mean((triple.q - 1.0) ** 2)) < 0.03
 
     def test_lq_adjoint_is_negated_conditional_terminal(self):
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 50_000, 4)
         law = OpenLoopLaw(np.zeros(100))
         triple = adjoint_for(coeffs, euler_forward(coeffs, law, noise, 1.0))
@@ -103,7 +103,7 @@ class TestSolveRegression:
         assert abs(triple.p[0, 0] - math.exp(a)) < 1e-3
 
     def test_cross_solver_equivalence_lq(self):
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 8)
         law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
@@ -117,7 +117,7 @@ class TestSolveRegression:
         # stochastic weight process
         from smplab.model import ControlledCoefficients, like
 
-        lq = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        lq = build_lq_coefficients(0.1)
         coeffs = ControlledCoefficients(
             **{
                 **lq.__dict__,
@@ -213,7 +213,7 @@ class TestExtractQr:
         # taken at the scale of the p increments (the regression-compensated
         # residual is nearly deterministic, so its own spread is not a
         # meaningful noise floor)
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 16)
         law = OpenLoopLaw(np.zeros(100))
         triple = adjoint_for(coeffs, euler_forward(coeffs, law, noise, 1.0))

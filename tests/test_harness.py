@@ -6,7 +6,10 @@ import pytest
 
 from smplab.cli import main
 from smplab.errors import ConfigError, ReplayMismatch
-from smplab.harness import build_model, parse_config, replay, run, schema_for
+from smplab.harness import _family_keys, build_model, parse_config, replay, run, schema_for
+from smplab.model import OpenLoopLaw, TimeGrid, validate_coefficients
+from smplab.simulate import euler_forward, sample_noise
+from smplab.smp import partials_along
 
 BASE = """
 [experiment]
@@ -95,6 +98,20 @@ class TestConfigParsing:
             ),
             ("clark-ocone", "\n[model]\natoms = 0.2:3.0\n", "1.0"),
             ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 1, 2\n", "1.0"),
+            ("simulate", "\n[simulate]\ncontrol = bogus\n", "1.0"),
+            ("simulate", "\n[simulate]\nscheme = milstein\n", "1.0"),
+            ("simulate", "\n[simulate]\nscheme = closed-form\n", "1.0"),
+            ("check-duality", "\n[duality]\nfunctional = bogus\n", "1.0"),
+            ("check-duality", "\n[duality]\nmode = bogus\n", "1.0"),
+            ("check-duality", "\n[duality]\nintegrand = zeta\n", "1.0"),
+            ("check-duality", "\n[model]\natoms = 0.2:1.0\n[duality]\nmode = jump\nintegrand = brownian\n", "1.0"),
+            ("check-duality", "\n[duality]\nfunctional = jump_squared\nmode = jump\nintegrand = zeta\n", "1.0"),
+            ("clark-ocone", "\n[clark_ocone]\nfunctional = bogus\n", "1.0"),
+            ("solve-bsde", "\n[bsde]\ncontrol = bogus\n", "1.0"),
+            ("check-smp", "\n[smp]\ncandidate = bogus\n", "1.0"),
+            ("check-smp", "\n[model]\nfamily = linear\n[smp]\ncandidate = lq-opt\n", "1.0"),
+            ("solve-lq", "\n[model]\nfamily = linear\n", "1.0"),
+            ("convergence-study", "", "1.0"),
         ],
         ids=[
             "nan-horizon",
@@ -108,6 +125,20 @@ class TestConfigParsing:
             "jump-rate-above-bound-on-study-grid",
             "clark-ocone-atoms",
             "study-grid-below-two-steps",
+            "unknown-control",
+            "unknown-scheme",
+            "closed-form-on-lq",
+            "unknown-functional",
+            "unknown-mode",
+            "jump-integrand-in-brownian-mode",
+            "brownian-integrand-in-jump-mode",
+            "jump-squared-without-atoms",
+            "unknown-clark-ocone-functional",
+            "unknown-bsde-control",
+            "unknown-candidate",
+            "lq-opt-on-linear",
+            "solve-lq-on-linear",
+            "convergence-study-on-lq",
         ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, horizon):
@@ -144,7 +175,88 @@ class TestConfigParsing:
         assert not out.exists()
 
 
+# family -> [model] block with a nonzero value in every key the family reads,
+# and the model it states at (x, u, zeta): (b, sigma, gamma, f, g) and the control set
+FAMILY_MODELS = {
+    "lq": (
+        "sigma = 0.3\ngamma_scale = 0.7\nx0 = 0.5\natoms = -0.1:0.5\n",
+        lambda x, u, z: (u, 0.3, 0.7 * z, -0.5 * u * u, -0.5 * x * x),
+        (0.0, math.inf),
+    ),
+    "linear": (
+        "drift_const = 0.1\ndrift_x = 0.05\ndrift_u = 0.4\ndiff_const = 0.2\ndiff_x = 0.1\ndiff_u = 0.3\n"
+        "jump_const = 0.3\njump_x = 0.5\njump_u = 0.2\nrun_cost_x = 0.6\nrun_cost_u = -0.2\nterminal_x = 1.5\n"
+        "u_min = -0.5\nu_max = 0.8\nx0 = 0.5\natoms = -0.1:0.5\n",
+        lambda x, u, z: (
+            0.1 + 0.05 * x + 0.4 * u,
+            0.2 + 0.1 * x + 0.3 * u,
+            z * (0.3 + 0.5 * x + 0.2 * u),
+            0.6 * x - 0.2 * u,
+            1.5 * x,
+        ),
+        (-0.5, 0.8),
+    ),
+    "custom-polynomial": (
+        "b_poly = 0.1, 0.2, -0.05\nb_u = 1.5\nsigma_poly = 0.3, 0.1\nsigma_u = 0.2\ngamma_poly = 0.2, 0.3, 0.1\n"
+        "f_poly = 0.1, 0.2, -0.3\ng_poly = 0.4, -1.0, -0.5\nu_min = -0.5\nu_max = 0.8\nx0 = 0.5\natoms = -0.1:0.5\n",
+        lambda x, u, z: (
+            0.1 + 0.2 * x - 0.05 * x * x + 1.5 * u,
+            0.3 + 0.1 * x + 0.2 * u,
+            z * (0.2 + 0.3 * x + 0.1 * x * x),
+            0.1 + 0.2 * x - 0.3 * x * x - 0.5 * u * u,
+            0.4 - x - 0.5 * x * x,
+        ),
+        (-0.5, 0.8),
+    ),
+}
+
+# lq and its custom-polynomial restatement, run on one noise
+LQ_BLOCK = "\n[model]\nfamily = lq\nsigma = 0.1\ngamma_scale = 0.5\natoms = 0.2:1.0\n"
+RESTATED_BLOCK = (
+    "\n[model]\nfamily = custom-polynomial\nsigma_poly = 0.1\ngamma_poly = 0.5\nb_u = 1\n"
+    "g_poly = 0, 0, -0.5\nu_min = 0\natoms = 0.2:1.0\n"
+)
+RESTATEMENT_RUNS = {
+    "simulate": "\n[simulate]\ncontrol = constant\ncontrol_value = 0.3\n",
+    "solve-bsde": "",
+    "check-smp": "\n[smp]\ncandidate = constant\ncandidate_value = 0.3\ntau_grid = 0.25, 0.5\nv_grid = 0.0, 1.0\n"
+    "eps_grid = 0.2, 0.1\n",
+}
+
+
 class TestBuildModel:
+    @pytest.mark.parametrize("family", sorted(FAMILY_MODELS))
+    def test_every_key_reaches_the_model(self, tmp_path, family):
+        block, expected, control_set = FAMILY_MODELS[family]
+        keys = {line.split(" = ")[0] for line in block.splitlines()}
+        assert keys | {"family"} == _family_keys(family)
+        path = write_config(tmp_path, "simulate", extra=f"\n[model]\nfamily = {family}\n{block}")
+        coeffs, levy, x0 = build_model(parse_config(path))
+        assert (levy.atoms, x0, coeffs.control_set) == (((-0.1, 0.5),), 0.5, control_set)
+        x, u, z = 0.7, 0.3, -0.1
+        got = (coeffs.b(0.0, x, u), coeffs.sigma(0.0, x, u), coeffs.gamma(0.0, x, u, z), coeffs.f(0.0, x, u), coeffs.g(x))
+        assert [float(v) for v in got] == pytest.approx(expected(x, u, z), rel=1e-12, abs=1e-15)
+        probes = [(0.0, x, u, z) for x in (-1.0, 0.5, 1.2) for u in (0.1, 0.3)]
+        assert validate_coefficients(coeffs, probes).passed
+
+    def test_lq_partials_are_zero_stride_views(self, tmp_path):
+        path = write_config(tmp_path, "simulate", extra="\n[model]\nfamily = lq\natoms = 0.2:1.0\n")
+        coeffs, levy, x0 = build_model(parse_config(path))
+        grid = TimeGrid(1.0, 40)
+        forward = euler_forward(coeffs, OpenLoopLaw(np.full(40, 0.3)), sample_noise(grid, levy, 200, 5), x0)
+        part = partials_along(coeffs, forward)
+        for name in ("b_x", "b_u", "sigma_x", "sigma_u", "f_x"):
+            assert getattr(part, name).strides == (0, 0), name
+
+    @pytest.mark.parametrize("kind", sorted(RESTATEMENT_RUNS))
+    def test_lq_and_its_polynomial_restatement_agree(self, tmp_path, kind):
+        payloads = []
+        for name, block in (("lq.ini", LQ_BLOCK), ("poly.ini", RESTATED_BLOCK)):
+            extra = block + RESTATEMENT_RUNS[kind]
+            path = write_config(tmp_path, kind, extra=extra, n_steps=20, n_paths=3000, seed=5, name=name)
+            payloads.append(json.dumps(run(parse_config(path), write=False).report["payload"], sort_keys=True))
+        assert payloads[0] == payloads[1]
+
     def test_linear_family_partials_validate(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -153,8 +265,6 @@ class TestBuildModel:
         )
         cfg = parse_config(path)
         coeffs, levy, x0 = build_model(cfg)
-        from smplab.model import validate_coefficients
-
         report = validate_coefficients(coeffs, [(0.0, 1.0, 0.3, -0.1), (0.5, -1.0, 0.1, -0.1)])
         assert report.passed
 
@@ -168,8 +278,6 @@ class TestBuildModel:
         coeffs, levy, x0 = build_model(cfg)
         assert float(coeffs.b(0.0, 2.0, 1.0)) == pytest.approx(0.1 + 0.4 + 1.0)
         assert float(coeffs.g_x(3.0)) == pytest.approx(-1.0)
-        from smplab.model import validate_coefficients
-
         report = validate_coefficients(coeffs, [(0.0, 0.5, 0.2, 0.1)])
         assert report.passed
 
@@ -186,6 +294,23 @@ class TestRunAndReplay:
         assert (tmp_path / "out" / "summary.txt").exists()
         assert (tmp_path / "out" / "duality.json").exists()
         assert replay(result.report_path) == 0
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("model", "atoms", [[0.001, 4000000.0]]), ("mc", "n_paths", 0), ("model", "family", "nope")],
+        ids=["jump-rate-above-bound", "no-paths", "unknown-family"],
+    )
+    def test_replay_validates_embedded_config(self, tmp_path, section, key, value):
+        extra = "\n[model]\natoms = 0.2:1.0\n\n[duality]\nfunctional = jump_squared\nmode = jump\nintegrand = zeta\n"
+        path = write_config(tmp_path, "check-duality", extra=extra, n_paths=500)
+        out = tmp_path / "out"
+        run(parse_config(path), out_dir=out)
+        blob = json.load(open(out / "report.json"))
+        blob["config"][section][key] = value
+        json.dump(blob, open(out / "report.json", "w"))
+        with pytest.raises(ConfigError):
+            replay(out / "report.json")
+        assert main(["replay", str(out / "report.json")]) == 2
 
     def test_reports_are_strict_json(self, tmp_path):
         extra = "\n[duality]\nfunctional = bm_squared\nmode = brownian\nintegrand = brownian\n"

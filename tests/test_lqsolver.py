@@ -26,7 +26,7 @@ NO_JUMPS = LevyMeasure.empty()
 
 
 def params(levy=NO_JUMPS, grid=GRID, n_paths=20_000, seed=201, **overrides):
-    base = dict(x0=1.0, sigma=0.1, noise=sample_noise(grid, levy, n_paths, seed))
+    base = dict(x0=1.0, coeffs=build_lq_coefficients(0.1), noise=sample_noise(grid, levy, n_paths, seed))
     base.update(overrides)
     return LqParams(**base)
 
@@ -54,7 +54,7 @@ class TestClosedFormUnconstrained:
 
 class TestSolveConstrained:
     def test_degenerate_zero_problem(self):
-        p = params(x0=0.0, sigma=0.0, n_paths=64, tol=1e-10)
+        p = params(x0=0.0, coeffs=build_lq_coefficients(0.0), n_paths=64, tol=1e-10)
         sol = solve_constrained(p)
         assert sol.converged
         assert len(sol.residual_history) == 1
@@ -79,7 +79,7 @@ class TestSolveConstrained:
 
     def test_deterministic_limit(self):
         grid = TimeGrid(1.0, 1000)
-        p = params(x0=-1.0, sigma=0.0, grid=grid, n_paths=64, seed=203, tol=1e-8)
+        p = params(x0=-1.0, coeffs=build_lq_coefficients(0.0), grid=grid, n_paths=64, seed=203, tol=1e-8)
         sol = solve_constrained(p)
         assert sol.converged
         report = compare_to_unconstrained(sol, p)
@@ -96,7 +96,7 @@ class TestSolveConstrained:
     def test_improvement_over_zero_control(self):
         p = params(x0=-1.0, seed=205)
         sol = solve_constrained(p)
-        coeffs = build_lq_coefficients(p.sigma, p.noise.levy, p.gamma_map)
+        coeffs = p.coeffs
         noise = p.noise
         j_hat = performance_values(OpenLoopLaw(sol.u_values), coeffs, noise, p.x0)
         j_zero = performance_values(OpenLoopLaw(np.zeros(GRID.n_steps)), coeffs, noise, p.x0)
@@ -129,7 +129,7 @@ class TestSolveConstrained:
     def test_optimality_cross_check(self):
         p = params(x0=1.0, seed=209)
         sol = solve_constrained(p)
-        coeffs = build_lq_coefficients(p.sigma, p.noise.levy, p.gamma_map)
+        coeffs = p.coeffs
         noise = p.noise
         law = OpenLoopLaw(sol.u_values)
         verdict = check_necessary_condition(law, coeffs, noise, p.x0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1])
@@ -138,7 +138,7 @@ class TestSolveConstrained:
     def test_out_of_sample_feedback_law(self):
         p = params(x0=-1.0, seed=210)
         sol = solve_constrained(p)
-        coeffs = build_lq_coefficients(p.sigma, p.noise.levy, p.gamma_map)
+        coeffs = p.coeffs
         fresh = sample_noise(GRID, p.noise.levy, 5000, 999)
         fw = euler_forward(coeffs, sol.feedback_law(), fresh, p.x0)
         star = euler_forward(coeffs, unconstrained_feedback_law(GRID), fresh, p.x0)
@@ -150,7 +150,7 @@ class TestSolveConstrained:
         levy = LevyMeasure.from_pairs([(-0.1, 0.5)])
         p = params(levy=levy, x0=-1.0, seed=212, n_paths=2000)
         sol = solve_constrained(p)
-        coeffs = build_lq_coefficients(p.sigma, levy, p.gamma_map)
+        coeffs = p.coeffs
         basis = PolynomialBasis(degree=p.degree)
         triple = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0), basis)
         for name in ("p", "q", "r"):

@@ -91,7 +91,7 @@ class TestLevyMeasure:
 
 class TestValidateCoefficients:
     def test_lq_passes_with_zero_discrepancy(self):
-        coeffs = build_lq_coefficients(0.1, LevyMeasure.from_pairs([(0.2, 1.0)]), lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         report = validate_coefficients(coeffs, PROBES)
         assert report.passed
         assert report.max_discrepancy == pytest.approx(0.0, abs=1e-10)
@@ -99,7 +99,7 @@ class TestValidateCoefficients:
 
     def test_misspecified_partial_fails(self):
         # b = u with b_u claimed to be 0: discrepancy ~ 1
-        coeffs = build_lq_coefficients(0.1, LevyMeasure.empty(), lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         broken = ControlledCoefficients(
             **{**coeffs.__dict__, "b_u": lambda t, x, u: like(0.0, x, u)}
         )
@@ -131,7 +131,7 @@ class TestValidateCoefficients:
             validate_coefficients(bad, PROBES)
 
     def test_probe_outside_control_set_rejected(self):
-        coeffs = build_lq_coefficients(0.1, LevyMeasure.empty(), lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         with pytest.raises(ValueError):
             validate_coefficients(coeffs, [(0.0, 0.0, -1.0, 0.1)])
 
@@ -147,7 +147,7 @@ class TestValidateCoefficients:
 
 class TestBuildLq:
     def test_pinned_values(self):
-        coeffs = build_lq_coefficients(0.1, LevyMeasure.empty(), lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         assert float(coeffs.b(0.0, 0.0, 3.0)) == 3.0
         assert float(coeffs.f(0.0, 0.0, 2.0)) == -2.0
         assert float(coeffs.g(4.0)) == -8.0
@@ -161,13 +161,12 @@ class TestBuildLq:
     ), min_size=1, max_size=6))
     @settings(max_examples=25, deadline=None)
     def test_always_passes_validation(self, probes):
-        levy = LevyMeasure.from_pairs([(0.2, 1.0), (-0.1, 0.5)])
-        coeffs = build_lq_coefficients(0.5, levy, lambda z: 0.3 * z)
+        coeffs = build_lq_coefficients(0.5, 0.3)
         assert validate_coefficients(coeffs, probes).passed
 
     def test_rejects_non_finite_sigma(self):
         with pytest.raises(ValueError):
-            build_lq_coefficients(math.nan, LevyMeasure.empty(), lambda z: z)
+            build_lq_coefficients(math.nan)
 
 
 class TestControlLaws:

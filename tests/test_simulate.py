@@ -118,13 +118,13 @@ class TestEulerForward:
         assert np.all(pb.X == 0.0)
 
     def test_unit_drift(self):
-        coeffs = build_lq_coefficients(0.0, LevyMeasure.empty(), lambda z: z)
+        coeffs = build_lq_coefficients(0.0)
         noise = sample_noise(GRID, LevyMeasure.empty(), 16, 1)
         pb = euler_forward(coeffs, OpenLoopLaw(np.ones(100)), noise, 0.0)
         assert pb.X[:, -1] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_control_martingale(self):
-        coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 50_000, 5)
         pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(100)), noise, 1.0)
         terminal = pb.X[:, -1]
@@ -244,7 +244,7 @@ class TestGammaProcess:
 
     def test_lq_model_gives_unit_weight(self):
         # all state partials vanish in the LQ model
-        coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 25, 3)
         pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(100)), noise, 1.0)
         t0 = GRID.times()[0]
@@ -256,7 +256,7 @@ class TestGammaProcess:
 
 class TestPathCsv:
     def test_header_digits_and_roundtrip(self, tmp_path):
-        coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(TimeGrid(1.0, 5), ATOM, 3, 9)
         pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(5)), noise, 1.0)
         out = tmp_path / "paths.csv"

@@ -26,7 +26,7 @@ ATOM = LevyMeasure.from_pairs([(0.2, 1.0)])
 
 def affine_cost_coeffs(run_u=-0.6):
     """Hamiltonian affine in the control: f = run_u * u, b = u, g = -x^2/2."""
-    lq = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+    lq = build_lq_coefficients(0.1)
     return ControlledCoefficients(
         **{
             **lq.__dict__,
@@ -40,20 +40,20 @@ def affine_cost_coeffs(run_u=-0.6):
 
 class TestHamiltonian:
     def test_lq_form(self):
-        coeffs = build_lq_coefficients(0.3, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.3)
         value = hamiltonian(0.1, 1.0, 2.0, 0.5, 0.7, np.array([1.5]), coeffs, ATOM)
         expected = -0.5 * 4.0 + 2.0 * 0.5 + 0.3 * 0.7 + 0.2 * 1.5 * 1.0
         assert float(value) == pytest.approx(expected)
 
     def test_zero_adjoints_reduce_to_cost(self):
-        coeffs = build_lq_coefficients(0.3, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.3)
         value = hamiltonian(0.1, 1.0, 2.0, 0.0, 0.0, np.array([0.0]), coeffs, ATOM)
         assert float(value) == pytest.approx(float(coeffs.f(0.1, 1.0, 2.0)))
         # zero control with p arbitrary and q = r = 0: drift term vanishes too
         assert float(hamiltonian(0.1, 1.0, 0.0, 2.0, 0.0, np.array([0.0]), coeffs, ATOM)) == pytest.approx(0.0)
 
     def test_du_stationarity(self):
-        coeffs = build_lq_coefficients(0.3, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.3)
         assert float(hamiltonian_du(0.0, 0.0, 1.0, 1.0, 0.0, np.zeros(0), coeffs, NO_JUMPS)) == pytest.approx(0.0)
         assert float(hamiltonian_du(0.0, 0.0, 0.0, -0.5, 0.0, np.zeros(0), coeffs, NO_JUMPS)) == pytest.approx(-0.5)
 
@@ -68,7 +68,7 @@ class TestHamiltonian:
     )
     @settings(max_examples=30, deadline=None)
     def test_affine_in_adjoints(self, p1, q1, r1, p2, q2, r2):
-        coeffs = build_lq_coefficients(0.3, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.3)
         args = (0.2, 0.7, 1.3)
         h1 = float(hamiltonian(*args, p1, q1, np.array([r1]), coeffs, ATOM))
         h2 = float(hamiltonian(*args, p2, q2, np.array([r2]), coeffs, ATOM))
@@ -125,7 +125,7 @@ class TestSpikePerturb:
             assert bool(window[i]) == overlaps
 
     def test_spike_identity_bit_exact(self):
-        coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 500, 30)
         base = OpenLoopLaw(np.full(100, 0.3))
         spiked = spike_perturb(base, SpikeSpec(0.4, 0.2, 0.3), GRID)
@@ -149,13 +149,13 @@ class TestPerformance:
         assert out["estimate"] == 0.0
 
     def test_deterministic_lq_value(self):
-        coeffs = build_lq_coefficients(0.0, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.0)
         noise = sample_noise(GRID, NO_JUMPS, 16, 32)
         out = performance_J(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0)
         assert out["estimate"] == pytest.approx(-0.5, abs=1e-12)
 
     def test_gaussian_second_moment(self):
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 100_000, 33)
         out = performance_J(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0)
         assert abs(out["estimate"] - (-0.505)) <= 5 * out["se"]
@@ -163,7 +163,7 @@ class TestPerformance:
 
 class TestVariationalZ:
     def test_zero_perturbation(self):
-        coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 400, 34)
         base = OpenLoopLaw(np.full(100, 0.4))
         for mode in ("direct", "closed_form"):
@@ -171,7 +171,7 @@ class TestVariationalZ:
             assert np.allclose(Z, 0.0, atol=1e-14)
 
     def test_lq_drift_only_integral(self):
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 200, 35)
         base = OpenLoopLaw(np.zeros(100))
         Z = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
@@ -180,7 +180,7 @@ class TestVariationalZ:
         assert np.allclose(Z, Zc, atol=1e-12)
 
     def test_quadratic_scaling(self):
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 200, 36)
         base = OpenLoopLaw(np.zeros(100))
         z_big = variational_Z(SpikeSpec(0.5, 0.2, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
@@ -189,7 +189,7 @@ class TestVariationalZ:
         assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
 
     def test_monotone_shrinkage(self):
-        coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 2000, 37)
         base = OpenLoopLaw(np.zeros(100))
         seconds, sups = [], []
@@ -202,7 +202,7 @@ class TestVariationalZ:
 
     def test_modes_agree_with_state_dependence(self):
         # drift b = 0.3 x + u couples Z to the weight process
-        lq = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        lq = build_lq_coefficients(0.1)
         coeffs = ControlledCoefficients(
             **{
                 **lq.__dict__,
@@ -220,7 +220,7 @@ class TestVariationalZ:
 
     def test_closed_form_matches_direct_with_atoms(self):
         # with atoms, the closed form still agrees with the direct simulation
-        coeffs = build_lq_coefficients(0.1, ATOM, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 3000, 39)
         base = OpenLoopLaw(np.zeros(100))
         spike = SpikeSpec(0.5, 0.1, 1.0)
@@ -272,7 +272,7 @@ class TestPartialsAlong:
 
 class TestAdjointFor:
     def test_zero_costs_give_zero_adjoint(self):
-        lq = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        lq = build_lq_coefficients(0.1)
         coeffs = ControlledCoefficients(
             **{
                 **lq.__dict__,
@@ -290,7 +290,7 @@ class TestAdjointFor:
 
     def test_exponential_weight_through_drift_slope(self):
         # b = c x, g = x: p(t) = e^{c (T - t)}
-        lq = build_lq_coefficients(0.0, NO_JUMPS, lambda z: z)
+        lq = build_lq_coefficients(0.0)
         c = 0.5
         coeffs = ControlledCoefficients(
             **{
@@ -313,7 +313,7 @@ class TestAdjointFor:
 
 class TestNecessaryCondition:
     def test_lq_zero_control_statistic_and_quotients(self):
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 40_000, 42)
         law = OpenLoopLaw(np.zeros(100))
         verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [1.0], [0.2, 0.1, 0.05])
@@ -341,7 +341,7 @@ class TestNecessaryCondition:
         assert verdict.passed == bool(verdict.statistic[0, 0] <= 3 * verdict.statistic_se[0, 0])
 
     def test_suboptimal_constant_control_fails(self):
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 20_000, 44)
         law = OpenLoopLaw(np.ones(100))
         verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [0.0], [0.2, 0.1])
@@ -350,7 +350,7 @@ class TestNecessaryCondition:
         assert not verdict.passed
 
     def test_verdict_serialization(self, tmp_path):
-        coeffs = build_lq_coefficients(0.1, NO_JUMPS, lambda z: z)
+        coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 2000, 45)
         law = OpenLoopLaw(np.zeros(100))
         verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1])
