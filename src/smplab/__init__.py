@@ -41,7 +41,6 @@ from .malliavin import (
 from .bsde import AdjointTriple, extract_qr, solve_linear_explicit, solve_regression
 from .smp import (
     SmpVerdict,
-    SpikeSpec,
     adjoint_for,
     check_necessary_condition,
     hamiltonian,

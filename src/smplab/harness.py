@@ -41,16 +41,17 @@ from .model import (
     polynomial_coefficients,
 )
 from .simulate import (
-    MAX_STEP_RATE,
     LinearCoefficients,
     dump_paths_csv,
     euler_forward,
     linear_closed_form,
     sample_noise,
+    step_rates,
 )
-from .smp import adjoint_for, check_necessary_condition
+from .smp import adjoint_for, check_necessary_condition, check_spike_grids
 from .lqsolver import (
     LqParams,
+    check_picard_settings,
     compare_to_unconstrained,
     dump_feedback_csv,
     dump_residuals_csv,
@@ -322,13 +323,18 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
     return resolved
 
 
+def _checked(where: str, rule, *args, **kwargs):
+    """``rule(*args, **kwargs)``, its ValueError reported as a ConfigError naming the section ``where``."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _validate_resolved(cfg: dict) -> None:
+    """Check a resolved config; numeric rules are the checks of the library objects it builds."""
     if cfg["mc"]["n_paths"] < 1:
         raise ConfigError("[mc] n_paths must be >= 1")
-    if cfg["grid"]["horizon"] <= 0:
-        raise ConfigError("[grid] horizon must be positive")
-    if cfg["grid"]["n_steps"] < 2:
-        raise ConfigError("[grid] n_steps must be >= 2")
     if cfg["basis"]["degree"] < 1:
         raise ConfigError("[basis] degree must be >= 1")
     kind = cfg["experiment"]["kind"]
@@ -339,8 +345,6 @@ def _validate_resolved(cfg: dict) -> None:
     if kind == "check-duality" and cfg["duality"]["integrand"] not in _INTEGRANDS[cfg["duality"]["mode"]]:
         raise ConfigError(f"[duality] integrand {cfg['duality']['integrand']!r} does not apply in its mode")
     family = cfg["model"]["family"]
-    if cfg["model"]["u_min"] > cfg["model"]["u_max"]:
-        raise ConfigError("[model] u_min must not exceed u_max")
     for (section, key, value), needed in _NEEDS_FAMILY.items():
         if cfg.get(section, {}).get(key) == value and family != needed:
             raise ConfigError(f"[{section}] {key} = {value} needs the {needed!r} model family")
@@ -349,17 +353,20 @@ def _validate_resolved(cfg: dict) -> None:
         raise ConfigError("functional 'jump_squared' needs at least one atom")
     if kind == "clark-ocone" and cfg["model"]["atoms"]:
         raise ConfigError("[model] atoms: clark-ocone reconstructs Brownian functionals and takes no atoms")
-    step_counts = cfg["convergence"]["n_steps_list"] if kind == "convergence-study" else [cfg["grid"]["n_steps"]]
-    if min(step_counts, default=2) < 2:
-        raise ConfigError("[convergence] n_steps_list entries must be >= 2")
-    dts = [cfg["grid"]["horizon"] / n for n in step_counts]
-    for zeta, lam in cfg["model"]["atoms"]:
-        if zeta == 0.0:
-            raise ConfigError("[model] atoms: jump sizes must be nonzero")
-        if lam < 0.0:
-            raise ConfigError("[model] atoms: intensities must be >= 0")
-        if any(lam * dt > MAX_STEP_RATE for dt in dts):
-            raise ConfigError(f"[model] atoms: intensity * dt must not exceed {MAX_STEP_RATE:g} jumps per step")
+    study = kind == "convergence-study"
+    if study and len(cfg["convergence"]["n_steps_list"]) < 2:
+        raise ConfigError("[convergence] n_steps_list needs at least two entries to measure a ratio")
+    step_counts = cfg["convergence"]["n_steps_list"] if study else [cfg["grid"]["n_steps"]]
+    where = "[grid] or [convergence]" if study else "[grid]"
+    grids = [_checked(where, TimeGrid, cfg["grid"]["horizon"], n) for n in step_counts]
+    coeffs, levy, _ = _checked("[model]", build_model, cfg)
+    for grid in grids:
+        _checked("[model]", step_rates, grid, levy)
+    if kind == "check-smp":
+        s = cfg["smp"]
+        _checked("[smp]", check_spike_grids, coeffs, grids[0], s["tau_grid"], s["v_grid"], s["eps_grid"])
+    if kind == "solve-lq":
+        _checked("[iteration]", check_picard_settings, **cfg["iteration"])
 
 
 # --------------------------------------------------------------------------
@@ -659,11 +666,44 @@ def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _is_atom(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
+
+
+# JSON value checks of an embedded config, by schema type; named options are strings.
+_JSON_TYPES = {
+    "float": _is_real,
+    "int": _is_int,
+    "float_list": lambda v: isinstance(v, list) and all(map(_is_real, v)),
+    "int_list": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "atoms": lambda v: isinstance(v, list) and all(map(_is_atom, v)),
+    "str": lambda v: isinstance(v, str),
+}
+
+
+def _check_json_types(cfg: dict) -> None:
+    """Every embedded value has the JSON type its schema entry resolves to."""
+    for section, keys in schema_for(cfg["experiment"]["kind"]).items():
+        for key, (typ, _) in keys.items():
+            name = "str" if isinstance(typ, tuple) else typ
+            if not _JSON_TYPES[name](cfg[section][key]):
+                raise ConfigError(f"[{section}] {key}: expected a JSON {name}, got {cfg[section][key]!r}")
+
+
 def replay(report_path) -> int:
     """Re-run the embedded config and demand a bit-identical numeric payload.
 
-    The embedded config is checked by the rules of a resolved config file
-    first, so a report edited to break one is a ConfigError.
+    The embedded config is checked first, for the JSON type of each value
+    and then by the rules of a resolved config file, so a report edited to
+    break one is a ConfigError.
     """
     path = Path(report_path)
     if not path.is_file():
@@ -673,8 +713,9 @@ def replay(report_path) -> int:
             report = json.load(fh)
         cfg = report["config"]
         recorded = report["payload"]
+        _check_json_types(cfg)
         _validate_resolved(cfg)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"report file {path} is not a valid run report: {exc}") from exc
     result = run(cfg, write=False)
     if _canonical(result.report["payload"]) != _canonical(recorded):

@@ -21,10 +21,43 @@ from .simulate import NoiseBundle, euler_forward, write_csv
 from .smp import adjoint_for, performance_values
 
 
+def check_picard_settings(max_iters: int, damping: float, tol: float) -> None:
+    """Settings of the damped Picard loop: max_iters >= 1, damping in (0, 1], tol > 0."""
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+
+
+# Probe states and controls of ``check_lq_structure``; the controls are projected onto the control set.
+_PROBE_X = np.array([-2.0, -0.5, 0.0, 0.7, 1.5])
+_PROBE_U = np.array([-1.0, 0.0, 0.4, 1.3])
+
+
+def check_lq_structure(coeffs: ControlledCoefficients, noise: NoiseBundle) -> None:
+    """The Picard update u = clamp(p), p = E[g_x(X(T)) | X(t)], maximizes the Hamiltonian only
+    when b_u = 1, sigma_u = gamma_u = 0, f_u = -u and f_x = b_x = sigma_x = gamma_x = 0.
+
+    Checked on the model's partial maps at every (x, u) probe pair, every left grid node and
+    every atom of the noise; a model of another form raises ``ValueError``.
+    """
+    x, u = (a.reshape(-1, 1) for a in np.meshgrid(_PROBE_X, coeffs.clamp(_PROBE_U)))
+    t = noise.grid.times()[None, :-1]
+    wanted = {"b_u": 1.0, "sigma_u": 0.0, "f_u": -u, "f_x": 0.0, "b_x": 0.0, "sigma_x": 0.0}
+    got = [(name, getattr(coeffs, name)(t, x, u), value) for name, value in wanted.items()]
+    for zeta in noise.levy.zetas:
+        got += [(name, getattr(coeffs, name)(t, x, u, zeta), 0.0) for name in ("gamma_u", "gamma_x")]
+    for name, values, value in got:
+        if not np.allclose(values, value, rtol=0.0, atol=1e-12):
+            raise ValueError(f"{name} is not of the LQ form; the Picard update u = clamp(p) does not solve the model")
+
+
 @dataclass(frozen=True)
 class LqParams:
-    """Solver inputs: the LQ model ``coeffs`` (``build_lq_coefficients``), whose
-    Hamiltonian the Picard update u = clamp(p) maximizes pointwise, and the
+    """Solver inputs: a model of the LQ form (``check_lq_structure``; ``build_lq_coefficients``
+    has it), whose Hamiltonian the Picard update u = clamp(p) maximizes pointwise, and the
     run's common noise, shared by every sweep."""
 
     x0: float
@@ -36,12 +69,8 @@ class LqParams:
     tol: float = 2e-4
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
+        check_picard_settings(self.max_iters, self.damping, self.tol)
+        check_lq_structure(self.coeffs, self.noise)
 
 
 @dataclass
@@ -58,6 +87,18 @@ class LqSolution:
         """Out-of-sample control u(t_i, x) = p_fit_i(x); the forward step clamps it to [0, inf)."""
         fits = self.p_hat.p_fits
         return FeedbackLaw(lambda step, t, x: fits[step](np.atleast_1d(x)))
+
+
+def _picard_update(params: LqParams, basis: PolynomialBasis, u: np.ndarray) -> np.ndarray:
+    """One sweep: the damped mix of ``u`` with clamp(p), p(t_i) the regression of g_x(X(T)) on X(t_i).
+
+    The sweep's state and adjoint arrays die with it, before the next sweep or the final diagnostics.
+    """
+    coeffs = params.coeffs
+    X = euler_forward(coeffs, OpenLoopLaw(u), params.noise, params.x0).X
+    terminal = coeffs.g_x(X[:, -1])
+    p = np.column_stack([StateProjector(X[:, i], basis).fit(terminal).fitted for i in range(params.noise.grid.n_steps)])
+    return (1.0 - params.damping) * u + params.damping * coeffs.clamp(p)
 
 
 def solve_constrained(params: LqParams) -> LqSolution:
@@ -77,10 +118,7 @@ def solve_constrained(params: LqParams) -> LqSolution:
     residual_history: list[float] = []
     converged = False
     for _ in range(params.max_iters):
-        X = euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0).X
-        terminal = coeffs.g_x(X[:, -1])
-        p = np.column_stack([StateProjector(X[:, i], basis).fit(terminal).fitted for i in range(n_steps)])
-        u_next = (1.0 - params.damping) * u + params.damping * coeffs.clamp(p)
+        u_next = _picard_update(params, basis, u)
         residual = l2_dtP_norm(u_next - u, dt)
         residual_history.append(residual)
         u = u_next

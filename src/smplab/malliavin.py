@@ -300,8 +300,6 @@ def hm_derivative(F: WienerFunctional, direction: Brownian | Jump) -> WienerFunc
     grid = tree_grid(F)
     if grid is None:
         return Constant(0.0)
-    if not 0.0 <= direction.t <= grid.horizon:
-        raise ValueError(f"direction time {direction.t} outside [0, {grid.horizon}]")
     i = grid.step_of(direction.t)
 
     if isinstance(direction, Brownian):

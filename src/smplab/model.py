@@ -66,11 +66,13 @@ class TimeGrid:
     def window_steps(self, start: float, length: float) -> np.ndarray:
         """Boolean mask over steps whose interval meets [start, start+length).
 
-        Realizes the spike window on the grid: step i is selected iff
-        t_i < start + length and t_{i+1} > start, with a 1e-9 * dt tolerance
-        so that grid-aligned windows select exactly the expected steps.
+        Realizes the spike window, of positive length, starting in [0, T) and ending by T, on
+        the grid: step i is selected iff t_i < start + length and t_{i+1} > start, with a
+        1e-9 * dt tolerance so that grid-aligned windows select exactly the expected steps.
         """
         tol = 1e-9 * self.dt
+        if not (length > 0.0 and 0.0 <= start < self.horizon and start + length <= self.horizon + tol):
+            raise ValueError(f"window [{start}, {start} + {length}) needs a positive length inside [0, {self.horizon}]")
         times = self.times()
         return (times[:-1] < start + length - tol) & (times[1:] > start + tol)
 
@@ -150,10 +152,20 @@ class ControlledCoefficients:
     g_x: CoeffMap
     control_set: tuple[float, float] = (-math.inf, math.inf)
 
+    def __post_init__(self):
+        if not self.control_set[0] <= self.control_set[1]:
+            raise ValueError(f"control set bounds must satisfy lo <= hi, got {self.control_set}")
+
     def clamp(self, u):
         """Projection onto ``control_set``; the forward step applies it to every control value."""
         lo, hi = self.control_set
         return np.clip(u, lo, hi)
+
+    def check_controls(self, values, what: str) -> None:
+        """Raise ``ValueError`` unless every one of the scalar ``values`` lies in ``control_set``."""
+        outside = [u for u in values if not self.control_set[0] <= u <= self.control_set[1]]
+        if outside:
+            raise ValueError(f"{what} {outside} outside the control set {self.control_set}")
 
 
 class ControlLaw:
@@ -199,7 +211,7 @@ class FeedbackLaw(ControlLaw):
 
 
 class SpikedLaw(ControlLaw):
-    """Base law overridden by a fixed value on a window of steps."""
+    """Base law overridden by a fixed value on a window of steps; ``smp.spike_perturb`` builds it."""
 
     def __init__(self, base: ControlLaw, window: np.ndarray, spike_values):
         self.base = base
@@ -256,10 +268,7 @@ def validate_coefficients(coeffs: ControlledCoefficients, probe) -> ValidationRe
     probe = list(probe)
     if not probe:
         raise EmptyProbeSet("validation requires at least one probe point")
-    lo, hi = coeffs.control_set
-    for t, x, u, zeta in probe:
-        if not lo <= u <= hi:
-            raise ValueError(f"probe control {u} outside control set {coeffs.control_set}")
+    coeffs.check_controls([u for t, x, u, zeta in probe], "probe controls")
 
     report = ValidationReport()
 

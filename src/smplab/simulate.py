@@ -93,15 +93,21 @@ def _path_generator(seed: int, path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def step_rates(grid: TimeGrid, levy: LevyMeasure) -> np.ndarray:
+    """Expected jump count lam_k dt per atom and step; none may exceed ``MAX_STEP_RATE``."""
+    rates = levy.intensities * grid.dt
+    if np.any(rates > MAX_STEP_RATE):
+        raise ValueError(f"expected jump count per step lam_k dt must not exceed {MAX_STEP_RATE:g}")
+    return rates
+
+
 def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> NoiseBundle:
     """Draw a noise bundle, deterministic in (grid, levy, n_paths, seed)."""
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_steps = grid.n_steps
     sqrt_dt = np.sqrt(grid.dt)
-    rates = levy.intensities * grid.dt
-    if np.any(rates > MAX_STEP_RATE):
-        raise ValueError(f"expected jump count per step lam_k dt must not exceed {MAX_STEP_RATE:g}")
+    rates = step_rates(grid, levy)
     dB = np.empty((n_paths, n_steps))
     counts = np.zeros((n_paths, n_steps, levy.n_atoms), dtype=np.int16)
     # Re-keying one Philox instance per path is bit-identical to constructing

@@ -19,22 +19,6 @@ from .model import ControlLaw, ControlledCoefficients, LevyMeasure, SpikedLaw, T
 from .simulate import LinearCoefficients, NoiseBundle, PathBundle, euler_forward, linear_closed_form, write_csv
 
 
-@dataclass(frozen=True)
-class SpikeSpec:
-    """Window [tau, tau + epsilon) and the value v applied on it.
-
-    ``v`` is a constant in the control set or a map of the state at tau.
-    """
-
-    tau: float
-    epsilon: float
-    v: object
-
-    def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-
-
 def _hamiltonian_sum(f, b, sigma, gammas, p, q, r, levy: LevyMeasure):
     """f + b p + sigma q + sum_k gammas[k] r_k lam_k over evaluated coefficient values."""
     out = f + b * p + sigma * q
@@ -118,24 +102,17 @@ def adjoint_for(
     raise ValueError(f"unknown method {method!r}")
 
 
-def spike_perturb(base: ControlLaw, spike: SpikeSpec, grid: TimeGrid, x_at_tau: np.ndarray | None = None) -> ControlLaw:
-    """Base law overridden on every step whose interval meets [tau, tau+eps).
+def spike_perturb(base: ControlLaw, grid: TimeGrid, tau: float, epsilon: float, v, x_at_tau=None) -> SpikedLaw:
+    """Base law overridden by ``v`` on the steps ``grid.window_steps(tau, epsilon)``.
 
     A feedback spike value is frozen at tau: the perturbed and base states
     coincide there, so ``x_at_tau`` (state of the base path at the spike
     step) evaluates v exactly.
     """
-    if not 0.0 <= spike.tau < grid.horizon:
-        raise ValueError("tau must lie in [0, T)")
-    if spike.tau + spike.epsilon > grid.horizon + 1e-9 * grid.dt:
-        raise ValueError("spike window must end by the horizon")
-    window = grid.window_steps(spike.tau, spike.epsilon)
-    if callable(spike.v):
-        if x_at_tau is None:
-            raise ValueError("a feedback spike value needs the state at tau")
-        values = np.asarray(spike.v(np.asarray(x_at_tau, dtype=float)), dtype=float)
-    else:
-        values = float(spike.v)
+    window = grid.window_steps(tau, epsilon)
+    if callable(v) and x_at_tau is None:
+        raise ValueError("a feedback spike value needs the state at tau")
+    values = np.asarray(v(np.asarray(x_at_tau, dtype=float)), dtype=float) if callable(v) else float(v)
     return SpikedLaw(base, window, values)
 
 
@@ -162,11 +139,12 @@ def performance_J(law, coeffs, noise, x0, forward=None) -> dict:
     return {"estimate": estimate, "se": se}
 
 
-def variational_Z(spike: SpikeSpec, mode: str, coeffs: ControlledCoefficients, forward: PathBundle) -> np.ndarray:
-    """State sensitivity Z of the spiked control, per path on grid nodes.
+def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, forward: PathBundle) -> np.ndarray:
+    """State sensitivity Z of the spiked control ``law``, per path on grid nodes.
 
     Both modes linearize around the base path bundle ``forward`` (partials
-    at the base state and control, on its noise) with Z(tau) = 0.
+    at the base state and control, on its noise) with Z(tau) = 0; the
+    spike is the law's window and values (``spike_perturb``).
     ``direct`` Euler-steps the linear equations driven by (v - u) on the
     window and homogeneously after it; ``closed_form`` evaluates the
     variation-of-constants solution through the same reciprocal-exponential
@@ -180,21 +158,12 @@ def variational_Z(spike: SpikeSpec, mode: str, coeffs: ControlledCoefficients, f
     dt = grid.dt
     part = partials_along(coeffs, forward)
 
-    window = grid.window_steps(spike.tau, spike.epsilon)
+    window = law.window
     if not window.any():
         return np.zeros((n_paths, n_steps + 1))
     first = int(np.flatnonzero(window)[0])
-    if callable(spike.v):
-        v_vals = np.asarray(spike.v(forward.X[:, first]), dtype=float)
-    else:
-        v_vals = float(spike.v)
-    v_clamped = coeffs.clamp(v_vals)
     du = np.zeros((n_paths, n_steps))
-    if np.ndim(v_clamped) == 0:
-        du[:, window] = v_clamped
-    else:
-        du[:, window] = np.asarray(v_clamped, dtype=float)[:, None]
-    du[:, window] -= forward.u[:, window]
+    du[:, window] = np.reshape(coeffs.clamp(law.spike_values), (-1, 1)) - forward.u[:, window]
 
     if mode == "direct":
         comp = noise.compensated_counts() if levy.n_atoms else None
@@ -245,6 +214,18 @@ class SmpVerdict:
         write_csv(path, ["tau", "v", "eps", "statistic", "se", "diff_quotient", "pass"], rows)
 
 
+def check_spike_grids(coeffs: ControlledCoefficients, grid: TimeGrid, tau_grid, v_grid, eps_grid) -> None:
+    """Inputs of the verdict: no grid is empty, every v lies in the control set, and every
+    [tau, tau + eps) is a spike window of ``grid`` (``TimeGrid.window_steps``)."""
+    for name, values in (("tau_grid", tau_grid), ("v_grid", v_grid), ("eps_grid", eps_grid)):
+        if len(values) == 0:
+            raise ValueError(f"{name} must not be empty")
+    coeffs.check_controls(v_grid, "v_grid values")
+    for tau in tau_grid:
+        for eps in eps_grid:
+            grid.window_steps(tau, eps)
+
+
 def check_necessary_condition(
     candidate: ControlLaw,
     coeffs: ControlledCoefficients,
@@ -261,11 +242,13 @@ def check_necessary_condition(
     |diff_quotient - statistic| non-increasing along shrinking eps within
     3 SE noise bands.  The Hamiltonian sums over the atoms of the noise
     bundle, the same measure that drives the state and fits the adjoint.
+    The inputs are checked first (``check_spike_grids``).
     """
     grid, levy = noise.grid, noise.levy
     tau_grid = [float(t) for t in tau_grid]
     v_grid = [float(v) for v in v_grid]
     eps_grid = sorted((float(e) for e in eps_grid), reverse=True)
+    check_spike_grids(coeffs, grid, tau_grid, v_grid, eps_grid)
 
     forward = euler_forward(coeffs, candidate, noise, x0)
     triple = adjoint_for(coeffs, forward, basis=basis)
@@ -286,7 +269,7 @@ def check_necessary_condition(
         for b, v in enumerate(v_grid):
             stat[a, b], stat_se[a, b] = mean_se(dh_du * (v - u_i))
             for c, eps in enumerate(eps_grid):
-                law = spike_perturb(candidate, SpikeSpec(tau, eps, v), grid, x_at_tau=x_i)
+                law = spike_perturb(candidate, grid, tau, eps, v, x_at_tau=x_i)
                 j_eps = performance_values(law, coeffs, noise, x0)
                 dq[a, b, c], dq_se[a, b, c] = mean_se((j_eps - j_base) / eps)
 

@@ -26,7 +26,7 @@ from smplab.malliavin import (
 )
 from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, like
 from smplab.simulate import LinearCoefficients, PathBundle, euler_forward, linear_closed_form, sample_noise
-from smplab.smp import SpikeSpec, check_necessary_condition, variational_Z
+from smplab.smp import check_necessary_condition, spike_perturb, variational_Z
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -224,7 +224,9 @@ def test_criterion_09_spike_gateaux_consistency():
     ratios = []
     z_prev = None
     for eps in (0.2, 0.1, 0.05):
-        Z = variational_Z(SpikeSpec(0.5, eps, 1.0), "direct", coeffs, euler_forward(coeffs, law, noise, 1.0))
+        Z = variational_Z(
+            spike_perturb(law, grid, 0.5, eps, 1.0), "direct", coeffs, euler_forward(coeffs, law, noise, 1.0)
+        )
         z_sq = float(np.mean(Z[:, -1] ** 2))
         if z_prev is not None:
             ratios.append(z_prev / z_sq)

@@ -81,37 +81,55 @@ class TestConfigParsing:
             parse_config(path)
 
     @pytest.mark.parametrize(
-        "kind, extra, horizon",
+        "kind, extra, grid",
         [
-            ("simulate", "", "nan"),
-            ("simulate", "\n[model]\nsigma = inf\n", "1.0"),
-            ("simulate", "\n[model]\nfamily = linear\nu_min = nan\n", "1.0"),
-            ("check-smp", "\n[smp]\ntau_grid = 0.5, -inf\n", "1.0"),
-            ("simulate", "\n[model]\nfamily = linear\nu_min = 2.0\nu_max = 1.0\n", "1.0"),
-            ("simulate", "\n[model]\nfamily = lq\nu_min = -1.0\n", "1.0"),
-            ("solve-lq", "\n[model]\nu_max = 5.0\n", "1.0"),
-            ("simulate", "\n[model]\natoms = 0.001:800000\n", "1.0"),
+            ("simulate", "", {"horizon": "nan"}),
+            ("simulate", "\n[model]\nsigma = inf\n", {}),
+            ("simulate", "\n[model]\nfamily = linear\nu_min = nan\n", {}),
+            ("check-smp", "\n[smp]\ntau_grid = 0.5, -inf\n", {}),
+            ("simulate", "\n[model]\nfamily = linear\nu_min = 2.0\nu_max = 1.0\n", {}),
+            ("simulate", "\n[model]\nfamily = lq\nu_min = -1.0\n", {}),
+            ("solve-lq", "\n[model]\nu_max = 5.0\n", {}),
+            ("simulate", "\n[model]\natoms = 0.001:800000\n", {}),
             (
                 "convergence-study",
                 "\n[model]\nfamily = linear\natoms = 0.001:300000\n[convergence]\nn_steps_list = 16, 32\n",
-                "1.0",
+                {},
             ),
-            ("clark-ocone", "\n[model]\natoms = 0.2:3.0\n", "1.0"),
-            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 1, 2\n", "1.0"),
-            ("simulate", "\n[simulate]\ncontrol = bogus\n", "1.0"),
-            ("simulate", "\n[simulate]\nscheme = milstein\n", "1.0"),
-            ("simulate", "\n[simulate]\nscheme = closed-form\n", "1.0"),
-            ("check-duality", "\n[duality]\nfunctional = bogus\n", "1.0"),
-            ("check-duality", "\n[duality]\nmode = bogus\n", "1.0"),
-            ("check-duality", "\n[duality]\nintegrand = zeta\n", "1.0"),
-            ("check-duality", "\n[model]\natoms = 0.2:1.0\n[duality]\nmode = jump\nintegrand = brownian\n", "1.0"),
-            ("check-duality", "\n[duality]\nfunctional = jump_squared\nmode = jump\nintegrand = zeta\n", "1.0"),
-            ("clark-ocone", "\n[clark_ocone]\nfunctional = bogus\n", "1.0"),
-            ("solve-bsde", "\n[bsde]\ncontrol = bogus\n", "1.0"),
-            ("check-smp", "\n[smp]\ncandidate = bogus\n", "1.0"),
-            ("check-smp", "\n[model]\nfamily = linear\n[smp]\ncandidate = lq-opt\n", "1.0"),
-            ("solve-lq", "\n[model]\nfamily = linear\n", "1.0"),
-            ("convergence-study", "", "1.0"),
+            ("clark-ocone", "\n[model]\natoms = 0.2:3.0\n", {}),
+            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 1, 2\n", {}),
+            ("simulate", "\n[simulate]\ncontrol = bogus\n", {}),
+            ("simulate", "\n[simulate]\nscheme = milstein\n", {}),
+            ("simulate", "\n[simulate]\nscheme = closed-form\n", {}),
+            ("check-duality", "\n[duality]\nfunctional = bogus\n", {}),
+            ("check-duality", "\n[duality]\nmode = bogus\n", {}),
+            ("check-duality", "\n[duality]\nintegrand = zeta\n", {}),
+            ("check-duality", "\n[model]\natoms = 0.2:1.0\n[duality]\nmode = jump\nintegrand = brownian\n", {}),
+            ("check-duality", "\n[duality]\nfunctional = jump_squared\nmode = jump\nintegrand = zeta\n", {}),
+            ("clark-ocone", "\n[clark_ocone]\nfunctional = bogus\n", {}),
+            ("solve-bsde", "\n[bsde]\ncontrol = bogus\n", {}),
+            ("check-smp", "\n[smp]\ncandidate = bogus\n", {}),
+            ("check-smp", "\n[model]\nfamily = linear\n[smp]\ncandidate = lq-opt\n", {}),
+            ("solve-lq", "\n[model]\nfamily = linear\n", {}),
+            ("convergence-study", "", {}),
+            ("simulate", "", {"horizon": "0.0"}),
+            ("simulate", "", {"n_steps": 1}),
+            ("simulate", "\n[model]\natoms = 0.0:1.0\n", {}),
+            ("simulate", "\n[model]\natoms = 0.2:-1.0\n", {}),
+            ("simulate", "\n[basis]\ndegree = 0\n", {}),
+            ("check-smp", "\n[smp]\ntau_grid = 1.0\n", {}),
+            ("check-smp", "\n[smp]\neps_grid = 0.0\n", {}),
+            ("check-smp", "\n[smp]\neps_grid = -0.1\n", {}),
+            ("check-smp", "\n[smp]\ntau_grid = 0.75\neps_grid = 0.5\n", {}),
+            ("solve-lq", "\n[iteration]\ndamping = 1.5\n", {}),
+            ("solve-lq", "\n[iteration]\ntol = 0\n", {}),
+            ("solve-lq", "\n[iteration]\nmax_iters = 0\n", {}),
+            ("check-smp", "\n[smp]\nv_grid = -1.0\n", {}),
+            ("check-smp", "\n[smp]\ntau_grid =\n", {}),
+            ("check-smp", "\n[smp]\nv_grid =\n", {}),
+            ("check-smp", "\n[smp]\neps_grid =\n", {}),
+            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 64\n", {}),
+            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list =\n", {}),
         ],
         ids=[
             "nan-horizon",
@@ -139,10 +157,28 @@ class TestConfigParsing:
             "lq-opt-on-linear",
             "solve-lq-on-linear",
             "convergence-study-on-lq",
+            "zero-horizon",
+            "one-step-grid",
+            "zero-jump-size",
+            "negative-intensity",
+            "zero-basis-degree",
+            "spike-at-horizon",
+            "zero-spike-length",
+            "negative-spike-length",
+            "spike-past-horizon",
+            "damping-above-one",
+            "zero-tol",
+            "zero-max-iters",
+            "spike-value-outside-control-set",
+            "empty-tau-grid",
+            "empty-v-grid",
+            "empty-eps-grid",
+            "one-study-grid",
+            "no-study-grid",
         ],
     )
-    def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, horizon):
-        path = write_config(tmp_path, kind, extra=extra, horizon=horizon)
+    def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, grid):
+        path = write_config(tmp_path, kind, extra=extra, **grid)
         with pytest.raises(ConfigError):
             parse_config(path)
         out = tmp_path / "out"
@@ -297,8 +333,26 @@ class TestRunAndReplay:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("model", "atoms", [[0.001, 4000000.0]]), ("mc", "n_paths", 0), ("model", "family", "nope")],
-        ids=["jump-rate-above-bound", "no-paths", "unknown-family"],
+        [
+            ("model", "atoms", [[0.001, 4000000.0]]),
+            ("mc", "n_paths", 0),
+            ("model", "family", "nope"),
+            ("mc", "n_paths", "abc"),
+            ("model", "sigma", None),
+            ("grid", "n_steps", 10.5),
+            ("model", "atoms", "0.2:1.0"),
+            ("mc", "seed", True),
+        ],
+        ids=[
+            "jump-rate-above-bound",
+            "no-paths",
+            "unknown-family",
+            "string-paths",
+            "null-sigma",
+            "fractional-steps",
+            "string-atoms",
+            "bool-seed",
+        ],
     )
     def test_replay_validates_embedded_config(self, tmp_path, section, key, value):
         extra = "\n[model]\natoms = 0.2:1.0\n\n[duality]\nfunctional = jump_squared\nmode = jump\nintegrand = zeta\n"
@@ -309,6 +363,39 @@ class TestRunAndReplay:
         blob["config"][section][key] = value
         json.dump(blob, open(out / "report.json", "w"))
         with pytest.raises(ConfigError):
+            replay(out / "report.json")
+        assert main(["replay", str(out / "report.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "kind, section, edits",
+        [
+            ("check-smp", "smp", {"tau_grid": [1.0]}),
+            ("check-smp", "smp", {"eps_grid": [0.0]}),
+            ("check-smp", "smp", {"eps_grid": [-0.1]}),
+            ("check-smp", "smp", {"tau_grid": [0.75], "eps_grid": [0.5]}),
+            ("solve-lq", "iteration", {"damping": 1.5}),
+            ("solve-lq", "iteration", {"tol": 0.0}),
+            ("solve-lq", "iteration", {"max_iters": 0}),
+        ],
+        ids=[
+            "spike-at-horizon",
+            "zero-spike-length",
+            "negative-spike-length",
+            "spike-past-horizon",
+            "damping-above-one",
+            "zero-tol",
+            "zero-max-iters",
+        ],
+    )
+    def test_replay_applies_library_rules(self, tmp_path, kind, section, edits):
+        extra = "\n[smp]\ntau_grid = 0.5\nv_grid = 1.0\neps_grid = 0.2\n" if kind == "check-smp" else ""
+        path = write_config(tmp_path, kind, extra=extra, n_steps=10, n_paths=200)
+        out = tmp_path / "out"
+        run(parse_config(path), out_dir=out)
+        blob = json.load(open(out / "report.json"))
+        blob["config"][section].update(edits)
+        json.dump(blob, open(out / "report.json", "w"))
+        with pytest.raises(ConfigError, match=rf"\[{section}\]"):
             replay(out / "report.json")
         assert main(["replay", str(out / "report.json")]) == 2
 

@@ -17,7 +17,7 @@ from smplab.lqsolver import (
     unconstrained_feedback_law,
 )
 from smplab.malliavin import PolynomialBasis
-from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
+from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, polynomial_coefficients
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import adjoint_for, check_necessary_condition, performance_values
 
@@ -168,6 +168,20 @@ class TestSolveConstrained:
             params(damping=1.5)
         with pytest.raises(ValueError):
             params(max_iters=0)
+
+    def test_rejects_a_model_its_update_does_not_solve(self):
+        # b_u = 2: the Hamiltonian maximizer is clamp(2 p), not clamp(p)
+        coeffs = polynomial_coefficients(
+            b_u=2.0, sigma_poly=(0.1,), u_cost=1.0, g_poly=(0.0, 0.0, -0.5), control_set=(0.0, math.inf)
+        )
+        with pytest.raises(ValueError, match="b_u"):
+            params(x0=-1.0, coeffs=coeffs, grid=TimeGrid(1.0, 50), n_paths=100)
+
+    @pytest.mark.parametrize("sigma, scale", [(0.0, 1.0), (0.1, 0.5), (0.4, 2.0), (1.0, -0.3)])
+    def test_accepts_every_lq_model(self, sigma, scale):
+        levy = LevyMeasure.from_pairs([(0.2, 1.0), (-0.1, 0.5)])
+        p = params(levy=levy, coeffs=build_lq_coefficients(sigma, scale), n_paths=100)
+        assert p.coeffs.control_set == (0.0, math.inf)
 
 
 class TestDumps:

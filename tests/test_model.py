@@ -69,6 +69,20 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 1)
 
+    @pytest.mark.parametrize(
+        "start, length", [(0.5, 0.0), (0.5, -0.1), (-0.1, 0.2), (1.0, 0.1), (1.2, 0.1), (0.75, 0.5)]
+    )
+    def test_window_steps_rejects_windows_off_the_grid(self, start, length):
+        with pytest.raises(ValueError):
+            TimeGrid(1.0, 100).window_steps(start, length)
+
+
+class TestControlSet:
+    def test_rejects_reversed_bounds(self):
+        with pytest.raises(ValueError):
+            make_coeffs(control_set=(1.0, 0.0))
+        assert make_coeffs(control_set=(0.5, 0.5)).control_set == (0.5, 0.5)
+
 
 class TestLevyMeasure:
     def test_second_moment(self):

@@ -7,7 +7,6 @@ from smplab.harness import _plain, _write_json, build_model, parse_config
 from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, like
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import (
-    SpikeSpec,
     adjoint_for,
     check_necessary_condition,
     hamiltonian,
@@ -79,7 +78,7 @@ class TestHamiltonian:
 class TestSpikePerturb:
     def test_index_arithmetic(self):
         base = OpenLoopLaw(np.zeros(100))
-        law = spike_perturb(base, SpikeSpec(0.5, 0.1, 1.0), GRID)
+        law = spike_perturb(base, GRID, 0.5, 0.1, 1.0)
         x = np.zeros(4)
         values = np.array([float(law.control_at(i, GRID.times()[i], x)[0]) for i in range(100)])
         assert np.all(values[50:60] == 1.0)
@@ -88,13 +87,13 @@ class TestSpikePerturb:
 
     def test_window_covering_everything(self):
         base = OpenLoopLaw(np.linspace(0, 1, 100))
-        law = spike_perturb(base, SpikeSpec(0.0, 1.0, 0.7), GRID)
+        law = spike_perturb(base, GRID, 0.0, 1.0, 0.7)
         x = np.zeros(2)
         assert all(float(law.control_at(i, 0.0, x)[0]) == 0.7 for i in range(100))
 
     def test_sub_step_window_hits_one_step(self):
         base = OpenLoopLaw(np.zeros(100))
-        law = spike_perturb(base, SpikeSpec(0.5, 0.004, 1.0), GRID)
+        law = spike_perturb(base, GRID, 0.5, 0.004, 1.0)
         x = np.zeros(1)
         hits = [i for i in range(100) if float(law.control_at(i, 0.0, x)[0]) == 1.0]
         assert hits == [50]
@@ -102,14 +101,14 @@ class TestSpikePerturb:
     def test_feedback_spike_value_frozen_at_tau(self):
         base = OpenLoopLaw(np.zeros(100))
         x_tau = np.array([1.0, 2.0, 3.0])
-        law = spike_perturb(base, SpikeSpec(0.5, 0.1, lambda x: 0.5 * x), GRID, x_at_tau=x_tau)
+        law = spike_perturb(base, GRID, 0.5, 0.1, lambda x: 0.5 * x, x_at_tau=x_tau)
         out = law.control_at(55, 0.55, np.array([9.0, 9.0, 9.0]))
         assert np.allclose(out, [0.5, 1.0, 1.5])
 
     def test_feedback_spike_requires_state(self):
         base = OpenLoopLaw(np.zeros(100))
         with pytest.raises(ValueError):
-            spike_perturb(base, SpikeSpec(0.5, 0.1, lambda x: x), GRID)
+            spike_perturb(base, GRID, 0.5, 0.1, lambda x: x)
 
     @given(st.floats(0.0, 0.95), st.floats(0.01, 0.5))
     @settings(max_examples=40, deadline=None)
@@ -128,7 +127,7 @@ class TestSpikePerturb:
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 500, 30)
         base = OpenLoopLaw(np.full(100, 0.3))
-        spiked = spike_perturb(base, SpikeSpec(0.4, 0.2, 0.3), GRID)
+        spiked = spike_perturb(base, GRID, 0.4, 0.2, 0.3)
         j0 = performance_values(base, coeffs, noise, 1.0)
         j1 = performance_values(spiked, coeffs, noise, 1.0)
         assert np.array_equal(j0, j1)
@@ -167,24 +166,34 @@ class TestVariationalZ:
         noise = sample_noise(GRID, ATOM, 400, 34)
         base = OpenLoopLaw(np.full(100, 0.4))
         for mode in ("direct", "closed_form"):
-            Z = variational_Z(SpikeSpec(0.3, 0.2, 0.4), mode, coeffs, euler_forward(coeffs, base, noise, 1.0))
+            Z = variational_Z(
+                spike_perturb(base, GRID, 0.3, 0.2, 0.4), mode, coeffs, euler_forward(coeffs, base, noise, 1.0)
+            )
             assert np.allclose(Z, 0.0, atol=1e-14)
 
     def test_lq_drift_only_integral(self):
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 200, 35)
         base = OpenLoopLaw(np.zeros(100))
-        Z = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
+        Z = variational_Z(
+            spike_perturb(base, GRID, 0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+        )
         assert np.allclose(Z[:, -1], 0.1, atol=1e-12)
-        Zc = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0))
+        Zc = variational_Z(
+            spike_perturb(base, GRID, 0.5, 0.1, 1.0), "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0)
+        )
         assert np.allclose(Z, Zc, atol=1e-12)
 
     def test_quadratic_scaling(self):
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 200, 36)
         base = OpenLoopLaw(np.zeros(100))
-        z_big = variational_Z(SpikeSpec(0.5, 0.2, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
-        z_small = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
+        z_big = variational_Z(
+            spike_perturb(base, GRID, 0.5, 0.2, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+        )
+        z_small = variational_Z(
+            spike_perturb(base, GRID, 0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+        )
         ratio = np.mean(z_big[:, -1] ** 2) / np.mean(z_small[:, -1] ** 2)
         assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
 
@@ -194,7 +203,9 @@ class TestVariationalZ:
         base = OpenLoopLaw(np.zeros(100))
         seconds, sups = [], []
         for eps in (0.4, 0.2, 0.1, 0.05):
-            Z = variational_Z(SpikeSpec(0.5, eps, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
+            Z = variational_Z(
+                spike_perturb(base, GRID, 0.5, eps, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+            )
             seconds.append(float(np.mean(Z[:, -1] ** 2)))
             sups.append(float(np.abs(Z).max()))
         assert all(a >= b for a, b in zip(seconds, seconds[1:]))
@@ -213,8 +224,12 @@ class TestVariationalZ:
         grid = TimeGrid(1.0, 400)
         noise = sample_noise(grid, NO_JUMPS, 2000, 38)
         base = OpenLoopLaw(np.zeros(400))
-        Zd = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
-        Zc = variational_Z(SpikeSpec(0.5, 0.1, 1.0), "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0))
+        Zd = variational_Z(
+            spike_perturb(base, grid, 0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+        )
+        Zc = variational_Z(
+            spike_perturb(base, grid, 0.5, 0.1, 1.0), "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0)
+        )
         rel = np.sqrt(np.mean((Zd[:, -1] - Zc[:, -1]) ** 2) / np.mean(Zc[:, -1] ** 2))
         assert rel < 0.01
 
@@ -223,12 +238,25 @@ class TestVariationalZ:
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 3000, 39)
         base = OpenLoopLaw(np.zeros(100))
-        spike = SpikeSpec(0.5, 0.1, 1.0)
+        spike = spike_perturb(base, GRID, 0.5, 0.1, 1.0)
         Zd = variational_Z(spike, "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
         Zc = variational_Z(spike, "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0))
         assert np.allclose(Zd, Zc, atol=1e-10)
         agreement = np.sqrt(np.mean((Zc[:, -1] - Zd[:, -1]) ** 2))
         assert agreement < 1e-10
+
+
+class TestVerdictInputs:
+    @pytest.mark.parametrize(
+        "taus, vs, eps",
+        [([0.5], [-1.0], [0.1]), ([], [1.0], [0.1]), ([0.5], [], [0.1]), ([0.5], [1.0], []), ([1.0], [1.0], [0.1])],
+        ids=["v-outside-control-set", "empty-tau-grid", "empty-v-grid", "empty-eps-grid", "spike-at-horizon"],
+    )
+    def test_rejected_before_simulating(self, taus, vs, eps):
+        coeffs = build_lq_coefficients(0.1)
+        noise = sample_noise(GRID, NO_JUMPS, 10, 40)
+        with pytest.raises(ValueError):
+            check_necessary_condition(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0, taus, vs, eps)
 
 
 class TestPartialsAlong:
