@@ -356,6 +356,12 @@ def _validate_resolved(cfg: dict) -> None:
     study = kind == "convergence-study"
     if study and len(cfg["convergence"]["n_steps_list"]) < 2:
         raise ConfigError("[convergence] n_steps_list needs at least two entries to measure a ratio")
+    # A verdict threshold no run can meet would turn every run into a FAIL.
+    if study and cfg["convergence"]["ratio_low"] > cfg["convergence"]["ratio_high"]:
+        raise ConfigError("[convergence] ratio_low must not exceed ratio_high")
+    for section, key in (("bsde", "max_rel_distance"), ("clark_ocone", "max_rel_error")):
+        if section in cfg and cfg[section][key] < 0.0:
+            raise ConfigError(f"[{section}] {key} must be >= 0, got {cfg[section][key]}")
     step_counts = cfg["convergence"]["n_steps_list"] if study else [cfg["grid"]["n_steps"]]
     where = "[grid] or [convergence]" if study else "[grid]"
     grids = [_checked(where, TimeGrid, cfg["grid"]["horizon"], n) for n in step_counts]

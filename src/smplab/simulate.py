@@ -144,35 +144,45 @@ class PathBundle:
         return self.X.shape[0]
 
 
+def _euler_step(coeffs: ControlledCoefficients, law: ControlLaw, noise: NoiseBundle, i: int, t: float, x: np.ndarray):
+    """One Euler step of every path from the states ``x`` at node i (time t).
+
+    Returns the clamped control u_i and the next states X_{i+1}; raises
+    ``NonFiniteState`` at the first path whose next state is not finite.
+    """
+    dt = noise.grid.dt
+    levy = noise.levy
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = coeffs.clamp(law.control_at(i, t, x))
+        nxt = x + coeffs.b(t, x, u) * dt + coeffs.sigma(t, x, u) * noise.dB[:, i]
+        if levy.n_atoms:
+            zetas, lams = levy.zetas, levy.intensities
+            for k in range(levy.n_atoms):
+                comp = noise.jump_counts[:, i, k].astype(float) - lams[k] * dt
+                nxt = nxt + coeffs.gamma(t, x, u, zetas[k]) * comp
+    if not np.all(np.isfinite(nxt)):
+        bad = int(np.flatnonzero(~np.isfinite(nxt))[0])
+        raise NonFiniteState(step=i, path=bad)
+    return u, nxt
+
+
 def euler_forward(coeffs: ControlledCoefficients, law: ControlLaw, noise: NoiseBundle, x0: float) -> PathBundle:
     """Euler step with explicit compensation of the jump measure.
 
     X[i+1] = X[i] + b dt + sigma dB_i + sum_k gamma(.., zeta_k) (dN_k - lam_k dt),
     all coefficients evaluated at the left node (t_i, X_i, u_i).
     """
-    grid, levy = noise.grid, noise.levy
+    grid = noise.grid
     n_paths, n_steps = noise.n_paths, grid.n_steps
-    dt = grid.dt
     times = grid.times()
-    zetas, lams = levy.zetas, levy.intensities
 
     X = np.empty((n_paths, n_steps + 1))
     U = np.empty((n_paths, n_steps))
-    X[:, 0] = x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            t = times[i]
-            x = X[:, i]
-            u = coeffs.clamp(law.control_at(i, t, x))
-            U[:, i] = u
-            nxt = x + coeffs.b(t, x, u) * dt + coeffs.sigma(t, x, u) * noise.dB[:, i]
-            for k in range(levy.n_atoms):
-                comp = noise.jump_counts[:, i, k].astype(float) - lams[k] * dt
-                nxt = nxt + coeffs.gamma(t, x, u, zetas[k]) * comp
-            if not np.all(np.isfinite(nxt)):
-                bad = int(np.flatnonzero(~np.isfinite(nxt))[0])
-                raise NonFiniteState(step=i, path=bad)
-            X[:, i + 1] = nxt
+    x = np.full(n_paths, x0, dtype=float)
+    X[:, 0] = x
+    for i in range(n_steps):
+        U[:, i], x = _euler_step(coeffs, law, noise, i, times[i], x)
+        X[:, i + 1] = x
     return PathBundle(grid=grid, X=X, u=U, noise=noise)
 
 

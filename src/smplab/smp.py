@@ -4,7 +4,9 @@ For a candidate control u-hat the verdict estimates, per cell (tau, v),
 E[dH/du(tau, X(tau), u(tau)) (v - u(tau))] with its standard error and the
 common-noise difference quotients (J(u_spiked) - J(u)) / eps; the candidate
 passes when every statistic is below 3 standard errors (one-sided) and the
-quotient-statistic gaps shrink as eps does, within Monte Carlo bands.
+quotient-statistic gaps shrink as eps does, within Monte Carlo bands.  A
+spiked path equals the base path before its window, so each spiked run
+starts at the window from the base state (``spiked_values``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ import numpy as np
 from .bsde import AdjointTriple, solve_linear_explicit, solve_regression
 from .malliavin import PolynomialBasis, mean_se
 from .model import ControlLaw, ControlledCoefficients, LevyMeasure, SpikedLaw, TimeGrid
-from .simulate import LinearCoefficients, NoiseBundle, PathBundle, euler_forward, linear_closed_form, write_csv
+from .simulate import (
+    LinearCoefficients,
+    NoiseBundle,
+    PathBundle,
+    _euler_step,
+    euler_forward,
+    linear_closed_form,
+    write_csv,
+)
 
 
 def _hamiltonian_sum(f, b, sigma, gammas, p, q, r, levy: LevyMeasure):
@@ -116,6 +126,16 @@ def spike_perturb(base: ControlLaw, grid: TimeGrid, tau: float, epsilon: float, 
     return SpikedLaw(base, window, values)
 
 
+def _running_cost(coeffs: ControlledCoefficients, forward: PathBundle, stop: int | None = None) -> np.ndarray:
+    """Per-path left-Riemann sum of f(t, X, u) dt over the steps before ``stop`` (all steps by default)."""
+    grid = forward.grid
+    times = grid.times()
+    total = np.zeros(forward.n_paths)
+    for i in range(grid.n_steps if stop is None else stop):
+        total += coeffs.f(times[i], forward.X[:, i], forward.u[:, i]) * grid.dt
+    return total
+
+
 def performance_values(
     law: ControlLaw,
     coeffs: ControlledCoefficients,
@@ -126,12 +146,34 @@ def performance_values(
     """Per-path value of int f(t, X, u) dt + g(X(T)), left-Riemann in time."""
     if forward is None:
         forward = euler_forward(coeffs, law, noise, x0)
+    return _running_cost(coeffs, forward) + coeffs.g(forward.X[:, -1])
+
+
+def spiked_values(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathBundle, prefixes: dict) -> np.ndarray:
+    """Per-path value of the spiked law, run from its window on, bit for bit
+    ``performance_values(law, coeffs, forward.noise, x0)``.
+
+    ``forward`` is the path bundle of ``law.base``.  Before the window's first
+    step the spiked and base paths coincide, so the run starts there from the
+    base state, with the base running cost summed over the earlier steps in
+    the order ``performance_values`` sums it, then Euler-steps to T adding f
+    as it goes; it stores no paths.  ``prefixes`` maps a start step to that
+    base sum: the caller passes one dict to every run on the same ``coeffs``
+    and ``forward``, so runs that start at one step share one sum.
+    """
     grid = forward.grid
+    n_steps = grid.n_steps
+    start = int(np.argmax(law.window)) if law.window.any() else n_steps
+    if start not in prefixes:
+        prefixes[start] = _running_cost(coeffs, forward, start)
+    total = prefixes[start].copy()
     times = grid.times()
-    total = np.zeros(forward.n_paths)
-    for i in range(grid.n_steps):
-        total += coeffs.f(times[i], forward.X[:, i], forward.u[:, i]) * grid.dt
-    return total + coeffs.g(forward.X[:, -1])
+    x = forward.X[:, start]
+    for i in range(start, n_steps):
+        u, nxt = _euler_step(coeffs, law, forward.noise, i, times[i], x)
+        total += coeffs.f(times[i], x, u) * grid.dt
+        x = nxt
+    return total + coeffs.g(x)
 
 
 def performance_J(law, coeffs, noise, x0, forward=None) -> dict:
@@ -242,7 +284,10 @@ def check_necessary_condition(
     |diff_quotient - statistic| non-increasing along shrinking eps within
     3 SE noise bands.  The Hamiltonian sums over the atoms of the noise
     bundle, the same measure that drives the state and fits the adjoint.
-    The inputs are checked first (``check_spike_grids``).
+    The inputs are checked first (``check_spike_grids``).  The candidate is
+    simulated once; every (tau, v, eps) run starts at its window from the
+    base state and the base running cost (``spiked_values``), and the runs
+    that start at one step share that cost.
     """
     grid, levy = noise.grid, noise.levy
     tau_grid = [float(t) for t in tau_grid]
@@ -254,6 +299,7 @@ def check_necessary_condition(
     triple = adjoint_for(coeffs, forward, basis=basis)
     j_base = performance_values(candidate, coeffs, noise, x0, forward=forward)
     times = grid.times()
+    prefixes = {}
 
     shape = (len(tau_grid), len(v_grid))
     stat = np.empty(shape)
@@ -270,7 +316,7 @@ def check_necessary_condition(
             stat[a, b], stat_se[a, b] = mean_se(dh_du * (v - u_i))
             for c, eps in enumerate(eps_grid):
                 law = spike_perturb(candidate, grid, tau, eps, v, x_at_tau=x_i)
-                j_eps = performance_values(law, coeffs, noise, x0)
+                j_eps = spiked_values(law, coeffs, forward, prefixes)
                 dq[a, b, c], dq_se[a, b, c] = mean_se((j_eps - j_base) / eps)
 
     pass_cells = stat <= 3.0 * stat_se

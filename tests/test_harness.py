@@ -130,6 +130,9 @@ class TestConfigParsing:
             ("check-smp", "\n[smp]\neps_grid =\n", {}),
             ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 64\n", {}),
             ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list =\n", {}),
+            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nratio_low = 2.6\nratio_high = 1.4\n", {}),
+            ("solve-bsde", "\n[bsde]\nmax_rel_distance = -1.0\n", {}),
+            ("clark-ocone", "\n[clark_ocone]\nmax_rel_error = -0.01\n", {}),
         ],
         ids=[
             "nan-horizon",
@@ -175,6 +178,9 @@ class TestConfigParsing:
             "empty-eps-grid",
             "one-study-grid",
             "no-study-grid",
+            "ratio-band-inverted",
+            "negative-bsde-threshold",
+            "negative-clark-ocone-threshold",
         ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, grid):
@@ -376,6 +382,9 @@ class TestRunAndReplay:
             ("solve-lq", "iteration", {"damping": 1.5}),
             ("solve-lq", "iteration", {"tol": 0.0}),
             ("solve-lq", "iteration", {"max_iters": 0}),
+            ("convergence-study", "convergence", {"ratio_low": 2.6, "ratio_high": 1.4}),
+            ("solve-bsde", "bsde", {"max_rel_distance": -1.0}),
+            ("clark-ocone", "clark_ocone", {"max_rel_error": -0.01}),
         ],
         ids=[
             "spike-at-horizon",
@@ -385,10 +394,16 @@ class TestRunAndReplay:
             "damping-above-one",
             "zero-tol",
             "zero-max-iters",
+            "ratio-band-inverted",
+            "negative-bsde-threshold",
+            "negative-clark-ocone-threshold",
         ],
     )
     def test_replay_applies_library_rules(self, tmp_path, kind, section, edits):
-        extra = "\n[smp]\ntau_grid = 0.5\nv_grid = 1.0\neps_grid = 0.2\n" if kind == "check-smp" else ""
+        extra = {
+            "check-smp": "\n[smp]\ntau_grid = 0.5\nv_grid = 1.0\neps_grid = 0.2\n",
+            "convergence-study": "\n[model]\nfamily = linear\ndiff_x = 0.2\n[convergence]\nn_steps_list = 8, 16\n",
+        }.get(kind, "")
         path = write_config(tmp_path, kind, extra=extra, n_steps=10, n_paths=200)
         out = tmp_path / "out"
         run(parse_config(path), out_dir=out)
