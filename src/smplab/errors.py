@@ -44,6 +44,10 @@ class JumpDependentFunctional(SmplabError):
     """Martingale reconstruction requested for a functional with jump terms."""
 
 
+class DegenerateStudy(SmplabError):
+    """A convergence study found no discretization error to take a ratio of."""
+
+
 class ContractionFailure(SmplabError):
     """The per-step fixed-point iteration of the backward solver stalled."""
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import dump_adjoint_csv, l2_dtP_norm, relative_l2_dtP
-from .errors import ConfigError, ReplayMismatch
+from .errors import ConfigError, DegenerateStudy, ReplayMismatch
 from .malliavin import (
     Compose,
     PolynomialBasis,
@@ -116,9 +116,7 @@ _PARSERS = {
 _FUNCTIONALS = {
     "bm_squared": lambda grid, levy: Compose(square_map(), (bm_integral(grid, 1.0),)),
     "bm_integral": lambda grid, levy: bm_integral(grid, 1.0),
-    "jump_squared": lambda grid, levy: Compose(
-        square_map(), (jump_integral(grid, levy, np.tile(levy.zetas, (grid.n_steps, 1))),)
-    ),
+    "jump_squared": lambda grid, levy: Compose(square_map(), (jump_integral(grid, levy, levy.zetas),)),
     "constant": lambda grid, levy: constant(1.0),
 }
 _INTEGRANDS = {"brownian": ("brownian", "constant"), "jump": ("zeta", "constant")}
@@ -589,6 +587,8 @@ def _run_convergence_study(cfg, out_dir: Path | None):
         eul = euler_forward(coeffs, OpenLoopLaw(np.zeros(grid.n_steps)), noise, x0)
         closed = linear_closed_form(lin, noise, x0)
         rmses.append(float(np.sqrt(np.mean((eul.X[:, -1] - closed.X[:, -1]) ** 2))))
+        if len(rmses) > 1 and rmses[-1] == 0.0:
+            raise DegenerateStudy(f"terminal RMSE is 0 on the {n_steps}-step grid, so no halving ratio can be measured")
     ratios = [rmses[i] / rmses[i + 1] for i in range(len(rmses) - 1)]
     ok = all(conv["ratio_low"] <= r <= conv["ratio_high"] for r in ratios)
     payload = {

@@ -7,9 +7,9 @@ integrands, and smooth compositions.  Differentiation follows two rules:
 * Brownian direction at time t: the derivative of an integral picks out the
   integrand value at t; compositions differentiate by the chain rule
   sum_i dPhi/dx_i(F) * D_t F_i.
-* Jump direction at (t, zeta): the derivative of a jump integral picks out
-  the integrand at (t, zeta); compositions differentiate by the difference
-  rule Phi(F + D F) - Phi(F).
+* Jump direction at (t, zeta): the difference operator D F = F(omega + jump of
+  size zeta at t) - F(omega); a jump integral picks out the integrand at
+  (t, zeta) and compositions differentiate by Phi(F + D F) - Phi(F).
 
 Conditional expectations given the time-t filtration are computed exactly
 when the derivative tree is deterministic and by polynomial least squares
@@ -18,6 +18,7 @@ on the time-t driving state otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -146,6 +147,17 @@ class Constant:
     value: float
 
 
+def _freeze_values(leaf, shape: tuple[int, ...], per: str) -> None:
+    """Store the leaf's integrand as a read-only float array of the given shape, all finite."""
+    values = np.ascontiguousarray(np.asarray(leaf.values, dtype=float))
+    if values.shape != shape:
+        raise ValueError(f"integrand must carry one value per {per}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("integrand values must be finite")
+    values.flags.writeable = False
+    object.__setattr__(leaf, "values", values)
+
+
 @dataclass(frozen=True, eq=False)
 class BMIntegral:
     """int_0^T h(t) dB(t) with h a deterministic step function on the grid."""
@@ -154,13 +166,7 @@ class BMIntegral:
     values: np.ndarray  # (N,), value of h on [t_i, t_{i+1})
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if values.shape != (self.grid.n_steps,):
-            raise ValueError("integrand must carry one value per grid step")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("integrand values must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        _freeze_values(self, (self.grid.n_steps,), "grid step")
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +178,7 @@ class JumpIntegral:
     values: np.ndarray  # (N, K), value of psi(t_i, zeta_k)
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if values.shape != (self.grid.n_steps, self.levy.n_atoms):
-            raise ValueError("integrand must carry one value per (step, atom)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("integrand values must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        _freeze_values(self, (self.grid.n_steps, self.levy.n_atoms), "(step, atom)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,33 +229,29 @@ def jump_integral(grid: TimeGrid, levy: LevyMeasure, values) -> JumpIntegral:
     return JumpIntegral(grid, levy, values)
 
 
+def _leaves(F: WienerFunctional):
+    """The non-composite nodes of the tree, depth first."""
+    if isinstance(F, Compose):
+        for c in F.children:
+            yield from _leaves(c)
+    else:
+        yield F
+
+
 def tree_grid(F: WienerFunctional) -> TimeGrid | None:
     """The common grid of the stochastic leaves, or None for deterministic trees."""
-    if isinstance(F, (BMIntegral, JumpIntegral)):
-        return F.grid
-    if isinstance(F, Compose):
-        grids = [g for g in (tree_grid(c) for c in F.children) if g is not None]
-        for g in grids[1:]:
-            if g is not grids[0] and (g.horizon != grids[0].horizon or g.n_steps != grids[0].n_steps):
-                raise ValueError("children live on different grids")
-        return grids[0] if grids else None
-    return None
+    grids = [leaf.grid for leaf in _leaves(F) if isinstance(leaf, (BMIntegral, JumpIntegral))]
+    if any(g != grids[0] for g in grids[1:]):
+        raise ValueError("children live on different grids")
+    return grids[0] if grids else None
 
 
 def is_deterministic(F: WienerFunctional) -> bool:
-    if isinstance(F, Constant):
-        return True
-    if isinstance(F, Compose):
-        return all(is_deterministic(c) for c in F.children)
-    return False
+    return all(isinstance(leaf, Constant) for leaf in _leaves(F))
 
 
 def has_jump_nodes(F: WienerFunctional) -> bool:
-    if isinstance(F, JumpIntegral):
-        return True
-    if isinstance(F, Compose):
-        return any(has_jump_nodes(c) for c in F.children)
-    return False
+    return any(isinstance(leaf, JumpIntegral) for leaf in _leaves(F))
 
 
 def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None) -> np.ndarray:
@@ -293,41 +289,32 @@ def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None
 def hm_derivative(F: WienerFunctional, direction: Brownian | Jump) -> WienerFunctional:
     """Stochastic gradient of F in the given direction, as a new tree.
 
-    An adapted tree (all integrands supported on [0, s]) differentiates to
-    zero in any direction with t > s, because the picked-out integrand value
-    vanishes there.
+    The direction chooses the leaf kind whose integrand value it picks out and
+    the composition rule; every other leaf differentiates to zero.  An adapted
+    tree (all integrands supported on [0, s]) differentiates to zero in any
+    direction with t > s, because the picked-out integrand value vanishes there.
     """
     grid = tree_grid(F)
     if grid is None:
         return Constant(0.0)
     i = grid.step_of(direction.t)
-
     if isinstance(direction, Brownian):
-        if isinstance(F, Constant):
-            return Constant(0.0)
-        if isinstance(F, BMIntegral):
-            return Constant(float(F.values[i]))
-        if isinstance(F, JumpIntegral):
-            return Constant(0.0)
-        if isinstance(F, Compose):
-            d_children = tuple(hm_derivative(c, direction) for c in F.children)
-            if all(isinstance(d, Constant) and d.value == 0.0 for d in d_children):
-                return Constant(0.0)
-            return Compose(_chain_sum_map(F.phi), F.children + d_children)
+        leaf, rule, pick = BMIntegral, _chain_sum_map, lambda node: node.values[i]
     else:
-        if isinstance(F, Constant):
+        leaf, rule = JumpIntegral, _difference_map
+        pick = lambda node: node.values[i, node.levy.atom_index(direction.zeta)]
+
+    def derive(node: WienerFunctional) -> WienerFunctional:
+        if isinstance(node, leaf):
+            return Constant(float(pick(node)))
+        if not isinstance(node, Compose):
             return Constant(0.0)
-        if isinstance(F, BMIntegral):
+        d_children = tuple(derive(c) for c in node.children)
+        if all(isinstance(d, Constant) and d.value == 0.0 for d in d_children):
             return Constant(0.0)
-        if isinstance(F, JumpIntegral):
-            k = F.levy.atom_index(direction.zeta)
-            return Constant(float(F.values[i, k]))
-        if isinstance(F, Compose):
-            d_children = tuple(hm_derivative(c, direction) for c in F.children)
-            if all(isinstance(d, Constant) and d.value == 0.0 for d in d_children):
-                return Constant(0.0)
-            return Compose(_difference_map(F.phi), F.children + d_children)
-    raise UnsupportedNode(f"no differentiation rule for node {type(F).__name__}")
+        return Compose(rule(node.phi), node.children + d_children)
+
+    return derive(F)
 
 
 # --------------------------------------------------------------------------
@@ -341,17 +328,9 @@ class PolynomialBasis:
     degree: int = 3
 
     def exponents(self, n_features: int) -> list[tuple[int, ...]]:
-        """Deterministic ordering of all exponent tuples with total degree <= degree."""
-
-        def extend(prefix, remaining):
-            if len(prefix) == n_features:
-                return [tuple(prefix)]
-            out = []
-            for p in range(remaining + 1):
-                out.extend(extend(prefix + [p], remaining - p))
-            return out
-
-        return extend([], self.degree)
+        """All exponent tuples with total degree <= degree, in lexicographic order."""
+        powers = itertools.product(range(self.degree + 1), repeat=n_features)
+        return [exp for exp in powers if sum(exp) <= self.degree]
 
     def design(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=float)
@@ -445,10 +424,7 @@ def state_features(bundle: NoiseBundle, node: int) -> np.ndarray:
     compensated jump value whenever the model carries atoms."""
     if not bundle.levy.n_atoms:
         return bundle.brownian()[:, node]
-    out = np.empty((bundle.n_paths, 2))
-    out[:, 0] = bundle.brownian()[:, node]
-    out[:, 1] = bundle.compensated_jump_path()[:, node]
-    return out
+    return np.column_stack((bundle.brownian()[:, node], bundle.compensated_jump_path()[:, node]))
 
 
 def conditional_derivative(
@@ -551,42 +527,35 @@ def check_duality(
     is enforced by a dependence probe on perturbed bundles.  F's stochastic
     leaves must live on the bundle's grid.
     """
-    if mode not in ("brownian", "jump"):
-        raise ValueError(f"mode must be 'brownian' or 'jump', got {mode!r}")
-    grid = _bundle_grid(F, noise)
-    levy, n_paths = noise.levy, noise.n_paths
-    dt = grid.dt
-    n_steps = grid.n_steps
-
-    phi = np.asarray(integrand(noise), dtype=float)
+    levy, n_paths, n_steps = noise.levy, noise.n_paths, noise.grid.n_steps
+    # Brownian mode is one channel of weight 1 driven by dB; jump mode has one
+    # channel per atom, weighted by its intensity and driven by compensated counts.
+    # The driver is read after the adaptedness probe, which copies the bundle.
     if mode == "brownian":
-        if phi.shape != (n_paths, n_steps):
-            raise ValueError(f"Brownian integrand must have shape (n_paths, N), got {phi.shape}")
-    else:
+        shape, weights, driver = (n_paths, n_steps), np.ones(1), lambda: noise.dB[:, :, None]
+        wanted = "Brownian integrand must have shape (n_paths, N)"
+    elif mode == "jump":
         if levy.n_atoms == 0:
             raise ValueError("jump-mode duality needs at least one atom")
-        if phi.shape != (n_paths, n_steps, levy.n_atoms):
-            raise ValueError(f"jump integrand must have shape (n_paths, N, K), got {phi.shape}")
+        shape, weights, driver = (n_paths, n_steps, levy.n_atoms), levy.intensities, noise.compensated_counts
+        wanted = "jump integrand must have shape (n_paths, N, K)"
+    else:
+        raise ValueError(f"mode must be 'brownian' or 'jump', got {mode!r}")
+    dt = _bundle_grid(F, noise).dt
+
+    phi = np.asarray(integrand(noise), dtype=float)
+    if phi.shape != shape:
+        raise ValueError(f"{wanted}, got {phi.shape}")
     _probe_adapted(integrand, noise, phi)
+    phi = phi.reshape(n_paths, n_steps, -1)
 
     memo: dict = {}
-    f_vals = evaluate(F, noise, memo)
-    if mode == "brownian":
-        stoch = (phi * noise.dB).sum(axis=1)
-        lhs_vals = f_vals * stoch
-        rhs_vals = np.zeros(n_paths)
-        for i in range(n_steps):
-            cond = conditional_derivative(F, noise, i, "brownian", basis=basis, _memo=memo)
-            rhs_vals += cond * phi[:, i] * dt
-    else:
-        stoch = (phi * noise.compensated_counts()).sum(axis=(1, 2))
-        lhs_vals = f_vals * stoch
-        rhs_vals = np.zeros(n_paths)
-        lam = levy.intensities
-        for i in range(n_steps):
-            cond = conditional_derivative(F, noise, i, "jump", basis=basis, _memo=memo)
-            for k in range(levy.n_atoms):
-                rhs_vals += cond[:, k] * phi[:, i, k] * lam[k] * dt
+    lhs_vals = evaluate(F, noise, memo) * (phi * driver()).sum(axis=(1, 2))
+    rhs_vals = np.zeros(n_paths)
+    for i in range(n_steps):
+        cond = conditional_derivative(F, noise, i, mode, basis=basis, _memo=memo).reshape(n_paths, -1)
+        for k, weight in enumerate(weights):
+            rhs_vals += cond[:, k] * phi[:, i, k] * weight * dt
 
     lhs, se_lhs = mean_se(lhs_vals)
     rhs, se_rhs = mean_se(rhs_vals)

@@ -89,6 +89,10 @@ class LevyMeasure:
                 raise ValueError(f"jump size must be finite and nonzero, got {zeta}")
             if not (math.isfinite(lam) and lam >= 0.0):
                 raise ValueError(f"intensity must be finite and >= 0, got {lam}")
+        # Jump directions are addressed by size, so no two sizes may match in atom_index.
+        for k, (zeta, _) in enumerate(self.atoms):
+            if self.atom_index(zeta) != k:
+                raise ValueError(f"jump size {zeta} repeats an earlier atom; atom sizes must be distinct")
 
     @classmethod
     def empty(cls) -> "LevyMeasure":
@@ -116,6 +120,7 @@ class LevyMeasure:
         return float(sum(l * z * z for z, l in self.atoms))
 
     def atom_index(self, zeta: float) -> int:
+        """Index of the first atom whose size matches ``zeta`` to a relative 1e-12."""
         for k, (z, _) in enumerate(self.atoms):
             if np.isclose(z, zeta, rtol=1e-12, atol=0.0):
                 return k

@@ -191,8 +191,9 @@ class LinearCoefficients:
     """Coefficient arrays of the linear SDE
     dX = (b0 + b1 X) dt + (s0 + s1 X) dB + sum_k (g0_k + g1_k X)(dN_k - lam_k dt).
 
-    Scalar entries broadcast; per-node arrays have trailing shape (N,) or
-    (n_paths, N), jump arrays additionally an atom axis (..., N, K).
+    Scalar entries broadcast.  b0, b1, s0 and s1 take shape (N,) or
+    (n_paths, N); g0 and g1 take shape (K,) per atom, (N, K) or
+    (n_paths, N, K).  A 1-D jump array is always per atom.
     """
 
     b0: np.ndarray = 0.0
@@ -208,9 +209,8 @@ class LinearCoefficients:
 
         def expand(a, shape):
             a = np.asarray(a, dtype=float)
-            if a.ndim == 1 and shape == jump:
-                # (K,) per-atom constants
-                a = a[None, None, :] if a.shape[0] == n_atoms else a[None, :, None]
+            if a.ndim == 1 and shape == jump and a.shape[0] != n_atoms:
+                raise ValueError(f"a 1-D jump coefficient carries one value per atom ({n_atoms}), got {a.shape[0]}")
             return np.broadcast_to(a, shape)
 
         return (

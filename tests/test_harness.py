@@ -116,6 +116,7 @@ class TestConfigParsing:
             ("simulate", "", {"n_steps": 1}),
             ("simulate", "\n[model]\natoms = 0.0:1.0\n", {}),
             ("simulate", "\n[model]\natoms = 0.2:-1.0\n", {}),
+            ("check-duality", "\n[model]\natoms = 0.2:1.0; 0.2:3.0\n[duality]\nmode = jump\nintegrand = constant\n", {}),
             ("simulate", "\n[basis]\ndegree = 0\n", {}),
             ("check-smp", "\n[smp]\ntau_grid = 1.0\n", {}),
             ("check-smp", "\n[smp]\neps_grid = 0.0\n", {}),
@@ -164,6 +165,7 @@ class TestConfigParsing:
             "one-step-grid",
             "zero-jump-size",
             "negative-intensity",
+            "repeated-jump-size",
             "zero-basis-degree",
             "spike-at-horizon",
             "zero-spike-length",
@@ -581,6 +583,14 @@ class TestCli:
         )
         path = write_config(tmp_path, "solve-bsde", extra=extra, n_paths=500)
         assert main(["solve-bsde", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_degenerate_convergence_study_exit_3(self, tmp_path, capsys):
+        # every 'linear' coefficient defaults to 0, so the Euler scheme and the
+        # closed form agree exactly and the finer grid has no error to divide by
+        extra = "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 16, 32\n"
+        path = write_config(tmp_path, "convergence-study", extra=extra, n_paths=200)
+        assert main(["convergence-study", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "32-step grid" in capsys.readouterr().err
 
     def test_tampered_replay_exit_1(self, tmp_path):
         extra = "\n[duality]\nfunctional = bm_squared\nmode = brownian\nintegrand = brownian\n"

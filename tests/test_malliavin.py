@@ -28,6 +28,7 @@ from smplab.malliavin import (
     constant,
     evaluate,
     hm_derivative,
+    mean_se,
     is_deterministic,
     jump_integral,
     product_map,
@@ -53,6 +54,32 @@ def bm_squared(grid=GRID):
 
 def eta_squared(grid=GRID, levy=LEVY):
     return Compose(square_map(), (jump_integral(grid, levy, np.tile(levy.zetas, (grid.n_steps, 1))),))
+
+
+# Small trees of BM and jump integrals under square, affine and product maps,
+# at most two compositions deep, for checks against independent references.
+SMALL = TimeGrid(1.0, 4)
+TWO_ATOMS = LevyMeasure.from_pairs([(0.2, 1.5), (-0.3, 2.0)])
+_VALUES = st.floats(-2.0, 2.0, allow_nan=False)
+_LEAVES = st.one_of(
+    _VALUES.map(constant),
+    st.lists(_VALUES, min_size=4, max_size=4).map(lambda v: bm_integral(SMALL, v)),
+    st.lists(_VALUES, min_size=8, max_size=8).map(lambda v: jump_integral(SMALL, TWO_ATOMS, np.reshape(v, (4, 2)))),
+)
+
+
+def _trees(depth):
+    if depth == 0:
+        return _LEAVES
+    children = _trees(depth - 1)
+    return st.one_of(
+        children,
+        children.map(lambda c: Compose(square_map(), (c,))),
+        st.tuples(_VALUES, _VALUES, _VALUES, children, children).map(
+            lambda a: Compose(affine_map(a[0], a[1:3]), a[3:])
+        ),
+        st.tuples(children, children).map(lambda pair: Compose(product_map(), pair)),
+    )
 
 
 class TestDerivativeRules:
@@ -148,6 +175,67 @@ class TestDerivativeRules:
     def test_unknown_direction_time_rejected(self):
         with pytest.raises(ValueError):
             hm_derivative(bm_squared(), Brownian(1.5))
+
+
+class TestRulesAgainstReferences:
+    noise = sample_noise(SMALL, TWO_ATOMS, 8, 31)
+
+    @given(_trees(2), st.integers(0, 3), st.integers(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_jump_direction_is_the_difference_operator(self, F, i, k):
+        # D_{t_i, zeta_k} F = F(omega + one jump of size zeta_k in step i) - F(omega)
+        counts = self.noise.jump_counts.copy()
+        counts[:, i, k] += 1
+        shifted = evaluate(F, dataclasses.replace(self.noise, jump_counts=counts))
+        base = evaluate(F, self.noise)
+        d = evaluate(hm_derivative(F, Jump(SMALL.times()[i], TWO_ATOMS.zetas[k])), self.noise)
+        scale = 1.0 + np.abs(shifted).max() + np.abs(base).max()
+        assert np.allclose(d, shifted - base, rtol=0.0, atol=1e-12 * scale)
+
+    @given(_trees(2), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_brownian_direction_is_the_derivative_in_dB(self, F, i):
+        # every tree here is a polynomial of degree <= 4 in dB_i, on which the
+        # five-point central difference is exact up to rounding
+        h = 1e-2
+
+        def bumped(delta):
+            dB = self.noise.dB.copy()
+            dB[:, i] += delta
+            return evaluate(F, dataclasses.replace(self.noise, dB=dB))
+
+        values = [bumped(m * h) for m in (-2, -1, 1, 2)]
+        central = (values[0] - 8.0 * values[1] + 8.0 * values[2] - values[3]) / (12.0 * h)
+        d = evaluate(hm_derivative(F, Brownian(SMALL.times()[i])), self.noise)
+        scale = 1.0 + max(np.abs(v).max() for v in values)
+        assert np.allclose(d, central, rtol=0.0, atol=1e-10 * scale)
+
+    def test_brownian_duality_sides_equal_the_written_out_loop(self):
+        F, noise = bm_squared(), draw(3000, 32)
+        integrand = lambda b: b.brownian()[:, :-1]
+        report = check_duality(F, integrand, "brownian", noise)
+        phi = integrand(noise)
+        lhs_vals = evaluate(F, noise) * (phi * noise.dB).sum(axis=1)
+        rhs_vals = np.zeros(noise.n_paths)
+        for i in range(GRID.n_steps):
+            rhs_vals += conditional_derivative(F, noise, i, "brownian") * phi[:, i] * GRID.dt
+        assert (report.lhs, report.se_lhs) == mean_se(lhs_vals)
+        assert (report.rhs, report.se_rhs) == mean_se(rhs_vals)
+
+    def test_two_atom_jump_duality_sides_equal_the_written_out_loop(self):
+        levy = LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])
+        F, noise = eta_squared(levy=levy), draw(3000, 33, levy)
+        integrand = lambda b: b.brownian()[:, :-1, None] * b.levy.zetas
+        report = check_duality(F, integrand, "jump", noise)
+        phi, lam = integrand(noise), levy.intensities
+        lhs_vals = evaluate(F, noise) * (phi * noise.compensated_counts()).sum(axis=(1, 2))
+        rhs_vals = np.zeros(noise.n_paths)
+        for i in range(GRID.n_steps):
+            cond = conditional_derivative(F, noise, i, "jump")
+            for k in range(levy.n_atoms):
+                rhs_vals += cond[:, k] * phi[:, i, k] * lam[k] * GRID.dt
+        assert (report.lhs, report.se_lhs) == mean_se(lhs_vals)
+        assert (report.rhs, report.se_rhs) == mean_se(rhs_vals)
 
 
 class TestProjection:

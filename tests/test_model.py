@@ -102,6 +102,17 @@ class TestLevyMeasure:
         with pytest.raises(ValueError):
             levy.atom_index(0.3)
 
+    @pytest.mark.parametrize("sizes", [(0.2, 0.2), (0.2, 0.2 * (1.0 + 1e-13)), (0.3, -0.1, 0.3)])
+    def test_rejects_sizes_atom_index_cannot_tell_apart(self, sizes):
+        # jump directions are addressed by size: a repeated size would make
+        # every direction at that size read the first atom's column
+        with pytest.raises(ValueError, match="distinct"):
+            LevyMeasure.from_pairs([(z, 1.0) for z in sizes])
+
+    def test_accepts_nearby_distinct_sizes(self):
+        levy = LevyMeasure.from_pairs([(0.2, 1.0), (0.2 * (1.0 + 1e-9), 3.0)])
+        assert [levy.atom_index(z) for z in levy.zetas] == [0, 1]
+
 
 class TestValidateCoefficients:
     def test_lq_passes_with_zero_discrepancy(self):

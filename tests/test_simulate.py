@@ -181,6 +181,16 @@ class TestLinearClosedForm:
         exact = np.exp(c * t) * x0 + (d / c) * (np.exp(c * t) - 1.0)
         assert np.abs(pb.X - exact).max() < 1e-3
 
+    def test_one_dimensional_jump_array_is_per_atom(self):
+        # N == K: a 1-D jump array is read per atom, never per step
+        g0, g1 = LinearCoefficients(g0=[1.0, 2.0], g1=[0.1, 0.2]).broadcast(1, 2, 2)[4:]
+        assert np.array_equal(g1, [[[0.1, 0.2], [0.1, 0.2]]])
+        assert np.array_equal(g0, [[[1.0, 2.0], [1.0, 2.0]]])
+
+    def test_one_dimensional_jump_array_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="per atom"):
+            LinearCoefficients(g1=[0.1, 0.2, 0.3]).broadcast(4, 3, 2)
+
     def test_singular_jump_coefficient(self):
         noise = sample_noise(GRID, ATOM, 10, 2)
         with pytest.raises(SingularJumpCoefficient):
