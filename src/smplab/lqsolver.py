@@ -97,7 +97,11 @@ def _picard_update(params: LqParams, basis: PolynomialBasis, u: np.ndarray) -> n
     coeffs = params.coeffs
     X = euler_forward(coeffs, OpenLoopLaw(u), params.noise, params.x0).X
     terminal = coeffs.g_x(X[:, -1])
-    p = np.column_stack([StateProjector(X[:, i], basis).fit(terminal).fitted for i in range(params.noise.grid.n_steps)])
+    # Filled in place: a list of fitted columns stacked at the end leaves heap
+    # garbage that keeps the run's peak resident set at the mercy of malloc.
+    p = np.empty_like(u)
+    for i in range(p.shape[1]):
+        p[:, i] = StateProjector(X[:, i], basis).fit(terminal).fitted
     return (1.0 - params.damping) * u + params.damping * coeffs.clamp(p)
 
 

@@ -11,9 +11,12 @@ integrands, and smooth compositions.  Differentiation follows two rules:
   size zeta at t) - F(omega); a jump integral picks out the integrand at
   (t, zeta) and compositions differentiate by Phi(F + D F) - Phi(F).
 
-Conditional expectations given the time-t filtration are computed exactly
-when the derivative tree is deterministic and by polynomial least squares
-on the time-t driving state otherwise.
+Conditional expectations given the time-t filtration are exact when the
+derivative tree is deterministic, or when it is affine in its integral leaves
+by the degree bound of ``tree_degree``: integrals of deterministic integrands
+are martingales, so E[D F | F_t] is D F with every integral stopped at t.
+Trees of higher or unknown degree are projected by polynomial least squares
+on the time-t driving state.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ class SmoothMap:
     ``fn`` and each gradient component act on a list of m equally shaped
     arrays and return one array of that shape.  ``hess`` is only needed to
     differentiate a Brownian chain-rule derivative a second time.
+    ``degree`` maps the polynomial degrees of the m arguments to an upper
+    bound on the degree of the composition; ``None`` marks a map that is
+    not a polynomial.
     """
 
     fn: Callable[[list[np.ndarray]], np.ndarray]
@@ -47,6 +53,7 @@ class SmoothMap:
     hess: Callable[[list[np.ndarray]], list[list[np.ndarray]]] | None = None
     name: str = "phi"
     arity: int = 1
+    degree: Callable[[list[int]], int] | None = None
 
 
 def square_map() -> SmoothMap:
@@ -56,6 +63,7 @@ def square_map() -> SmoothMap:
         hess=lambda a: [[np.full_like(a[0], 2.0)]],
         name="square",
         arity=1,
+        degree=lambda k: 2 * k[0],
     )
 
 
@@ -74,6 +82,7 @@ def affine_map(constant: float, weights: tuple[float, ...]) -> SmoothMap:
         hess=lambda a: [[np.zeros_like(a[0]) for _ in w] for _ in w],
         name="affine",
         arity=len(w),
+        degree=lambda k: max(k, default=0),
     )
 
 
@@ -87,6 +96,7 @@ def product_map() -> SmoothMap:
         ],
         name="product",
         arity=2,
+        degree=lambda k: k[0] + k[1],
     )
 
 
@@ -113,7 +123,14 @@ def _chain_sum_map(phi: SmoothMap) -> SmoothMap:
             gx = [sum(H[i][j] * ys[i] for i in range(m)) for j in range(m)]
             return gx + list(phi.grad(xs))
 
-    return SmoothMap(fn=fn, grad=grad, name=f"d({phi.name})", arity=2 * m)
+    degree = None
+    if phi.degree is not None:
+
+        def degree(k):
+            # dPhi/dx_i takes one factor x_i off each monomial, and y_i takes its place
+            return max(phi.degree(k[:m]) - k[i] + k[m + i] for i in range(m))
+
+    return SmoothMap(fn=fn, grad=grad, name=f"d({phi.name})", arity=2 * m, degree=degree)
 
 
 def _difference_map(phi: SmoothMap) -> SmoothMap:
@@ -135,7 +152,15 @@ def _difference_map(phi: SmoothMap) -> SmoothMap:
             g0 = phi.grad(xs)
             return [gs[i] - g0[i] for i in range(m)] + list(gs)
 
-    return SmoothMap(fn=fn, grad=grad, name=f"jump-d({phi.name})", arity=2 * m)
+    degree = None
+    if phi.degree is not None:
+
+        def degree(k):
+            # every term of Phi(x + y) - Phi(x) has at least one factor y_i in place of x_i
+            top = [max(kx, ky) for kx, ky in zip(k[:m], k[m:])]
+            return max(phi.degree(top) - top[i] + k[m + i] for i in range(m))
+
+    return SmoothMap(fn=fn, grad=grad, name=f"jump-d({phi.name})", arity=2 * m, degree=degree)
 
 
 # --------------------------------------------------------------------------
@@ -230,12 +255,14 @@ def jump_integral(grid: TimeGrid, levy: LevyMeasure, values) -> JumpIntegral:
 
 
 def _leaves(F: WienerFunctional):
-    """The non-composite nodes of the tree, depth first."""
+    """The non-composite nodes of the tree, depth first; an unknown node kind raises."""
     if isinstance(F, Compose):
         for c in F.children:
             yield from _leaves(c)
-    else:
+    elif isinstance(F, (Constant, BMIntegral, JumpIntegral)):
         yield F
+    else:
+        raise UnsupportedNode(f"no rule for node {type(F).__name__}")
 
 
 def tree_grid(F: WienerFunctional) -> TimeGrid | None:
@@ -254,6 +281,36 @@ def has_jump_nodes(F: WienerFunctional) -> bool:
     return any(isinstance(leaf, JumpIntegral) for leaf in _leaves(F))
 
 
+def tree_degree(F: WienerFunctional) -> int | None:
+    """Upper bound on the polynomial degree of F in its integral leaves.
+
+    Constants have degree 0 and integrals degree 1; a composition takes its
+    map's bound.  ``None`` means some map on the way is not a polynomial.
+    """
+    if isinstance(F, Compose):
+        degrees = [tree_degree(c) for c in F.children]
+        if F.phi.degree is None or None in degrees:
+            return None
+        return F.phi.degree(degrees)
+    if isinstance(F, Constant):
+        return 0
+    if isinstance(F, (BMIntegral, JumpIntegral)):
+        return 1
+    raise UnsupportedNode(f"no rule for node {type(F).__name__}")
+
+
+def _check_leaf(F: BMIntegral | JumpIntegral, bundle: NoiseBundle) -> None:
+    """Raise unless the integral leaf lives on the bundle's grid and atoms."""
+    if isinstance(F, BMIntegral):
+        if F.values.shape[0] != bundle.grid.n_steps:
+            raise ValueError("functional grid does not match the bundle grid")
+        return
+    if F.values.shape != (bundle.grid.n_steps, bundle.levy.n_atoms):
+        raise ValueError("functional grid/atoms do not match the bundle")
+    if not np.allclose(F.levy.zetas, bundle.levy.zetas):
+        raise ValueError("functional atoms do not match the bundle atoms")
+
+
 def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None) -> np.ndarray:
     """Pathwise value of the functional on a noise bundle, shape (n_paths,).
 
@@ -268,14 +325,10 @@ def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None
     if isinstance(F, Constant):
         out = np.full(bundle.n_paths, F.value)
     elif isinstance(F, BMIntegral):
-        if F.values.shape[0] != bundle.grid.n_steps:
-            raise ValueError("functional grid does not match the bundle grid")
+        _check_leaf(F, bundle)
         out = bundle.dB @ F.values
     elif isinstance(F, JumpIntegral):
-        if F.values.shape != (bundle.grid.n_steps, bundle.levy.n_atoms):
-            raise ValueError("functional grid/atoms do not match the bundle")
-        if not np.allclose(F.levy.zetas, bundle.levy.zetas):
-            raise ValueError("functional atoms do not match the bundle atoms")
+        _check_leaf(F, bundle)
         out = np.einsum("pik,ik->p", bundle.compensated_counts(), F.values)
     elif isinstance(F, Compose):
         out = F.phi.fn([evaluate(c, bundle, _memo) for c in F.children])
@@ -284,6 +337,35 @@ def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None
     if _memo is not None:
         _memo[id(F)] = (F, out)
     return out
+
+
+def _running_path(leaf: BMIntegral | JumpIntegral, bundle: NoiseBundle, memo: dict) -> np.ndarray:
+    """The integral stopped at every grid node, built once per memo.
+
+    Shape (N+1, n_paths): node-major, so that the values at one node are contiguous.
+    """
+    key = ("running", id(leaf))
+    hit = memo.get(key)
+    if hit is not None and hit[0] is leaf:
+        return hit[1]
+    _check_leaf(leaf, bundle)
+    if isinstance(leaf, BMIntegral):
+        increments = leaf.values[:, None] * bundle.dB.T
+    else:
+        increments = np.einsum("pik,ik->ip", bundle.compensated_counts(), leaf.values)
+    out = np.zeros((bundle.grid.n_steps + 1, bundle.n_paths))
+    np.cumsum(increments, axis=0, out=out[1:])
+    memo[key] = (leaf, out)
+    return out
+
+
+def _stopped_value(F: WienerFunctional, bundle: NoiseBundle, node: int, memo: dict) -> np.ndarray:
+    """Pathwise value of F with every integral stopped at grid node ``node``."""
+    if isinstance(F, Compose):
+        return F.phi.fn([_stopped_value(c, bundle, node, memo) for c in F.children])
+    if isinstance(F, Constant):
+        return np.full(bundle.n_paths, F.value)
+    return _running_path(F, bundle, memo)[node]
 
 
 def hm_derivative(F: WienerFunctional, direction: Brownian | Jump) -> WienerFunctional:
@@ -438,8 +520,12 @@ def conditional_derivative(
     """Per-path E[D F | F_{t_i}] for the directions anchored at node t_i.
 
     ``brownian`` mode returns shape (n_paths,); ``jump`` mode returns one
-    column per atom of the bundle, shape (n_paths, K).  Deterministic
-    derivative trees are used exactly; stochastic ones are projected onto
+    column per atom of the bundle, shape (n_paths, K).  The result is exact
+    when the derivative tree is deterministic or of degree <= 1 by
+    ``tree_degree``: such a tree is an affine function of integrals with
+    deterministic integrands, which are martingales, so it is evaluated with
+    every integral stopped at node i (each integral's running path is built
+    once, in ``_memo`` when given).  Any other tree is projected onto
     polynomial features of the time-t_i driving state, through one
     projector per step shared by every atom.
     """
@@ -451,14 +537,16 @@ def conditional_derivative(
     else:
         raise ValueError(f"mode must be 'brownian' or 'jump', got {mode!r}")
     out = np.empty((bundle.n_paths, len(directions)))
+    memo = {} if _memo is None else _memo
     projector = None
     for k, direction in enumerate(directions):
         d = hm_derivative(F, direction)
-        vals = evaluate(d, bundle, _memo)
-        if not is_deterministic(d):
+        if is_deterministic(d) or tree_degree(d) in (0, 1):
+            vals = _stopped_value(d, bundle, step, memo)
+        else:
             if projector is None:
                 projector = StateProjector(state_features(bundle, step), basis)
-            vals = projector.fit(vals).fitted
+            vals = projector.fit(evaluate(d, bundle, memo)).fitted
         out[:, k] = vals
     return out[:, 0] if mode == "brownian" else out
 

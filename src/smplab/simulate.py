@@ -111,20 +111,27 @@ def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> 
     dB = np.empty((n_paths, n_steps))
     counts = np.zeros((n_paths, n_steps, levy.n_atoms), dtype=np.int16)
     # Re-keying one Philox instance per path is bit-identical to constructing
-    # Philox(key=(seed, k)) afresh (see _path_generator) and much cheaper.
+    # Philox(key=(seed, k)) afresh (see _path_generator) and much cheaper; the
+    # state setter copies the key, so one state dict and key array serve every path.
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    template = bitgen.state
+    state = bitgen.state
+    key = np.array([seed & _SEED_MASK, 0], dtype=np.uint64)
+    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
+    # One atom draws from a scalar rate, which gives the same bits as the
+    # (1,)-array form at half the cost; several atoms keep the array form,
+    # whose draw order any other layout would change.
+    if levy.n_atoms == 1:
+        lam, size, rows = rates[0], n_steps, counts[:, :, 0]
+    else:
+        lam, size, rows = rates, (n_steps, levy.n_atoms), counts
     for k in range(n_paths):
-        state = dict(template)
-        state["state"] = {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([seed & _SEED_MASK, k & _SEED_MASK], dtype=np.uint64),
-        }
+        key[1] = k & _SEED_MASK
         bitgen.state = state
-        dB[k] = gen.standard_normal(n_steps) * sqrt_dt
+        gen.standard_normal(out=dB[k])
         if levy.n_atoms:
-            counts[k] = gen.poisson(lam=rates, size=(n_steps, levy.n_atoms))
+            rows[k] = gen.poisson(lam=lam, size=size)
+    dB *= sqrt_dt
     dB.flags.writeable = False
     counts.flags.writeable = False
     return NoiseBundle(grid=grid, levy=levy, n_paths=n_paths, seed=seed, dB=dB, jump_counts=counts)

@@ -34,6 +34,7 @@ from smplab.malliavin import (
     product_map,
     square_map,
     state_features,
+    tree_degree,
 )
 from smplab import malliavin
 from smplab.model import LevyMeasure, TimeGrid
@@ -80,6 +81,35 @@ def _trees(depth):
         ),
         st.tuples(children, children).map(lambda pair: Compose(product_map(), pair)),
     )
+
+
+_DIRECTIONS = st.one_of(
+    st.integers(0, 3).map(lambda i: Brownian(SMALL.times()[i])),
+    st.tuples(st.integers(0, 3), st.integers(0, 1)).map(lambda a: Jump(SMALL.times()[a[0]], TWO_ATOMS.zetas[a[1]])),
+)
+
+
+def _scaled(F, s):
+    """F with the integrand of every integral leaf multiplied by s."""
+    if isinstance(F, Compose):
+        return Compose(F.phi, tuple(_scaled(c, s) for c in F.children))
+    if isinstance(F, Constant):
+        return F
+    return dataclasses.replace(F, values=s * F.values)
+
+
+@pytest.fixture
+def projectors_built(monkeypatch):
+    """One entry per ``StateProjector`` that the calculus layer builds."""
+    built = []
+
+    class CountingProjector(StateProjector):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(malliavin, "StateProjector", CountingProjector)
+    return built
 
 
 class TestDerivativeRules:
@@ -176,6 +206,18 @@ class TestDerivativeRules:
         with pytest.raises(ValueError):
             hm_derivative(bm_squared(), Brownian(1.5))
 
+    def test_unknown_node_kind_rejected(self):
+        class Odd:
+            pass
+
+        for F in (Odd(), Compose(product_map(), (Odd(), bm_integral(GRID, 1.0)))):
+            with pytest.raises(UnsupportedNode):
+                hm_derivative(F, Brownian(0.1))
+            with pytest.raises(UnsupportedNode):
+                is_deterministic(F)
+            with pytest.raises(UnsupportedNode):
+                tree_degree(F)
+
 
 class TestRulesAgainstReferences:
     noise = sample_noise(SMALL, TWO_ATOMS, 8, 31)
@@ -209,6 +251,21 @@ class TestRulesAgainstReferences:
         d = evaluate(hm_derivative(F, Brownian(SMALL.times()[i])), self.noise)
         scale = 1.0 + max(np.abs(v).max() for v in values)
         assert np.allclose(d, central, rtol=0.0, atol=1e-10 * scale)
+
+    @given(_trees(2), _DIRECTIONS, _DIRECTIONS)
+    @settings(max_examples=60, deadline=None)
+    def test_degree_bound_is_sound(self, F, first, second):
+        # a tree of degree <= d in its integral leaves is a polynomial of degree
+        # <= d in a common scale s of those leaves, so its (d+1)-th finite
+        # difference over s = 0, ..., d+1 vanishes; checked for F, D F and D D F
+        # (difference trees cancel terms of order one, hence the floor of 1)
+        d_F = hm_derivative(F, first)
+        for G in (F, d_F, hm_derivative(d_F, second)):
+            d = tree_degree(G)
+            values = [evaluate(_scaled(G, s), self.noise) for s in range(d + 2)]
+            difference = sum((-1) ** (d + 1 - j) * math.comb(d + 1, j) * v for j, v in enumerate(values))
+            scale = 1.0 + max(np.abs(v).max() for v in values)
+            assert np.all(np.abs(difference) <= 1e-9 * scale)
 
     def test_brownian_duality_sides_equal_the_written_out_loop(self):
         F, noise = bm_squared(), draw(3000, 32)
@@ -364,6 +421,14 @@ class TestClarkOcone:
         with pytest.raises(JumpDependentFunctional):
             clark_ocone_reconstruct(eta_squared(), draw(1000, 21))
 
+    def test_bm_squared_residual_is_the_quadratic_variation(self):
+        # B_T^2 = sum_i dB_i^2 + 2 sum_i B_{t_i} dB_i, and the exact E[D_t F | F_t] = 2 B_t
+        # rebuilds the second sum, so F - Fhat = sum_i dB_i^2 - mean(F) on every path
+        noise = draw(5000, 36)
+        _, f_vals, recon = clark_ocone_reconstruct(bm_squared(), noise, return_paths=True)
+        residual = (noise.dB**2).sum(axis=1) - f_vals.mean()
+        assert np.allclose(f_vals - recon, residual, rtol=0.0, atol=1e-12)
+
 
 class TestConditionalDerivative:
     def test_deterministic_tree_shortcut(self):
@@ -373,40 +438,60 @@ class TestConditionalDerivative:
         cond = conditional_derivative(F, noise, 37, "brownian")
         assert np.all(cond == h[37])
 
-    def test_symbolic_matches_martingale(self):
-        # E[D_t B(T)^2 | F_t] = 2 B(t)
-        noise = sample_noise(GRID, NO_JUMPS, 100_000, 23)
-        cond = conditional_derivative(bm_squared(), noise, 50, "brownian")
-        truth = 2.0 * noise.brownian()[:, 50]
-        rel = math.sqrt(np.mean((cond - truth) ** 2) / np.mean(truth**2))
-        assert rel < 0.02
+    def test_symbolic_matches_martingale(self, projectors_built):
+        # E[D_t B(T)^2 | F_t] = 2 B(t), exactly: the derivative tree is affine
+        noise = sample_noise(GRID, NO_JUMPS, 5000, 23)
+        B = noise.brownian()
+        for step in (0, 50, GRID.n_steps - 1):
+            cond = conditional_derivative(bm_squared(), noise, step, "brownian")
+            assert np.allclose(cond, 2.0 * B[:, step], rtol=0.0, atol=1e-12)
+            assert np.array_equal(cond, conditional_derivative(bm_squared(), noise, step, "brownian", _memo={}))
+        assert not projectors_built
 
-    def test_jump_mode_shares_one_projector_per_step(self, monkeypatch):
-        # two atoms with stochastic derivatives: each column equals the fit on
-        # its own projector, bit for bit, and the step builds one projector
+    def test_jump_squared_is_stopped_exactly(self, projectors_built):
+        # E[D_{t,zeta} J(T)^2 | F_t] = 2 zeta J(t) + zeta^2
+        noise = draw(5000, 35, LEVY)
+        J, zeta = noise.compensated_jump_path(), LEVY.zetas[0]
+        for step in (0, 37, GRID.n_steps - 1):
+            cond = conditional_derivative(eta_squared(), noise, step, "jump")
+            assert np.allclose(cond[:, 0], 2.0 * zeta * J[:, step] + zeta**2, rtol=0.0, atol=1e-12)
+        assert not projectors_built
+
+    def test_cubic_tree_goes_to_the_projector(self, projectors_built):
+        # F = B_T^3: D_t F = 3 B_T^2 has degree bound 2, and E[D_t F | F_t] =
+        # 3 (B_t^2 + T - t) differs from D_t F stopped at t, 3 B_t^2
+        B = bm_integral(GRID, 1.0)
+        F = Compose(affine_map(0.0, (1.0,)), (Compose(product_map(), (Compose(square_map(), (B,)), B)),))
+        step = 50
+        d = hm_derivative(F, Brownian(GRID.times()[step]))
+        assert tree_degree(d) == 2
+        noise = draw(20_000, 34)
+        cond = conditional_derivative(F, noise, step, "brownian")
+        assert len(projectors_built) == 1
+        assert np.array_equal(cond, StateProjector(state_features(noise, step)).fit(evaluate(d, noise)).fitted)
+        truth = 3.0 * (noise.brownian()[:, step] ** 2 + GRID.horizon - GRID.times()[step])
+        assert math.sqrt(np.mean((cond - truth) ** 2) / np.mean(truth**2)) < 0.05
+
+    def test_jump_mode_shares_one_projector_per_step(self, projectors_built):
+        # two atoms with derivatives of degree 2, F = J^2 * J: each column equals
+        # the fit on its own projector, bit for bit, and the step builds one projector
         levy = LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])
-        F = eta_squared(levy=levy)
+        J = jump_integral(GRID, levy, levy.zetas)
+        F = Compose(product_map(), (Compose(square_map(), (J,)), J))
         noise = draw(2000, 24, levy)
         step = 40
         expected = []
         for zeta in levy.zetas:
             d = hm_derivative(F, Jump(GRID.times()[step], float(zeta)))
             assert not is_deterministic(d)
+            assert tree_degree(d) == 2
             expected.append(StateProjector(state_features(noise, step)).fit(evaluate(d, noise)).fitted)
-        built = []
-
-        class CountingProjector(StateProjector):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(malliavin, "StateProjector", CountingProjector)
         cond = conditional_derivative(F, noise, step, "jump")
         assert cond.shape == (2000, 2)
         assert not np.array_equal(expected[0], expected[1])
         for k in range(2):
             assert np.array_equal(cond[:, k], expected[k]), k
-        assert len(built) == 1
+        assert len(projectors_built) == 1
 
 
 class TestBundleChecks:

@@ -57,12 +57,17 @@ class TestSampleNoise:
         assert np.array_equal(big.jump_counts[:60], small.jump_counts)
 
     def test_matches_per_path_generator(self):
-        bundle = sample_noise(GRID, ATOM, 20, 7)
-        gen = _path_generator(7, 13)
-        ref_db = gen.standard_normal(GRID.n_steps) * math.sqrt(GRID.dt)
-        ref_counts = gen.poisson(lam=ATOM.intensities * GRID.dt, size=(GRID.n_steps, 1))
-        assert np.array_equal(bundle.dB[13], ref_db)
-        assert np.array_equal(bundle.jump_counts[13], ref_counts)
+        # the shared re-keyed state, and the scalar rate of a single atom, give
+        # the bits of a fresh per-path generator drawing from the (K,) rate array
+        seed = 2**64 + 7
+        for levy in (ATOM, LevyMeasure.from_pairs([(0.2, 1.5), (-0.3, 2.0)])):
+            bundle = sample_noise(GRID, levy, 20, seed)
+            for k in range(bundle.n_paths):
+                gen = _path_generator(seed, k)
+                ref_db = gen.standard_normal(GRID.n_steps) * math.sqrt(GRID.dt)
+                ref_counts = gen.poisson(lam=levy.intensities * GRID.dt, size=(GRID.n_steps, levy.n_atoms))
+                assert np.array_equal(bundle.dB[k], ref_db), k
+                assert np.array_equal(bundle.jump_counts[k], ref_counts), k
 
     def test_no_atoms_no_jumps(self):
         bundle = sample_noise(GRID, LevyMeasure.empty(), 50, 3)
