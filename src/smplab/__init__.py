@@ -38,7 +38,7 @@ from .malliavin import (
     jump_integral,
     square_map,
 )
-from .bsde import AdjointTriple, extract_qr, solve_linear_explicit, solve_regression
+from .bsde import AdjointTriple, extract_qr, solve_adjoint
 from .smp import (
     SmpVerdict,
     adjoint_for,

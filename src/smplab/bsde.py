@@ -1,25 +1,39 @@
-"""Linear adjoint BSDE solvers and martingale-coefficient extraction.
+"""The adjoint BSDE in one backward sweep, and martingale-coefficient extraction.
 
 Sign convention: a backward equation dp(t) = -h(t) dt + q(t) dB(t)
 + int r(t, zeta) compensated-N(dt, dzeta) with generator h discretizes to
 p(t_i) = E[p(t_{i+1}) + h(t_i) dt | F_{t_i}].  The adjoint equation of the
-control problem has generator h = dH/dx.
+control problem has generator h = dH/dx (``hamiltonian_sum``).
+``solve_adjoint`` sweeps back once with one projector on the state per step:
+it solves the explicit adjoint and, optionally, the implicit backward
+regression scheme as a cross-check on the same projectors.  ``extract_qr``
+regresses the martingale coefficients of a given process on the driving
+noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractionFailure
 from .malliavin import PolynomialBasis, StateProjector, state_features
+from .model import LevyMeasure
 from .simulate import NoiseBundle, PathBundle, gamma_process, write_csv
+
+if TYPE_CHECKING:
+    from .smp import CoefficientPartials
 
 # Atoms whose expected step count falls below this are reported as r = 0
 # rather than divided out.
 UNIDENTIFIABLE_RATE = 1e-10
+# The implicit regression step iterates to a residual below IMPLICIT_TOL and
+# gives up after IMPLICIT_MAX_ITERS iterates.
+IMPLICIT_MAX_ITERS = 50
+IMPLICIT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +45,7 @@ class AdjointTriple:
     q: np.ndarray  # (n_paths, N)
     r: np.ndarray  # (n_paths, N, K)
     unidentifiable_atoms: tuple[int, ...] = ()
-    p_fits: tuple = ()  # per-step ConditionalFit of p, without training values (explicit solver)
+    p_fits: tuple = ()  # per-step ConditionalFit of p, without training values (explicit adjoint)
 
     @property
     def n_paths(self) -> int:
@@ -96,103 +110,106 @@ def extract_qr(
     return q, r, dead
 
 
-def solve_linear_explicit(
-    f_x: np.ndarray,
-    b_x: np.ndarray,
-    sigma_x: np.ndarray,
-    gamma_x: np.ndarray,
+def hamiltonian_sum(f, b, sigma, gammas, p, q, r, levy: LevyMeasure):
+    """f + b p + sigma q + sum_k gammas[k] r_k lam_k over evaluated coefficient values.
+
+    With the state partials (f_x, b_x, sigma_x, gamma_x) it is the generator
+    dH/dx of the adjoint equation; ``gammas[k]`` is atom k's value.
+    """
+    out = f + b * p + sigma * q
+    r = np.asarray(r, dtype=float)
+    lam = levy.intensities
+    for k in range(levy.n_atoms):
+        out = out + gammas[k] * r[..., k] * lam[k]
+    return out
+
+
+def _blank_triple(forward: PathBundle, terminal: np.ndarray) -> AdjointTriple:
+    """Triple with p(T) = terminal, its other entries filled in place by the sweep."""
+    grid, noise, n_paths = forward.grid, forward.noise, forward.n_paths
+    p = np.empty((n_paths, grid.n_steps + 1))
+    p[:, -1] = terminal
+    q = np.empty((n_paths, grid.n_steps))
+    r = np.zeros((n_paths, grid.n_steps, noise.levy.n_atoms))
+    return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=unidentifiable_atoms(noise))
+
+
+def _implicit_step(
+    projector: StateProjector, part: CoefficientPartials, triple: AdjointTriple, noise: NoiseBundle, i: int
+) -> None:
+    """Fill step i of ``triple`` by the implicit regression scheme
+    p(t_i) = E[p(t_{i+1}) | F_{t_i}] + h(p_i, q_i, r_i) dt, h the generator
+    ``hamiltonian_sum`` of the state partials.  The implicit p_i is a fixed
+    point iterated from the conditional expectation, a contraction when dt
+    times the Lipschitz constant of h in p is below 1; a stalled residual, or
+    IMPLICIT_MAX_ITERS iterates without reaching IMPLICIT_TOL, raises
+    ``ContractionFailure``.
+    """
+    p, q, r = triple.p, triple.q, triple.r
+    cond = projector.fit(p[:, i + 1]).fitted
+    fit_qr_step(projector, p[:, i + 1] - cond, noise, i, q, r, triple.unidentifiable_atoms)
+    f, b, sigma = part.f_x[:, i], part.b_x[:, i], part.sigma_x[:, i]
+    gammas = part.gamma_x[:, i].T  # atom-major: gammas[k] is atom k's column
+    p_i = cond
+    prev_res = math.inf
+    for _ in range(IMPLICIT_MAX_ITERS):
+        p_new = cond + hamiltonian_sum(f, b, sigma, gammas, p_i, q[:, i], r[:, i], noise.levy) * noise.grid.dt
+        res = float(np.max(np.abs(p_new - p_i)))
+        p_i = p_new
+        if res < IMPLICIT_TOL:
+            break
+        if res >= prev_res:
+            raise ContractionFailure(f"fixed-point residual stalled at {res:.3e} on step {i}")
+        prev_res = res
+    else:
+        raise ContractionFailure(f"no convergence in {IMPLICIT_MAX_ITERS} iterations on step {i}")
+    p[:, i] = p_i
+
+
+def solve_adjoint(
+    part: CoefficientPartials,
     terminal: np.ndarray,
     forward: PathBundle,
     basis: PolynomialBasis | None = None,
-) -> AdjointTriple:
-    """Adjoint solution by the weighted conditional-expectation formula.
+    cross_check: bool = False,
+) -> tuple[AdjointTriple, AdjointTriple | None]:
+    """The adjoint triple of the linear equation with generator dH/dx, in one backward sweep.
 
-    With Gamma the first-variation weight of the driver partials,
+    ``part`` holds the state partials along ``forward`` (``partials_along``)
+    and ``terminal`` is p(T) = g_x(X(T)).  Each step builds one projector on
+    X(t_i), and every fit of the step uses it.  The explicit adjoint weights
+    by Gamma, the first-variation weight of b_x, sigma_x and gamma_x:
     p(t_i) = E[Gamma(T)/Gamma(t_i) terminal
               + sum_{j>=i} Gamma(t_j)/Gamma(t_i) f_x(t_j) dt | F_{t_i}],
-    the conditional expectation realized by regression on X(t_i).  (q, r)
-    are fitted as in ``extract_qr`` against the same per-step projector.
-    Gamma is exactly 1 when b_x, sigma_x and gamma_x all vanish, and is then
-    not computed.  The per-step fits of p are kept in ``p_fits``.
+    with (q, r) fitted as in ``extract_qr`` and the per-step fits of p kept in
+    ``p_fits``.  Gamma is exactly 1 when b_x, sigma_x and gamma_x all vanish,
+    and is then not computed.  With ``cross_check`` the sweep also runs the
+    implicit backward regression scheme (``_implicit_step``) and returns its
+    triple second; otherwise the second item is None.
     """
     noise = forward.noise
-    grid = noise.grid
-    n_paths, n_steps = forward.n_paths, grid.n_steps
-    dt = grid.dt
+    n_steps, dt = noise.grid.n_steps, noise.grid.dt
     terminal = np.asarray(terminal, dtype=float)
 
-    if np.any(b_x) or np.any(sigma_x) or np.any(gamma_x):
-        gam = gamma_process(b_x, sigma_x, gamma_x, noise)
+    if np.any(part.b_x) or np.any(part.sigma_x) or np.any(part.gamma_x):
+        gam = gamma_process(part.b_x, part.sigma_x, part.gamma_x, noise)
     else:
         gam = np.ones((1, n_steps + 1))
-    p = np.empty((n_paths, n_steps + 1))
-    q = np.empty((n_paths, n_steps))
-    r = np.zeros((n_paths, n_steps, noise.levy.n_atoms))
-    dead = unidentifiable_atoms(noise)
+    explicit = _blank_triple(forward, terminal)
+    regression = _blank_triple(forward, terminal) if cross_check else None
+    p, q, r, dead = explicit.p, explicit.q, explicit.r, explicit.unidentifiable_atoms
     fits = [None] * n_steps
-    p[:, n_steps] = terminal
-    f_x = np.broadcast_to(np.asarray(f_x, dtype=float), (n_paths, n_steps))
     tail = gam[:, n_steps] * terminal
     for i in range(n_steps - 1, -1, -1):
-        tail = tail + gam[:, i] * f_x[:, i] * dt
+        tail = tail + gam[:, i] * part.f_x[:, i] * dt
         projector = StateProjector(forward.X[:, i], basis)
         fit = projector.fit(tail / gam[:, i])
         p[:, i] = fit.fitted
         fits[i] = replace(fit, fitted=None)
         fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i, q, r, dead)
-    return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=dead, p_fits=tuple(fits))
-
-
-def solve_regression(
-    driver,
-    terminal,
-    forward: PathBundle,
-    basis: PolynomialBasis | None = None,
-    max_iters: int = 50,
-    tol: float = 1e-8,
-) -> AdjointTriple:
-    """Backward least-squares scheme with a one-step implicit generator.
-
-    p(t_i) = E[p(t_{i+1}) | F_{t_i}] + driver(t_i, X_i, p_i, q_i, r_i) dt,
-    the implicit p_i resolved by fixed-point iteration (the driver argument
-    is the previous iterate), capped at ``max_iters`` with tolerance ``tol``.
-    ``driver`` is the generator h of dp = -h dt + q dB + r dN-compensated and
-    must be Lipschitz in (p, q, r) with dt * Lip < 1; ``terminal`` maps the
-    final state to p(T).
-    """
-    noise = forward.noise
-    grid, levy = noise.grid, noise.levy
-    n_paths, n_steps = forward.n_paths, grid.n_steps
-    dt = grid.dt
-    times = grid.times()
-
-    p = np.empty((n_paths, n_steps + 1))
-    q = np.empty((n_paths, n_steps))
-    r = np.zeros((n_paths, n_steps, levy.n_atoms))
-    dead = unidentifiable_atoms(noise)
-    p[:, n_steps] = np.asarray(terminal(forward.X[:, n_steps]), dtype=float)
-
-    for i in range(n_steps - 1, -1, -1):
-        projector = StateProjector(forward.X[:, i], basis)
-        cond = projector.fit(p[:, i + 1]).fitted
-        fit_qr_step(projector, p[:, i + 1] - cond, noise, i, q, r, dead)
-
-        p_i = cond
-        prev_res = math.inf
-        for _ in range(max_iters):
-            h = np.asarray(driver(times[i], forward.X[:, i], p_i, q[:, i], r[:, i]), dtype=float)
-            p_new = cond + h * dt
-            res = float(np.max(np.abs(p_new - p_i)))
-            p_i = p_new
-            if res < tol:
-                break
-            if res >= prev_res:
-                raise ContractionFailure(f"fixed-point residual stalled at {res:.3e} on step {i}")
-            prev_res = res
-        else:
-            raise ContractionFailure(f"no convergence in {max_iters} iterations on step {i}")
-        p[:, i] = p_i
-    return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=dead)
+        if regression is not None:
+            _implicit_step(projector, part, regression, noise, i)
+    return replace(explicit, p_fits=tuple(fits)), regression
 
 
 def dump_adjoint_csv(triple: AdjointTriple, path, max_paths: int | None = None) -> None:

@@ -49,7 +49,7 @@ class DegenerateStudy(SmplabError):
 
 
 class ContractionFailure(SmplabError):
-    """The per-step fixed-point iteration of the backward solver stalled."""
+    """The per-step fixed-point iteration of the implicit regression step stalled."""
 
 
 class ConfigError(SmplabError):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bsde import dump_adjoint_csv, l2_dtP_norm, relative_l2_dtP
+from .bsde import dump_adjoint_csv, l2_dtP_norm, relative_l2_dtP, solve_adjoint
 from .errors import ConfigError, DegenerateStudy, ReplayMismatch
 from .malliavin import (
     Compose,
@@ -48,7 +48,7 @@ from .simulate import (
     sample_noise,
     step_rates,
 )
-from .smp import adjoint_for, check_necessary_condition, check_spike_grids
+from .smp import check_necessary_condition, check_spike_grids, partials_along
 from .lqsolver import (
     LqParams,
     check_picard_settings,
@@ -499,8 +499,10 @@ def _run_solve_bsde(cfg, out_dir: Path | None):
     basis = PolynomialBasis(cfg["basis"]["degree"])
     law = _control_law(cfg["bsde"]["control"], cfg["bsde"]["control_value"], grid)
     forward = euler_forward(coeffs, law, noise, x0)
-    explicit = adjoint_for(coeffs, forward, basis=basis)
-    regression = adjoint_for(coeffs, forward, basis=basis, method="regression")
+    # the partials are not kept past the sweep: the distance below takes full-size temporaries
+    explicit, regression = solve_adjoint(
+        partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, basis, cross_check=True
+    )
     distance = relative_l2_dtP(regression.p, explicit.p, grid.dt)
     ok = distance <= cfg["bsde"]["max_rel_distance"]
     payload = {

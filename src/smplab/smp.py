@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import AdjointTriple, solve_linear_explicit, solve_regression
+from .bsde import AdjointTriple, hamiltonian_sum, solve_adjoint
 from .malliavin import PolynomialBasis, mean_se
 from .model import ControlLaw, ControlledCoefficients, LevyMeasure, SpikedLaw, TimeGrid
 from .simulate import (
@@ -29,26 +29,16 @@ from .simulate import (
 )
 
 
-def _hamiltonian_sum(f, b, sigma, gammas, p, q, r, levy: LevyMeasure):
-    """f + b p + sigma q + sum_k gammas[k] r_k lam_k over evaluated coefficient values."""
-    out = f + b * p + sigma * q
-    r = np.asarray(r, dtype=float)
-    lam = levy.intensities
-    for k in range(levy.n_atoms):
-        out = out + gammas[k] * r[..., k] * lam[k]
-    return out
-
-
 def hamiltonian(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
     """f + b p + sigma q + sum_k gamma(.., zeta_k) r_k lam_k, elementwise."""
     gammas = [coeffs.gamma(t, x, u, zeta) for zeta in levy.zetas]
-    return _hamiltonian_sum(coeffs.f(t, x, u), coeffs.b(t, x, u), coeffs.sigma(t, x, u), gammas, p, q, r, levy)
+    return hamiltonian_sum(coeffs.f(t, x, u), coeffs.b(t, x, u), coeffs.sigma(t, x, u), gammas, p, q, r, levy)
 
 
 def hamiltonian_du(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
     """Control derivative f_u + b_u p + sigma_u q + sum_k gamma_u r_k lam_k."""
     gammas = [coeffs.gamma_u(t, x, u, zeta) for zeta in levy.zetas]
-    return _hamiltonian_sum(coeffs.f_u(t, x, u), coeffs.b_u(t, x, u), coeffs.sigma_u(t, x, u), gammas, p, q, r, levy)
+    return hamiltonian_sum(coeffs.f_u(t, x, u), coeffs.b_u(t, x, u), coeffs.sigma_u(t, x, u), gammas, p, q, r, levy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,32 +74,11 @@ def partials_along(coeffs: ControlledCoefficients, forward: PathBundle) -> Coeff
 
 
 def adjoint_for(
-    coeffs: ControlledCoefficients,
-    forward: PathBundle,
-    basis: PolynomialBasis | None = None,
-    method: str = "explicit",
+    coeffs: ControlledCoefficients, forward: PathBundle, basis: PolynomialBasis | None = None
 ) -> AdjointTriple:
-    """Adjoint triple along the simulated paths of a control.
-
-    ``explicit`` uses the weighted conditional-expectation formula of the
-    linear equation; ``regression`` runs the backward scheme with generator
-    dH/dx and serves as a cross-check.  Grid and atoms come from the path
-    bundle's noise.
-    """
-    part = partials_along(coeffs, forward)
-    terminal = np.asarray(coeffs.g_x(forward.X[:, -1]), dtype=float)
-    if method == "explicit":
-        return solve_linear_explicit(part.f_x, part.b_x, part.sigma_x, part.gamma_x, terminal, forward, basis)
-    if method == "regression":
-        grid, levy = forward.grid, forward.noise.levy
-
-        def generator(t, x, p, q, r):
-            i = grid.step_of(t)
-            gammas = part.gamma_x[:, i].T  # atom-major: gammas[k] is atom k's column
-            return _hamiltonian_sum(part.f_x[:, i], part.b_x[:, i], part.sigma_x[:, i], gammas, p, q, r, levy)
-
-        return solve_regression(generator, lambda x: coeffs.g_x(x), forward, basis)
-    raise ValueError(f"unknown method {method!r}")
+    """Explicit adjoint triple along the simulated paths of a control
+    (``solve_adjoint``); grid and atoms come from the path bundle's noise."""
+    return solve_adjoint(partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, basis)[0]
 
 
 def spike_perturb(base: ControlLaw, grid: TimeGrid, tau: float, epsilon: float, v, x_at_tau=None) -> SpikedLaw:

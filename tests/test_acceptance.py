@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from smplab.bsde import extract_qr, l2_dtP_norm, relative_l2_dtP, solve_linear_explicit
+from smplab.bsde import extract_qr, l2_dtP_norm, relative_l2_dtP, solve_adjoint
 from smplab.harness import parse_config, replay, run
 from smplab.lqsolver import LqParams, compare_to_unconstrained, solve_constrained
 from smplab.malliavin import (
@@ -26,7 +26,7 @@ from smplab.malliavin import (
 )
 from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, like
 from smplab.simulate import LinearCoefficients, PathBundle, euler_forward, linear_closed_form, sample_noise
-from smplab.smp import check_necessary_condition, spike_perturb, variational_Z
+from smplab.smp import CoefficientPartials, check_necessary_condition, partials_along, spike_perturb, variational_Z
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -114,8 +114,9 @@ def test_criterion_05_martingale_coefficient_surrogate():
     noise = sample_noise(grid, LevyMeasure.empty(), 100_000, 21)
     B = noise.brownian()
     forward = PathBundle(grid=grid, X=B, u=np.zeros((100_000, 100)), noise=noise)
-    zeros = np.zeros((100_000, 100))
-    triple = solve_linear_explicit(zeros, zeros, zeros, np.zeros((100_000, 100, 0)), B[:, -1], forward)
+    zeros, no_atoms = np.zeros((100_000, 100)), np.zeros((100_000, 100, 0))
+    part = CoefficientPartials(zeros, zeros, zeros, no_atoms, zeros, zeros, zeros, no_atoms)
+    triple, _ = solve_adjoint(part, B[:, -1], forward)
     q_err = math.sqrt(float(np.mean((triple.q - 1.0) ** 2)))
     # (b) p(t) = B(t)^2 - t: extracted q within 5% L2 of 2B(t), and the
     # symbolic conditional derivative matches the regression
@@ -134,16 +135,14 @@ def test_criterion_05_martingale_coefficient_surrogate():
 def test_criterion_06_cross_solver_equivalence():
     # explicit weighted formula vs backward regression on the constrained-LQ
     # adjoint: <= 5% relative L2(dt x P) distance at 1e5 paths, N = 100
-    from smplab.smp import adjoint_for
-
     grid = TimeGrid(1.0, 100)
     levy = LevyMeasure.empty()
     coeffs = build_lq_coefficients(0.1)
     noise = sample_noise(grid, levy, 100_000, 77)
     law = OpenLoopLaw(np.zeros(100))
     forward = euler_forward(coeffs, law, noise, 1.0)
-    explicit = adjoint_for(coeffs, forward)
-    regression = adjoint_for(coeffs, forward, method="regression")
+    part = partials_along(coeffs, forward)
+    explicit, regression = solve_adjoint(part, coeffs.g_x(forward.X[:, -1]), forward, cross_check=True)
     distance = relative_l2_dtP(regression.p, explicit.p, grid.dt)
     _report(6, distance <= 0.05, f"relative L2(dt x P) distance {distance:.5f} <= 0.05")
 

@@ -9,8 +9,7 @@ from smplab.bsde import (
     extract_qr,
     l2_dtP_norm,
     relative_l2_dtP,
-    solve_linear_explicit,
-    solve_regression,
+    solve_adjoint,
 )
 from smplab.errors import ContractionFailure, InsufficientPaths
 from smplab.malliavin import (
@@ -25,7 +24,7 @@ from smplab.malliavin import (
 )
 from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
 from smplab.simulate import PathBundle, euler_forward, gamma_process, sample_noise
-from smplab.smp import adjoint_for
+from smplab.smp import CoefficientPartials, adjoint_for, partials_along
 
 GRID = TimeGrid(1.0, 100)
 NO_JUMPS = LevyMeasure.empty()
@@ -37,16 +36,36 @@ def brownian_forward(n_paths, seed, grid=GRID):
     return PathBundle(grid=grid, X=noise.brownian(), u=np.zeros((n_paths, grid.n_steps)), noise=noise)
 
 
-def zero_driver_arrays(n_paths, grid=GRID, n_atoms=0):
-    z = np.zeros((n_paths, grid.n_steps))
-    return z, z, z, np.zeros((n_paths, grid.n_steps, n_atoms))
+def state_partials(fw, f_x=0.0, b_x=0.0, sigma_x=0.0, gamma_x=0.0):
+    """Partials of a model whose state partials are the given constants or
+    arrays and whose control partials vanish; ``gamma_x`` holds one value or
+    one column per atom of the bundle's noise."""
+    shape = fw.u.shape
+    full = lambda value: np.broadcast_to(np.asarray(value, dtype=float), shape)
+    zero = full(0.0)
+    gammas = np.broadcast_to(np.asarray(gamma_x, dtype=float), shape + (fw.noise.levy.n_atoms,))
+    return CoefficientPartials(
+        f_x=full(f_x), b_x=full(b_x), sigma_x=full(sigma_x), gamma_x=gammas,
+        f_u=zero, b_u=zero, sigma_u=zero, gamma_u=np.zeros_like(gammas),
+    )
+
+
+def explicit_adjoint(fw, terminal, **partials):
+    explicit, regression = solve_adjoint(state_partials(fw, **partials), terminal, fw)
+    assert regression is None
+    return explicit
+
+
+def regression_adjoint(fw, terminal, **partials):
+    return solve_adjoint(state_partials(fw, **partials), terminal, fw, cross_check=True)[1]
 
 
 class TestSolveLinearExplicit:
+    """The explicit adjoint of ``solve_adjoint``."""
+
     def test_constant_terminal(self):
         fw = brownian_forward(2000, 1)
-        fx, bx, sx, gx = zero_driver_arrays(2000)
-        triple = solve_linear_explicit(fx, bx, sx, gx, np.full(2000, 2.5), fw)
+        triple = explicit_adjoint(fw, np.full(2000, 2.5))
         assert np.allclose(triple.p, 2.5, atol=1e-6)
         assert np.allclose(triple.q, 0.0, atol=1e-6)
         assert triple.r.shape == (2000, 100, 0)
@@ -54,14 +73,12 @@ class TestSolveLinearExplicit:
     def test_terminal_consistency_exact(self):
         fw = brownian_forward(500, 2)
         terminal = fw.X[:, -1] ** 3
-        fx, bx, sx, gx = zero_driver_arrays(500)
-        triple = solve_linear_explicit(fx, bx, sx, gx, terminal, fw)
+        triple = explicit_adjoint(fw, terminal)
         assert np.array_equal(triple.p[:, -1], terminal)
 
     def test_brownian_terminal_martingale(self):
         fw = brownian_forward(50_000, 3)
-        fx, bx, sx, gx = zero_driver_arrays(50_000)
-        triple = solve_linear_explicit(fx, bx, sx, gx, fw.X[:, -1], fw)
+        triple = explicit_adjoint(fw, fw.X[:, -1])
         assert relative_l2_dtP(triple.p[:, :-1], fw.X[:, :-1], GRID.dt) < 0.03
         assert math.sqrt(np.mean((triple.q - 1.0) ** 2)) < 0.03
 
@@ -78,18 +95,17 @@ class TestSolveLinearExplicit:
         # b_x = c, terminal g_x = 1: p(t) = e^{c (T-t)} exactly in expectation
         c = 0.7
         fw = brownian_forward(5000, 5)
-        fx = np.zeros((5000, 100))
-        bx = np.full((5000, 100), c)
-        sx, gx = np.zeros((5000, 100)), np.zeros((5000, 100, 0))
-        triple = solve_linear_explicit(fx, bx, sx, gx, np.ones(5000), fw)
+        triple = explicit_adjoint(fw, np.ones(5000), b_x=c)
         expected = np.exp(c * (GRID.horizon - GRID.times()))
         assert np.abs(triple.p - expected[None, :]).max() < 1e-8
 
 
 class TestSolveRegression:
+    """The implicit regression cross-check of ``solve_adjoint``."""
+
     def test_all_zero(self):
         fw = brownian_forward(1000, 6)
-        triple = solve_regression(lambda t, x, p, q, r: np.zeros_like(p), lambda x: np.zeros_like(x), fw)
+        triple = regression_adjoint(fw, np.zeros(1000))
         assert np.allclose(triple.p, 0.0, atol=1e-9)
         assert np.allclose(triple.q, 0.0, atol=1e-9)
 
@@ -99,7 +115,7 @@ class TestSolveRegression:
         fw = brownian_forward(64, 7, grid)
         fw = PathBundle(grid=grid, X=np.zeros_like(fw.X), u=fw.u, noise=fw.noise)
         a = 0.8
-        triple = solve_regression(lambda t, x, p, q, r: a * p, lambda x: np.ones_like(x), fw)
+        triple = regression_adjoint(fw, np.ones(64), b_x=a)
         assert abs(triple.p[0, 0] - math.exp(a)) < 1e-3
 
     def test_cross_solver_equivalence_lq(self):
@@ -107,8 +123,7 @@ class TestSolveRegression:
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 8)
         law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
-        explicit = adjoint_for(coeffs, fw)
-        regression = adjoint_for(coeffs, fw, method="regression")
+        explicit, regression = solve_adjoint(partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1]), fw, cross_check=True)
         assert relative_l2_dtP(regression.p, explicit.p, GRID.dt) < 0.02
 
     def test_cross_solver_equivalence_all_channels(self):
@@ -137,8 +152,7 @@ class TestSolveRegression:
         noise = sample_noise(GRID, levy, 30_000, 55)
         law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
-        explicit = adjoint_for(coeffs, fw)
-        regression = adjoint_for(coeffs, fw, method="regression")
+        explicit, regression = solve_adjoint(partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1]), fw, cross_check=True)
         assert relative_l2_dtP(regression.p, explicit.p, GRID.dt) < 0.05
         # both channels carry signal in this model
         assert math.sqrt(float(np.mean(explicit.q**2))) > 0.1
@@ -146,19 +160,19 @@ class TestSolveRegression:
 
     def test_terminal_exact(self):
         fw = brownian_forward(800, 9)
-        triple = solve_regression(lambda t, x, p, q, r: np.zeros_like(p), lambda x: -x, fw)
+        triple = regression_adjoint(fw, -fw.X[:, -1])
         assert np.array_equal(triple.p[:, -1], -fw.X[:, -1])
 
     def test_contraction_failure_raised(self):
         fw = brownian_forward(200, 10)
         # generator violating dt * Lip < 1 oscillates and stalls
         with pytest.raises(ContractionFailure):
-            solve_regression(lambda t, x, p, q, r: -250.0 * p, lambda x: np.ones_like(x), fw)
+            regression_adjoint(fw, np.ones(200), b_x=-250.0)
 
     def test_insufficient_paths(self):
         fw = brownian_forward(5, 11)
         with pytest.raises(InsufficientPaths):
-            solve_regression(lambda t, x, p, q, r: np.zeros_like(p), lambda x: x, fw)
+            regression_adjoint(fw, fw.X[:, -1])
 
 
 class TestExtractQr:
@@ -244,8 +258,7 @@ class TestAdjointCsv:
         levy = LevyMeasure.from_pairs([(0.2, 1.0)])
         noise = sample_noise(grid, levy, 30, 18)
         fw = PathBundle(grid=grid, X=noise.brownian(), u=np.zeros((30, 4)), noise=noise)
-        fx = np.zeros((30, 4))
-        triple = solve_linear_explicit(fx, fx, fx, np.zeros((30, 4, 1)), np.ones(30), fw)
+        triple = explicit_adjoint(fw, np.ones(30))
         out = tmp_path / "adjoint.csv"
         dump_adjoint_csv(triple, out, max_paths=3)
         import csv
@@ -291,57 +304,78 @@ class TestSharedProjectorBitContract:
         n, N = 400, self.grid.n_steps
         return np.empty((n, N + 1)), np.empty((n, N)), np.zeros((n, N, 2))
 
+    def explicit_reference(self, fw, part, terminal):
+        """The Gamma-weighted tail, with Gamma computed even where it is exactly 1."""
+        noise, dt, N = fw.noise, self.grid.dt, self.grid.n_steps
+        p, q, r = self.empty_triple()
+        gam = gamma_process(part.b_x, part.sigma_x, part.gamma_x, noise)
+        p[:, N] = terminal
+        tail = gam[:, N] * terminal
+        for i in range(N - 1, -1, -1):
+            tail = tail + gam[:, i] * part.f_x[:, i] * dt
+            p[:, i] = StateProjector(fw.X[:, i]).fit(tail / gam[:, i]).fitted
+            self.fit_qr_alone(p[:, i + 1] - p[:, i], fw.X[:, i], noise, i, q, r)
+        return p, q, r
+
+    def regression_reference(self, fw, part, terminal):
+        """The implicit step for b_x = 0: the generator
+        f_x + b_x p + sigma_x q + sum_k gamma_x,k r_k lam_k is then free of p,
+        so the fixed point is reached on the second iterate."""
+        noise, dt, N = fw.noise, self.grid.dt, self.grid.n_steps
+        assert not np.any(part.b_x)
+        lam = self.levy.intensities
+        p, q, r = self.empty_triple()
+        p[:, N] = terminal
+        for i in range(N - 1, -1, -1):
+            cond = StateProjector(fw.X[:, i]).fit(p[:, i + 1]).fitted
+            self.fit_qr_alone(p[:, i + 1] - cond, fw.X[:, i], noise, i, q, r)
+            h = part.f_x[:, i] + part.b_x[:, i] * cond + part.sigma_x[:, i] * q[:, i]
+            for k in range(self.levy.n_atoms):
+                h = h + part.gamma_x[:, i, k] * r[:, i, k] * lam[k]
+            p[:, i] = cond + h * dt
+        return p, q, r
+
+    def assert_triple(self, triple, reference):
+        p, q, r = reference
+        assert np.array_equal(triple.p, p)
+        assert np.array_equal(triple.q, q)
+        assert np.array_equal(triple.r, r)
+        assert np.any(r[:, :, 0] != 0.0) and np.all(r[:, :, 1] == 0.0)
+        assert triple.unidentifiable_atoms == (1,)
+
     def test_solve_linear_explicit(self):
         fw = self.bundle()
-        noise, dt, N = fw.noise, self.grid.dt, self.grid.n_steps
-        f_x = 0.5 * fw.X[:, :-1]
+        N = self.grid.n_steps
         terminal = fw.X[:, -1] ** 2
-        # nonzero b_x, sigma_x, gamma_x, then all-zero ones, where the solver skips
-        # Gamma: the reference still computes it (exactly 1)
+        # nonzero b_x, sigma_x, gamma_x, then all-zero ones, where the solver skips Gamma
         for scale in (1.0, 0.0):
-            b_x = np.full((400, N), 0.3 * scale)
-            sigma_x = np.full((400, N), 0.2 * scale)
-            gamma_x = np.zeros((400, N, 2))
-            gamma_x[:, :, 0] = 0.1 * scale
-            triple = solve_linear_explicit(f_x, b_x, sigma_x, gamma_x, terminal, fw)
-
-            p, q, r = self.empty_triple()
-            gam = gamma_process(b_x, sigma_x, gamma_x, noise)
-            assert scale or np.all(gam == 1.0)
-            p[:, N] = terminal
-            tail = gam[:, N] * terminal
-            for i in range(N - 1, -1, -1):
-                tail = tail + gam[:, i] * f_x[:, i] * dt
-                p[:, i] = StateProjector(fw.X[:, i]).fit(tail / gam[:, i]).fitted
-                self.fit_qr_alone(p[:, i + 1] - p[:, i], fw.X[:, i], noise, i, q, r)
-            assert np.array_equal(triple.p, p)
-            assert np.array_equal(triple.q, q)
-            assert np.array_equal(triple.r, r)
-            assert np.any(r[:, :, 0] != 0.0) and np.all(r[:, :, 1] == 0.0)
-            assert triple.unidentifiable_atoms == (1,)
+            part = state_partials(
+                fw, f_x=0.5 * fw.X[:, :-1], b_x=0.3 * scale, sigma_x=0.2 * scale, gamma_x=(0.1 * scale, 0.0)
+            )
+            triple, regression = solve_adjoint(part, terminal, fw)
+            assert regression is None
+            assert scale or np.all(gamma_process(part.b_x, part.sigma_x, part.gamma_x, fw.noise) == 1.0)
+            p, _, _ = reference = self.explicit_reference(fw, part, terminal)
+            self.assert_triple(triple, reference)
             assert [fit.fitted for fit in triple.p_fits] == [None] * N
             assert np.array_equal(np.column_stack([fit(fw.X[:, i]) for i, fit in enumerate(triple.p_fits)]), p[:, :N])
 
     def test_solve_regression(self):
         fw = self.bundle()
-        noise, dt, N = fw.noise, self.grid.dt, self.grid.n_steps
+        # the generator 0.5 q + 0.3 r_0, with 0.3 = gamma_x lam_0
+        part = state_partials(fw, sigma_x=0.5, gamma_x=(0.15, 0.0))
+        terminal = fw.X[:, -1] ** 2
+        _, triple = solve_adjoint(part, terminal, fw, cross_check=True)
+        self.assert_triple(triple, self.regression_reference(fw, part, terminal))
+        assert triple.p_fits == ()
 
-        # free of p, so the fixed point is reached on the second iterate
-        def driver(t, x, p, q, r):
-            return 0.5 * q + 0.3 * r[..., 0]
-
-        triple = solve_regression(driver, lambda x: x**2, fw)
-
-        p, q, r = self.empty_triple()
-        p[:, N] = fw.X[:, N] ** 2
-        for i in range(N - 1, -1, -1):
-            cond = StateProjector(fw.X[:, i]).fit(p[:, i + 1]).fitted
-            self.fit_qr_alone(p[:, i + 1] - cond, fw.X[:, i], noise, i, q, r)
-            p[:, i] = cond + driver(None, None, None, q[:, i], r[:, i]) * dt
-        assert np.array_equal(triple.p, p)
-        assert np.array_equal(triple.q, q)
-        assert np.array_equal(triple.r, r)
-        assert triple.unidentifiable_atoms == (1,)
+    def test_cross_check_returns_both(self):
+        fw = self.bundle()
+        part = state_partials(fw, f_x=0.5 * fw.X[:, :-1], sigma_x=0.5, gamma_x=(0.15, 0.0))
+        terminal = fw.X[:, -1] ** 2
+        explicit, regression = solve_adjoint(part, terminal, fw, cross_check=True)
+        self.assert_triple(explicit, self.explicit_reference(fw, part, terminal))
+        self.assert_triple(regression, self.regression_reference(fw, part, terminal))
 
     def test_extract_qr(self):
         fw = self.bundle()

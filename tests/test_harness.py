@@ -472,6 +472,29 @@ class TestRunAndReplay:
         assert result.exit_code == 0
         assert result.report["payload"]["verdict"]
 
+    def test_solve_bsde_sweeps_once(self, tmp_path, monkeypatch):
+        # both adjoint triples come from one backward sweep: one projector per
+        # step and one pass over the coefficient partials
+        from smplab import bsde, harness, smp
+
+        built, passes = [], []
+
+        class CountingProjector(bsde.StateProjector):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        def counting_partials(*args, **kwargs):
+            passes.append(1)
+            return partials_along(*args, **kwargs)
+
+        monkeypatch.setattr(bsde, "StateProjector", CountingProjector)
+        monkeypatch.setattr(smp, "partials_along", counting_partials)
+        monkeypatch.setattr(harness, "partials_along", counting_partials, raising=False)
+        path = write_config(tmp_path, "solve-bsde", extra="\n[model]\natoms = 0.2:1.0\n")
+        assert run(parse_config(path), write=False).exit_code == 0
+        assert (len(built), len(passes)) == (40, 1)
+
     def test_clark_ocone_run(self, tmp_path):
         extra = "\n[clark_ocone]\nfunctional = bm_squared\n"
         path = write_config(tmp_path, "clark-ocone", extra=extra, n_paths=20_000)
