@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractionFailure
 from .malliavin import PolynomialBasis, StateProjector, state_features
 from .model import LevyMeasure
-from .simulate import NoiseBundle, PathBundle, gamma_process, write_csv
+from .simulate import NoiseBundle, PathBundle, gamma_process
 
 if TYPE_CHECKING:
     from .smp import CoefficientPartials
@@ -46,10 +46,6 @@ class AdjointTriple:
     r: np.ndarray  # (n_paths, N, K)
     unidentifiable_atoms: tuple[int, ...] = ()
     p_fits: tuple = ()  # per-step ConditionalFit of p, without training values (explicit adjoint)
-
-    @property
-    def n_paths(self) -> int:
-        return self.p.shape[0]
 
 
 def relative_l2_dtP(a: np.ndarray, b: np.ndarray, dt: float) -> float:
@@ -210,21 +206,3 @@ def solve_adjoint(
         if regression is not None:
             _implicit_step(projector, part, regression, noise, i)
     return replace(explicit, p_fits=tuple(fits)), regression
-
-
-def dump_adjoint_csv(triple: AdjointTriple, path, max_paths: int | None = None) -> None:
-    """Rows (path_id, step, t, p, q, r_atom0, ...); the terminal node row
-    reports p only."""
-    grid = triple.grid
-    times = grid.times()
-    n_steps = grid.n_steps
-    n_atoms = triple.r.shape[2]
-    n_paths = triple.n_paths if max_paths is None else min(max_paths, triple.n_paths)
-
-    def rows():
-        for j in range(n_paths):
-            for i in range(n_steps):
-                yield [j, i, times[i], triple.p[j, i], triple.q[j, i], *triple.r[j, i]]
-            yield [j, n_steps, times[-1], triple.p[j, -1], ""] + [""] * n_atoms
-
-    write_csv(path, ["path_id", "step", "t", "p", "q"] + [f"r_atom{k}" for k in range(n_atoms)], rows())

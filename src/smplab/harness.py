@@ -10,6 +10,7 @@ and demands a byte-identical payload.
 from __future__ import annotations
 
 import configparser
+import csv
 import json
 import math
 import time
@@ -20,13 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bsde import dump_adjoint_csv, l2_dtP_norm, relative_l2_dtP, solve_adjoint
+from .bsde import l2_dtP_norm, relative_l2_dtP, solve_adjoint
 from .errors import ConfigError, DegenerateStudy, ReplayMismatch
 from .malliavin import (
     Compose,
     PolynomialBasis,
     bm_integral,
     check_duality,
+    check_duality_mode,
     clark_ocone_reconstruct,
     constant,
     jump_integral,
@@ -42,7 +44,7 @@ from .model import (
 )
 from .simulate import (
     LinearCoefficients,
-    dump_paths_csv,
+    NoiseBundle,
     euler_forward,
     linear_closed_form,
     sample_noise,
@@ -53,8 +55,6 @@ from .lqsolver import (
     LqParams,
     check_picard_settings,
     compare_to_unconstrained,
-    dump_feedback_csv,
-    dump_residuals_csv,
     solve_constrained,
 )
 
@@ -329,12 +329,29 @@ def _checked(where: str, rule, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _validate_resolved(cfg: dict) -> None:
-    """Check a resolved config; numeric rules are the checks of the library objects it builds."""
-    if cfg["mc"]["n_paths"] < 1:
-        raise ConfigError("[mc] n_paths must be >= 1")
-    if cfg["basis"]["degree"] < 1:
-        raise ConfigError("[basis] degree must be >= 1")
+@dataclass(frozen=True)
+class _Setup:
+    """The library objects of a resolved config, built once, by ``_validate_resolved``."""
+
+    grids: tuple[TimeGrid, ...]  # [grid], or one per [convergence] n_steps_list entry in a study
+    coeffs: ControlledCoefficients
+    levy: LevyMeasure
+    x0: float
+    basis: PolynomialBasis
+    n_paths: int
+    seed: int
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.grids[0]
+
+    def noise(self, grid: TimeGrid | None = None) -> NoiseBundle:
+        """The run's noise on ``grid``, by default on its first grid."""
+        return sample_noise(grid or self.grid, self.levy, self.n_paths, self.seed)
+
+
+def _validate_resolved(cfg: dict) -> _Setup:
+    """Check a resolved config and build its library objects; numeric rules are their checks."""
     kind = cfg["experiment"]["kind"]
     for section, keys in schema_for(kind).items():
         for key, (typ, _) in keys.items():
@@ -346,6 +363,9 @@ def _validate_resolved(cfg: dict) -> None:
     for (section, key, value), needed in _NEEDS_FAMILY.items():
         if cfg.get(section, {}).get(key) == value and family != needed:
             raise ConfigError(f"[{section}] {key} = {value} needs the {needed!r} model family")
+    sim = cfg.get("simulate", {})
+    if sim.get("scheme") == "closed-form" and sim["control"] == "constant" and sim["control_value"] != 0.0:
+        raise ConfigError("[simulate] scheme = closed-form solves the uncontrolled equation; the control must be zero")
     functionals = [cfg[section]["functional"] for section in ("duality", "clark_ocone") if section in cfg]
     if "jump_squared" in functionals and not cfg["model"]["atoms"]:
         raise ConfigError("functional 'jump_squared' needs at least one atom")
@@ -357,20 +377,25 @@ def _validate_resolved(cfg: dict) -> None:
     # A verdict threshold no run can meet would turn every run into a FAIL.
     if study and cfg["convergence"]["ratio_low"] > cfg["convergence"]["ratio_high"]:
         raise ConfigError("[convergence] ratio_low must not exceed ratio_high")
-    for section, key in (("bsde", "max_rel_distance"), ("clark_ocone", "max_rel_error")):
-        if section in cfg and cfg[section][key] < 0.0:
-            raise ConfigError(f"[{section}] {key} must be >= 0, got {cfg[section][key]}")
+    for section, key, low in (("mc", "n_paths", 1), ("basis", "degree", 1), ("output", "csv_paths", 0),
+                              ("bsde", "max_rel_distance", 0), ("clark_ocone", "max_rel_error", 0)):
+        if section in cfg and cfg[section][key] < low:
+            raise ConfigError(f"[{section}] {key} must be >= {low}, got {cfg[section][key]}")
     step_counts = cfg["convergence"]["n_steps_list"] if study else [cfg["grid"]["n_steps"]]
     where = "[grid] or [convergence]" if study else "[grid]"
-    grids = [_checked(where, TimeGrid, cfg["grid"]["horizon"], n) for n in step_counts]
-    coeffs, levy, _ = _checked("[model]", build_model, cfg)
+    grids = tuple(_checked(where, TimeGrid, cfg["grid"]["horizon"], n) for n in step_counts)
+    coeffs, levy, x0 = _checked("[model]", build_model, cfg)
     for grid in grids:
         _checked("[model]", step_rates, grid, levy)
+    if kind == "check-duality":
+        _checked("[duality]", check_duality_mode, cfg["duality"]["mode"], levy)
     if kind == "check-smp":
         s = cfg["smp"]
         _checked("[smp]", check_spike_grids, coeffs, grids[0], s["tau_grid"], s["v_grid"], s["eps_grid"])
     if kind == "solve-lq":
         _checked("[iteration]", check_picard_settings, **cfg["iteration"])
+    basis = PolynomialBasis(cfg["basis"]["degree"])
+    return _Setup(grids, coeffs, levy, x0, basis, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
 
 
 # --------------------------------------------------------------------------
@@ -425,16 +450,49 @@ def _write_json(path: Path, obj) -> None:
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
-def _run_simulate(cfg, out_dir: Path | None):
-    grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
-    coeffs, levy, x0 = build_model(cfg)
-    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-    scheme = cfg["simulate"]["scheme"]
-    if scheme == "euler":
-        law = _control_law(cfg["simulate"]["control"], cfg["simulate"]["control_value"], grid)
-        bundle = euler_forward(coeffs, law, noise, x0)
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header row and data rows as CSV.
+
+    Floats (``np.float64`` included) carry 17 significant digits; every
+    other cell, such as an int, a bool or ``""``, is written as it is.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+
+
+def _path_table(grid: TimeGrid, columns: dict) -> tuple:
+    """Header and rows of a per-path CSV: ``path_id, step, t``, the node column, then the step columns.
+
+    The first of ``columns`` is the node column, one value per grid node; the
+    others have one value per step.  Each column holds the paths to write.
+    The terminal row (step = N) has blanks after the node value.
+    """
+    (node_name, node), *steps = columns.items()
+    times, n_steps = grid.times(), grid.n_steps
+
+    def rows():
+        for j in range(len(node)):
+            for i in range(n_steps):
+                yield [j, i, times[i], node[j, i], *(values[j, i] for _, values in steps)]
+            yield [j, n_steps, times[-1], node[j, -1]] + [""] * len(steps)
+
+    return ["path_id", "step", "t", node_name] + [name for name, _ in steps], rows()
+
+
+# Each runner returns its exit code, payload, summary lines and artifacts, a
+# {file name: content} dict: JSON content, or the (header, rows) of a CSV file.
+
+
+def _run_simulate(cfg, setup: _Setup):
+    grid, noise, sim = setup.grid, setup.noise(), cfg["simulate"]
+    if sim["scheme"] == "euler":
+        law = _control_law(sim["control"], sim["control_value"], grid)
+        bundle = euler_forward(setup.coeffs, law, noise, setup.x0)
     else:
-        bundle = linear_closed_form(_linear_coefficients(cfg, levy), noise, x0)
+        bundle = linear_closed_form(_linear_coefficients(cfg, setup.levy), noise, setup.x0)
     terminal = bundle.X[:, -1]
     payload = {
         "mean_terminal": float(terminal.mean()),
@@ -443,65 +501,53 @@ def _run_simulate(cfg, out_dir: Path | None):
         "state_digest": _digest(bundle.X),
         "noise_digest": _digest(noise.dB),
     }
-    if out_dir is not None:
-        dump_paths_csv(bundle, out_dir / "paths.csv", max_paths=cfg["output"]["csv_paths"])
+    k = cfg["output"]["csv_paths"]
+    jump_sum = (noise.jump_counts[:k] * setup.levy.zetas).sum(axis=2)
+    columns = {"X": bundle.X[:k], "u": bundle.u[:k], "dB": noise.dB[:k], "jump_sum": jump_sum}
     lines = [
-        f"simulated {cfg['mc']['n_paths']} paths on {grid.n_steps} steps ({scheme})",
+        f"simulated {setup.n_paths} paths on {grid.n_steps} steps ({sim['scheme']})",
         f"terminal mean {payload['mean_terminal']:.6g}, variance {payload['var_terminal']:.6g}",
         f"total jump count {payload['total_jumps']}",
     ]
-    return EXIT_PASS, payload, lines
+    return EXIT_PASS, payload, lines, {"paths.csv": _path_table(grid, columns)}
 
 
-def _run_check_duality(cfg, out_dir: Path | None):
-    grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
-    _, levy, _ = build_model(cfg)
+def _run_check_duality(cfg, setup: _Setup):
     d = cfg["duality"]
     mode = d["mode"]
-    F = _FUNCTIONALS[d["functional"]](grid, levy)
+    F = _FUNCTIONALS[d["functional"]](setup.grid, setup.levy)
     integrand = _integrand(d["integrand"], d["integrand_value"], mode)
-    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-    report = check_duality(F, integrand, mode, noise, basis=PolynomialBasis(cfg["basis"]["degree"]))
+    report = check_duality(F, integrand, mode, setup.noise(), basis=setup.basis)
     payload = _plain(report)
-    if out_dir is not None:
-        _write_json(out_dir / "duality.json", payload)
     lines = [
         f"duality ({mode}) of {d['functional']} against {d['integrand']}",
         f"lhs {report.lhs:.6g} (se {report.se_lhs:.2g}), rhs {report.rhs:.6g} (se {report.se_rhs:.2g})",
         f"verdict: {'pass' if report.verdict else 'FAIL'} at 3 standard errors",
     ]
-    return (EXIT_PASS if report.verdict else EXIT_FAIL), payload, lines
+    return (EXIT_PASS if report.verdict else EXIT_FAIL), payload, lines, {"duality.json": payload}
 
 
-def _run_clark_ocone(cfg, out_dir: Path | None):
-    grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
-    levy = LevyMeasure.empty()
+def _run_clark_ocone(cfg, setup: _Setup):
     c = cfg["clark_ocone"]
-    F = _FUNCTIONALS[c["functional"]](grid, levy)
-    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-    report = clark_ocone_reconstruct(F, noise, basis=PolynomialBasis(cfg["basis"]["degree"]))
+    F = _FUNCTIONALS[c["functional"]](setup.grid, setup.levy)
+    report = clark_ocone_reconstruct(F, setup.noise(), basis=setup.basis)
     ok = report.l2_error <= c["max_rel_error"]
     payload = dict(_plain(report), max_rel_error=c["max_rel_error"], verdict=bool(ok))
-    if out_dir is not None:
-        _write_json(out_dir / "clark_ocone.json", payload)
     lines = [
-        f"martingale reconstruction of {c['functional']} on {grid.n_steps} steps",
+        f"martingale reconstruction of {c['functional']} on {setup.grid.n_steps} steps",
         f"relative squared-L2 error {report.l2_error:.4g} (threshold {c['max_rel_error']:.4g})",
         f"verdict: {'pass' if ok else 'FAIL'}",
     ]
-    return (EXIT_PASS if ok else EXIT_FAIL), payload, lines
+    return (EXIT_PASS if ok else EXIT_FAIL), payload, lines, {"clark_ocone.json": payload}
 
 
-def _run_solve_bsde(cfg, out_dir: Path | None):
-    grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
-    coeffs, levy, x0 = build_model(cfg)
-    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-    basis = PolynomialBasis(cfg["basis"]["degree"])
+def _run_solve_bsde(cfg, setup: _Setup):
+    grid, coeffs = setup.grid, setup.coeffs
     law = _control_law(cfg["bsde"]["control"], cfg["bsde"]["control_value"], grid)
-    forward = euler_forward(coeffs, law, noise, x0)
+    forward = euler_forward(coeffs, law, setup.noise(), setup.x0)
     # the partials are not kept past the sweep: the distance below takes full-size temporaries
     explicit, regression = solve_adjoint(
-        partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, basis, cross_check=True
+        partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, setup.basis, cross_check=True
     )
     distance = relative_l2_dtP(regression.p, explicit.p, grid.dt)
     ok = distance <= cfg["bsde"]["max_rel_distance"]
@@ -513,48 +559,50 @@ def _run_solve_bsde(cfg, out_dir: Path | None):
         "p0_mean_explicit": float(explicit.p[:, 0].mean()),
         "verdict": bool(ok),
     }
-    if out_dir is not None:
-        dump_adjoint_csv(explicit, out_dir / "adjoint.csv", max_paths=cfg["output"]["csv_paths"])
+    k = cfg["output"]["csv_paths"]
+    r = {f"r_atom{a}": explicit.r[:k, :, a] for a in range(explicit.r.shape[2])}
+    columns = {"p": explicit.p[:k], "q": explicit.q[:k]} | r
     lines = [
-        f"adjoint equation solved two ways on {cfg['mc']['n_paths']} paths",
+        f"adjoint equation solved two ways on {setup.n_paths} paths",
         f"relative L2(dt x P) distance {distance:.4g} (threshold {cfg['bsde']['max_rel_distance']:.4g})",
         f"verdict: {'pass' if ok else 'FAIL'}",
     ]
-    return (EXIT_PASS if ok else EXIT_FAIL), payload, lines
+    return (EXIT_PASS if ok else EXIT_FAIL), payload, lines, {"adjoint.csv": _path_table(grid, columns)}
 
 
-def _run_check_smp(cfg, out_dir: Path | None):
-    grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
-    coeffs, levy, x0 = build_model(cfg)
-    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-    basis = PolynomialBasis(cfg["basis"]["degree"])
+def _run_check_smp(cfg, setup: _Setup):
+    noise = setup.noise()
     s = cfg["smp"]
     if s["candidate"] == "lq-opt":
-        params = LqParams(x0=x0, coeffs=coeffs, noise=noise, degree=cfg["basis"]["degree"])
+        params = LqParams(x0=setup.x0, coeffs=setup.coeffs, noise=noise, degree=setup.basis.degree)
         candidate = solve_constrained(params).feedback_law()
     else:
-        candidate = _control_law(s["candidate"], s["candidate_value"], grid)
+        candidate = _control_law(s["candidate"], s["candidate_value"], setup.grid)
     verdict = check_necessary_condition(
-        candidate, coeffs, noise, x0, s["tau_grid"], s["v_grid"], s["eps_grid"], basis=basis
+        candidate, setup.coeffs, noise, setup.x0, s["tau_grid"], s["v_grid"], s["eps_grid"], basis=setup.basis
     )
     payload = _plain(verdict)
-    if out_dir is not None:
-        _write_json(out_dir / "smp_verdict.json", payload)
-        verdict.dump_csv(out_dir / "smp_verdict.csv")
+    rows = (
+        [tau, v, eps, verdict.statistic[a, b], verdict.statistic_se[a, b], verdict.diff_quotient[a, b, c],
+         bool(verdict.pass_cells[a, b])]
+        for a, tau in enumerate(verdict.tau_grid)
+        for b, v in enumerate(verdict.v_grid)
+        for c, eps in enumerate(verdict.eps_grid)
+    )
+    header = ["tau", "v", "eps", "statistic", "se", "diff_quotient", "pass"]
+    artifacts = {"smp_verdict.json": payload, "smp_verdict.csv": (header, rows)}
     worst = float(np.max(verdict.statistic - 3.0 * verdict.statistic_se))
     lines = [
         f"first-order condition over {len(s['tau_grid'])}x{len(s['v_grid'])} cells, eps grid {s['eps_grid']}",
         f"worst statistic margin {worst:.4g} (pass requires <= 0)",
         f"verdict: {'pass' if verdict.passed else 'FAIL'}",
     ]
-    return (EXIT_PASS if verdict.passed else EXIT_FAIL), payload, lines
+    return (EXIT_PASS if verdict.passed else EXIT_FAIL), payload, lines, artifacts
 
 
-def _run_solve_lq(cfg, out_dir: Path | None):
-    grid = TimeGrid(cfg["grid"]["horizon"], cfg["grid"]["n_steps"])
-    coeffs, levy, x0 = build_model(cfg)
-    noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-    params = LqParams(x0=x0, coeffs=coeffs, noise=noise, degree=cfg["basis"]["degree"], **cfg["iteration"])
+def _run_solve_lq(cfg, setup: _Setup):
+    grid = setup.grid
+    params = LqParams(x0=setup.x0, coeffs=setup.coeffs, noise=setup.noise(), degree=setup.basis.degree, **cfg["iteration"])
     sol = solve_constrained(params)
     comparison = compare_to_unconstrained(sol, params)
     payload = {
@@ -566,50 +614,50 @@ def _run_solve_lq(cfg, out_dir: Path | None):
         "comparison": _plain(comparison),
         "control_digest": _digest(sol.u_values),
     }
-    if out_dir is not None:
-        dump_feedback_csv(sol, grid, out_dir / "feedback_coefficients.csv")
-        dump_residuals_csv(sol, out_dir / "residuals.csv")
-        _write_json(out_dir / "comparison.json", payload["comparison"])
+    fits, times = sol.p_hat.p_fits, grid.times()
+    header = ["step", "t", "feature_mean", "feature_scale"] + [f"c{k}" for k in range(len(fits[0].coeffs))]
+    rows = ([i, times[i], fit.feature_mean[0], fit.feature_scale[0], *fit.coeffs] for i, fit in enumerate(fits))
+    artifacts = {
+        "feedback_coefficients.csv": (header, rows),
+        "residuals.csv": (["iteration", "residual"], enumerate(sol.residual_history)),
+        "comparison.json": payload["comparison"],
+    }
     lines = [
         f"constrained solver {'converged' if sol.converged else 'DID NOT converge'} in {len(sol.residual_history)} sweeps",
         f"control L2(dt x P) norm {payload['control_norm']:.4g}, fixed-point residual {sol.fbsde_residual:.3g}",
         f"distance to unconstrained feedback {comparison.control_distance:.4g}, binding fraction {comparison.binding_fraction:.3g}",
     ]
-    return (EXIT_PASS if sol.converged else EXIT_FAIL), payload, lines
+    return (EXIT_PASS if sol.converged else EXIT_FAIL), payload, lines, artifacts
 
 
-def _run_convergence_study(cfg, out_dir: Path | None):
-    coeffs, levy, x0 = build_model(cfg)
-    lin = _linear_coefficients(cfg, levy)
+def _run_convergence_study(cfg, setup: _Setup):
+    lin = _linear_coefficients(cfg, setup.levy)
     conv = cfg["convergence"]
     rmses = []
-    for n_steps in conv["n_steps_list"]:
-        grid = TimeGrid(cfg["grid"]["horizon"], int(n_steps))
-        noise = sample_noise(grid, levy, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
-        eul = euler_forward(coeffs, OpenLoopLaw(np.zeros(grid.n_steps)), noise, x0)
-        closed = linear_closed_form(lin, noise, x0)
+    for grid in setup.grids:
+        noise = setup.noise(grid)
+        eul = euler_forward(setup.coeffs, OpenLoopLaw(np.zeros(grid.n_steps)), noise, setup.x0)
+        closed = linear_closed_form(lin, noise, setup.x0)
         rmses.append(float(np.sqrt(np.mean((eul.X[:, -1] - closed.X[:, -1]) ** 2))))
         if len(rmses) > 1 and rmses[-1] == 0.0:
-            raise DegenerateStudy(f"terminal RMSE is 0 on the {n_steps}-step grid, so no halving ratio can be measured")
+            raise DegenerateStudy(f"terminal RMSE is 0 on the {grid.n_steps}-step grid, so no halving ratio can be measured")
     ratios = [rmses[i] / rmses[i + 1] for i in range(len(rmses) - 1)]
     ok = all(conv["ratio_low"] <= r <= conv["ratio_high"] for r in ratios)
     payload = {
-        "n_steps_list": [int(n) for n in conv["n_steps_list"]],
+        "n_steps_list": [grid.n_steps for grid in setup.grids],
         "rmse": rmses,
         "ratios": ratios,
         "ratio_low": conv["ratio_low"],
         "ratio_high": conv["ratio_high"],
         "verdict": bool(ok),
     }
-    if out_dir is not None:
-        _write_json(out_dir / "convergence.json", payload)
     lines = [
         "terminal RMSE between the Euler scheme and the closed form on common noise",
         "rmse " + ", ".join(f"{n}: {r:.6g}" for n, r in zip(payload["n_steps_list"], rmses)),
         f"halving ratios {', '.join(f'{r:.3f}' for r in ratios)} within [{conv['ratio_low']}, {conv['ratio_high']}]: "
         + ("pass" if ok else "FAIL"),
     ]
-    return (EXIT_PASS if ok else EXIT_FAIL), payload, lines
+    return (EXIT_PASS if ok else EXIT_FAIL), payload, lines, {"convergence.json": payload}
 
 
 _RUNNERS = {
@@ -634,12 +682,11 @@ def run(cfg: dict, out_dir=None, write: bool = True) -> RunResult:
     """Execute the configured experiment; writes report.json and summary.txt.
 
     Exit code 0 on verdict pass, 1 on verdict fail; configuration problems
-    raise ConfigError (exit 2 at the CLI) and numerical failures raise the
-    package errors (exit 3).
+    raise ConfigError (exit 2 at the CLI) before anything is written, and
+    numerical failures raise the package errors (exit 3).
     """
+    setup = _validate_resolved(cfg)
     kind = cfg["experiment"]["kind"]
-    if kind not in _RUNNERS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
     out_path = None
     if write:
         if out_dir is None:
@@ -647,7 +694,7 @@ def run(cfg: dict, out_dir=None, write: bool = True) -> RunResult:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    exit_code, payload, lines = _RUNNERS[kind](cfg, out_path)
+    exit_code, payload, lines, artifacts = _RUNNERS[kind](cfg, setup)
     runtime = time.perf_counter() - started
     report = {
         "version": __version__,
@@ -657,17 +704,20 @@ def run(cfg: dict, out_dir=None, write: bool = True) -> RunResult:
         "runtime_seconds": runtime,
         "payload": payload,
     }
-    report_path = None
-    if write:
-        report_path = out_path / "report.json"
-        _write_json(report_path, report)
-        with open(out_path / "summary.txt", "w") as fh:
-            fh.write(f"experiment: {kind} (seed {cfg['mc']['seed']}, version {__version__})\n")
-            for line in lines:
-                fh.write(line + "\n")
-            fh.write(f"runtime: {runtime:.2f} s\n")
-            fh.write(f"exit code: {exit_code}\n")
-    return RunResult(exit_code=exit_code, report=report, report_path=report_path)
+    if not write:
+        return RunResult(exit_code=exit_code, report=report, report_path=None)
+    for name, content in (artifacts | {"report.json": report}).items():
+        if name.endswith(".json"):
+            _write_json(out_path / name, content)
+        else:
+            _write_csv(out_path / name, *content)
+    with open(out_path / "summary.txt", "w") as fh:
+        fh.write(f"experiment: {kind} (seed {cfg['mc']['seed']}, version {__version__})\n")
+        for line in lines:
+            fh.write(line + "\n")
+        fh.write(f"runtime: {runtime:.2f} s\n")
+        fh.write(f"exit code: {exit_code}\n")
+    return RunResult(exit_code=exit_code, report=report, report_path=out_path / "report.json")
 
 
 def _canonical(payload) -> str:
@@ -709,9 +759,9 @@ def _check_json_types(cfg: dict) -> None:
 def replay(report_path) -> int:
     """Re-run the embedded config and demand a bit-identical numeric payload.
 
-    The embedded config is checked first, for the JSON type of each value
-    and then by the rules of a resolved config file, so a report edited to
-    break one is a ConfigError.
+    The embedded config is checked first, for the JSON type of each value,
+    and then, by ``run``, with the rules of a resolved config file, so a
+    report edited to break one is a ConfigError.
     """
     path = Path(report_path)
     if not path.is_file():
@@ -722,7 +772,6 @@ def replay(report_path) -> int:
         cfg = report["config"]
         recorded = report["payload"]
         _check_json_types(cfg)
-        _validate_resolved(cfg)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"report file {path} is not a valid run report: {exc}") from exc
     result = run(cfg, write=False)

@@ -17,7 +17,7 @@ import numpy as np
 from .bsde import AdjointTriple, l2_dtP_norm, relative_l2_dtP
 from .malliavin import PolynomialBasis, StateProjector, mean_se
 from .model import ControlledCoefficients, FeedbackLaw, OpenLoopLaw, TimeGrid
-from .simulate import NoiseBundle, euler_forward, write_csv
+from .simulate import NoiseBundle, euler_forward
 from .smp import adjoint_for, performance_values
 
 
@@ -201,16 +201,3 @@ def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonRep
         j_unconstrained_se=j_unc_se,
         binding_fraction=binding,
     )
-
-
-def dump_feedback_csv(sol: LqSolution, grid: TimeGrid, path) -> None:
-    """Per-step polynomial coefficients of the fitted adjoint (standardized basis)."""
-    times = grid.times()
-    fits = sol.p_hat.p_fits
-    degree = len(fits[0].coeffs) - 1
-    rows = ([i, times[i], fit.feature_mean[0], fit.feature_scale[0], *fit.coeffs] for i, fit in enumerate(fits))
-    write_csv(path, ["step", "t", "feature_mean", "feature_scale"] + [f"c{k}" for k in range(degree + 1)], rows)
-
-
-def dump_residuals_csv(sol: LqSolution, path) -> None:
-    write_csv(path, ["iteration", "residual"], enumerate(sol.residual_history))

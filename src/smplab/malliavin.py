@@ -600,6 +600,14 @@ def _bundle_grid(F: WienerFunctional, noise: NoiseBundle) -> TimeGrid:
     return noise.grid
 
 
+def check_duality_mode(mode: str, levy: LevyMeasure) -> None:
+    """A duality mode is 'brownian', or 'jump' on a measure with at least one atom."""
+    if mode not in ("brownian", "jump"):
+        raise ValueError(f"mode must be 'brownian' or 'jump', got {mode!r}")
+    if mode == "jump" and levy.n_atoms == 0:
+        raise ValueError("jump-mode duality needs at least one atom")
+
+
 def check_duality(
     F: WienerFunctional,
     integrand,
@@ -616,19 +624,16 @@ def check_duality(
     leaves must live on the bundle's grid.
     """
     levy, n_paths, n_steps = noise.levy, noise.n_paths, noise.grid.n_steps
+    check_duality_mode(mode, levy)
     # Brownian mode is one channel of weight 1 driven by dB; jump mode has one
     # channel per atom, weighted by its intensity and driven by compensated counts.
     # The driver is read after the adaptedness probe, which copies the bundle.
     if mode == "brownian":
         shape, weights, driver = (n_paths, n_steps), np.ones(1), lambda: noise.dB[:, :, None]
         wanted = "Brownian integrand must have shape (n_paths, N)"
-    elif mode == "jump":
-        if levy.n_atoms == 0:
-            raise ValueError("jump-mode duality needs at least one atom")
+    else:
         shape, weights, driver = (n_paths, n_steps, levy.n_atoms), levy.intensities, noise.compensated_counts
         wanted = "jump integrand must have shape (n_paths, N, K)"
-    else:
-        raise ValueError(f"mode must be 'brownian' or 'jump', got {mode!r}")
     dt = _bundle_grid(F, noise).dt
 
     phi = np.asarray(integrand(noise), dtype=float)

@@ -8,7 +8,6 @@ the k-path ensemble for the same seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -294,43 +293,6 @@ def gamma_process(b_x: np.ndarray, sigma_x: np.ndarray, gamma_x: np.ndarray, noi
     lin = LinearCoefficients(b1=b_x, s1=sigma_x, g1=gamma_x)
     arrs = lin.broadcast(noise.n_paths, noise.grid.n_steps, noise.levy.n_atoms)
     return 1.0 / _upsilon(arrs[1], arrs[3], arrs[5], noise)
-
-
-def write_csv(path, header, rows) -> None:
-    """Write a header row and data rows as CSV.
-
-    Floats (``np.float64`` included) carry 17 significant digits; every
-    other cell, such as an int, a bool or ``""``, is written as it is.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
-
-
-def dump_paths_csv(bundle: PathBundle, path, max_paths: int | None = None) -> None:
-    """Write per-path rows (path_id, step, t, X, u, dB, jump_sum).
-
-    The terminal node row (step = N) reports the state only; the interval
-    columns are left empty.
-    """
-    noise = bundle.noise
-    times = bundle.grid.times()
-    n_steps = bundle.grid.n_steps
-    n_paths = bundle.n_paths if max_paths is None else min(max_paths, bundle.n_paths)
-    if noise.levy.n_atoms:
-        jump_sum = (noise.jump_counts * noise.levy.zetas[None, None, :]).sum(axis=2)
-    else:
-        jump_sum = np.zeros((bundle.n_paths, n_steps))
-
-    def rows():
-        for j in range(n_paths):
-            for i in range(n_steps):
-                yield [j, i, times[i], bundle.X[j, i], bundle.u[j, i], noise.dB[j, i], jump_sum[j, i]]
-            yield [j, n_steps, times[-1], bundle.X[j, -1], "", "", ""]
-
-    write_csv(path, ["path_id", "step", "t", "X", "u", "dB", "jump_sum"], rows())
 
 
 def perturbed_after(noise: NoiseBundle, step: int) -> NoiseBundle:

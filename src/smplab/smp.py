@@ -25,7 +25,6 @@ from .simulate import (
     _euler_step,
     euler_forward,
     linear_closed_form,
-    write_csv,
 )
 
 
@@ -213,16 +212,6 @@ class SmpVerdict:
     pass_cells: np.ndarray  # (n_tau, n_v) bool
     gap_shrinks: np.ndarray  # (n_tau, n_v) bool
     passed: bool
-
-    def dump_csv(self, path) -> None:
-        rows = (
-            [tau, v, eps, self.statistic[a, b], self.statistic_se[a, b], self.diff_quotient[a, b, c],
-             bool(self.pass_cells[a, b])]
-            for a, tau in enumerate(self.tau_grid)
-            for b, v in enumerate(self.v_grid)
-            for c, eps in enumerate(self.eps_grid)
-        )
-        write_csv(path, ["tau", "v", "eps", "statistic", "se", "diff_quotient", "pass"], rows)
 
 
 def check_spike_grids(coeffs: ControlledCoefficients, grid: TimeGrid, tau_grid, v_grid, eps_grid) -> None:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from smplab.bsde import (
     UNIDENTIFIABLE_RATE,
-    dump_adjoint_csv,
     extract_qr,
     l2_dtP_norm,
     relative_l2_dtP,
@@ -253,20 +253,18 @@ class TestExtractQr:
 
 
 class TestAdjointCsv:
-    def test_header_and_terminal_row(self, tmp_path):
-        grid = TimeGrid(1.0, 4)
-        levy = LevyMeasure.from_pairs([(0.2, 1.0)])
-        noise = sample_noise(grid, levy, 30, 18)
-        fw = PathBundle(grid=grid, X=noise.brownian(), u=np.zeros((30, 4)), noise=noise)
-        triple = explicit_adjoint(fw, np.ones(30))
-        out = tmp_path / "adjoint.csv"
-        dump_adjoint_csv(triple, out, max_paths=3)
-        import csv
-
-        rows = list(csv.reader(open(out, newline="")))
-        assert rows[0] == ["path_id", "step", "t", "p", "q", "r_atom0"]
+    def test_header_and_terminal_row(self, run_ini):
+        # adjoint.csv as a solve-bsde run writes it, with two atoms
+        sections = "[grid]\nn_steps = 4\n[mc]\nn_paths = 200\nseed = 18\n[model]\natoms = 0.2:1.0; -0.1:0.5\n"
+        out = run_ini("solve-bsde", sections + "[output]\ncsv_paths = 3\n")
+        rows = list(csv.reader(open(out / "adjoint.csv", newline="")))
+        assert rows[0] == ["path_id", "step", "t", "p", "q", "r_atom0", "r_atom1"]
         assert len(rows) == 1 + 3 * 5
-        assert rows[5][1] == "4" and rows[5][4] == "" and rows[5][5] == ""
+        assert rows[5][1] == "4" and rows[5][4:] == ["", "", ""]
+        # the terminal node value is p(T) = g_x(X(T)) = -X(T) of the run's paths, at 17 digits
+        noise = sample_noise(TimeGrid(1.0, 4), LevyMeasure.from_pairs([(0.2, 1.0), (-0.1, 0.5)]), 200, 18)
+        fw = euler_forward(build_lq_coefficients(0.1), OpenLoopLaw(np.zeros(4)), noise, 1.0)
+        assert [rows[5 * j + 5][3] for j in range(3)] == [format(-fw.X[j, -1], ".17g") for j in range(3)]
 
 
 class TestNorms:

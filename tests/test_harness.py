@@ -134,6 +134,14 @@ class TestConfigParsing:
             ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nratio_low = 2.6\nratio_high = 1.4\n", {}),
             ("solve-bsde", "\n[bsde]\nmax_rel_distance = -1.0\n", {}),
             ("clark-ocone", "\n[clark_ocone]\nmax_rel_error = -0.01\n", {}),
+            (
+                "simulate",
+                "\n[model]\nfamily = linear\ndrift_u = 1\ndiff_const = 0.1\n"
+                "[simulate]\nscheme = closed-form\ncontrol = constant\ncontrol_value = 2\n",
+                {},
+            ),
+            ("check-duality", "\n[duality]\nmode = jump\nintegrand = zeta\n", {}),
+            ("simulate", "\n[output]\ncsv_paths = -3\n", {}),
         ],
         ids=[
             "nan-horizon",
@@ -183,6 +191,9 @@ class TestConfigParsing:
             "ratio-band-inverted",
             "negative-bsde-threshold",
             "negative-clark-ocone-threshold",
+            "closed-form-with-control",
+            "jump-mode-without-atoms",
+            "negative-csv-paths",
         ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, grid):
@@ -519,6 +530,12 @@ class TestRunAndReplay:
         result = run(parse_config(path), out_dir=tmp_path / "out")
         assert result.exit_code == 0
         assert math.isfinite(result.report["payload"]["mean_terminal"])
+
+    @pytest.mark.parametrize("control", ["control = zero\ncontrol_value = 2", "control = constant\ncontrol_value = 0"])
+    def test_closed_form_scheme_takes_a_zero_control(self, tmp_path, control):
+        extra = f"\n[model]\nfamily = linear\ndrift_u = 1\ndiff_const = 0.1\n[simulate]\nscheme = closed-form\n{control}\n"
+        path = write_config(tmp_path, "simulate", extra=extra, n_paths=200)
+        assert run(parse_config(path), write=False).exit_code == 0
 
     def test_closed_form_scheme_needs_linear_family(self, tmp_path):
         path = write_config(tmp_path, "simulate", extra="\n[simulate]\nscheme = closed-form\n")

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from smplab.bsde import l2_dtP_norm, relative_l2_dtP
-from smplab.harness import _plain, _write_json
+from smplab.harness import _plain
 from smplab.lqsolver import (
     LqParams,
     closed_form_unconstrained,
     compare_to_unconstrained,
-    dump_feedback_csv,
-    dump_residuals_csv,
     solve_constrained,
     unconstrained_feedback_law,
 )
@@ -185,19 +183,22 @@ class TestSolveConstrained:
 
 
 class TestDumps:
-    def test_files_roundtrip(self, tmp_path):
+    def test_files_roundtrip(self, run_ini):
+        # the files a solve-lq run writes, against the solver run on the same inputs
+        out = run_ini("solve-lq", "[mc]\nn_paths = 2000\nseed = 211\n")
         p = params(n_paths=2000, seed=211)
         sol = solve_constrained(p)
-        report = compare_to_unconstrained(sol, p)
-        dump_feedback_csv(sol, GRID, tmp_path / "fb.csv")
-        dump_residuals_csv(sol, tmp_path / "res.csv")
-        _write_json(tmp_path / "cmp.json", _plain(report))
-        rows = list(csv.reader(open(tmp_path / "fb.csv", newline="")))
-        assert rows[0][:4] == ["step", "t", "feature_mean", "feature_scale"]
+        rows = list(csv.reader(open(out / "feedback_coefficients.csv", newline="")))
+        assert rows[0] == ["step", "t", "feature_mean", "feature_scale", "c0", "c1", "c2", "c3"]
         assert len(rows) == 1 + GRID.n_steps
-        res = list(csv.reader(open(tmp_path / "res.csv", newline="")))
+        fit = sol.p_hat.p_fits[7]
+        cells = [GRID.times()[7], fit.feature_mean[0], fit.feature_scale[0], *fit.coeffs]
+        assert rows[8] == ["7"] + [format(v, ".17g") for v in cells]
+        res = list(csv.reader(open(out / "residuals.csv", newline="")))
         assert res[0] == ["iteration", "residual"]
-        blob = json.load(open(tmp_path / "cmp.json"))
+        assert res[1:] == [[str(i), format(r, ".17g")] for i, r in enumerate(sol.residual_history)]
+        blob = json.load(open(out / "comparison.json"))
+        assert blob == _plain(compare_to_unconstrained(sol, p))
         assert set(blob) == {
             "control_distance",
             "j_constrained",

@@ -9,14 +9,13 @@ from smplab.model import ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeG
 from smplab.simulate import (
     MAX_STEP_RATE,
     LinearCoefficients,
-    dump_paths_csv,
     euler_forward,
     gamma_process,
     linear_closed_form,
     sample_noise,
-    write_csv,
     _path_generator,
 )
+from smplab.harness import _write_csv
 
 
 def linear_jump_coeffs(b1, s1):
@@ -269,39 +268,54 @@ class TestGammaProcess:
         assert np.all(gam == 1.0)
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestPathCsv:
-    def test_header_digits_and_roundtrip(self, tmp_path):
+    # paths.csv as a simulate run writes it
+    def test_header_digits_and_roundtrip(self, run_ini):
+        out = run_ini("simulate", "[grid]\nn_steps = 5\n[mc]\nn_paths = 3\nseed = 9\n[model]\natoms = -0.1:2.0\n")
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(TimeGrid(1.0, 5), ATOM, 3, 9)
         pb = euler_forward(coeffs, OpenLoopLaw(np.zeros(5)), noise, 1.0)
-        out = tmp_path / "paths.csv"
-        dump_paths_csv(pb, out)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = read_csv(out / "paths.csv")
         assert rows[0] == ["path_id", "step", "t", "X", "u", "dB", "jump_sum"]
-        # 5 step rows + 1 terminal row per path
+        # 5 step rows + 1 terminal row per path (csv_paths = 10 > 3 paths)
         assert len(rows) == 1 + 3 * 6
         # terminal state roundtrips at 17 significant digits
         terminal_row = rows[6]
         assert terminal_row[1] == "5"
         assert float(terminal_row[3]) == pb.X[0, -1]
-        assert terminal_row[4] == ""
+        assert terminal_row[4:] == ["", "", ""]
+        # step rows: every float at 17 significant digits, jump_sum = sum of zeta * count over atoms
+        expected = [
+            [str(i), format(t, ".17g")] + [format(v, ".17g") for v in (pb.X[0, i], pb.u[0, i], noise.dB[0, i])]
+            + [format((noise.jump_counts[0, i] * ATOM.zetas).sum(), ".17g")]
+            for i, t in enumerate(TimeGrid(1.0, 5).times()[:-1])
+        ]
+        assert [row[1:] for row in rows[1:6]] == expected
+        assert noise.jump_counts[0].any()
 
-    def test_max_paths_limit(self, tmp_path):
-        noise = sample_noise(TimeGrid(1.0, 4), LevyMeasure.empty(), 10, 9)
-        pb = euler_forward(linear_jump_coeffs(0.0, 0.0), OpenLoopLaw(np.zeros(4)), noise, 0.0)
-        out = tmp_path / "p.csv"
-        dump_paths_csv(pb, out, max_paths=2)
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
+    def test_max_paths_limit(self, run_ini):
+        out = run_ini("simulate", "[grid]\nn_steps = 4\n[mc]\nn_paths = 10\n[model]\nfamily = linear\nx0 = 0.0\n"
+                      "[output]\ncsv_paths = 2\n")
+        rows = read_csv(out / "paths.csv")
         assert len(rows) == 1 + 2 * 5
+        # without atoms jump_sum is 0 on every step row
+        assert {row[6] for row in rows[1:] if row[1] != "4"} == {"0"}
+
+    def test_zero_paths_writes_the_header_only(self, run_ini):
+        out = run_ini("simulate", "[grid]\nn_steps = 4\n[mc]\nn_paths = 10\n[output]\ncsv_paths = 0\n")
+        assert read_csv(out / "paths.csv") == [["path_id", "step", "t", "X", "u", "dB", "jump_sum"]]
 
 
 class TestWriteCsv:
     def test_cells(self, tmp_path):
         floats = [0.1, 1.0 / 3.0, np.float64(np.pi), np.float64(-2.5e-300), np.nextafter(1.0, 2.0)]
-        write_csv(tmp_path / "w.csv", ["a", "b", "c", "d", "e"], [floats, [7, True, False, "", np.float64(1e300)]])
-        rows = list(csv.reader(open(tmp_path / "w.csv", newline="")))
+        _write_csv(tmp_path / "w.csv", ["a", "b", "c", "d", "e"], [floats, [7, True, False, "", np.float64(1e300)]])
+        rows = read_csv(tmp_path / "w.csv")
         assert rows[0] == ["a", "b", "c", "d", "e"]
         assert rows[1] == [format(float(v), ".17g") for v in floats]
         assert [float(cell) for cell in rows[1]] == [float(v) for v in floats]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smplab.errors import NonFiniteState
-from smplab.harness import _plain, _write_json, build_model, parse_config, run
+from smplab.harness import _plain, build_model, parse_config, run
 from smplab.model import (
     ControlledCoefficients,
     FeedbackLaw,
@@ -469,18 +469,23 @@ class TestNecessaryCondition:
             cfg.write(fh)
         assert run(parse_config(path), write=False).exit_code == 0
 
-    def test_verdict_serialization(self, tmp_path):
+    def test_verdict_serialization(self, run_ini):
+        # the files a check-smp run writes, against the verdict taken on the same inputs
+        grids = "[smp]\ncandidate = zero\ntau_grid = 0.25, 0.75\nv_grid = 0.0, 1.0\neps_grid = 0.2, 0.1\n"
+        out = run_ini("check-smp", "[mc]\nn_paths = 2000\nseed = 45\n" + grids)
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 2000, 45)
         law = OpenLoopLaw(np.zeros(100))
         verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.25, 0.75], [0.0, 1.0], [0.2, 0.1])
-        _write_json(tmp_path / "v.json", _plain(verdict))
-        verdict.dump_csv(tmp_path / "v.csv")
         import csv
         import json
 
-        blob = json.load(open(tmp_path / "v.json"))
+        blob = json.load(open(out / "smp_verdict.json"))
         assert blob["passed"] == verdict.passed
-        rows = list(csv.reader(open(tmp_path / "v.csv", newline="")))
+        assert blob == json.loads(json.dumps(_plain(verdict)))
+        rows = list(csv.reader(open(out / "smp_verdict.csv", newline="")))
         assert rows[0] == ["tau", "v", "eps", "statistic", "se", "diff_quotient", "pass"]
         assert len(rows) == 1 + 2 * 2 * 2
+        # row (tau, v, eps) = (0.75, 0.0, 0.1): floats at 17 digits, the cell's pass flag as a bool
+        cells = [0.75, 0.0, 0.1, verdict.statistic[1, 0], verdict.statistic_se[1, 0], verdict.diff_quotient[1, 0, 1]]
+        assert rows[6] == [format(v, ".17g") for v in cells] + [str(bool(verdict.pass_cells[1, 0]))]
