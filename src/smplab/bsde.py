@@ -30,17 +30,12 @@ if TYPE_CHECKING:
 # Atoms whose expected step count falls below this are reported as r = 0
 # rather than divided out.
 UNIDENTIFIABLE_RATE = 1e-10
-# The implicit regression step iterates to a residual below IMPLICIT_TOL and
-# gives up after IMPLICIT_MAX_ITERS iterates.
-IMPLICIT_MAX_ITERS = 50
-IMPLICIT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class AdjointTriple:
     """Grid-indexed adjoint solution: p on nodes, (q, r) on step intervals."""
 
-    grid: object
     p: np.ndarray  # (n_paths, N+1)
     q: np.ndarray  # (n_paths, N)
     r: np.ndarray  # (n_paths, N, K)
@@ -50,6 +45,8 @@ class AdjointTriple:
 
 def relative_l2_dtP(a: np.ndarray, b: np.ndarray, dt: float) -> float:
     """Relative L2(dt x P) distance ||a - b|| / ||b|| over (path, step) arrays."""
+    # Not l2_dtP_norm(a - b): numpy squares the unnamed a - b in place, where a
+    # named one would hold a second full-size array (80 MB at 1e5 x 100).
     num = math.sqrt(float(np.mean(np.sum((a - b) ** 2, axis=1) * dt)))
     den = math.sqrt(float(np.mean(np.sum(b**2, axis=1) * dt)))
     return num / den if den > 0.0 else num
@@ -127,7 +124,7 @@ def _blank_triple(forward: PathBundle, terminal: np.ndarray) -> AdjointTriple:
     p[:, -1] = terminal
     q = np.empty((n_paths, grid.n_steps))
     r = np.zeros((n_paths, grid.n_steps, noise.levy.n_atoms))
-    return AdjointTriple(grid=grid, p=p, q=q, r=r, unidentifiable_atoms=unidentifiable_atoms(noise))
+    return AdjointTriple(p=p, q=q, r=r, unidentifiable_atoms=unidentifiable_atoms(noise))
 
 
 def _implicit_step(
@@ -135,31 +132,22 @@ def _implicit_step(
 ) -> None:
     """Fill step i of ``triple`` by the implicit regression scheme
     p(t_i) = E[p(t_{i+1}) | F_{t_i}] + h(p_i, q_i, r_i) dt, h the generator
-    ``hamiltonian_sum`` of the state partials.  The implicit p_i is a fixed
-    point iterated from the conditional expectation, a contraction when dt
-    times the Lipschitz constant of h in p is below 1; a stalled residual, or
-    IMPLICIT_MAX_ITERS iterates without reaching IMPLICIT_TOL, raises
+    ``hamiltonian_sum`` of the state partials.  h is affine in p_i with slope
+    b_x, so the step is solved exactly:
+    p_i = (E[p(t_{i+1}) | F_{t_i}] + h(0, q_i, r_i) dt) / (1 - b_x dt).
+    A path with 1 - b_x dt <= 0 has no stable solution and raises
     ``ContractionFailure``.
     """
     p, q, r = triple.p, triple.q, triple.r
     cond = projector.fit(p[:, i + 1]).fitted
     fit_qr_step(projector, p[:, i + 1] - cond, noise, i, q, r, triple.unidentifiable_atoms)
-    f, b, sigma = part.f_x[:, i], part.b_x[:, i], part.sigma_x[:, i]
+    dt, b = noise.grid.dt, part.b_x[:, i]
+    scale = 1.0 - b * dt
+    if not np.all(scale > 0.0):
+        raise ContractionFailure(f"1 - b_x dt falls to {float(np.min(scale)):.3e} on step {i}")
     gammas = part.gamma_x[:, i].T  # atom-major: gammas[k] is atom k's column
-    p_i = cond
-    prev_res = math.inf
-    for _ in range(IMPLICIT_MAX_ITERS):
-        p_new = cond + hamiltonian_sum(f, b, sigma, gammas, p_i, q[:, i], r[:, i], noise.levy) * noise.grid.dt
-        res = float(np.max(np.abs(p_new - p_i)))
-        p_i = p_new
-        if res < IMPLICIT_TOL:
-            break
-        if res >= prev_res:
-            raise ContractionFailure(f"fixed-point residual stalled at {res:.3e} on step {i}")
-        prev_res = res
-    else:
-        raise ContractionFailure(f"no convergence in {IMPLICIT_MAX_ITERS} iterations on step {i}")
-    p[:, i] = p_i
+    h0 = hamiltonian_sum(part.f_x[:, i], b, part.sigma_x[:, i], gammas, 0.0, q[:, i], r[:, i], noise.levy)
+    p[:, i] = (cond + h0 * dt) / scale
 
 
 def solve_adjoint(

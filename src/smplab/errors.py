@@ -49,7 +49,7 @@ class DegenerateStudy(SmplabError):
 
 
 class ContractionFailure(SmplabError):
-    """The per-step fixed-point iteration of the implicit regression step stalled."""
+    """The implicit regression step has no stable solution: 1 - b_x dt <= 0 on some path."""
 
 
 class ConfigError(SmplabError):

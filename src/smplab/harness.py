@@ -53,6 +53,7 @@ from .simulate import (
 from .smp import check_necessary_condition, check_spike_grids, partials_along
 from .lqsolver import (
     LqParams,
+    check_lq_structure,
     check_picard_settings,
     compare_to_unconstrained,
     solve_constrained,
@@ -123,10 +124,8 @@ _INTEGRANDS = {"brownian": ("brownian", "constant"), "jump": ("zeta", "constant"
 _CONTROLS = ("zero", "constant")
 # Options that need one model family: (section, key, value) -> family.
 _NEEDS_FAMILY = {
-    ("experiment", "kind", "solve-lq"): "lq",
     ("experiment", "kind", "convergence-study"): "linear",
     ("simulate", "scheme", "closed-form"): "linear",
-    ("smp", "candidate", "lq-opt"): "lq",
 }
 
 # Model families: a builder and its arguments, each a [model] key, a literal
@@ -191,8 +190,12 @@ _COMMON_SCHEMA = {
         "u_min": ("float", -1e308),
         "u_max": ("float", 1e308),
     },
-    "basis": {"degree": ("int", 3)},
-    "output": {"csv_paths": ("int", 10)},
+}
+# Sections of some kinds only: section -> (keys, kinds).  [basis] is read by
+# the kinds that fit, [output] by the kinds that write a path table.
+_SHARED_SCHEMA = {
+    "basis": ({"degree": ("int", 3)}, ("check-duality", "clark-ocone", "solve-bsde", "check-smp", "solve-lq")),
+    "output": ({"csv_paths": ("int", 10)}, ("simulate", "solve-bsde")),
 }
 
 _EXPERIMENT_SCHEMA = {
@@ -263,6 +266,7 @@ def schema_for(kind: str) -> dict:
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {', '.join(EXPERIMENTS)}")
     schema = {section: dict(keys) for section, keys in _COMMON_SCHEMA.items()}
+    schema |= {section: dict(keys) for section, (keys, kinds) in _SHARED_SCHEMA.items() if kind in kinds}
     for section, keys in _EXPERIMENT_SCHEMA[kind].items():
         schema[section] = dict(keys)
     return schema
@@ -337,7 +341,7 @@ class _Setup:
     coeffs: ControlledCoefficients
     levy: LevyMeasure
     x0: float
-    basis: PolynomialBasis
+    basis: PolynomialBasis | None  # None for the kinds that take no [basis]
     n_paths: int
     seed: int
 
@@ -394,7 +398,9 @@ def _validate_resolved(cfg: dict) -> _Setup:
         _checked("[smp]", check_spike_grids, coeffs, grids[0], s["tau_grid"], s["v_grid"], s["eps_grid"])
     if kind == "solve-lq":
         _checked("[iteration]", check_picard_settings, **cfg["iteration"])
-    basis = PolynomialBasis(cfg["basis"]["degree"])
+    if kind == "solve-lq" or cfg.get("smp", {}).get("candidate") == "lq-opt":
+        _checked("[model]", check_lq_structure, coeffs, grids[0], levy)
+    basis = PolynomialBasis(cfg["basis"]["degree"]) if "basis" in cfg else None
     return _Setup(grids, coeffs, levy, x0, basis, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
 
 
@@ -678,21 +684,16 @@ class RunResult:
     report_path: Path | None
 
 
-def run(cfg: dict, out_dir=None, write: bool = True) -> RunResult:
-    """Execute the configured experiment; writes report.json and summary.txt.
+def run(cfg: dict, out_dir=None) -> RunResult:
+    """Execute the configured experiment; with ``out_dir`` it writes report.json,
+    summary.txt and the kind's artifacts there once the run has finished.
 
     Exit code 0 on verdict pass, 1 on verdict fail; configuration problems
-    raise ConfigError (exit 2 at the CLI) before anything is written, and
-    numerical failures raise the package errors (exit 3).
+    raise ConfigError (exit 2 at the CLI) and numerical failures raise the
+    package errors (exit 3), both before anything is written.
     """
     setup = _validate_resolved(cfg)
     kind = cfg["experiment"]["kind"]
-    out_path = None
-    if write:
-        if out_dir is None:
-            raise ConfigError("an output directory is required when writing reports")
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     exit_code, payload, lines, artifacts = _RUNNERS[kind](cfg, setup)
     runtime = time.perf_counter() - started
@@ -704,8 +705,10 @@ def run(cfg: dict, out_dir=None, write: bool = True) -> RunResult:
         "runtime_seconds": runtime,
         "payload": payload,
     }
-    if not write:
+    if out_dir is None:
         return RunResult(exit_code=exit_code, report=report, report_path=None)
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
     for name, content in (artifacts | {"report.json": report}).items():
         if name.endswith(".json"):
             _write_json(out_path / name, content)
@@ -774,7 +777,7 @@ def replay(report_path) -> int:
         _check_json_types(cfg)
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"report file {path} is not a valid run report: {exc}") from exc
-    result = run(cfg, write=False)
+    result = run(cfg)
     if _canonical(result.report["payload"]) != _canonical(recorded):
         raise ReplayMismatch("replayed payload differs from the recorded report")
     return EXIT_PASS

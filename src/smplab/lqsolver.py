@@ -16,7 +16,7 @@ import numpy as np
 
 from .bsde import AdjointTriple, l2_dtP_norm, relative_l2_dtP
 from .malliavin import PolynomialBasis, StateProjector, mean_se
-from .model import ControlledCoefficients, FeedbackLaw, OpenLoopLaw, TimeGrid
+from .model import ControlledCoefficients, FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid
 from .simulate import NoiseBundle, euler_forward
 from .smp import adjoint_for, performance_values
 
@@ -36,18 +36,18 @@ _PROBE_X = np.array([-2.0, -0.5, 0.0, 0.7, 1.5])
 _PROBE_U = np.array([-1.0, 0.0, 0.4, 1.3])
 
 
-def check_lq_structure(coeffs: ControlledCoefficients, noise: NoiseBundle) -> None:
+def check_lq_structure(coeffs: ControlledCoefficients, grid: TimeGrid, levy: LevyMeasure) -> None:
     """The Picard update u = clamp(p), p = E[g_x(X(T)) | X(t)], maximizes the Hamiltonian only
     when b_u = 1, sigma_u = gamma_u = 0, f_u = -u and f_x = b_x = sigma_x = gamma_x = 0.
 
-    Checked on the model's partial maps at every (x, u) probe pair, every left grid node and
-    every atom of the noise; a model of another form raises ``ValueError``.
+    Checked on the model's partial maps at every (x, u) probe pair, every left node of ``grid``
+    and every atom of ``levy``; a model of another form raises ``ValueError``.
     """
     x, u = (a.reshape(-1, 1) for a in np.meshgrid(_PROBE_X, coeffs.clamp(_PROBE_U)))
-    t = noise.grid.times()[None, :-1]
+    t = grid.times()[None, :-1]
     wanted = {"b_u": 1.0, "sigma_u": 0.0, "f_u": -u, "f_x": 0.0, "b_x": 0.0, "sigma_x": 0.0}
     got = [(name, getattr(coeffs, name)(t, x, u), value) for name, value in wanted.items()]
-    for zeta in noise.levy.zetas:
+    for zeta in levy.zetas:
         got += [(name, getattr(coeffs, name)(t, x, u, zeta), 0.0) for name in ("gamma_u", "gamma_x")]
     for name, values, value in got:
         if not np.allclose(values, value, rtol=0.0, atol=1e-12):
@@ -70,7 +70,7 @@ class LqParams:
 
     def __post_init__(self):
         check_picard_settings(self.max_iters, self.damping, self.tol)
-        check_lq_structure(self.coeffs, self.noise)
+        check_lq_structure(self.coeffs, self.noise.grid, self.noise.levy)
 
 
 @dataclass
@@ -111,7 +111,7 @@ def solve_constrained(params: LqParams) -> LqSolution:
     Starts from the zero control; each sweep regresses g_x(X(T)) = -X(T) on
     X(t_i) per step for the adjoint and replaces the control by a damped mix with its
     projection onto the control set.  A run that exhausts max_iters returns
-    the best iterate flagged unconverged rather than raising.
+    the last iterate flagged unconverged rather than raising.
     """
     noise, coeffs = params.noise, params.coeffs
     n_steps = noise.grid.n_steps

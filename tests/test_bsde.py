@@ -7,6 +7,7 @@ import pytest
 from smplab.bsde import (
     UNIDENTIFIABLE_RATE,
     extract_qr,
+    hamiltonian_sum,
     l2_dtP_norm,
     relative_l2_dtP,
     solve_adjoint,
@@ -165,9 +166,32 @@ class TestSolveRegression:
 
     def test_contraction_failure_raised(self):
         fw = brownian_forward(200, 10)
-        # generator violating dt * Lip < 1 oscillates and stalls
-        with pytest.raises(ContractionFailure):
-            regression_adjoint(fw, np.ones(200), b_x=-250.0)
+        # b_x dt = 1: the implicit step p_i (1 - b_x dt) = ... has no stable solution
+        with pytest.raises(ContractionFailure, match="step 99"):
+            regression_adjoint(fw, np.ones(200), b_x=100.0)
+
+    @pytest.mark.parametrize(
+        "atoms, partials",
+        [((), {"f_x": 1.0, "b_x": -250.0}), (((0.2, 2.0),), {"f_x": 0.5, "b_x": 0.2, "sigma_x": 0.3, "gamma_x": 0.4})],
+        ids=["stiff", "every-channel"],
+    )
+    def test_implicit_equation_solved_exactly(self, atoms, partials):
+        # b_x dt = -2.5 in the stiff case, where iterating the step from the
+        # conditional expectation diverges
+        noise = sample_noise(GRID, LevyMeasure.from_pairs(atoms), 400, 10)
+        X = noise.brownian() + noise.compensated_jump_path()
+        fw = PathBundle(grid=GRID, X=X, u=np.zeros((400, GRID.n_steps)), noise=noise)
+        part = state_partials(fw, **partials)
+        triple = regression_adjoint(fw, X[:, -1], **partials)
+        assert np.all(np.isfinite(triple.p))
+        bound = 1e-12 * np.max(np.abs(triple.p))
+        for i in range(GRID.n_steps):
+            cond = StateProjector(X[:, i]).fit(triple.p[:, i + 1]).fitted
+            h = hamiltonian_sum(
+                part.f_x[:, i], part.b_x[:, i], part.sigma_x[:, i], part.gamma_x[:, i].T,
+                triple.p[:, i], triple.q[:, i], triple.r[:, i], noise.levy,
+            )
+            assert np.max(np.abs(triple.p[:, i] - cond - h * GRID.dt)) <= bound
 
     def test_insufficient_paths(self):
         fw = brownian_forward(5, 11)
@@ -318,7 +342,7 @@ class TestSharedProjectorBitContract:
     def regression_reference(self, fw, part, terminal):
         """The implicit step for b_x = 0: the generator
         f_x + b_x p + sigma_x q + sum_k gamma_x,k r_k lam_k is then free of p,
-        so the fixed point is reached on the second iterate."""
+        so p_i is the conditional expectation plus the generator at it times dt."""
         noise, dt, N = fw.noise, self.grid.dt, self.grid.n_steps
         assert not np.any(part.b_x)
         lam = self.levy.intensities

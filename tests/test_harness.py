@@ -117,7 +117,7 @@ class TestConfigParsing:
             ("simulate", "\n[model]\natoms = 0.0:1.0\n", {}),
             ("simulate", "\n[model]\natoms = 0.2:-1.0\n", {}),
             ("check-duality", "\n[model]\natoms = 0.2:1.0; 0.2:3.0\n[duality]\nmode = jump\nintegrand = constant\n", {}),
-            ("simulate", "\n[basis]\ndegree = 0\n", {}),
+            ("solve-bsde", "\n[basis]\ndegree = 0\n", {}),
             ("check-smp", "\n[smp]\ntau_grid = 1.0\n", {}),
             ("check-smp", "\n[smp]\neps_grid = 0.0\n", {}),
             ("check-smp", "\n[smp]\neps_grid = -0.1\n", {}),
@@ -142,6 +142,8 @@ class TestConfigParsing:
             ),
             ("check-duality", "\n[duality]\nmode = jump\nintegrand = zeta\n", {}),
             ("simulate", "\n[output]\ncsv_paths = -3\n", {}),
+            ("check-smp", "\n[output]\ncsv_paths = 3\n", {}),
+            ("simulate", "\n[basis]\ndegree = 2\n", {}),
         ],
         ids=[
             "nan-horizon",
@@ -194,6 +196,8 @@ class TestConfigParsing:
             "closed-form-with-control",
             "jump-mode-without-atoms",
             "negative-csv-paths",
+            "path-table-of-a-kind-without-one",
+            "basis-of-a-kind-that-fits-nothing",
         ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, grid):
@@ -276,6 +280,9 @@ RESTATEMENT_RUNS = {
     "solve-bsde": "",
     "check-smp": "\n[smp]\ncandidate = constant\ncandidate_value = 0.3\ntau_grid = 0.25, 0.5\nv_grid = 0.0, 1.0\n"
     "eps_grid = 0.2, 0.1\n",
+    # a [model] key: solve-lq needs a model of the LQ form, not the lq family,
+    # and from x0 = -1 its Picard loop runs several sweeps
+    "solve-lq": "x0 = -1\n",
 }
 
 
@@ -309,8 +316,9 @@ class TestBuildModel:
         for name, block in (("lq.ini", LQ_BLOCK), ("poly.ini", RESTATED_BLOCK)):
             extra = block + RESTATEMENT_RUNS[kind]
             path = write_config(tmp_path, kind, extra=extra, n_steps=20, n_paths=3000, seed=5, name=name)
-            payloads.append(json.dumps(run(parse_config(path), write=False).report["payload"], sort_keys=True))
+            payloads.append(json.dumps(run(parse_config(path)).report["payload"], sort_keys=True))
         assert payloads[0] == payloads[1]
+        assert kind != "solve-lq" or json.loads(payloads[0])["iterations"] > 1
 
     def test_linear_family_partials_validate(self, tmp_path):
         path = write_config(
@@ -503,7 +511,7 @@ class TestRunAndReplay:
         monkeypatch.setattr(smp, "partials_along", counting_partials)
         monkeypatch.setattr(harness, "partials_along", counting_partials, raising=False)
         path = write_config(tmp_path, "solve-bsde", extra="\n[model]\natoms = 0.2:1.0\n")
-        assert run(parse_config(path), write=False).exit_code == 0
+        assert run(parse_config(path)).exit_code == 0
         assert (len(built), len(passes)) == (40, 1)
 
     def test_clark_ocone_run(self, tmp_path):
@@ -535,7 +543,7 @@ class TestRunAndReplay:
     def test_closed_form_scheme_takes_a_zero_control(self, tmp_path, control):
         extra = f"\n[model]\nfamily = linear\ndrift_u = 1\ndiff_const = 0.1\n[simulate]\nscheme = closed-form\n{control}\n"
         path = write_config(tmp_path, "simulate", extra=extra, n_paths=200)
-        assert run(parse_config(path), write=False).exit_code == 0
+        assert run(parse_config(path)).exit_code == 0
 
     def test_closed_form_scheme_needs_linear_family(self, tmp_path):
         path = write_config(tmp_path, "simulate", extra="\n[simulate]\nscheme = closed-form\n")
@@ -623,6 +631,14 @@ class TestCli:
         )
         path = write_config(tmp_path, "solve-bsde", extra=extra, n_paths=500)
         assert main(["solve-bsde", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+
+    def test_unstable_implicit_step_exit_3(self, tmp_path, capsys):
+        # b_x dt = 5 * 0.25 >= 1: the implicit adjoint step has no stable solution
+        extra = "\n[model]\nfamily = linear\ndrift_x = 5.0\ndiff_const = 0.1\nterminal_x = -1.0\n"
+        path = write_config(tmp_path, "solve-bsde", extra=extra, n_steps=4, n_paths=500)
+        assert main(["solve-bsde", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "1 - b_x dt" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_degenerate_convergence_study_exit_3(self, tmp_path, capsys):
         # every 'linear' coefficient defaults to 0, so the Euler scheme and the

@@ -467,7 +467,7 @@ class TestNecessaryCondition:
         path = tmp_path / "interior.ini"
         with open(path, "w") as fh:
             cfg.write(fh)
-        assert run(parse_config(path), write=False).exit_code == 0
+        assert run(parse_config(path)).exit_code == 0
 
     def test_verdict_serialization(self, run_ini):
         # the files a check-smp run writes, against the verdict taken on the same inputs
