@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractionFailure
 from .malliavin import PolynomialBasis, StateProjector, state_features
 from .model import LevyMeasure
-from .simulate import NoiseBundle, PathBundle, gamma_process
+from .simulate import NoiseBundle, PathBundle, gamma_process, row_blocks
 
 if TYPE_CHECKING:
     from .smp import CoefficientPartials
@@ -36,24 +36,32 @@ UNIDENTIFIABLE_RATE = 1e-10
 class AdjointTriple:
     """Grid-indexed adjoint solution: p on nodes, (q, r) on step intervals."""
 
-    p: np.ndarray  # (n_paths, N+1)
+    p: np.ndarray  # (n_paths, N+1), step-major like every array below
     q: np.ndarray  # (n_paths, N)
     r: np.ndarray  # (n_paths, N, K)
     unidentifiable_atoms: tuple[int, ...] = ()
     p_fits: tuple = ()  # per-step ConditionalFit of p, without training values (explicit adjoint)
 
 
+def _squares_per_path(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-path sum over steps of (a - b)^2, or of a^2 without ``b``.
+
+    Summed over C-ordered row blocks (``row_blocks``): the bits do not depend
+    on the layout of ``a`` and ``b``, and no temporary exceeds one block.
+    """
+    blocks = row_blocks(a) if b is None else (x - y for x, y in zip(row_blocks(a), row_blocks(b)))
+    return np.concatenate([np.sum(x**2, axis=1) for x in blocks])
+
+
 def relative_l2_dtP(a: np.ndarray, b: np.ndarray, dt: float) -> float:
     """Relative L2(dt x P) distance ||a - b|| / ||b|| over (path, step) arrays."""
-    # Not l2_dtP_norm(a - b): numpy squares the unnamed a - b in place, where a
-    # named one would hold a second full-size array (80 MB at 1e5 x 100).
-    num = math.sqrt(float(np.mean(np.sum((a - b) ** 2, axis=1) * dt)))
-    den = math.sqrt(float(np.mean(np.sum(b**2, axis=1) * dt)))
+    num = math.sqrt(float(np.mean(_squares_per_path(a, b) * dt)))
+    den = l2_dtP_norm(b, dt)
     return num / den if den > 0.0 else num
 
 
 def l2_dtP_norm(a: np.ndarray, dt: float) -> float:
-    return math.sqrt(float(np.mean(np.sum(a**2, axis=1) * dt)))
+    return math.sqrt(float(np.mean(_squares_per_path(a) * dt)))
 
 
 def unidentifiable_atoms(noise: NoiseBundle) -> tuple[int, ...]:
@@ -94,8 +102,8 @@ def extract_qr(
     n_paths, n_steps = p.shape[0], grid.n_steps
     if p.shape != (n_paths, n_steps + 1):
         raise ValueError("p must hold one value per path and grid node")
-    q = np.empty((n_paths, n_steps))
-    r = np.zeros((n_paths, n_steps, levy.n_atoms))
+    q = np.empty((n_paths, n_steps), order="F")
+    r = np.zeros((n_paths, n_steps, levy.n_atoms), order="F")
     dead = unidentifiable_atoms(noise)
     d_p = p[:, 1:] - p[:, :-1]
     for i in range(n_steps):
@@ -120,10 +128,10 @@ def hamiltonian_sum(f, b, sigma, gammas, p, q, r, levy: LevyMeasure):
 def _blank_triple(forward: PathBundle, terminal: np.ndarray) -> AdjointTriple:
     """Triple with p(T) = terminal, its other entries filled in place by the sweep."""
     grid, noise, n_paths = forward.grid, forward.noise, forward.n_paths
-    p = np.empty((n_paths, grid.n_steps + 1))
+    p = np.empty((n_paths, grid.n_steps + 1), order="F")
     p[:, -1] = terminal
-    q = np.empty((n_paths, grid.n_steps))
-    r = np.zeros((n_paths, grid.n_steps, noise.levy.n_atoms))
+    q = np.empty((n_paths, grid.n_steps), order="F")
+    r = np.zeros((n_paths, grid.n_steps, noise.levy.n_atoms), order="F")
     return AdjointTriple(p=p, q=q, r=r, unidentifiable_atoms=unidentifiable_atoms(noise))
 
 

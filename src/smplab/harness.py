@@ -47,6 +47,7 @@ from .simulate import (
     NoiseBundle,
     euler_forward,
     linear_closed_form,
+    row_blocks,
     sample_noise,
     step_rates,
 )
@@ -272,6 +273,16 @@ def schema_for(kind: str) -> dict:
     return schema
 
 
+def _check_known(given: dict, kind: str, schema: dict) -> None:
+    """Every section of ``given`` is one that ``kind`` takes, and every key one of its section."""
+    for section, keys in given.items():
+        if section not in schema:
+            raise ConfigError(f"unknown config section [{section}] for experiment {kind!r}")
+        for key in keys:
+            if key not in schema[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+
+
 def parse_config(path, kind: str | None = None, overrides: dict | None = None) -> dict:
     """Read and validate an INI config; returns a flat {section: {key: value}} dict.
 
@@ -295,13 +306,8 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
         raise ConfigError(f"config declares kind {file_kind!r} but {kind!r} was requested")
 
     schema = schema_for(kind)
+    _check_known(given, kind, schema)
     resolved: dict = {"experiment": {"kind": kind}}
-    for section, keys in given.items():
-        if section not in schema:
-            raise ConfigError(f"unknown config section [{section}] for experiment {kind!r}")
-        for key in keys:
-            if key not in schema[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
     for section, keys in schema.items():
         resolved.setdefault(section, {})
         for key, (typ, default) in keys.items():
@@ -443,7 +449,11 @@ def _integrand(name: str, value: float, mode: str):
 
 
 def _digest(arr: np.ndarray) -> str:
-    return sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+    """sha256 of the array's C-ordered bytes, hashed one row block at a time."""
+    digest = sha256()
+    for block in row_blocks(arr):
+        digest.update(block.tobytes())
+    return digest.hexdigest()
 
 
 def _plain(report) -> dict:
@@ -751,8 +761,12 @@ _JSON_TYPES = {
 
 
 def _check_json_types(cfg: dict) -> None:
-    """Every embedded value has the JSON type its schema entry resolves to."""
-    for section, keys in schema_for(cfg["experiment"]["kind"]).items():
+    """The embedded config holds only the sections and keys of its kind (``_check_known``),
+    and every value has the JSON type its schema entry resolves to."""
+    kind = cfg["experiment"]["kind"]
+    schema = schema_for(kind)
+    _check_known(cfg, kind, schema)
+    for section, keys in schema.items():
         for key, (typ, _) in keys.items():
             name = "str" if isinstance(typ, tuple) else typ
             if not _JSON_TYPES[name](cfg[section][key]):
@@ -762,9 +776,10 @@ def _check_json_types(cfg: dict) -> None:
 def replay(report_path) -> int:
     """Re-run the embedded config and demand a bit-identical numeric payload.
 
-    The embedded config is checked first, for the JSON type of each value,
-    and then, by ``run``, with the rules of a resolved config file, so a
-    report edited to break one is a ConfigError.
+    The embedded config is checked first, for sections and keys its kind
+    does not take and for the JSON type of each value, and then, by ``run``,
+    with the rules of a resolved config file, so a report edited to break
+    one is a ConfigError.
     """
     path = Path(report_path)
     if not path.is_file():

@@ -77,7 +77,7 @@ class LqParams:
 class LqSolution:
     """Converged control, its adjoint, and iteration diagnostics."""
 
-    u_values: np.ndarray  # (n_paths, N) on the training noise
+    u_values: np.ndarray  # (n_paths, N) on the training noise, step-major
     p_hat: AdjointTriple  # its p_fits are the per-step fits of the feedback law
     residual_history: list
     fbsde_residual: float
@@ -118,7 +118,7 @@ def solve_constrained(params: LqParams) -> LqSolution:
     dt = noise.grid.dt
     basis = PolynomialBasis(degree=params.degree)
 
-    u = np.zeros((noise.n_paths, n_steps))
+    u = np.zeros((noise.n_paths, n_steps), order="F")
     residual_history: list[float] = []
     converged = False
     for _ in range(params.max_iters):

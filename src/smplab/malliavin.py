@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientPaths, JumpDependentFunctional, NonAdaptedIntegrand, UnsupportedNode
 from .model import LevyMeasure, TimeGrid
-from .simulate import NoiseBundle, perturbed_after
+from .simulate import NoiseBundle, perturbed_after, row_blocks
 
 # --------------------------------------------------------------------------
 # Smooth maps
@@ -326,7 +326,7 @@ def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None
         out = np.full(bundle.n_paths, F.value)
     elif isinstance(F, BMIntegral):
         _check_leaf(F, bundle)
-        out = bundle.dB @ F.values
+        out = np.concatenate([block @ F.values for block in row_blocks(bundle.dB)])
     elif isinstance(F, JumpIntegral):
         _check_leaf(F, bundle)
         out = np.einsum("pik,ik->p", bundle.compensated_counts(), F.values)

@@ -21,14 +21,31 @@ _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 # are stored as int16, and P(Poisson(1e4) > 32767) is far below 1e-100.
 MAX_STEP_RATE = 1e4
 
+# Rows per block of ``row_blocks`` and of the Brownian draw in ``sample_noise``.
+ROW_BLOCK = 1024
+
+
+def row_blocks(a: np.ndarray):
+    """Consecutive blocks of at most ``ROW_BLOCK`` rows of ``a``, each a C-ordered copy.
+
+    Per-step arrays are stored step-major (Fortran order), so one step is a
+    contiguous column.  A sum over steps, a matrix product or a byte dump of
+    such an array gives other bits than on the C-ordered array, and
+    ``np.ascontiguousarray`` of all of it is a second full-size array; row by
+    row through these blocks, each gives the C-ordered bits and holds at most
+    one block.
+    """
+    for start in range(0, a.shape[0], ROW_BLOCK):
+        yield np.ascontiguousarray(a[start : start + ROW_BLOCK])
+
 
 @dataclass(frozen=True, eq=False)
 class NoiseBundle:
     """Driving noise on a grid: Brownian increments and per-atom jump counts.
 
-    ``dB`` has shape (n_paths, N); ``jump_counts`` has shape
-    (n_paths, N, n_atoms) and bins every jump to the step in which it
-    occurred.  Arrays are read-only.
+    ``dB`` has shape (n_paths, N), stored step-major; ``jump_counts`` has
+    shape (n_paths, N, n_atoms), C-ordered, and bins every jump to the step
+    in which it occurred.  Arrays are read-only.
     """
 
     grid: TimeGrid
@@ -107,8 +124,9 @@ def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> 
     n_steps = grid.n_steps
     sqrt_dt = np.sqrt(grid.dt)
     rates = step_rates(grid, levy)
-    dB = np.empty((n_paths, n_steps))
-    counts = np.zeros((n_paths, n_steps, levy.n_atoms), dtype=np.int16)
+    n_atoms = levy.n_atoms
+    dB = np.empty((n_paths, n_steps), order="F")
+    counts = np.zeros((n_paths, n_steps, n_atoms), dtype=np.int16)
     # Re-keying one Philox instance per path is bit-identical to constructing
     # Philox(key=(seed, k)) afresh (see _path_generator) and much cheaper; the
     # state setter copies the key, so one state dict and key array serve every path.
@@ -120,17 +138,21 @@ def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> 
     # One atom draws from a scalar rate, which gives the same bits as the
     # (1,)-array form at half the cost; several atoms keep the array form,
     # whose draw order any other layout would change.
-    if levy.n_atoms == 1:
+    if n_atoms == 1:
         lam, size, rows = rates[0], n_steps, counts[:, :, 0]
     else:
-        lam, size, rows = rates, (n_steps, levy.n_atoms), counts
-    for k in range(n_paths):
-        key[1] = k & _SEED_MASK
-        bitgen.state = state
-        gen.standard_normal(out=dB[k])
-        if levy.n_atoms:
-            rows[k] = gen.poisson(lam=lam, size=size)
-    dB *= sqrt_dt
+        lam, size, rows = rates, (n_steps, n_atoms), counts
+    # A path's normals fill one row of a C-ordered block, copied into dB once full.
+    block = np.empty((min(n_paths, ROW_BLOCK), n_steps))
+    for start in range(0, n_paths, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n_paths)
+        for k in range(start, stop):
+            key[1] = k & _SEED_MASK
+            bitgen.state = state
+            gen.standard_normal(out=block[k - start])
+            if n_atoms:
+                rows[k] = gen.poisson(lam=lam, size=size)
+        np.multiply(block[: stop - start], sqrt_dt, out=dB[start:stop])
     dB.flags.writeable = False
     counts.flags.writeable = False
     return NoiseBundle(grid=grid, levy=levy, n_paths=n_paths, seed=seed, dB=dB, jump_counts=counts)
@@ -141,8 +163,8 @@ class PathBundle:
     """Forward states on grid nodes plus the controls that produced them."""
 
     grid: TimeGrid
-    X: np.ndarray  # (n_paths, N+1)
-    u: np.ndarray  # (n_paths, N)
+    X: np.ndarray  # (n_paths, N+1), step-major
+    u: np.ndarray  # (n_paths, N), step-major
     noise: NoiseBundle
 
     @property
@@ -182,8 +204,8 @@ def euler_forward(coeffs: ControlledCoefficients, law: ControlLaw, noise: NoiseB
     n_paths, n_steps = noise.n_paths, grid.n_steps
     times = grid.times()
 
-    X = np.empty((n_paths, n_steps + 1))
-    U = np.empty((n_paths, n_steps))
+    X = np.empty((n_paths, n_steps + 1), order="F")
+    U = np.empty((n_paths, n_steps), order="F")
     x = np.full(n_paths, x0, dtype=float)
     X[:, 0] = x
     for i in range(n_steps):
@@ -248,7 +270,7 @@ def _upsilon(b1, s1, g1, noise: NoiseBundle) -> np.ndarray:
     else:
         jump_log = 0.0
     d_pi = drift * dt - s1 * noise.dB - jump_log
-    pi = np.zeros((d_pi.shape[0], grid.n_steps + 1))
+    pi = np.zeros((d_pi.shape[0], grid.n_steps + 1), order="F")
     np.cumsum(d_pi, axis=1, out=pi[:, 1:])
     return np.exp(pi)
 
@@ -268,20 +290,20 @@ def linear_closed_form(lin: LinearCoefficients, noise: NoiseBundle, x0: float) -
 
     ups = _upsilon(b1, s1, g1, noise)
     drift = b0.copy()
-    jump = np.zeros((n_paths, n_steps))
+    jump = 0.0
     if n_atoms:
         lam = levy.intensities[None, None, :]
         one_plus = 1.0 + g1
         drift = drift + ((1.0 / one_plus - 1.0) * g0 * lam).sum(axis=2)
         jump = (g0 / one_plus * noise.compensated_counts()).sum(axis=2)
     incr = ups[:, :-1] * (drift * dt + s0 * noise.dB + jump)
-    Y = np.full((n_paths, n_steps + 1), float(x0))
+    Y = np.full((n_paths, n_steps + 1), float(x0), order="F")
     Y[:, 1:] += np.cumsum(incr, axis=1)
     X = Y / ups
     if not np.all(np.isfinite(X)):
         path, step = [int(v[0]) for v in np.nonzero(~np.isfinite(X))]
         raise NonFiniteState(step=step, path=path)
-    u = np.zeros((n_paths, n_steps))
+    u = np.zeros((n_paths, n_steps), order="F")
     return PathBundle(grid=grid, X=X, u=u, noise=noise)
 
 
@@ -301,7 +323,7 @@ def perturbed_after(noise: NoiseBundle, step: int) -> NoiseBundle:
     Used as a dependence probe: an adapted step process must be unchanged on
     steps <= step when evaluated on the perturbed bundle.
     """
-    dB = noise.dB.copy()
+    dB = noise.dB.copy(order="K")
     dB[:, step + 1 :] += 1.0
     counts = noise.jump_counts.copy()
     if noise.levy.n_atoms:

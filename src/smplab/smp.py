@@ -57,7 +57,8 @@ class CoefficientPartials:
 def partials_along(coeffs: ControlledCoefficients, forward: PathBundle) -> CoefficientPartials:
     """Each partial evaluated once at the left nodes of all steps: ``t`` of
     shape (1, N) against ``x``, ``u`` of shape (n_paths, N); the jump
-    partials carry one column per atom of the path bundle's noise."""
+    partials carry one column per atom of the path bundle's noise.  Arrays
+    follow the step-major layout of ``x`` and ``u``."""
     levy = forward.noise.levy
     shape = forward.u.shape
     t, x, u = forward.grid.times()[None, :-1], forward.X[:, :-1], forward.u
@@ -66,7 +67,7 @@ def partials_along(coeffs: ControlledCoefficients, forward: PathBundle) -> Coeff
         for name in ("f_x", "b_x", "sigma_x", "f_u", "b_u", "sigma_u")
     }
     for name in ("gamma_x", "gamma_u"):
-        fields[name] = np.empty(shape + (levy.n_atoms,))
+        fields[name] = np.empty(shape + (levy.n_atoms,), order="F")
         for k, zeta in enumerate(levy.zetas):
             fields[name][:, :, k] = getattr(coeffs, name)(t, x, u, zeta)
     return CoefficientPartials(**fields)
@@ -170,14 +171,14 @@ def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, for
 
     window = law.window
     if not window.any():
-        return np.zeros((n_paths, n_steps + 1))
+        return np.zeros((n_paths, n_steps + 1), order="F")
     first = int(np.flatnonzero(window)[0])
-    du = np.zeros((n_paths, n_steps))
+    du = np.zeros((n_paths, n_steps), order="F")
     du[:, window] = np.reshape(coeffs.clamp(law.spike_values), (-1, 1)) - forward.u[:, window]
 
     if mode == "direct":
         comp = noise.compensated_counts() if levy.n_atoms else None
-        Z = np.zeros((n_paths, n_steps + 1))
+        Z = np.zeros((n_paths, n_steps + 1), order="F")
         for i in range(first, n_steps):
             z = Z[:, i]
             dz = (part.b_x[:, i] * z + part.b_u[:, i] * du[:, i]) * dt

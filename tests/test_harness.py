@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -432,6 +433,24 @@ class TestRunAndReplay:
         blob["config"][section].update(edits)
         json.dump(blob, open(out / "report.json", "w"))
         with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+            replay(out / "report.json")
+        assert main(["replay", str(out / "report.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "section, key, ini",
+        [("basis", "degree", "\n[basis]\ndegree = 3\n"), ("mc", "threads", "threads = 3\n")],
+        ids=["section-of-another-kind", "unknown-key"],
+    )
+    def test_replay_rejects_what_the_kind_does_not_take(self, tmp_path, section, key, ini):
+        # the embedded config obeys the section rules of a config file, with its message
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(write_config(tmp_path, "simulate", extra=ini, n_paths=50, name="edited.ini"))
+        out = tmp_path / "out"
+        run(parse_config(write_config(tmp_path, "simulate", n_paths=50)), out_dir=out)
+        blob = json.load(open(out / "report.json"))
+        blob["config"].setdefault(section, {})[key] = 3
+        json.dump(blob, open(out / "report.json", "w"))
+        with pytest.raises(ConfigError, match=re.escape(str(parsed.value))):
             replay(out / "report.json")
         assert main(["replay", str(out / "report.json")]) == 2
 

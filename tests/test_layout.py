@@ -1,0 +1,138 @@
+"""Step-major storage of per-step arrays, and the row-block reductions that keep their bits.
+
+Every float array indexed by (path, step) is Fortran-ordered, so one step is a
+contiguous column.  The operations whose bits or memory depend on the layout
+(sums over steps, the Brownian-integral product, the payload digest) run over
+C-ordered row blocks (``row_blocks``) and give the same bits on either layout.
+"""
+
+import math
+import tracemalloc
+from dataclasses import replace
+from hashlib import sha256
+
+import numpy as np
+import pytest
+
+from smplab.bsde import _squares_per_path, extract_qr, l2_dtP_norm, relative_l2_dtP, solve_adjoint
+from smplab.harness import _digest
+from smplab.lqsolver import LqParams, solve_constrained
+from smplab.malliavin import bm_integral, evaluate
+from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
+from smplab.simulate import ROW_BLOCK, _path_generator, euler_forward, row_blocks, sample_noise
+from smplab.smp import partials_along, spike_perturb, variational_Z
+
+GRID = TimeGrid(1.0, 8)
+LEVY = LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])
+COEFFS = build_lq_coefficients(0.3)
+# one path, fewer paths than a block, and a count that is not a multiple of the block
+PATH_COUNTS = [1, ROW_BLOCK // 3, ROW_BLOCK + 3]
+SOLVER_PATH_COUNTS = PATH_COUNTS[1:]  # a regression needs more paths than its basis has terms
+
+
+def step_major(a, shape):
+    assert a.shape == shape
+    assert a.flags.f_contiguous, "per-step arrays are stored step-major"
+
+
+def forward(n_paths, control=0.4):
+    noise = sample_noise(GRID, LEVY, n_paths, 3)
+    return euler_forward(COEFFS, OpenLoopLaw(np.full(GRID.n_steps, control)), noise, 1.0)
+
+
+class TestStepMajorStorage:
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_noise_and_forward_paths(self, n_paths):
+        fw = forward(n_paths)
+        step_major(fw.noise.dB, (n_paths, GRID.n_steps))
+        step_major(fw.X, (n_paths, GRID.n_steps + 1))
+        step_major(fw.u, (n_paths, GRID.n_steps))
+        assert fw.noise.jump_counts.flags.c_contiguous  # read whole, so it keeps its layout
+
+    def test_block_copy_keeps_each_paths_draw(self):
+        # paths on both sides of a block boundary carry the normals of their own generator
+        noise = sample_noise(GRID, LEVY, ROW_BLOCK + 3, 9)
+        for k in (0, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 2):
+            ref = _path_generator(9, k).standard_normal(GRID.n_steps) * math.sqrt(GRID.dt)
+            assert np.array_equal(noise.dB[k], ref), k
+
+    @pytest.mark.parametrize("n_paths", SOLVER_PATH_COUNTS)
+    def test_adjoint_triples_and_partials(self, n_paths):
+        fw = forward(n_paths)
+        part = partials_along(COEFFS, fw)
+        step_major(part.gamma_x, (n_paths, GRID.n_steps, LEVY.n_atoms))
+        explicit, regression = solve_adjoint(part, COEFFS.g_x(fw.X[:, -1]), fw, cross_check=True)
+        for triple in (explicit, regression):
+            step_major(triple.p, (n_paths, GRID.n_steps + 1))
+            step_major(triple.q, (n_paths, GRID.n_steps))
+            step_major(triple.r, (n_paths, GRID.n_steps, LEVY.n_atoms))
+        q, r, _ = extract_qr(explicit.p, fw.noise)
+        step_major(q, (n_paths, GRID.n_steps))
+        step_major(r, (n_paths, GRID.n_steps, LEVY.n_atoms))
+
+    @pytest.mark.parametrize("mode", ["direct", "closed_form"])
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_variational_Z(self, n_paths, mode):
+        fw = forward(n_paths)
+        law = spike_perturb(OpenLoopLaw(np.full(GRID.n_steps, 0.4)), GRID, 0.25, 0.25, 1.5)
+        step_major(variational_Z(law, mode, COEFFS, fw), (n_paths, GRID.n_steps + 1))
+
+    @pytest.mark.parametrize("n_paths", SOLVER_PATH_COUNTS)
+    def test_constrained_lq_arrays(self, n_paths):
+        noise = sample_noise(GRID, LevyMeasure.empty(), n_paths, 4)
+        sol = solve_constrained(LqParams(x0=-1.0, coeffs=COEFFS, noise=noise, max_iters=3))
+        step_major(sol.u_values, (n_paths, GRID.n_steps))
+        step_major(sol.p_hat.p, (n_paths, GRID.n_steps + 1))
+
+
+def layouts(n_paths, seed, n_cols=101):
+    a = np.random.default_rng(seed).standard_normal((n_paths, n_cols))
+    return np.ascontiguousarray(a), np.asfortranarray(a)
+
+
+class TestRowBlockReductions:
+    """Bitwise equal results on a C-ordered array and its Fortran-ordered copy."""
+
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_l2_norms(self, n_paths):
+        (a_c, a_f), (b_c, b_f) = layouts(n_paths, 1), layouts(n_paths, 2)
+        # the bits of the plain C-ordered reductions, per path and in the mean
+        squares, diff_squares = np.sum(a_c**2, axis=1), np.sum((a_c - b_c) ** 2, axis=1)
+        norm = math.sqrt(float(np.mean(squares * GRID.dt)))
+        num = math.sqrt(float(np.mean(diff_squares * GRID.dt)))
+        for a, b in ((a_c, b_c), (a_f, b_f), (a_c, b_f), (a_f, b_c)):
+            assert np.array_equal(_squares_per_path(a), squares)
+            assert np.array_equal(_squares_per_path(a, b), diff_squares)
+            assert l2_dtP_norm(a, GRID.dt) == norm
+            assert relative_l2_dtP(a, b, GRID.dt) == num / l2_dtP_norm(b_c, GRID.dt)
+
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_digest(self, n_paths):
+        a_c, a_f = layouts(n_paths, 3)
+        assert _digest(a_f) == _digest(a_c) == sha256(a_c.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_brownian_integral(self, n_paths):
+        noise = sample_noise(GRID, LevyMeasure.empty(), n_paths, 5)
+        F = bm_integral(GRID, np.linspace(-1.0, 2.0, GRID.n_steps))
+        values = [evaluate(F, replace(noise, dB=order(noise.dB))) for order in (np.ascontiguousarray, np.asfortranarray)]
+        assert np.array_equal(values[0], values[1])
+
+    def test_blocks_cover_the_rows_in_order(self):
+        a_c, a_f = layouts(2 * ROW_BLOCK + 5, 6, n_cols=3)
+        blocks = list(row_blocks(a_f))
+        assert [b.shape[0] for b in blocks] == [ROW_BLOCK, ROW_BLOCK, 5]
+        assert all(b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), a_c)
+
+    def test_no_full_size_temporary(self):
+        a_c, a_f = layouts(16 * ROW_BLOCK, 7, n_cols=20)
+        b_f = np.asfortranarray(a_c[::-1])
+        tracemalloc.start()
+        try:
+            _digest(a_f)
+            relative_l2_dtP(a_f, b_f, GRID.dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a_f.nbytes / 2
