@@ -45,14 +45,12 @@ from .smp import (
     check_necessary_condition,
     hamiltonian,
     hamiltonian_du,
-    performance_J,
     spike_perturb,
     variational_Z,
 )
 from .lqsolver import (
     LqParams,
     LqSolution,
-    closed_form_unconstrained,
     compare_to_unconstrained,
     solve_constrained,
 )

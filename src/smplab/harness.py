@@ -123,36 +123,16 @@ _FUNCTIONALS = {
 }
 _INTEGRANDS = {"brownian": ("brownian", "constant"), "jump": ("zeta", "constant")}
 _CONTROLS = ("zero", "constant")
-# Options that need one model family: (section, key, value) -> family.
-_NEEDS_FAMILY = {
-    ("experiment", "kind", "convergence-study"): "linear",
-    ("simulate", "scheme", "closed-form"): "linear",
-}
 
-# Model families: a builder and its arguments, each a [model] key, a literal
-# number, or a tuple of these.  The keys a row names (plus family, x0 and
-# atoms) are the keys the family reads; any other [model] key is an error.
+# Model families: a builder and its arguments, each a [model] key or a tuple
+# of keys.  The keys a row names (plus family, x0 and atoms) are the keys the
+# family reads; any other [model] key is an error.
 _FAMILIES = {
     "lq": (build_lq_coefficients, {"sigma": "sigma", "gamma_scale": "gamma_scale"}),
-    "linear": (
-        polynomial_coefficients,
-        {
-            "b_poly": ("drift_const", "drift_x"),
-            "b_u": "drift_u",
-            "sigma_poly": ("diff_const", "diff_x"),
-            "sigma_u": "diff_u",
-            "gamma_poly": ("jump_const", "jump_x"),
-            "gamma_u": "jump_u",
-            "f_poly": (0.0, "run_cost_x"),
-            "f_u": "run_cost_u",
-            "g_poly": (0.0, "terminal_x"),
-            "control_set": ("u_min", "u_max"),
-        },
-    ),
     "custom-polynomial": (
         polynomial_coefficients,
-        {key: key for key in ("b_poly", "b_u", "sigma_poly", "sigma_u", "gamma_poly", "f_poly", "g_poly")}
-        | {"u_cost": 1.0, "control_set": ("u_min", "u_max")},
+        {key: key for key in ("b_poly", "b_u", "sigma_poly", "sigma_u", "gamma_poly", "gamma_u", "f_poly", "f_u")}
+        | {"u_cost": "u_cost", "g_poly": "g_poly", "control_set": ("u_min", "u_max")},
     ),
 }
 
@@ -168,24 +148,15 @@ _COMMON_SCHEMA = {
         "x0": ("float", 1.0),
         "atoms": ("atoms", []),
         "gamma_scale": ("float", 1.0),
-        "drift_const": ("float", 0.0),
-        "drift_x": ("float", 0.0),
-        "drift_u": ("float", 0.0),
-        "diff_const": ("float", 0.0),
-        "diff_x": ("float", 0.0),
-        "diff_u": ("float", 0.0),
-        "jump_const": ("float", 0.0),
-        "jump_x": ("float", 0.0),
-        "jump_u": ("float", 0.0),
-        "run_cost_x": ("float", 0.0),
-        "run_cost_u": ("float", 0.0),
-        "terminal_x": ("float", 0.0),
         "b_poly": ("float_list", [0.0]),
         "b_u": ("float", 0.0),
         "sigma_poly": ("float_list", [0.0]),
         "sigma_u": ("float", 0.0),
         "gamma_poly": ("float_list", [0.0]),
+        "gamma_u": ("float", 0.0),
         "f_poly": ("float_list", [0.0]),
+        "f_u": ("float", 0.0),
+        "u_cost": ("float", 1.0),
         "g_poly": ("float_list", [0.0]),
         # effectively unbounded defaults kept finite so reports stay strict JSON
         "u_min": ("float", -1e308),
@@ -248,19 +219,9 @@ _EXPERIMENT_SCHEMA = {
 
 EXPERIMENTS = tuple(_EXPERIMENT_SCHEMA)
 
-def _form(cfg: dict) -> dict:
-    """Builder arguments of the configured family, read from its [model] keys."""
-    m = cfg["model"]
-    value = lambda item: m[item] if isinstance(item, str) else item
-    return {
-        arg: tuple(map(value, spec)) if isinstance(spec, tuple) else value(spec)
-        for arg, spec in _FAMILIES[m["family"]][1].items()
-    }
-
-
 def _family_keys(family: str) -> set:
-    items = [item for spec in _FAMILIES[family][1].values() for item in (spec if isinstance(spec, tuple) else (spec,))]
-    return {"family", "x0", "atoms"} | {item for item in items if isinstance(item, str)}
+    specs = _FAMILIES[family][1].values()
+    return {"family", "x0", "atoms"} | {key for spec in specs for key in (spec if isinstance(spec, tuple) else (spec,))}
 
 
 def schema_for(kind: str) -> dict:
@@ -348,6 +309,7 @@ class _Setup:
     levy: LevyMeasure
     x0: float
     basis: PolynomialBasis | None  # None for the kinds that take no [basis]
+    linear: LinearCoefficients | None  # the closed form's coefficients; None for runs that do not solve it
     n_paths: int
     seed: int
 
@@ -369,10 +331,6 @@ def _validate_resolved(cfg: dict) -> _Setup:
                 raise ConfigError(f"[{section}] {key} must be one of {', '.join(typ)}, got {cfg[section][key]!r}")
     if kind == "check-duality" and cfg["duality"]["integrand"] not in _INTEGRANDS[cfg["duality"]["mode"]]:
         raise ConfigError(f"[duality] integrand {cfg['duality']['integrand']!r} does not apply in its mode")
-    family = cfg["model"]["family"]
-    for (section, key, value), needed in _NEEDS_FAMILY.items():
-        if cfg.get(section, {}).get(key) == value and family != needed:
-            raise ConfigError(f"[{section}] {key} = {value} needs the {needed!r} model family")
     sim = cfg.get("simulate", {})
     if sim.get("scheme") == "closed-form" and sim["control"] == "constant" and sim["control_value"] != 0.0:
         raise ConfigError("[simulate] scheme = closed-form solves the uncontrolled equation; the control must be zero")
@@ -397,6 +355,10 @@ def _validate_resolved(cfg: dict) -> _Setup:
     coeffs, levy, x0 = _checked("[model]", build_model, cfg)
     for grid in grids:
         _checked("[model]", step_rates, grid, levy)
+    linear = None
+    if study or sim.get("scheme") == "closed-form":
+        where = "[experiment] kind = convergence-study" if study else "[simulate] scheme = closed-form"
+        linear = _checked(where, _linear_coefficients, cfg["model"], levy)
     if kind == "check-duality":
         _checked("[duality]", check_duality_mode, cfg["duality"]["mode"], levy)
     if kind == "check-smp":
@@ -407,7 +369,7 @@ def _validate_resolved(cfg: dict) -> _Setup:
     if kind == "solve-lq" or cfg.get("smp", {}).get("candidate") == "lq-opt":
         _checked("[model]", check_lq_structure, coeffs, grids[0], levy)
     basis = PolynomialBasis(cfg["basis"]["degree"]) if "basis" in cfg else None
-    return _Setup(grids, coeffs, levy, x0, basis, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
+    return _Setup(grids, coeffs, levy, x0, basis, linear, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
 
 
 # --------------------------------------------------------------------------
@@ -417,14 +379,21 @@ def _validate_resolved(cfg: dict) -> _Setup:
 def build_model(cfg: dict) -> tuple[ControlledCoefficients, LevyMeasure, float]:
     """Instantiate the configured model family."""
     m = cfg["model"]
-    build = _FAMILIES[m["family"]][0]
-    return build(**_form(cfg)), LevyMeasure.from_pairs(m["atoms"]), m["x0"]
+    build, row = _FAMILIES[m["family"]]
+    args = {arg: tuple(m[key] for key in spec) if isinstance(spec, tuple) else m[spec] for arg, spec in row.items()}
+    return build(**args), LevyMeasure.from_pairs(m["atoms"]), m["x0"]
 
 
-def _linear_coefficients(cfg: dict, levy: LevyMeasure) -> LinearCoefficients:
-    """Closed-form coefficients of the 'linear' family's uncontrolled part, read from its row."""
-    form = _form(cfg)
-    (b0, b1), (s0, s1), (j0, j1) = form["b_poly"], form["sigma_poly"], form["gamma_poly"]
+def _linear_coefficients(model: dict, levy: LevyMeasure) -> LinearCoefficients:
+    """Closed-form coefficients of the uncontrolled part of a [model]: it must be 'custom-polynomial'
+    with ``b_poly``, ``sigma_poly`` and ``gamma_poly`` of degree <= 1 once trailing zeros are
+    trimmed, as ``polynomial_coefficients`` trims them; any other model raises ``ValueError``."""
+    if model["family"] != "custom-polynomial":
+        raise ValueError(f"needs a 'custom-polynomial' model, got family {model['family']!r}")
+    polys = [np.trim_zeros(np.asarray(model[key], dtype=float), "b") for key in ("b_poly", "sigma_poly", "gamma_poly")]
+    if max(map(len, polys)) > 2:
+        raise ValueError(f"needs b_poly, sigma_poly and gamma_poly of degree <= 1, got {[c.tolist() for c in polys]}")
+    (b0, b1), (s0, s1), (j0, j1) = (np.pad(c, (0, 2 - len(c))) for c in polys)
     return LinearCoefficients(b0=b0, b1=b1, s0=s0, s1=s1, g0=levy.zetas * j0, g1=levy.zetas * j1)
 
 
@@ -508,7 +477,7 @@ def _run_simulate(cfg, setup: _Setup):
         law = _control_law(sim["control"], sim["control_value"], grid)
         bundle = euler_forward(setup.coeffs, law, noise, setup.x0)
     else:
-        bundle = linear_closed_form(_linear_coefficients(cfg, setup.levy), noise, setup.x0)
+        bundle = linear_closed_form(setup.linear, noise, setup.x0)
     terminal = bundle.X[:, -1]
     payload = {
         "mean_terminal": float(terminal.mean()),
@@ -647,13 +616,12 @@ def _run_solve_lq(cfg, setup: _Setup):
 
 
 def _run_convergence_study(cfg, setup: _Setup):
-    lin = _linear_coefficients(cfg, setup.levy)
     conv = cfg["convergence"]
     rmses = []
     for grid in setup.grids:
         noise = setup.noise(grid)
         eul = euler_forward(setup.coeffs, OpenLoopLaw(np.zeros(grid.n_steps)), noise, setup.x0)
-        closed = linear_closed_form(lin, noise, setup.x0)
+        closed = linear_closed_form(setup.linear, noise, setup.x0)
         rmses.append(float(np.sqrt(np.mean((eul.X[:, -1] - closed.X[:, -1]) ** 2))))
         if len(rmses) > 1 and rmses[-1] == 0.0:
             raise DegenerateStudy(f"terminal RMSE is 0 on the {grid.n_steps}-step grid, so no halving ratio can be measured")

@@ -143,18 +143,8 @@ def solve_constrained(params: LqParams) -> LqSolution:
     )
 
 
-def closed_form_unconstrained(X: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Textbook feedback u*(t_i) = -X(t_i) / (T + 1 - t_i) on the step nodes.
-
-    The denominator stays >= 1 on [0, T], so the law is singularity-free.
-    """
-    X = np.asarray(X, dtype=float)
-    times = grid.times()[: grid.n_steps]
-    return -X[..., : grid.n_steps] / (grid.horizon + 1.0 - times)
-
-
 def unconstrained_feedback_law(grid: TimeGrid) -> FeedbackLaw:
-    """The textbook feedback u*(t, x) = -x / (T + 1 - t).
+    """The textbook feedback u*(t, x) = -x / (T + 1 - t), whose denominator stays >= 1 on [0, T].
 
     Simulated through ``euler_forward`` under the LQ coefficients, its
     values are clipped to [0, inf) wherever the constraint would bind.

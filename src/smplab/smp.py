@@ -145,11 +145,6 @@ def spiked_values(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathB
     return total + coeffs.g(x)
 
 
-def performance_J(law, coeffs, noise, x0, forward=None) -> dict:
-    estimate, se = mean_se(performance_values(law, coeffs, noise, x0, forward))
-    return {"estimate": estimate, "se": se}
-
-
 def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, forward: PathBundle) -> np.ndarray:
     """State sensitivity Z of the spiked control ``law``, per path on grid nodes.
 

@@ -248,8 +248,8 @@ EXPERIMENT_CONFIGS = {
     "check-smp": "\n[smp]\ncandidate = zero\ntau_grid = 0.5\nv_grid = 1.0\neps_grid = 0.2, 0.1\n",
     "solve-lq": "",
     "convergence-study": (
-        "\n[model]\nfamily = linear\ndrift_x = 0.05\ndiff_x = 0.2\njump_x = 1.0\natoms = -0.1:0.5\n"
-        "\n[convergence]\nn_steps_list = 32, 64, 128\nratio_low = 1.2\nratio_high = 1.8\n"
+        "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nb_poly = 0, 0.05\nsigma_poly = 0, 0.2\ngamma_poly = 0, 1.0\n"
+        "atoms = -0.1:0.5\n\n[convergence]\nn_steps_list = 32, 64, 128\nratio_low = 1.2\nratio_high = 1.8\n"
     ),
 }
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from smplab.model import OpenLoopLaw, TimeGrid, validate_coefficients
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import partials_along
 
+ROOT = Path(__file__).resolve().parent.parent
 BASE = """
 [experiment]
 kind = {kind}
@@ -31,6 +33,18 @@ def write_config(tmp_path, kind, extra="", n_steps=40, n_paths=2000, seed=5, nam
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+# the runs that solve the closed form: kind -> its run section
+CLOSED_FORM_RUNS = {
+    "simulate": "[simulate]\nscheme = closed-form\n",
+    "convergence-study": "[convergence]\nn_steps_list = 16, 32\n",
+}
+# [model] keys of the deleted 'linear' family
+DELETED_LINEAR_KEYS = (
+    "drift_const", "drift_x", "drift_u", "diff_const", "diff_x", "diff_u",
+    "jump_const", "jump_x", "jump_u", "run_cost_x", "run_cost_u", "terminal_x",
+)
 
 
 class TestConfigParsing:
@@ -86,19 +100,19 @@ class TestConfigParsing:
         [
             ("simulate", "", {"horizon": "nan"}),
             ("simulate", "\n[model]\nsigma = inf\n", {}),
-            ("simulate", "\n[model]\nfamily = linear\nu_min = nan\n", {}),
+            ("simulate", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nu_min = nan\n", {}),
             ("check-smp", "\n[smp]\ntau_grid = 0.5, -inf\n", {}),
-            ("simulate", "\n[model]\nfamily = linear\nu_min = 2.0\nu_max = 1.0\n", {}),
+            ("simulate", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nu_min = 2.0\nu_max = 1.0\n", {}),
             ("simulate", "\n[model]\nfamily = lq\nu_min = -1.0\n", {}),
             ("solve-lq", "\n[model]\nu_max = 5.0\n", {}),
             ("simulate", "\n[model]\natoms = 0.001:800000\n", {}),
             (
                 "convergence-study",
-                "\n[model]\nfamily = linear\natoms = 0.001:300000\n[convergence]\nn_steps_list = 16, 32\n",
+                "\n[model]\nfamily = custom-polynomial\nu_cost = 0\natoms = 0.001:300000\n[convergence]\nn_steps_list = 16, 32\n",
                 {},
             ),
             ("clark-ocone", "\n[model]\natoms = 0.2:3.0\n", {}),
-            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 1, 2\n", {}),
+            ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nn_steps_list = 1, 2\n", {}),
             ("simulate", "\n[simulate]\ncontrol = bogus\n", {}),
             ("simulate", "\n[simulate]\nscheme = milstein\n", {}),
             ("simulate", "\n[simulate]\nscheme = closed-form\n", {}),
@@ -110,8 +124,8 @@ class TestConfigParsing:
             ("clark-ocone", "\n[clark_ocone]\nfunctional = bogus\n", {}),
             ("solve-bsde", "\n[bsde]\ncontrol = bogus\n", {}),
             ("check-smp", "\n[smp]\ncandidate = bogus\n", {}),
-            ("check-smp", "\n[model]\nfamily = linear\n[smp]\ncandidate = lq-opt\n", {}),
-            ("solve-lq", "\n[model]\nfamily = linear\n", {}),
+            ("check-smp", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[smp]\ncandidate = lq-opt\n", {}),
+            ("solve-lq", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n", {}),
             ("convergence-study", "", {}),
             ("simulate", "", {"horizon": "0.0"}),
             ("simulate", "", {"n_steps": 1}),
@@ -130,14 +144,14 @@ class TestConfigParsing:
             ("check-smp", "\n[smp]\ntau_grid =\n", {}),
             ("check-smp", "\n[smp]\nv_grid =\n", {}),
             ("check-smp", "\n[smp]\neps_grid =\n", {}),
-            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 64\n", {}),
-            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list =\n", {}),
-            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nratio_low = 2.6\nratio_high = 1.4\n", {}),
+            ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nn_steps_list = 64\n", {}),
+            ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nn_steps_list =\n", {}),
+            ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nratio_low = 2.6\nratio_high = 1.4\n", {}),
             ("solve-bsde", "\n[bsde]\nmax_rel_distance = -1.0\n", {}),
             ("clark-ocone", "\n[clark_ocone]\nmax_rel_error = -0.01\n", {}),
             (
                 "simulate",
-                "\n[model]\nfamily = linear\ndrift_u = 1\ndiff_const = 0.1\n"
+                "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nb_u = 1\nsigma_poly = 0.1\n"
                 "[simulate]\nscheme = closed-form\ncontrol = constant\ncontrol_value = 2\n",
                 {},
             ),
@@ -145,6 +159,13 @@ class TestConfigParsing:
             ("simulate", "\n[output]\ncsv_paths = -3\n", {}),
             ("check-smp", "\n[output]\ncsv_paths = 3\n", {}),
             ("simulate", "\n[basis]\ndegree = 2\n", {}),
+            ("simulate", "\n[model]\nfamily = linear\n", {}),
+            ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 16, 32\n", {}),
+            *(
+                (kind, f"\n[model]\nfamily = custom-polynomial\nu_cost = 0\natoms = 0.2:1.0\n{key} = 0.1, 0.2, 0.3\n{run}", {})
+                for kind, run in CLOSED_FORM_RUNS.items()
+                for key in ("b_poly", "sigma_poly", "gamma_poly")
+            ),
         ],
         ids=[
             "nan-horizon",
@@ -199,6 +220,9 @@ class TestConfigParsing:
             "negative-csv-paths",
             "path-table-of-a-kind-without-one",
             "basis-of-a-kind-that-fits-nothing",
+            "linear-family",
+            "linear-family-in-a-study",
+            *(f"{kind}-with-quadratic-{key}" for kind in CLOSED_FORM_RUNS for key in ("b_poly", "sigma_poly", "gamma_poly")),
         ],
     )
     def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, grid):
@@ -224,7 +248,9 @@ class TestConfigParsing:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "family, key", [("lq", "drift_x"), ("linear", "sigma"), ("custom-polynomial", "gamma_scale")]
+        "family, key",
+        [("lq", "drift_x"), ("lq", "gamma_u"), ("custom-polynomial", "sigma"), ("custom-polynomial", "gamma_scale")]
+        + [("custom-polynomial", key) for key in DELETED_LINEAR_KEYS],
     )
     def test_keys_of_another_family_rejected(self, tmp_path, family, key):
         path = write_config(tmp_path, "simulate", extra=f"\n[model]\nfamily = {family}\n{key} = 5.0\n")
@@ -235,17 +261,20 @@ class TestConfigParsing:
         assert not out.exists()
 
 
-# family -> [model] block with a nonzero value in every key the family reads,
+# model -> its family, a [model] block with a value in every key the family reads,
 # and the model it states at (x, u, zeta): (b, sigma, gamma, f, g) and the control set
 FAMILY_MODELS = {
     "lq": (
+        "lq",
         "sigma = 0.3\ngamma_scale = 0.7\nx0 = 0.5\natoms = -0.1:0.5\n",
         lambda x, u, z: (u, 0.3, 0.7 * z, -0.5 * u * u, -0.5 * x * x),
         (0.0, math.inf),
     ),
-    "linear": (
-        "drift_const = 0.1\ndrift_x = 0.05\ndrift_u = 0.4\ndiff_const = 0.2\ndiff_x = 0.1\ndiff_u = 0.3\n"
-        "jump_const = 0.3\njump_x = 0.5\njump_u = 0.2\nrun_cost_x = 0.6\nrun_cost_u = -0.2\nterminal_x = 1.5\n"
+    # an affine model with no u**2 cost, the form of configs/solve_bsde.ini
+    "affine": (
+        "custom-polynomial",
+        "b_poly = 0.1, 0.05\nb_u = 0.4\nsigma_poly = 0.2, 0.1\nsigma_u = 0.3\n"
+        "gamma_poly = 0.3, 0.5\ngamma_u = 0.2\nf_poly = 0, 0.6\nf_u = -0.2\nu_cost = 0\ng_poly = 0, 1.5\n"
         "u_min = -0.5\nu_max = 0.8\nx0 = 0.5\natoms = -0.1:0.5\n",
         lambda x, u, z: (
             0.1 + 0.05 * x + 0.4 * u,
@@ -257,13 +286,15 @@ FAMILY_MODELS = {
         (-0.5, 0.8),
     ),
     "custom-polynomial": (
+        "custom-polynomial",
         "b_poly = 0.1, 0.2, -0.05\nb_u = 1.5\nsigma_poly = 0.3, 0.1\nsigma_u = 0.2\ngamma_poly = 0.2, 0.3, 0.1\n"
-        "f_poly = 0.1, 0.2, -0.3\ng_poly = 0.4, -1.0, -0.5\nu_min = -0.5\nu_max = 0.8\nx0 = 0.5\natoms = -0.1:0.5\n",
+        "gamma_u = 0.25\nf_poly = 0.1, 0.2, -0.3\nf_u = -0.4\nu_cost = 0.6\ng_poly = 0.4, -1.0, -0.5\n"
+        "u_min = -0.5\nu_max = 0.8\nx0 = 0.5\natoms = -0.1:0.5\n",
         lambda x, u, z: (
             0.1 + 0.2 * x - 0.05 * x * x + 1.5 * u,
             0.3 + 0.1 * x + 0.2 * u,
-            z * (0.2 + 0.3 * x + 0.1 * x * x),
-            0.1 + 0.2 * x - 0.3 * x * x - 0.5 * u * u,
+            z * (0.2 + 0.3 * x + 0.1 * x * x + 0.25 * u),
+            0.1 + 0.2 * x - 0.3 * x * x - 0.4 * u - 0.3 * u * u,
             0.4 - x - 0.5 * x * x,
         ),
         (-0.5, 0.8),
@@ -288,9 +319,9 @@ RESTATEMENT_RUNS = {
 
 
 class TestBuildModel:
-    @pytest.mark.parametrize("family", sorted(FAMILY_MODELS))
-    def test_every_key_reaches_the_model(self, tmp_path, family):
-        block, expected, control_set = FAMILY_MODELS[family]
+    @pytest.mark.parametrize("model", sorted(FAMILY_MODELS))
+    def test_every_key_reaches_the_model(self, tmp_path, model):
+        family, block, expected, control_set = FAMILY_MODELS[model]
         keys = {line.split(" = ")[0] for line in block.splitlines()}
         assert keys | {"family"} == _family_keys(family)
         path = write_config(tmp_path, "simulate", extra=f"\n[model]\nfamily = {family}\n{block}")
@@ -325,7 +356,7 @@ class TestBuildModel:
         path = write_config(
             tmp_path,
             "simulate",
-            extra="\n[model]\nfamily = linear\ndrift_x = 0.05\ndiff_x = 0.2\njump_x = 1.0\natoms = -0.1:0.5\n",
+            extra="\n[model]\nfamily = custom-polynomial\nu_cost = 0\nb_poly = 0, 0.05\nsigma_poly = 0, 0.2\ngamma_poly = 0, 1.0\natoms = -0.1:0.5\n",
         )
         cfg = parse_config(path)
         coeffs, levy, x0 = build_model(cfg)
@@ -424,7 +455,7 @@ class TestRunAndReplay:
     def test_replay_applies_library_rules(self, tmp_path, kind, section, edits):
         extra = {
             "check-smp": "\n[smp]\ntau_grid = 0.5\nv_grid = 1.0\neps_grid = 0.2\n",
-            "convergence-study": "\n[model]\nfamily = linear\ndiff_x = 0.2\n[convergence]\nn_steps_list = 8, 16\n",
+            "convergence-study": "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nsigma_poly = 0, 0.2\n[convergence]\nn_steps_list = 8, 16\n",
         }.get(kind, "")
         path = write_config(tmp_path, kind, extra=extra, n_steps=10, n_paths=200)
         out = tmp_path / "out"
@@ -541,7 +572,7 @@ class TestRunAndReplay:
 
     def test_convergence_study_run(self, tmp_path):
         extra = (
-            "\n[model]\nfamily = linear\ndrift_x = 0.05\ndiff_x = 0.2\njump_x = 1.0\natoms = -0.1:0.5\n"
+            "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nb_poly = 0, 0.05\nsigma_poly = 0, 0.2\ngamma_poly = 0, 1.0\natoms = -0.1:0.5\n"
             "\n[convergence]\nn_steps_list = 32, 64, 128\nratio_low = 1.2\nratio_high = 1.8\n"
         )
         path = write_config(tmp_path, "convergence-study", extra=extra, n_paths=4000)
@@ -550,7 +581,7 @@ class TestRunAndReplay:
 
     def test_simulate_closed_form_scheme(self, tmp_path):
         extra = (
-            "\n[model]\nfamily = linear\ndrift_x = 0.05\ndiff_x = 0.2\njump_x = 1.0\natoms = -0.1:0.5\n"
+            "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nb_poly = 0, 0.05\nsigma_poly = 0, 0.2\ngamma_poly = 0, 1.0\natoms = -0.1:0.5\n"
             "\n[simulate]\nscheme = closed-form\n"
         )
         path = write_config(tmp_path, "simulate", extra=extra, n_paths=200)
@@ -560,14 +591,25 @@ class TestRunAndReplay:
 
     @pytest.mark.parametrize("control", ["control = zero\ncontrol_value = 2", "control = constant\ncontrol_value = 0"])
     def test_closed_form_scheme_takes_a_zero_control(self, tmp_path, control):
-        extra = f"\n[model]\nfamily = linear\ndrift_u = 1\ndiff_const = 0.1\n[simulate]\nscheme = closed-form\n{control}\n"
+        extra = f"\n[model]\nfamily = custom-polynomial\nu_cost = 0\nb_u = 1\nsigma_poly = 0.1\n[simulate]\nscheme = closed-form\n{control}\n"
         path = write_config(tmp_path, "simulate", extra=extra, n_paths=200)
         assert run(parse_config(path)).exit_code == 0
 
     def test_closed_form_scheme_needs_linear_family(self, tmp_path):
         path = write_config(tmp_path, "simulate", extra="\n[simulate]\nscheme = closed-form\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="custom-polynomial"):
             run(parse_config(path), out_dir=tmp_path / "out")
+
+    @pytest.mark.parametrize("kind", sorted(CLOSED_FORM_RUNS))
+    def test_closed_form_trims_trailing_zeros(self, tmp_path, kind):
+        # a polynomial of degree <= 1 padded with zeros is the same model, as in polynomial_coefficients
+        payloads = []
+        for name, polys in (("short.ini", "b_poly = 0, 0.05\ngamma_poly = 0.5"), ("padded.ini", "b_poly = 0, 0.05, 0, 0\ngamma_poly = 0.5, 0")):
+            extra = f"\n[model]\nfamily = custom-polynomial\nsigma_poly = 0, 0.2\natoms = 0.2:1.0\n{polys}\n"
+            extra += CLOSED_FORM_RUNS[kind]
+            path = write_config(tmp_path, kind, extra=extra, n_steps=16, n_paths=200, name=name)
+            payloads.append(json.dumps(run(parse_config(path)).report["payload"], sort_keys=True))
+        assert payloads[0] == payloads[1]
 
     def test_jump_duality_run(self, tmp_path):
         extra = (
@@ -577,6 +619,15 @@ class TestRunAndReplay:
         path = write_config(tmp_path, "check-duality", extra=extra, n_paths=5000)
         result = run(parse_config(path), out_dir=tmp_path / "out")
         assert result.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "configs").glob("*.ini")) + sorted((ROOT / "perfbench" / "workloads").glob("*.ini")),
+    ids=lambda path: f"{path.parent.name}/{path.name}",
+)
+def test_shipped_configs_parse(path):
+    # every shipped config and benchmark workload holds only keys of the current schema
+    assert parse_config(path)["experiment"]["kind"]
 
 
 # experiment -> (config extra, {artifact: payload key it holds, None for the whole payload})
@@ -591,7 +642,7 @@ ARTIFACTS = {
     ),
     "solve-lq": ("", {"feedback_coefficients.csv": None, "residuals.csv": None, "comparison.json": "comparison"}),
     "convergence-study": (
-        "\n[model]\nfamily = linear\ndiff_x = 0.2\n\n[convergence]\nn_steps_list = 16, 32\n",
+        "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nsigma_poly = 0, 0.2\n\n[convergence]\nn_steps_list = 16, 32\n",
         {"convergence.json": None},
     ),
 }
@@ -646,23 +697,23 @@ class TestCli:
         # jump slope pushes 1 + dgamma/dx below the admissible margin: the
         # adjoint weight process is singular and the run exits 3
         extra = (
-            "\n[model]\nfamily = linear\njump_x = -2.0\natoms = 0.9:1.0\nterminal_x = 1.0\n"
+            "\n[model]\nfamily = custom-polynomial\nu_cost = 0\ngamma_poly = 0, -2.0\natoms = 0.9:1.0\ng_poly = 0, 1.0\n"
         )
         path = write_config(tmp_path, "solve-bsde", extra=extra, n_paths=500)
         assert main(["solve-bsde", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
 
     def test_unstable_implicit_step_exit_3(self, tmp_path, capsys):
         # b_x dt = 5 * 0.25 >= 1: the implicit adjoint step has no stable solution
-        extra = "\n[model]\nfamily = linear\ndrift_x = 5.0\ndiff_const = 0.1\nterminal_x = -1.0\n"
+        extra = "\n[model]\nfamily = custom-polynomial\nu_cost = 0\nb_poly = 0, 5.0\nsigma_poly = 0.1\ng_poly = 0, -1.0\n"
         path = write_config(tmp_path, "solve-bsde", extra=extra, n_steps=4, n_paths=500)
         assert main(["solve-bsde", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "1 - b_x dt" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_degenerate_convergence_study_exit_3(self, tmp_path, capsys):
-        # every 'linear' coefficient defaults to 0, so the Euler scheme and the
-        # closed form agree exactly and the finer grid has no error to divide by
-        extra = "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 16, 32\n"
+        # every custom-polynomial coefficient defaults to 0, so the Euler scheme and
+        # the closed form agree exactly and the finer grid has no error to divide by
+        extra = "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nn_steps_list = 16, 32\n"
         path = write_config(tmp_path, "convergence-study", extra=extra, n_paths=200)
         assert main(["convergence-study", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "32-step grid" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from smplab.bsde import l2_dtP_norm, relative_l2_dtP
 from smplab.harness import _plain
 from smplab.lqsolver import (
     LqParams,
-    closed_form_unconstrained,
     compare_to_unconstrained,
     solve_constrained,
     unconstrained_feedback_law,
@@ -31,18 +30,15 @@ def params(levy=NO_JUMPS, grid=GRID, n_paths=20_000, seed=201, **overrides):
 
 class TestClosedFormUnconstrained:
     def test_zero_state(self):
-        assert np.all(closed_form_unconstrained(np.zeros((3, 101)), GRID) == 0.0)
+        law = unconstrained_feedback_law(GRID)
+        assert all(np.all(law.control_at(i, t, np.zeros(3)) == 0.0) for i, t in enumerate(GRID.times()[:-1]))
 
     def test_pinned_values(self):
         grid = TimeGrid(1.0, 2)
-        X = np.array([[0.0, 0.0, -2.0]])
-        u = closed_form_unconstrained(X, grid)
-        # at t = 0: u = -X/ (T + 1 - 0)
-        assert closed_form_unconstrained(np.array([[1.0, 0.0, 0.0]]), grid)[0, 0] == pytest.approx(-0.5)
-        # terminal-node value enters only through the last step: t = T - dt
-        assert u.shape == (1, 2)
-        # the feedback formula itself at the horizon: -(-2)/(T + 1 - T) = 2
         law = unconstrained_feedback_law(grid)
+        # at t = 0: u = -x / (T + 1 - 0)
+        assert float(law.control_at(0, 0.0, np.array([1.0]))[0]) == pytest.approx(-0.5)
+        # at the horizon: -(-2) / (T + 1 - T) = 2
         assert float(law.control_at(1, grid.horizon, np.array([-2.0]))[0]) == pytest.approx(2.0)
 
     def test_denominator_never_small(self):

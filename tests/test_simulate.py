@@ -299,8 +299,8 @@ class TestPathCsv:
         assert noise.jump_counts[0].any()
 
     def test_max_paths_limit(self, run_ini):
-        out = run_ini("simulate", "[grid]\nn_steps = 4\n[mc]\nn_paths = 10\n[model]\nfamily = linear\nx0 = 0.0\n"
-                      "[output]\ncsv_paths = 2\n")
+        out = run_ini("simulate", "[grid]\nn_steps = 4\n[mc]\nn_paths = 10\n[model]\nfamily = custom-polynomial\n"
+                      "u_cost = 0\nx0 = 0.0\n[output]\ncsv_paths = 2\n")
         rows = read_csv(out / "paths.csv")
         assert len(rows) == 1 + 2 * 5
         # without atoms jump_sum is 0 on every step row

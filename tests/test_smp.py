@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from smplab.errors import NonFiniteState
 from smplab.harness import _plain, build_model, parse_config, run
+from smplab.malliavin import mean_se
 from smplab.model import (
     ControlledCoefficients,
     FeedbackLaw,
@@ -25,7 +26,6 @@ from smplab.smp import (
     hamiltonian,
     hamiltonian_du,
     partials_along,
-    performance_J,
     performance_values,
     spike_perturb,
     spiked_values,
@@ -158,20 +158,20 @@ class TestPerformance:
             }
         )
         noise = sample_noise(GRID, NO_JUMPS, 100, 31)
-        out = performance_J(OpenLoopLaw(np.zeros(100)), zeroed, noise, 1.0)
-        assert out["estimate"] == 0.0
+        estimate, _ = mean_se(performance_values(OpenLoopLaw(np.zeros(100)), zeroed, noise, 1.0))
+        assert estimate == 0.0
 
     def test_deterministic_lq_value(self):
         coeffs = build_lq_coefficients(0.0)
         noise = sample_noise(GRID, NO_JUMPS, 16, 32)
-        out = performance_J(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0)
-        assert out["estimate"] == pytest.approx(-0.5, abs=1e-12)
+        estimate, _ = mean_se(performance_values(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0))
+        assert estimate == pytest.approx(-0.5, abs=1e-12)
 
     def test_gaussian_second_moment(self):
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 100_000, 33)
-        out = performance_J(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0)
-        assert abs(out["estimate"] - (-0.505)) <= 5 * out["se"]
+        estimate, se = mean_se(performance_values(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0))
+        assert abs(estimate - (-0.505)) <= 5 * se
 
 
 class TestVariationalZ:
