@@ -224,10 +224,22 @@ def _family_keys(family: str) -> set:
     return {"family", "x0", "atoms"} | {key for spec in specs for key in (spec if isinstance(spec, tuple) else (spec,))}
 
 
-def schema_for(kind: str) -> dict:
+def _check_model_keys(model: dict, family: str) -> None:
+    """Every key of a [model] section is one that its family reads."""
+    stray = [key for key in model if key not in _family_keys(family)]
+    if stray:
+        raise ConfigError(f"[model] {', '.join(stray)} not read by the {family!r} family")
+
+
+def schema_for(kind: str, family: str | None = None) -> dict:
+    """Sections and keys of ``kind``; with a ``family``, [model] holds only the keys it reads."""
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind {kind!r}; expected one of {', '.join(EXPERIMENTS)}")
     schema = {section: dict(keys) for section, keys in _COMMON_SCHEMA.items()}
+    if family is not None:
+        if family not in _FAMILIES:
+            raise ConfigError(f"[model] family must be one of {', '.join(_FAMILIES)}, got {family!r}")
+        schema["model"] = {key: spec for key, spec in schema["model"].items() if key in _family_keys(family)}
     schema |= {section: dict(keys) for section, (keys, kinds) in _SHARED_SCHEMA.items() if kind in kinds}
     for section, keys in _EXPERIMENT_SCHEMA[kind].items():
         schema[section] = dict(keys)
@@ -266,8 +278,11 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
     if file_kind is not None and file_kind != kind:
         raise ConfigError(f"config declares kind {file_kind!r} but {kind!r} was requested")
 
-    schema = schema_for(kind)
-    _check_known(given, kind, schema)
+    _check_known(given, kind, schema_for(kind))
+    model = given.get("model", {})
+    family = _PARSERS["str"](model.get("family", _COMMON_SCHEMA["model"]["family"][1]), "[model] family")
+    schema = schema_for(kind, family)
+    _check_model_keys(model, family)
     resolved: dict = {"experiment": {"kind": kind}}
     for section, keys in schema.items():
         resolved.setdefault(section, {})
@@ -285,10 +300,6 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
         if overrides.get("n_paths") is not None:
             resolved["mc"]["n_paths"] = int(overrides["n_paths"])
     _validate_resolved(resolved)
-    family = resolved["model"]["family"]
-    stray = [key for key in given.get("model", {}) if key not in _family_keys(family)]
-    if stray:
-        raise ConfigError(f"[model] {', '.join(stray)} not read by the {family!r} family")
     return resolved
 
 
@@ -325,7 +336,7 @@ class _Setup:
 def _validate_resolved(cfg: dict) -> _Setup:
     """Check a resolved config and build its library objects; numeric rules are their checks."""
     kind = cfg["experiment"]["kind"]
-    for section, keys in schema_for(kind).items():
+    for section, keys in schema_for(kind, cfg["model"]["family"]).items():
         for key, (typ, _) in keys.items():
             if isinstance(typ, tuple) and cfg[section][key] not in typ:
                 raise ConfigError(f"[{section}] {key} must be one of {', '.join(typ)}, got {cfg[section][key]!r}")
@@ -729,11 +740,13 @@ _JSON_TYPES = {
 
 
 def _check_json_types(cfg: dict) -> None:
-    """The embedded config holds only the sections and keys of its kind (``_check_known``),
-    and every value has the JSON type its schema entry resolves to."""
+    """The embedded config holds only the sections and keys of its kind (``_check_known``)
+    and [model] only those of its family, and every value has the JSON type its
+    schema entry resolves to."""
     kind = cfg["experiment"]["kind"]
-    schema = schema_for(kind)
-    _check_known(cfg, kind, schema)
+    _check_known(cfg, kind, schema_for(kind))
+    schema = schema_for(kind, cfg["model"]["family"])
+    _check_model_keys(cfg["model"], cfg["model"]["family"])
     for section, keys in schema.items():
         for key, (typ, _) in keys.items():
             name = "str" if isinstance(typ, tuple) else typ

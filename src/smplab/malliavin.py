@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import InsufficientPaths, JumpDependentFunctional, NonAdaptedIntegrand, UnsupportedNode
 from .model import LevyMeasure, TimeGrid
-from .simulate import NoiseBundle, perturbed_after, row_blocks
+from .simulate import NoiseBundle, row_blocks
 
 # --------------------------------------------------------------------------
 # Smooth maps
@@ -352,9 +352,14 @@ def _running_path(leaf: BMIntegral | JumpIntegral, bundle: NoiseBundle, memo: di
     if isinstance(leaf, BMIntegral):
         increments = leaf.values[:, None] * bundle.dB.T
     else:
-        increments = np.einsum("pik,ik->ip", bundle.compensated_counts(), leaf.values)
-    out = np.zeros((bundle.grid.n_steps + 1, bundle.n_paths))
-    np.cumsum(increments, axis=0, out=out[1:])
+        increments = np.einsum("pik,ik->ip", bundle.compensated_counts(), leaf.values, order="C")
+    # The running sum node by node adds contiguous rows; it is the sum that
+    # np.cumsum(axis=0) forms, without walking the array across its layout.
+    out = np.empty((bundle.grid.n_steps + 1, bundle.n_paths))
+    out[0] = 0.0
+    out[1] = increments[0]
+    for i in range(1, bundle.grid.n_steps):
+        np.add(out[i], increments[i], out=out[i + 1])
     memo[key] = (leaf, out)
     return out
 
@@ -586,8 +591,18 @@ def _probe_adapted(integrand, bundle: NoiseBundle, reference: np.ndarray) -> Non
     <= i untouched.
     """
     n_steps = bundle.grid.n_steps
-    for i in sorted({0, n_steps // 2, n_steps - 1}):
-        probe = np.asarray(integrand(perturbed_after(bundle, i - 1)), dtype=float)
+    # One copy of the noise serves every probe.  Latest step first, each probe
+    # adds 1 to the increments it newly perturbs, so the probe at step i sees
+    # every increment from step i on raised by 1 and every earlier one as drawn.
+    dB, counts = bundle.dB.copy(order="K"), bundle.jump_counts.copy()
+    dB_seen, counts_seen = dB.view(), counts.view()
+    dB_seen.flags.writeable = counts_seen.flags.writeable = False
+    perturbed = n_steps
+    for i in sorted({0, n_steps // 2, n_steps - 1}, reverse=True):
+        dB[:, i:perturbed] += 1.0
+        counts[:, i:perturbed] += 1
+        perturbed = i
+        probe = np.asarray(integrand(replace(bundle, dB=dB_seen, jump_counts=counts_seen)), dtype=float)
         if not np.array_equal(probe[:, : i + 1], reference[:, : i + 1]):
             raise NonAdaptedIntegrand(f"integrand value at or before step {i} depends on increments from step {i} on")
 

@@ -4,11 +4,19 @@ Sampling is counter-based: path k draws from a Philox generator keyed by
 (seed, k), so every bundle is a pure function of its arguments, independent
 of worker count, and the first k paths of an n-path ensemble coincide with
 the k-path ensemble for the same seed.
+
+``sample_noise`` splits the paths into contiguous chunks and draws every
+chunk but the first in a forked child, writing into shared memory.  The
+number of chunks is the number of CPUs in the process's affinity set
+(``os.sched_getaffinity``; one where the platform has none), capped at one
+chunk per ``FORK_CHUNK_PATHS`` paths, so smaller bundles and one-CPU
+processes draw in the calling process.  No setting selects it: the bits are
+the same either way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +31,10 @@ MAX_STEP_RATE = 1e4
 
 # Rows per block of ``row_blocks`` and of the Brownian draw in ``sample_noise``.
 ROW_BLOCK = 1024
+
+# Fewest paths per forked chunk of ``sample_noise``: below two chunks the draw
+# stays in the calling process, where a fork costs more than it saves.
+FORK_CHUNK_PATHS = 32_768
 
 
 def row_blocks(a: np.ndarray):
@@ -117,42 +129,115 @@ def step_rates(grid: TimeGrid, levy: LevyMeasure) -> np.ndarray:
     return rates
 
 
+def _draw_paths(seed: int, rates: np.ndarray, sqrt_dt: float, dB: np.ndarray, counts: np.ndarray, lo: int, hi: int):
+    """Draw paths [lo, hi) into the same rows of ``dB`` and ``counts``."""
+    n_steps, n_atoms = counts.shape[1:]
+    # Re-keying one Philox instance per path is bit-identical to constructing
+    # Philox(key=(seed, k)) afresh (see _path_generator) and much cheaper.  The
+    # state setter copies every value, so one state dict serves every path;
+    # its entries are Python ints, which the setter reads faster than array items.
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = [seed & _SEED_MASK, 0]
+    state["state"] = {"counter": [0, 0, 0, 0], "key": key}
+    state["buffer"] = [0, 0, 0, 0]
+    # A path's normals and counts fill one row of C-ordered blocks; once full,
+    # the normals are scaled into dB and the counts cast into ``counts``.
+    block_rows = min(hi - lo, ROW_BLOCK)
+    block = np.empty((block_rows, n_steps))
+    count_block = np.empty((block_rows, n_steps, n_atoms), dtype=np.int64)
+    # One atom draws from a scalar rate, which gives the same bits as the
+    # (1,)-array form at half the cost; several atoms keep the array form,
+    # whose draw order any other layout would change.
+    if n_atoms == 1:
+        lam, size, count_rows = rates[0], n_steps, count_block[:, :, 0]
+    else:
+        lam, size, count_rows = rates, (n_steps, n_atoms), count_block
+    for start in range(lo, hi, ROW_BLOCK):
+        n = min(ROW_BLOCK, hi - start)
+        for j in range(n):
+            key[1] = start + j
+            bitgen.state = state
+            gen.standard_normal(out=block[j])
+            if n_atoms:
+                count_rows[j] = gen.poisson(lam, size)
+        np.multiply(block[:n], sqrt_dt, out=dB[start : start + n])
+        if n_atoms:
+            counts[start : start + n] = count_block[:n]
+
+
+def _shared_zeros(shape: tuple[int, ...], dtype, order: str) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping, which forked children write through."""
+    import math
+    import mmap
+
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if not nbytes:
+        return np.zeros(shape, dtype=dtype, order=order)
+    return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, nbytes), order=order)
+
+
+def _draw_chunks(draw, bounds: list[int]) -> None:
+    """Run ``draw(lo, hi)`` on every chunk [bounds[j], bounds[j+1]): the first in
+    this process, each other one in a forked child.  Returns once every child
+    has exited with status 0 and raises otherwise; no child outlives the call."""
+    import os
+    import signal
+
+    pids = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:
+                # the child never returns into the caller's frames
+                try:
+                    draw(lo, hi)
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
+            pids.append(pid)
+        draw(bounds[0], bounds[1])
+        statuses = []
+        while pids:
+            _, wait_status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            statuses.append(os.waitstatus_to_exitcode(wait_status))
+        if any(statuses):
+            raise RuntimeError(f"a noise-drawing worker failed: exit statuses {statuses}")
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> NoiseBundle:
-    """Draw a noise bundle, deterministic in (grid, levy, n_paths, seed)."""
+    """Draw a noise bundle, deterministic in (grid, levy, n_paths, seed).
+
+    The paths split into the contiguous chunks of the module docstring; every
+    chunk but the first is drawn in a forked child into shared memory.
+    """
+    # os, mmap and signal are imported by the draw that uses them, not by
+    # importing this module.
+    import os
+
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_steps = grid.n_steps
     sqrt_dt = np.sqrt(grid.dt)
     rates = step_rates(grid, levy)
-    n_atoms = levy.n_atoms
-    dB = np.empty((n_paths, n_steps), order="F")
-    counts = np.zeros((n_paths, n_steps, n_atoms), dtype=np.int16)
-    # Re-keying one Philox instance per path is bit-identical to constructing
-    # Philox(key=(seed, k)) afresh (see _path_generator) and much cheaper; the
-    # state setter copies the key, so one state dict and key array serve every path.
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = np.array([seed & _SEED_MASK, 0], dtype=np.uint64)
-    state["state"] = {"counter": np.zeros(4, dtype=np.uint64), "key": key}
-    # One atom draws from a scalar rate, which gives the same bits as the
-    # (1,)-array form at half the cost; several atoms keep the array form,
-    # whose draw order any other layout would change.
-    if n_atoms == 1:
-        lam, size, rows = rates[0], n_steps, counts[:, :, 0]
+    dB_shape, counts_shape = (n_paths, n_steps), (n_paths, n_steps, levy.n_atoms)
+    # macOS and Windows have no affinity set; there the calling process draws every path
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_chunks = max(1, min(cpus, n_paths // FORK_CHUNK_PATHS))
+    if n_chunks == 1:
+        dB = np.empty(dB_shape, order="F")
+        counts = np.zeros(counts_shape, dtype=np.int16)
     else:
-        lam, size, rows = rates, (n_steps, n_atoms), counts
-    # A path's normals fill one row of a C-ordered block, copied into dB once full.
-    block = np.empty((min(n_paths, ROW_BLOCK), n_steps))
-    for start in range(0, n_paths, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n_paths)
-        for k in range(start, stop):
-            key[1] = k & _SEED_MASK
-            bitgen.state = state
-            gen.standard_normal(out=block[k - start])
-            if n_atoms:
-                rows[k] = gen.poisson(lam=lam, size=size)
-        np.multiply(block[: stop - start], sqrt_dt, out=dB[start:stop])
+        dB = _shared_zeros(dB_shape, float, "F")
+        counts = _shared_zeros(counts_shape, np.int16, "C")
+    bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
+    _draw_chunks(lambda lo, hi: _draw_paths(seed, rates, sqrt_dt, dB, counts, lo, hi), bounds)
     dB.flags.writeable = False
     counts.flags.writeable = False
     return NoiseBundle(grid=grid, levy=levy, n_paths=n_paths, seed=seed, dB=dB, jump_counts=counts)
@@ -315,19 +400,3 @@ def gamma_process(b_x: np.ndarray, sigma_x: np.ndarray, gamma_x: np.ndarray, noi
     lin = LinearCoefficients(b1=b_x, s1=sigma_x, g1=gamma_x)
     arrs = lin.broadcast(noise.n_paths, noise.grid.n_steps, noise.levy.n_atoms)
     return 1.0 / _upsilon(arrs[1], arrs[3], arrs[5], noise)
-
-
-def perturbed_after(noise: NoiseBundle, step: int) -> NoiseBundle:
-    """Copy of the bundle with all increments strictly after ``step`` altered.
-
-    Used as a dependence probe: an adapted step process must be unchanged on
-    steps <= step when evaluated on the perturbed bundle.
-    """
-    dB = noise.dB.copy(order="K")
-    dB[:, step + 1 :] += 1.0
-    counts = noise.jump_counts.copy()
-    if noise.levy.n_atoms:
-        counts[:, step + 1 :, :] += 1
-    dB.flags.writeable = False
-    counts.flags.writeable = False
-    return replace(noise, dB=dB, jump_counts=counts)

@@ -390,6 +390,23 @@ class TestRunAndReplay:
         assert (tmp_path / "out" / "duality.json").exists()
         assert replay(result.report_path) == 0
 
+    @pytest.mark.parametrize("family", ["lq", "custom-polynomial"])
+    def test_report_embeds_only_its_family_keys(self, tmp_path, family):
+        # a report does not depend on the [model] keys of another family
+        other = {"lq": "custom-polynomial", "custom-polynomial": "lq"}[family]
+        extra = f"\n[model]\nfamily = {family}\n" + ("u_cost = 0\n" if family == "custom-polynomial" else "")
+        out = tmp_path / "out"
+        run(parse_config(write_config(tmp_path, "simulate", extra=extra, n_paths=50)), out_dir=out)
+        blob = json.load(open(out / "report.json"))
+        assert set(blob["config"]["model"]) == _family_keys(family)
+        assert main(["replay", str(out / "report.json")]) == 0
+        # a key of the other family is refused, with the message of a config file
+        stray = sorted(_family_keys(other) - _family_keys(family))[0]
+        blob["config"]["model"][stray] = schema_for("simulate")["model"][stray][1]
+        json.dump(blob, open(out / "report.json", "w"))
+        with pytest.raises(ConfigError, match=rf"\[model\] {stray} not read by the '{family}' family"):
+            replay(out / "report.json")
+
     @pytest.mark.parametrize(
         "section, key, value",
         [

@@ -376,6 +376,45 @@ class TestDuality:
         with pytest.raises(NonAdaptedIntegrand):
             check_duality(bm_squared(), peeking, "brownian", draw(500, 14))
 
+    @pytest.mark.parametrize("levy", [NO_JUMPS, LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])], ids=["K0", "K2"])
+    def test_each_probe_sees_the_future_raised_by_one(self, levy):
+        # the probes share one copy of the noise; the bundle each one sees is
+        # the drawn bundle with every increment from its step on raised by 1
+        noise = draw(300, 36, levy)
+        seen = []
+
+        def recording(b):
+            seen.append((b.dB.copy(order="K"), b.jump_counts.copy(), b.dB.flags.writeable, b.jump_counts.flags.writeable))
+            return np.zeros((b.n_paths, GRID.n_steps))
+
+        check_duality(bm_squared(), recording, "brownian", noise)
+        probed = [GRID.n_steps - 1, GRID.n_steps // 2, 0]
+        assert len(seen) == 1 + len(probed)
+        for step, (dB, counts, *writeable) in zip(probed, seen[1:]):
+            expected_dB = noise.dB.copy(order="K")
+            expected_dB[:, step:] += 1.0
+            expected_counts = noise.jump_counts.copy()
+            expected_counts[:, step:] += 1
+            assert np.array_equal(dB, expected_dB), step
+            assert dB.flags.f_contiguous
+            assert np.array_equal(counts, expected_counts), step
+            assert writeable == [False, False]
+
+    @pytest.mark.parametrize("step", [0, GRID.n_steps // 2, GRID.n_steps - 1])
+    @pytest.mark.parametrize("mode", ["brownian", "jump"])
+    def test_future_peeking_caught_at_each_probed_step(self, step, mode):
+        # the value at ``step`` reads the increment of that step, so only the
+        # probe at ``step`` sees it change
+        def peeking(b):
+            increments = b.dB[:, :, None] if mode == "brownian" else b.jump_counts.astype(float)
+            out = np.zeros(increments.shape)
+            out[:, step] = increments[:, step]
+            return out[:, :, 0] if mode == "brownian" else out
+
+        F = bm_squared() if mode == "brownian" else eta_squared()
+        with pytest.raises(NonAdaptedIntegrand, match=f"at or before step {step} "):
+            check_duality(F, peeking, mode, draw(500, 37, LEVY))
+
     def test_reproducible_bit_exact(self):
         a = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", draw(4000, 15))
         b = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", draw(4000, 15))
@@ -492,6 +531,28 @@ class TestConditionalDerivative:
         for k in range(2):
             assert np.array_equal(cond[:, k], expected[k]), k
         assert len(projectors_built) == 1
+
+
+class TestRunningPath:
+    @pytest.mark.parametrize("levy", [NO_JUMPS, LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])], ids=["brownian", "jump-K2"])
+    def test_bits_of_the_cumulative_sum(self, levy):
+        # node by node addition gives the bits of np.cumsum over the path-major
+        # increments; h = 0 on the first step makes signed zeros there
+        noise = draw(3000, 38, levy)
+        h = np.linspace(-1.0, 2.0, GRID.n_steps)
+        h[0] = 0.0
+        if levy.n_atoms:
+            leaf = jump_integral(GRID, levy, np.outer(h, levy.zetas))
+            increments = np.einsum("pik,ik->ip", noise.compensated_counts(), leaf.values)
+        else:
+            leaf = bm_integral(GRID, h)
+            increments = leaf.values[:, None] * noise.dB.T
+        expected = np.zeros((GRID.n_steps + 1, noise.n_paths))
+        np.cumsum(increments, axis=0, out=expected[1:])
+        running = malliavin._running_path(leaf, noise, {})
+        assert running.flags.c_contiguous
+        assert np.array_equal(running, expected)
+        assert np.array_equal(np.signbit(running), np.signbit(expected))
 
 
 class TestBundleChecks:

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from smplab.simulate import (
     sample_noise,
     _path_generator,
 )
+from smplab import simulate
 from smplab.harness import _write_csv
 
 
@@ -112,6 +114,120 @@ class TestSampleNoise:
             assert count >= 1
             rebuilt[step, atom] = count
         assert np.array_equal(rebuilt, bundle.jump_counts[3])
+
+
+LEVIES = {
+    "K0": LevyMeasure.empty(),
+    "K1": ATOM,
+    "K2": LevyMeasure.from_pairs([(0.2, 1.5), (-0.3, 2.0)]),
+}
+
+
+def per_path_reference(grid, levy, n_paths, seed):
+    """dB and counts of fresh per-path generators, one path at a time."""
+    dB = np.empty((n_paths, grid.n_steps))
+    counts = np.zeros((n_paths, grid.n_steps, levy.n_atoms), dtype=np.int16)
+    for k in range(n_paths):
+        gen = _path_generator(seed, k)
+        dB[k] = gen.standard_normal(grid.n_steps) * math.sqrt(grid.dt)
+        if levy.n_atoms:
+            counts[k] = gen.poisson(lam=levy.intensities * grid.dt, size=(grid.n_steps, levy.n_atoms))
+    return dB, counts
+
+
+@pytest.fixture
+def fork_seams(monkeypatch):
+    """Set the CPU count and the chunk size of ``sample_noise``, and record its forks."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def set_seams(cpus, chunk_paths):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(simulate, "FORK_CHUNK_PATHS", chunk_paths)
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return set_seams, forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedDraw:
+    @pytest.mark.parametrize("levy", sorted(LEVIES), ids=str)
+    @pytest.mark.parametrize(
+        "n_paths, cpus, chunk_paths, n_forks",
+        [
+            (1001, 3, 300, 2),  # uneven: chunks of 333, 334 and 334 paths
+            (2500, 2, 1000, 1),  # the second chunk starts at path 1250, inside a ROW_BLOCK
+            (2500, 4, 800, 2),  # chunk edges at paths 833 and 1666 straddle ROW_BLOCK
+            (2500, 8, 1250, 1),  # at most one chunk per chunk_paths paths
+            (2500, 1, 100, 0),  # one CPU: the calling process draws every path
+            (999, 4, 500, 0),  # fewer than two chunks
+            (1, 4, 1, 0),
+        ],
+    )
+    def test_matches_per_path_generator(self, fork_seams, levy, n_paths, cpus, chunk_paths, n_forks):
+        set_seams, forks = fork_seams
+        set_seams(cpus, chunk_paths)
+        seed = 2**64 + 7
+        bundle = sample_noise(GRID, LEVIES[levy], n_paths, seed)
+        assert len(forks) == n_forks
+        assert_no_child_left()
+        ref_db, ref_counts = per_path_reference(GRID, LEVIES[levy], n_paths, seed)
+        assert np.array_equal(bundle.dB, ref_db)
+        assert np.array_equal(bundle.jump_counts, ref_counts)
+        assert bundle.dB.flags.f_contiguous and bundle.jump_counts.flags.c_contiguous
+        assert bundle.jump_counts.dtype == np.int16
+        assert not (bundle.dB.flags.writeable or bundle.jump_counts.flags.writeable)
+
+    def test_platform_without_affinity_set_draws_in_the_caller(self, fork_seams, monkeypatch):
+        set_seams, forks = fork_seams
+        set_seams(4, 100)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        bundle = sample_noise(GRID, ATOM, 500, 3)
+        assert forks == []
+        ref_db, ref_counts = per_path_reference(GRID, ATOM, 500, 3)
+        assert np.array_equal(bundle.dB, ref_db) and np.array_equal(bundle.jump_counts, ref_counts)
+
+    def test_failed_worker_raises(self, fork_seams, monkeypatch):
+        set_seams, forks = fork_seams
+        set_seams(3, 100)
+        real_draw = simulate._draw_paths
+
+        def failing_in_worker(*args):
+            if args[-2] > 0:
+                raise MemoryError("worker out of memory")
+            real_draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_paths", failing_in_worker)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            sample_noise(GRID, ATOM, 600, 5)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_failure_in_the_caller_leaves_no_worker(self, fork_seams, monkeypatch):
+        set_seams, forks = fork_seams
+        set_seams(3, 100)
+        real_draw = simulate._draw_paths
+
+        def failing_in_caller(*args):
+            if args[-2] == 0:
+                raise ValueError("caller failed")
+            real_draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_paths", failing_in_caller)
+        with pytest.raises(ValueError, match="caller failed"):
+            sample_noise(GRID, ATOM, 600, 5)
+        assert len(forks) == 2
+        assert_no_child_left()
 
 
 class TestEulerForward:
