@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractionFailure
-from .malliavin import PolynomialBasis, StateProjector, state_features
+from .malliavin import StateProjector, state_features
 from .model import LevyMeasure
 from .simulate import NoiseBundle, PathBundle, gamma_process, row_blocks
 
@@ -85,15 +85,13 @@ def fit_qr_step(projector: StateProjector, increment: np.ndarray, noise: NoiseBu
             r[:, step, k] = projector.fit(increment * noise.compensated_counts()[:, step, k] / rate).fitted
 
 
-def extract_qr(
-    p: np.ndarray, noise: NoiseBundle, basis: PolynomialBasis | None = None
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def extract_qr(p: np.ndarray, noise: NoiseBundle) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Martingale coefficients of an adapted process by conditional regression.
 
     q(t_i) and r(t_i, zeta_k) are the fitted conditional expectations of
     (p(t_{i+1}) - p(t_i)) dB_i / dt and
     (p(t_{i+1}) - p(t_i)) (dN_k - lam_k dt) / (lam_k dt)
-    against polynomial features of the time-t_i driving noise state
+    against the cubic basis in the time-t_i driving noise state
     (``state_features``); this is the grid surrogate for the right limits
     E[D_t p(t+) | F_t] identifying (q, r).  Atoms with lam_k dt below 1e-10
     are unidentifiable and yield r = 0.
@@ -107,7 +105,7 @@ def extract_qr(
     dead = unidentifiable_atoms(noise)
     d_p = p[:, 1:] - p[:, :-1]
     for i in range(n_steps):
-        fit_qr_step(StateProjector(state_features(noise, i), basis), d_p[:, i], noise, i, q, r, dead)
+        fit_qr_step(StateProjector(state_features(noise, i)), d_p[:, i], noise, i, q, r, dead)
     return q, r, dead
 
 
@@ -162,7 +160,6 @@ def solve_adjoint(
     part: CoefficientPartials,
     terminal: np.ndarray,
     forward: PathBundle,
-    basis: PolynomialBasis | None = None,
     cross_check: bool = False,
 ) -> tuple[AdjointTriple, AdjointTriple | None]:
     """The adjoint triple of the linear equation with generator dH/dx, in one backward sweep.
@@ -194,7 +191,7 @@ def solve_adjoint(
     tail = gam[:, n_steps] * terminal
     for i in range(n_steps - 1, -1, -1):
         tail = tail + gam[:, i] * part.f_x[:, i] * dt
-        projector = StateProjector(forward.X[:, i], basis)
+        projector = StateProjector(forward.X[:, i])
         fit = projector.fit(tail / gam[:, i])
         p[:, i] = fit.fitted
         fits[i] = replace(fit, fitted=None)

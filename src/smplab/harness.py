@@ -25,7 +25,6 @@ from .bsde import l2_dtP_norm, relative_l2_dtP, solve_adjoint
 from .errors import ConfigError, DegenerateStudy, ReplayMismatch
 from .malliavin import (
     Compose,
-    PolynomialBasis,
     bm_integral,
     check_duality,
     check_duality_mode,
@@ -163,12 +162,8 @@ _COMMON_SCHEMA = {
         "u_max": ("float", 1e308),
     },
 }
-# Sections of some kinds only: section -> (keys, kinds).  [basis] is read by
-# the kinds that fit, [output] by the kinds that write a path table.
-_SHARED_SCHEMA = {
-    "basis": ({"degree": ("int", 3)}, ("check-duality", "clark-ocone", "solve-bsde", "check-smp", "solve-lq")),
-    "output": ({"csv_paths": ("int", 10)}, ("simulate", "solve-bsde")),
-}
+# [output], a section of the kinds that write a path table
+_OUTPUT_SCHEMA = {"csv_paths": ("int", 10)}
 
 _EXPERIMENT_SCHEMA = {
     "simulate": {
@@ -176,7 +171,8 @@ _EXPERIMENT_SCHEMA = {
             "control": (_CONTROLS, "zero"),
             "control_value": ("float", 0.0),
             "scheme": (("euler", "closed-form"), "euler"),
-        }
+        },
+        "output": _OUTPUT_SCHEMA,
     },
     "check-duality": {
         "duality": {
@@ -194,7 +190,8 @@ _EXPERIMENT_SCHEMA = {
             "control": (_CONTROLS, "zero"),
             "control_value": ("float", 0.0),
             "max_rel_distance": ("float", 0.05),
-        }
+        },
+        "output": _OUTPUT_SCHEMA,
     },
     "check-smp": {
         "smp": {
@@ -240,7 +237,6 @@ def schema_for(kind: str, family: str | None = None) -> dict:
         if family not in _FAMILIES:
             raise ConfigError(f"[model] family must be one of {', '.join(_FAMILIES)}, got {family!r}")
         schema["model"] = {key: spec for key, spec in schema["model"].items() if key in _family_keys(family)}
-    schema |= {section: dict(keys) for section, (keys, kinds) in _SHARED_SCHEMA.items() if kind in kinds}
     for section, keys in _EXPERIMENT_SCHEMA[kind].items():
         schema[section] = dict(keys)
     return schema
@@ -319,7 +315,6 @@ class _Setup:
     coeffs: ControlledCoefficients
     levy: LevyMeasure
     x0: float
-    basis: PolynomialBasis | None  # None for the kinds that take no [basis]
     linear: LinearCoefficients | None  # the closed form's coefficients; None for runs that do not solve it
     n_paths: int
     seed: int
@@ -356,7 +351,7 @@ def _validate_resolved(cfg: dict) -> _Setup:
     # A verdict threshold no run can meet would turn every run into a FAIL.
     if study and cfg["convergence"]["ratio_low"] > cfg["convergence"]["ratio_high"]:
         raise ConfigError("[convergence] ratio_low must not exceed ratio_high")
-    for section, key, low in (("mc", "n_paths", 1), ("basis", "degree", 1), ("output", "csv_paths", 0),
+    for section, key, low in (("mc", "n_paths", 1), ("output", "csv_paths", 0),
                               ("bsde", "max_rel_distance", 0), ("clark_ocone", "max_rel_error", 0)):
         if section in cfg and cfg[section][key] < low:
             raise ConfigError(f"[{section}] {key} must be >= {low}, got {cfg[section][key]}")
@@ -379,8 +374,7 @@ def _validate_resolved(cfg: dict) -> _Setup:
         _checked("[iteration]", check_picard_settings, **cfg["iteration"])
     if kind == "solve-lq" or cfg.get("smp", {}).get("candidate") == "lq-opt":
         _checked("[model]", check_lq_structure, coeffs, grids[0], levy)
-    basis = PolynomialBasis(cfg["basis"]["degree"]) if "basis" in cfg else None
-    return _Setup(grids, coeffs, levy, x0, basis, linear, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
+    return _Setup(grids, coeffs, levy, x0, linear, cfg["mc"]["n_paths"], cfg["mc"]["seed"])
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +507,7 @@ def _run_check_duality(cfg, setup: _Setup):
     mode = d["mode"]
     F = _FUNCTIONALS[d["functional"]](setup.grid, setup.levy)
     integrand = _integrand(d["integrand"], d["integrand_value"], mode)
-    report = check_duality(F, integrand, mode, setup.noise(), basis=setup.basis)
+    report = check_duality(F, integrand, mode, setup.noise())
     payload = _plain(report)
     lines = [
         f"duality ({mode}) of {d['functional']} against {d['integrand']}",
@@ -526,7 +520,7 @@ def _run_check_duality(cfg, setup: _Setup):
 def _run_clark_ocone(cfg, setup: _Setup):
     c = cfg["clark_ocone"]
     F = _FUNCTIONALS[c["functional"]](setup.grid, setup.levy)
-    report = clark_ocone_reconstruct(F, setup.noise(), basis=setup.basis)
+    report = clark_ocone_reconstruct(F, setup.noise())
     ok = report.l2_error <= c["max_rel_error"]
     payload = dict(_plain(report), max_rel_error=c["max_rel_error"], verdict=bool(ok))
     lines = [
@@ -543,7 +537,7 @@ def _run_solve_bsde(cfg, setup: _Setup):
     forward = euler_forward(coeffs, law, setup.noise(), setup.x0)
     # the partials are not kept past the sweep: the distance below takes full-size temporaries
     explicit, regression = solve_adjoint(
-        partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, setup.basis, cross_check=True
+        partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, cross_check=True
     )
     distance = relative_l2_dtP(regression.p, explicit.p, grid.dt)
     ok = distance <= cfg["bsde"]["max_rel_distance"]
@@ -570,12 +564,12 @@ def _run_check_smp(cfg, setup: _Setup):
     noise = setup.noise()
     s = cfg["smp"]
     if s["candidate"] == "lq-opt":
-        params = LqParams(x0=setup.x0, coeffs=setup.coeffs, noise=noise, degree=setup.basis.degree)
+        params = LqParams(x0=setup.x0, coeffs=setup.coeffs, noise=noise)
         candidate = solve_constrained(params).feedback_law()
     else:
         candidate = _control_law(s["candidate"], s["candidate_value"], setup.grid)
     verdict = check_necessary_condition(
-        candidate, setup.coeffs, noise, setup.x0, s["tau_grid"], s["v_grid"], s["eps_grid"], basis=setup.basis
+        candidate, setup.coeffs, noise, setup.x0, s["tau_grid"], s["v_grid"], s["eps_grid"]
     )
     payload = _plain(verdict)
     rows = (
@@ -598,7 +592,7 @@ def _run_check_smp(cfg, setup: _Setup):
 
 def _run_solve_lq(cfg, setup: _Setup):
     grid = setup.grid
-    params = LqParams(x0=setup.x0, coeffs=setup.coeffs, noise=setup.noise(), degree=setup.basis.degree, **cfg["iteration"])
+    params = LqParams(x0=setup.x0, coeffs=setup.coeffs, noise=setup.noise(), **cfg["iteration"])
     sol = solve_constrained(params)
     comparison = compare_to_unconstrained(sol, params)
     payload = {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import AdjointTriple, l2_dtP_norm, relative_l2_dtP
-from .malliavin import PolynomialBasis, StateProjector, mean_se
+from .malliavin import StateProjector, mean_se
 from .model import ControlledCoefficients, FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid
 from .simulate import NoiseBundle, euler_forward
 from .smp import adjoint_for, performance_values
@@ -63,7 +63,6 @@ class LqParams:
     x0: float
     coeffs: ControlledCoefficients
     noise: NoiseBundle
-    degree: int = 3
     max_iters: int = 80
     damping: float = 0.5
     tol: float = 2e-4
@@ -89,7 +88,7 @@ class LqSolution:
         return FeedbackLaw(lambda step, t, x: fits[step](np.atleast_1d(x)))
 
 
-def _picard_update(params: LqParams, basis: PolynomialBasis, u: np.ndarray) -> np.ndarray:
+def _picard_update(params: LqParams, u: np.ndarray) -> np.ndarray:
     """One sweep: the damped mix of ``u`` with clamp(p), p(t_i) the regression of g_x(X(T)) on X(t_i).
 
     The sweep's state and adjoint arrays die with it, before the next sweep or the final diagnostics.
@@ -101,7 +100,7 @@ def _picard_update(params: LqParams, basis: PolynomialBasis, u: np.ndarray) -> n
     # garbage that keeps the run's peak resident set at the mercy of malloc.
     p = np.empty_like(u)
     for i in range(p.shape[1]):
-        p[:, i] = StateProjector(X[:, i], basis).fit(terminal).fitted
+        p[:, i] = StateProjector(X[:, i]).fit(terminal).fitted
     return (1.0 - params.damping) * u + params.damping * coeffs.clamp(p)
 
 
@@ -116,13 +115,12 @@ def solve_constrained(params: LqParams) -> LqSolution:
     noise, coeffs = params.noise, params.coeffs
     n_steps = noise.grid.n_steps
     dt = noise.grid.dt
-    basis = PolynomialBasis(degree=params.degree)
 
     u = np.zeros((noise.n_paths, n_steps), order="F")
     residual_history: list[float] = []
     converged = False
     for _ in range(params.max_iters):
-        u_next = _picard_update(params, basis, u)
+        u_next = _picard_update(params, u)
         residual = l2_dtP_norm(u_next - u, dt)
         residual_history.append(residual)
         u = u_next
@@ -132,7 +130,7 @@ def solve_constrained(params: LqParams) -> LqSolution:
 
     # Final diagnostics: the explicit adjoint under the returned control,
     # p(t_i) = E[g_x(X(T)) | X(t_i)] = -E[X(T) | X(t_i)] since Gamma = 1 and f_x = 0.
-    p_hat = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0), basis)
+    p_hat = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0))
     fbsde_residual = l2_dtP_norm(u - coeffs.clamp(p_hat.p[:, :n_steps]), dt)
     return LqSolution(
         u_values=u,
@@ -178,10 +176,9 @@ def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonRep
     star_forward = euler_forward(coeffs, unconstrained_feedback_law(grid), noise, params.x0)
     distance = relative_l2_dtP(sol.u_values, star_forward.u, grid.dt)
 
-    j_con, j_con_se = mean_se(performance_values(OpenLoopLaw(sol.u_values), coeffs, noise, params.x0))
-    j_unc, j_unc_se = mean_se(
-        performance_values(unconstrained_feedback_law(grid), coeffs, noise, params.x0, forward=star_forward)
-    )
+    con_forward = euler_forward(coeffs, OpenLoopLaw(sol.u_values), noise, params.x0)
+    j_con, j_con_se = mean_se(performance_values(coeffs, con_forward))
+    j_unc, j_unc_se = mean_se(performance_values(coeffs, star_forward))
     binding = float(np.mean(sol.p_hat.p[:, : grid.n_steps] < 0.0))
     return ComparisonReport(
         control_distance=distance,

@@ -408,16 +408,18 @@ def hm_derivative(F: WienerFunctional, direction: Brownian | Jump) -> WienerFunc
 # Conditional expectation by polynomial least squares
 
 
-@dataclass(frozen=True)
-class PolynomialBasis:
-    """Monomials of total degree <= degree in the feature columns."""
+# Total degree of the one regression basis (fixed-basis least squares, as in
+# Gobet, Lemor & Warin, Ann. Appl. Probab. 15(3), 2005).
+DEGREE = 3
 
-    degree: int = 3
+
+class PolynomialBasis:
+    """Monomials of total degree <= ``DEGREE`` in the feature columns."""
 
     def exponents(self, n_features: int) -> list[tuple[int, ...]]:
-        """All exponent tuples with total degree <= degree, in lexicographic order."""
-        powers = itertools.product(range(self.degree + 1), repeat=n_features)
-        return [exp for exp in powers if sum(exp) <= self.degree]
+        """All exponent tuples with total degree <= DEGREE, in lexicographic order."""
+        powers = itertools.product(range(DEGREE + 1), repeat=n_features)
+        return [exp for exp in powers if sum(exp) <= DEGREE]
 
     def design(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=float)
@@ -428,7 +430,7 @@ class PolynomialBasis:
         pows = []
         for c in range(d):
             col_pows = [np.ones(n)]
-            for _ in range(self.degree):
+            for _ in range(DEGREE):
                 col_pows.append(col_pows[-1] * features[:, c])
             pows.append(col_pows)
         exps = self.exponents(d)
@@ -442,14 +444,16 @@ class PolynomialBasis:
         return A
 
     def dimension(self, n_features: int) -> int:
-        return math.comb(n_features + self.degree, self.degree)
+        return math.comb(n_features + DEGREE, DEGREE)
+
+
+_BASIS = PolynomialBasis()
 
 
 @dataclass
 class ConditionalFit:
-    """Fitted polynomial conditional expectation, reusable out of sample."""
+    """Fitted conditional expectation on the cubic basis, reusable out of sample."""
 
-    basis: PolynomialBasis
     coeffs: np.ndarray
     feature_mean: np.ndarray
     feature_scale: np.ndarray
@@ -461,30 +465,33 @@ class ConditionalFit:
         if features.ndim == 1:
             features = features[:, None]
         z = (features - self.feature_mean) / self.feature_scale
-        return self.basis.design(z) @ self.coeffs
+        return _BASIS.design(z) @ self.coeffs
 
 
 class StateProjector:
-    """Least-squares projection onto polynomial features of one state sample.
+    """Least-squares projection onto the cubic basis in the features of one state sample.
 
-    Standardization, design, Gram matrix and rank check happen once; a
-    trace-scaled ridge (lambda = 1e-8 tr(A'A)/m) replaces the plain solve
-    when the design is rank-deficient.  Each ``fit`` solves one target on
+    The features (one column, or two) are standardized per column and
+    expanded into every monomial of total degree <= ``DEGREE``: 4 columns for
+    one feature, 10 for two.  A sample needs at least that many columns plus
+    10 paths, else ``InsufficientPaths``.  Standardization, design, Gram
+    matrix and rank check happen once; a trace-scaled ridge
+    (lambda = 1e-8 tr(A'A)/m) replaces the plain solve when the design is
+    rank-deficient.  Each ``fit`` solves one target on
     that Gram matrix, bit-identical to fitting the target alone.
     """
 
-    def __init__(self, features: np.ndarray, basis: PolynomialBasis | None = None):
-        self.basis = basis = basis or PolynomialBasis()
+    def __init__(self, features: np.ndarray):
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
             features = features[:, None]
-        n, dim = features.shape[0], basis.dimension(features.shape[1])
+        n, dim = features.shape[0], _BASIS.dimension(features.shape[1])
         if n < dim + 10:
             raise InsufficientPaths(f"{n} paths for a {dim}-dimensional basis (need >= {dim + 10})")
         self.feature_mean = features.mean(axis=0)
         self.feature_scale = features.std(axis=0)
         self.feature_scale[self.feature_scale == 0.0] = 1.0
-        self.design = basis.design((features - self.feature_mean) / self.feature_scale)
+        self.design = _BASIS.design((features - self.feature_mean) / self.feature_scale)
         # Normal equations on the standardized design; the tiny Gram solve is
         # far cheaper than a tall-matrix SVD at these path counts.
         gram = self.design.T @ self.design
@@ -497,7 +504,6 @@ class StateProjector:
         """Fit of one target, one value per path of the state sample."""
         coeffs = np.linalg.solve(self._gram, self.design.T @ np.asarray(values, dtype=float))
         return ConditionalFit(
-            basis=self.basis,
             coeffs=coeffs,
             feature_mean=self.feature_mean,
             feature_scale=self.feature_scale,
@@ -515,12 +521,7 @@ def state_features(bundle: NoiseBundle, node: int) -> np.ndarray:
 
 
 def conditional_derivative(
-    F: WienerFunctional,
-    bundle: NoiseBundle,
-    step: int,
-    mode: str,
-    basis: PolynomialBasis | None = None,
-    _memo: dict | None = None,
+    F: WienerFunctional, bundle: NoiseBundle, step: int, mode: str, _memo: dict | None = None
 ) -> np.ndarray:
     """Per-path E[D F | F_{t_i}] for the directions anchored at node t_i.
 
@@ -550,7 +551,7 @@ def conditional_derivative(
             vals = _stopped_value(d, bundle, step, memo)
         else:
             if projector is None:
-                projector = StateProjector(state_features(bundle, step), basis)
+                projector = StateProjector(state_features(bundle, step))
             vals = projector.fit(evaluate(d, bundle, memo)).fitted
         out[:, k] = vals
     return out[:, 0] if mode == "brownian" else out
@@ -623,13 +624,7 @@ def check_duality_mode(mode: str, levy: LevyMeasure) -> None:
         raise ValueError("jump-mode duality needs at least one atom")
 
 
-def check_duality(
-    F: WienerFunctional,
-    integrand,
-    mode: str,
-    noise: NoiseBundle,
-    basis: PolynomialBasis | None = None,
-) -> DualityReport:
+def check_duality(F: WienerFunctional, integrand, mode: str, noise: NoiseBundle) -> DualityReport:
     """Monte Carlo comparison of E[F * int phi dDriver] with the dual side
     E[int E[D F | F_t] phi d(t x measure)] on the noise bundle.
 
@@ -661,7 +656,7 @@ def check_duality(
     lhs_vals = evaluate(F, noise, memo) * (phi * driver()).sum(axis=(1, 2))
     rhs_vals = np.zeros(n_paths)
     for i in range(n_steps):
-        cond = conditional_derivative(F, noise, i, mode, basis=basis, _memo=memo).reshape(n_paths, -1)
+        cond = conditional_derivative(F, noise, i, mode, _memo=memo).reshape(n_paths, -1)
         for k, weight in enumerate(weights):
             rhs_vals += cond[:, k] * phi[:, i, k] * weight * dt
 
@@ -680,12 +675,7 @@ class ClarkOconeReport:
     seed: int
 
 
-def clark_ocone_reconstruct(
-    F: WienerFunctional,
-    noise: NoiseBundle,
-    basis: PolynomialBasis | None = None,
-    return_paths: bool = False,
-):
+def clark_ocone_reconstruct(F: WienerFunctional, noise: NoiseBundle, return_paths: bool = False):
     """Rebuild F as mean(F) + sum_i E[D_{t_i} F | F_{t_i}] dB_i per path.
 
     Covers the Brownian filtration only: trees containing jump integrals are
@@ -703,7 +693,7 @@ def clark_ocone_reconstruct(
     f_vals = evaluate(F, noise, memo)
     recon = np.full(noise.n_paths, f_vals.mean())
     for i in range(grid.n_steps):
-        cond = conditional_derivative(F, noise, i, "brownian", basis=basis, _memo=memo)
+        cond = conditional_derivative(F, noise, i, "brownian", _memo=memo)
         recon += cond * noise.dB[:, i]
     denom = float(np.mean(f_vals**2))
     err = float(np.mean((f_vals - recon) ** 2) / denom) if denom > 0.0 else 0.0

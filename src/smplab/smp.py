@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import AdjointTriple, hamiltonian_sum, solve_adjoint
-from .malliavin import PolynomialBasis, mean_se
+from .malliavin import mean_se
 from .model import ControlLaw, ControlledCoefficients, LevyMeasure, SpikedLaw, TimeGrid
 from .simulate import (
     LinearCoefficients,
@@ -73,12 +73,10 @@ def partials_along(coeffs: ControlledCoefficients, forward: PathBundle) -> Coeff
     return CoefficientPartials(**fields)
 
 
-def adjoint_for(
-    coeffs: ControlledCoefficients, forward: PathBundle, basis: PolynomialBasis | None = None
-) -> AdjointTriple:
+def adjoint_for(coeffs: ControlledCoefficients, forward: PathBundle) -> AdjointTriple:
     """Explicit adjoint triple along the simulated paths of a control
     (``solve_adjoint``); grid and atoms come from the path bundle's noise."""
-    return solve_adjoint(partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, basis)[0]
+    return solve_adjoint(partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward)[0]
 
 
 def spike_perturb(base: ControlLaw, grid: TimeGrid, tau: float, epsilon: float, v, x_at_tau=None) -> SpikedLaw:
@@ -105,22 +103,14 @@ def _running_cost(coeffs: ControlledCoefficients, forward: PathBundle, stop: int
     return total
 
 
-def performance_values(
-    law: ControlLaw,
-    coeffs: ControlledCoefficients,
-    noise: NoiseBundle,
-    x0: float,
-    forward: PathBundle | None = None,
-) -> np.ndarray:
-    """Per-path value of int f(t, X, u) dt + g(X(T)), left-Riemann in time."""
-    if forward is None:
-        forward = euler_forward(coeffs, law, noise, x0)
+def performance_values(coeffs: ControlledCoefficients, forward: PathBundle) -> np.ndarray:
+    """Per-path value of int f(t, X, u) dt + g(X(T)) on a simulated path bundle, left-Riemann in time."""
     return _running_cost(coeffs, forward) + coeffs.g(forward.X[:, -1])
 
 
 def spiked_values(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathBundle, prefixes: dict) -> np.ndarray:
     """Per-path value of the spiked law, run from its window on, bit for bit
-    ``performance_values(law, coeffs, forward.noise, x0)``.
+    ``performance_values(coeffs, euler_forward(coeffs, law, forward.noise, x0))``.
 
     ``forward`` is the path bundle of ``law.base``.  Before the window's first
     step the spiked and base paths coincide, so the run starts there from the
@@ -230,7 +220,6 @@ def check_necessary_condition(
     tau_grid,
     v_grid,
     eps_grid,
-    basis: PolynomialBasis | None = None,
 ) -> SmpVerdict:
     """Numerical verdict of the first-order optimality inequality.
 
@@ -250,8 +239,8 @@ def check_necessary_condition(
     check_spike_grids(coeffs, grid, tau_grid, v_grid, eps_grid)
 
     forward = euler_forward(coeffs, candidate, noise, x0)
-    triple = adjoint_for(coeffs, forward, basis=basis)
-    j_base = performance_values(candidate, coeffs, noise, x0, forward=forward)
+    triple = adjoint_for(coeffs, forward)
+    j_base = performance_values(coeffs, forward)
     times = grid.times()
     prefixes = {}
 
@@ -274,14 +263,9 @@ def check_necessary_condition(
                 dq[a, b, c], dq_se[a, b, c] = mean_se((j_eps - j_base) / eps)
 
     pass_cells = stat <= 3.0 * stat_se
-    gap_ok = np.ones(shape, dtype=bool)
-    for a in range(shape[0]):
-        for b in range(shape[1]):
-            gaps = np.abs(dq[a, b] - stat[a, b])
-            for c in range(len(eps_grid) - 1):
-                band = 3.0 * (dq_se[a, b, c] + dq_se[a, b, c + 1] + stat_se[a, b])
-                if gaps[c + 1] > gaps[c] + band:
-                    gap_ok[a, b] = False
+    gaps = np.abs(dq - stat[..., None])
+    band = 3.0 * (dq_se[..., :-1] + dq_se[..., 1:] + stat_se[..., None])
+    gap_ok = ~np.any(gaps[..., 1:] > gaps[..., :-1] + band, axis=-1)
     return SmpVerdict(
         tau_grid=tau_grid,
         v_grid=v_grid,

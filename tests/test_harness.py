@@ -8,7 +8,7 @@ import pytest
 
 from smplab.cli import main
 from smplab.errors import ConfigError, ReplayMismatch
-from smplab.harness import _family_keys, build_model, parse_config, replay, run, schema_for
+from smplab.harness import EXPERIMENTS, _family_keys, build_model, parse_config, replay, run, schema_for
 from smplab.model import OpenLoopLaw, TimeGrid, validate_coefficients
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import partials_along
@@ -132,7 +132,6 @@ class TestConfigParsing:
             ("simulate", "\n[model]\natoms = 0.0:1.0\n", {}),
             ("simulate", "\n[model]\natoms = 0.2:-1.0\n", {}),
             ("check-duality", "\n[model]\natoms = 0.2:1.0; 0.2:3.0\n[duality]\nmode = jump\nintegrand = constant\n", {}),
-            ("solve-bsde", "\n[basis]\ndegree = 0\n", {}),
             ("check-smp", "\n[smp]\ntau_grid = 1.0\n", {}),
             ("check-smp", "\n[smp]\neps_grid = 0.0\n", {}),
             ("check-smp", "\n[smp]\neps_grid = -0.1\n", {}),
@@ -158,7 +157,6 @@ class TestConfigParsing:
             ("check-duality", "\n[duality]\nmode = jump\nintegrand = zeta\n", {}),
             ("simulate", "\n[output]\ncsv_paths = -3\n", {}),
             ("check-smp", "\n[output]\ncsv_paths = 3\n", {}),
-            ("simulate", "\n[basis]\ndegree = 2\n", {}),
             ("simulate", "\n[model]\nfamily = linear\n", {}),
             ("convergence-study", "\n[model]\nfamily = linear\n[convergence]\nn_steps_list = 16, 32\n", {}),
             *(
@@ -198,7 +196,6 @@ class TestConfigParsing:
             "zero-jump-size",
             "negative-intensity",
             "repeated-jump-size",
-            "zero-basis-degree",
             "spike-at-horizon",
             "zero-spike-length",
             "negative-spike-length",
@@ -219,7 +216,6 @@ class TestConfigParsing:
             "jump-mode-without-atoms",
             "negative-csv-paths",
             "path-table-of-a-kind-without-one",
-            "basis-of-a-kind-that-fits-nothing",
             "linear-family",
             "linear-family-in-a-study",
             *(f"{kind}-with-quadratic-{key}" for kind in CLOSED_FORM_RUNS for key in ("b_poly", "sigma_poly", "gamma_poly")),
@@ -228,6 +224,16 @@ class TestConfigParsing:
     def test_bad_numbers_are_config_errors(self, tmp_path, kind, extra, grid):
         path = write_config(tmp_path, kind, extra=extra, **grid)
         with pytest.raises(ConfigError):
+            parse_config(path)
+        out = tmp_path / "out"
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", EXPERIMENTS)
+    def test_basis_section_is_unknown(self, tmp_path, kind):
+        # one fixed regression basis: no kind takes a [basis] section
+        path = write_config(tmp_path, kind, extra="\n[basis]\ndegree = 3\n")
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config section [basis] for experiment {kind!r}")):
             parse_config(path)
         out = tmp_path / "out"
         assert main([kind, "--config", str(path), "--out", str(out)]) == 2
@@ -485,16 +491,21 @@ class TestRunAndReplay:
         assert main(["replay", str(out / "report.json")]) == 2
 
     @pytest.mark.parametrize(
-        "section, key, ini",
-        [("basis", "degree", "\n[basis]\ndegree = 3\n"), ("mc", "threads", "threads = 3\n")],
-        ids=["section-of-another-kind", "unknown-key"],
+        "kind, section, key, ini",
+        [
+            ("check-smp", "output", "csv_paths", "\n[output]\ncsv_paths = 3\n"),
+            ("simulate", "mc", "threads", "threads = 3\n"),
+            # reports written while [basis] was a section embed it
+            ("solve-bsde", "basis", "degree", "\n[basis]\ndegree = 3\n"),
+        ],
+        ids=["section-of-another-kind", "unknown-key", "basis-of-an-older-report"],
     )
-    def test_replay_rejects_what_the_kind_does_not_take(self, tmp_path, section, key, ini):
+    def test_replay_rejects_what_the_kind_does_not_take(self, tmp_path, kind, section, key, ini):
         # the embedded config obeys the section rules of a config file, with its message
         with pytest.raises(ConfigError) as parsed:
-            parse_config(write_config(tmp_path, "simulate", extra=ini, n_paths=50, name="edited.ini"))
+            parse_config(write_config(tmp_path, kind, extra=ini, n_paths=50, name="edited.ini"))
         out = tmp_path / "out"
-        run(parse_config(write_config(tmp_path, "simulate", n_paths=50)), out_dir=out)
+        run(parse_config(write_config(tmp_path, kind, n_paths=50)), out_dir=out)
         blob = json.load(open(out / "report.json"))
         blob["config"].setdefault(section, {})[key] = 3
         json.dump(blob, open(out / "report.json", "w"))

@@ -18,7 +18,6 @@ from smplab.malliavin import (
     Compose,
     Constant,
     Jump,
-    PolynomialBasis,
     StateProjector,
     affine_map,
     bm_integral,

@@ -142,8 +142,8 @@ class TestSpikePerturb:
         noise = sample_noise(GRID, ATOM, 500, 30)
         base = OpenLoopLaw(np.full(100, 0.3))
         spiked = spike_perturb(base, GRID, 0.4, 0.2, 0.3)
-        j0 = performance_values(base, coeffs, noise, 1.0)
-        j1 = performance_values(spiked, coeffs, noise, 1.0)
+        j0 = performance_values(coeffs, euler_forward(coeffs, base, noise, 1.0))
+        j1 = performance_values(coeffs, euler_forward(coeffs, spiked, noise, 1.0))
         assert np.array_equal(j0, j1)
 
 
@@ -158,19 +158,20 @@ class TestPerformance:
             }
         )
         noise = sample_noise(GRID, NO_JUMPS, 100, 31)
-        estimate, _ = mean_se(performance_values(OpenLoopLaw(np.zeros(100)), zeroed, noise, 1.0))
+        estimate, _ = mean_se(performance_values(zeroed, euler_forward(zeroed, OpenLoopLaw(np.zeros(100)), noise, 1.0)))
         assert estimate == 0.0
 
     def test_deterministic_lq_value(self):
         coeffs = build_lq_coefficients(0.0)
         noise = sample_noise(GRID, NO_JUMPS, 16, 32)
-        estimate, _ = mean_se(performance_values(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0))
+        estimate, _ = mean_se(performance_values(coeffs, euler_forward(coeffs, OpenLoopLaw(np.zeros(100)), noise, 1.0)))
         assert estimate == pytest.approx(-0.5, abs=1e-12)
 
     def test_gaussian_second_moment(self):
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 100_000, 33)
-        estimate, se = mean_se(performance_values(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0))
+        forward = euler_forward(coeffs, OpenLoopLaw(np.zeros(100)), noise, 1.0)
+        estimate, se = mean_se(performance_values(coeffs, forward))
         assert abs(estimate - (-0.505)) <= 5 * se
 
 
@@ -276,7 +277,7 @@ class TestVerdictInputs:
 class TestSpikedValues:
     """The spike engine runs each spiked law from its window on, from the base
     state and the base running cost, and must reproduce the full re-simulation
-    ``performance_values(spike_perturb(...))`` bit for bit."""
+    ``performance_values`` of ``spike_perturb(...)`` bit for bit."""
 
     GRID = TimeGrid(1.0, 40)
     # tau on a node, tau inside a step, tau = 0, windows that end at T, and a
@@ -312,7 +313,7 @@ class TestSpikedValues:
             x_tau = forward.X[:, grid.step_of(tau)]
             for v in (-0.5, 0.3, 0.8, lambda x: 2.0 * x):
                 law = spike_perturb(candidate, grid, tau, eps, v, x_at_tau=x_tau)
-                expected = performance_values(law, coeffs, noise, 0.7)
+                expected = performance_values(coeffs, euler_forward(coeffs, law, noise, 0.7))
                 assert np.array_equal(spiked_values(law, coeffs, forward, {}), expected), (tau, eps, v)
                 assert np.array_equal(spiked_values(law, coeffs, forward, prefixes), expected), (tau, eps, v)
 
@@ -443,6 +444,23 @@ class TestNecessaryCondition:
         gaps = np.abs(verdict.diff_quotient[0, 0] - verdict.statistic[0, 0])
         assert gaps[-1] < 0.5 * gaps[0]
         assert verdict.passed == bool(verdict.statistic[0, 0] <= 3 * verdict.statistic_se[0, 0])
+
+    def test_gap_rule_per_cell(self):
+        # a cell's gap fails when it grows along shrinking eps by more than its
+        # 3 SE band; with one eps there is no pair to compare, so every cell holds.
+        # Under a convex payoff g = x^2/2 the gap at v = 1 is about 1/2 - eps/2, so it grows
+        coeffs = polynomial_coefficients(b_u=1.0, sigma_poly=(0.05,), u_cost=1.0, g_poly=(0.0, 0.0, 0.5))
+        noise = sample_noise(GRID, NO_JUMPS, 500, 47)
+        law = OpenLoopLaw(np.zeros(100))
+        verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.25, 0.5], [0.0, 1.0], [0.2, 0.1, 0.05])
+        assert verdict.gap_shrinks.tolist() == [[True, False], [True, False]]
+        for a, b in np.ndindex(verdict.gap_shrinks.shape):
+            gaps = np.abs(verdict.diff_quotient[a, b] - verdict.statistic[a, b])
+            se, stat_se = verdict.diff_quotient_se[a, b], verdict.statistic_se[a, b]
+            grows = [gaps[c + 1] > gaps[c] + 3.0 * (se[c] + se[c + 1] + stat_se) for c in range(2)]
+            assert verdict.gap_shrinks[a, b] == (not any(grows))
+        single = check_necessary_condition(law, coeffs, noise, 1.0, [0.25, 0.5], [0.0, 1.0], [0.2])
+        assert single.gap_shrinks.shape == (2, 2) and single.gap_shrinks.all()
 
     def test_suboptimal_constant_control_fails(self):
         coeffs = build_lq_coefficients(0.1)
