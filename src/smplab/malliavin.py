@@ -21,6 +21,7 @@ on the time-t driving state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import InsufficientPaths, JumpDependentFunctional, NonAdaptedIntegrand, UnsupportedNode
 from .model import LevyMeasure, TimeGrid
-from .simulate import NoiseBundle, row_blocks
+from .simulate import ROW_BLOCK, NoiseBundle, row_blocks
 
 # --------------------------------------------------------------------------
 # Smooth maps
@@ -349,17 +350,22 @@ def _running_path(leaf: BMIntegral | JumpIntegral, bundle: NoiseBundle, memo: di
     if hit is not None and hit[0] is leaf:
         return hit[1]
     _check_leaf(leaf, bundle)
-    if isinstance(leaf, BMIntegral):
-        increments = leaf.values[:, None] * bundle.dB.T
-    else:
-        increments = np.einsum("pik,ik->ip", bundle.compensated_counts(), leaf.values, order="C")
-    # The running sum node by node adds contiguous rows; it is the sum that
-    # np.cumsum(axis=0) forms, without walking the array across its layout.
+    # Row i + 1 first holds the increment over step i, then the running sum.
     out = np.empty((bundle.grid.n_steps + 1, bundle.n_paths))
     out[0] = 0.0
-    out[1] = increments[0]
+    if isinstance(leaf, BMIntegral):
+        np.multiply(leaf.values[:, None], bundle.dB.T, out=out[1:])
+    else:
+        # The counts are path-major; a block of ROW_BLOCK paths at a time keeps
+        # the transposing product in cache, with the bits of one einsum.
+        comp = bundle.compensated_counts()
+        for start in range(0, bundle.n_paths, ROW_BLOCK):
+            stop = start + ROW_BLOCK
+            np.einsum("pik,ik->ip", comp[start:stop], leaf.values, out=out[1:, start:stop])
+    # The running sum node by node adds contiguous rows; it is the sum that
+    # np.cumsum(axis=0) forms, without walking the array across its layout.
     for i in range(1, bundle.grid.n_steps):
-        np.add(out[i], increments[i], out=out[i + 1])
+        np.add(out[i], out[i + 1], out=out[i + 1])
     memo[key] = (leaf, out)
     return out
 
@@ -413,34 +419,55 @@ def hm_derivative(F: WienerFunctional, direction: Brownian | Jump) -> WienerFunc
 DEGREE = 3
 
 
+@functools.lru_cache(maxsize=None)
+def _design_plan(n_features: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+    """Exponent tuples of total degree <= DEGREE in lexicographic order, and
+    how ``design`` builds every column after the constant one: (j, source, c)
+    writes x_c^p = x_c^(p-1) * x_c into column j from column source, that of
+    x_c^(p-1); (j, sources, None) writes the product of the pure-power columns
+    ``sources`` taken left to right.  In lexicographic order every column a
+    term reads comes before it."""
+    powers = itertools.product(range(DEGREE + 1), repeat=n_features)
+    exps = tuple(exp for exp in powers if sum(exp) <= DEGREE)
+    column = {exp: j for j, exp in enumerate(exps)}
+
+    def pure(c: int, p: int) -> int:
+        return column[tuple(p if k == c else 0 for k in range(n_features))]
+
+    steps = []
+    for j, exp in enumerate(exps[1:], start=1):
+        used = [(c, p) for c, p in enumerate(exp) if p]
+        if len(used) == 1:
+            c, p = used[0]
+            steps.append((j, pure(c, p - 1), c))
+        else:
+            steps.append((j, tuple(pure(c, p) for c, p in used), None))
+    return exps, tuple(steps)
+
+
 class PolynomialBasis:
     """Monomials of total degree <= ``DEGREE`` in the feature columns."""
 
     def exponents(self, n_features: int) -> list[tuple[int, ...]]:
         """All exponent tuples with total degree <= DEGREE, in lexicographic order."""
-        powers = itertools.product(range(DEGREE + 1), repeat=n_features)
-        return [exp for exp in powers if sum(exp) <= DEGREE]
+        return list(_design_plan(n_features)[0])
 
     def design(self, features: np.ndarray) -> np.ndarray:
+        """The C-ordered (n, dimension) design, each monomial written straight
+        into its column by repeated multiplication, as ``_design_plan`` says."""
         features = np.asarray(features, dtype=float)
         if features.ndim == 1:
             features = features[:, None]
-        n, d = features.shape
-        # cumulative powers per feature, built once
-        pows = []
-        for c in range(d):
-            col_pows = [np.ones(n)]
-            for _ in range(DEGREE):
-                col_pows.append(col_pows[-1] * features[:, c])
-            pows.append(col_pows)
-        exps = self.exponents(d)
-        A = np.empty((n, len(exps)))
-        for j, exp in enumerate(exps):
-            term = None
-            for c, p in enumerate(exp):
-                if p:
-                    term = pows[c][p] if term is None else term * pows[c][p]
-            A[:, j] = 1.0 if term is None else term
+        exps, steps = _design_plan(features.shape[1])
+        A = np.empty((features.shape[0], len(exps)))
+        A[:, 0] = 1.0
+        for j, source, c in steps:
+            if c is not None:
+                np.multiply(A[:, source], features[:, c], out=A[:, j])
+                continue
+            np.multiply(A[:, source[0]], A[:, source[1]], out=A[:, j])
+            for k in source[2:]:
+                np.multiply(A[:, j], A[:, k], out=A[:, j])
         return A
 
     def dimension(self, n_features: int) -> int:

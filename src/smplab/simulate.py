@@ -5,13 +5,17 @@ Sampling is counter-based: path k draws from a Philox generator keyed by
 of worker count, and the first k paths of an n-path ensemble coincide with
 the k-path ensemble for the same seed.
 
-``sample_noise`` splits the paths into contiguous chunks and draws every
-chunk but the first in a forked child, writing into shared memory.  The
-number of chunks is the number of CPUs in the process's affinity set
-(``os.sched_getaffinity``; one where the platform has none), capped at one
-chunk per ``FORK_CHUNK_PATHS`` paths, so smaller bundles and one-CPU
-processes draw in the calling process.  No setting selects it: the bits are
-the same either way.
+Two computations fork: ``sample_noise`` (per path) and
+``smp.check_necessary_condition`` (per spiked cell).  Each splits its work
+into contiguous chunks of about equal path-steps and runs every chunk but
+the first in a forked child that writes into shared memory (``run_chunks``).
+The number of chunks is ``fork_chunk_count``: the number of CPUs in the
+process's affinity set (``os.sched_getaffinity``; one where the platform has
+none), capped by the number of work items and at one chunk per
+``FORK_CHUNK_PATHS`` x N path-steps, so small runs and one-CPU processes
+compute in the calling process.  A chunk whose child fails is run again in
+the calling process, so a failure raises what the in-process run raises.  No
+setting selects any of it: the bits are the same either way.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ MAX_STEP_RATE = 1e4
 # Rows per block of ``row_blocks`` and of the Brownian draw in ``sample_noise``.
 ROW_BLOCK = 1024
 
-# Fewest paths per forked chunk of ``sample_noise``: below two chunks the draw
+# Fewest paths (of N steps each) per forked chunk: below two chunks the work
 # stays in the calling process, where a fork costs more than it saves.
 FORK_CHUNK_PATHS = 32_768
 
@@ -167,7 +171,7 @@ def _draw_paths(seed: int, rates: np.ndarray, sqrt_dt: float, dB: np.ndarray, co
             counts[start : start + n] = count_block[:n]
 
 
-def _shared_zeros(shape: tuple[int, ...], dtype, order: str) -> np.ndarray:
+def shared_zeros(shape: tuple[int, ...], dtype, order: str = "C") -> np.ndarray:
     """A zeroed array in an anonymous shared mapping, which forked children write through."""
     import math
     import mmap
@@ -178,10 +182,24 @@ def _shared_zeros(shape: tuple[int, ...], dtype, order: str) -> np.ndarray:
     return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, nbytes), order=order)
 
 
-def _draw_chunks(draw, bounds: list[int]) -> None:
-    """Run ``draw(lo, hi)`` on every chunk [bounds[j], bounds[j+1]): the first in
-    this process, each other one in a forked child.  Returns once every child
-    has exited with status 0 and raises otherwise; no child outlives the call."""
+def fork_chunk_count(path_steps: int, n_steps: int, n_items: int) -> int:
+    """Chunks for ``run_chunks``: one per CPU in the affinity set, at most one
+    per work item and per ``FORK_CHUNK_PATHS`` x ``n_steps`` path-steps, at least one."""
+    import os
+
+    # macOS and Windows have no affinity set; there the calling process does all the work
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, n_items, path_steps // (FORK_CHUNK_PATHS * n_steps)))
+
+
+def run_chunks(work, bounds: list[int]) -> None:
+    """Run ``work(lo, hi)`` on every chunk [bounds[j], bounds[j+1]): the first in
+    this process, each other one in a forked child.
+
+    A chunk whose child does not exit with status 0 is run again in this
+    process, in chunk order, once every child has exited; so the call raises
+    what running every chunk here in order raises.  No child outlives the call.
+    """
     import os
     import signal
 
@@ -192,52 +210,48 @@ def _draw_chunks(draw, bounds: list[int]) -> None:
             if pid == 0:
                 # the child never returns into the caller's frames
                 try:
-                    draw(lo, hi)
+                    work(lo, hi)
                 except BaseException:
                     os._exit(1)
                 os._exit(0)
             pids.append(pid)
-        draw(bounds[0], bounds[1])
+        work(bounds[0], bounds[1])
         statuses = []
         while pids:
             _, wait_status = os.waitpid(pids[0], 0)
             pids.pop(0)
             statuses.append(os.waitstatus_to_exitcode(wait_status))
-        if any(statuses):
-            raise RuntimeError(f"a noise-drawing worker failed: exit statuses {statuses}")
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+    for j, status in enumerate(statuses, start=1):
+        if status:
+            work(bounds[j], bounds[j + 1])
 
 
 def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> NoiseBundle:
     """Draw a noise bundle, deterministic in (grid, levy, n_paths, seed).
 
-    The paths split into the contiguous chunks of the module docstring; every
-    chunk but the first is drawn in a forked child into shared memory.
+    The paths split into ``fork_chunk_count`` contiguous chunks of equal
+    size; every chunk but the first is drawn in a forked child into shared
+    memory (``run_chunks``).
     """
-    # os, mmap and signal are imported by the draw that uses them, not by
-    # importing this module.
-    import os
-
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_steps = grid.n_steps
     sqrt_dt = np.sqrt(grid.dt)
     rates = step_rates(grid, levy)
     dB_shape, counts_shape = (n_paths, n_steps), (n_paths, n_steps, levy.n_atoms)
-    # macOS and Windows have no affinity set; there the calling process draws every path
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_chunks = max(1, min(cpus, n_paths // FORK_CHUNK_PATHS))
+    n_chunks = fork_chunk_count(n_paths * n_steps, n_steps, n_paths)
     if n_chunks == 1:
         dB = np.empty(dB_shape, order="F")
         counts = np.zeros(counts_shape, dtype=np.int16)
     else:
-        dB = _shared_zeros(dB_shape, float, "F")
-        counts = _shared_zeros(counts_shape, np.int16, "C")
+        dB = shared_zeros(dB_shape, float, "F")
+        counts = shared_zeros(counts_shape, np.int16, "C")
     bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
-    _draw_chunks(lambda lo, hi: _draw_paths(seed, rates, sqrt_dt, dB, counts, lo, hi), bounds)
+    run_chunks(lambda lo, hi: _draw_paths(seed, rates, sqrt_dt, dB, counts, lo, hi), bounds)
     dB.flags.writeable = False
     counts.flags.writeable = False
     return NoiseBundle(grid=grid, levy=levy, n_paths=n_paths, seed=seed, dB=dB, jump_counts=counts)

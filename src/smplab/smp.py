@@ -7,6 +7,15 @@ passes when every statistic is below 3 standard errors (one-sided) and the
 quotient-statistic gaps shrink as eps does, within Monte Carlo bands.  A
 spiked path equals the base path before its window, so each spiked run
 starts at the window from the base state (``spiked_values``).
+
+The spiked runs are independent given the candidate's path bundle, so the
+verdict splits its (tau, v, eps) cells, in order, into contiguous chunks of
+about equal path-steps and runs every chunk but the first in a forked child
+(``simulate.run_chunks``, chunk count ``simulate.fork_chunk_count``); small
+verdicts and one-CPU processes run every cell in the calling process.  A
+failed chunk is run again in the calling process, so the verdict raises
+what the in-process run raises.  No setting selects it: the bits are the
+same either way.
 """
 
 from __future__ import annotations
@@ -24,7 +33,10 @@ from .simulate import (
     PathBundle,
     _euler_step,
     euler_forward,
+    fork_chunk_count,
     linear_closed_form,
+    run_chunks,
+    shared_zeros,
 )
 
 
@@ -108,6 +120,12 @@ def performance_values(coeffs: ControlledCoefficients, forward: PathBundle) -> n
     return _running_cost(coeffs, forward) + coeffs.g(forward.X[:, -1])
 
 
+def _run_start(law: SpikedLaw) -> int:
+    """First step at which the spiked path can leave the base path: the window's
+    first step, or N for a window that meets no step."""
+    return int(np.argmax(law.window)) if law.window.any() else law.window.shape[0]
+
+
 def spiked_values(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathBundle, prefixes: dict) -> np.ndarray:
     """Per-path value of the spiked law, run from its window on, bit for bit
     ``performance_values(coeffs, euler_forward(coeffs, law, forward.noise, x0))``.
@@ -122,7 +140,7 @@ def spiked_values(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathB
     """
     grid = forward.grid
     n_steps = grid.n_steps
-    start = int(np.argmax(law.window)) if law.window.any() else n_steps
+    start = _run_start(law)
     if start not in prefixes:
         prefixes[start] = _running_cost(coeffs, forward, start)
     total = prefixes[start].copy()
@@ -212,6 +230,19 @@ def check_spike_grids(coeffs: ControlledCoefficients, grid: TimeGrid, tau_grid, 
             grid.window_steps(tau, eps)
 
 
+def _balanced_bounds(costs: list[int], n_chunks: int) -> list[int]:
+    """Bounds of ``n_chunks`` non-empty contiguous ranges of the items, each
+    cut at the item boundary nearest an equal share of the summed costs."""
+    n = len(costs)
+    before = np.concatenate([[0], np.cumsum(costs)])
+    bounds = [0]
+    for j in range(1, n_chunks):
+        target = before[-1] * j / n_chunks
+        cut = int(np.argmin(np.abs(before - target)))
+        bounds.append(min(max(cut, bounds[-1] + 1), n - (n_chunks - j)))
+    return bounds + [n]
+
+
 def check_necessary_condition(
     candidate: ControlLaw,
     coeffs: ControlledCoefficients,
@@ -230,7 +261,8 @@ def check_necessary_condition(
     The inputs are checked first (``check_spike_grids``).  The candidate is
     simulated once; every (tau, v, eps) run starts at its window from the
     base state and the base running cost (``spiked_values``), and the runs
-    that start at one step share that cost.
+    that start at one step in one process share that cost.  The runs go in
+    forked chunks as the module docstring says.
     """
     grid, levy = noise.grid, noise.levy
     tau_grid = [float(t) for t in tau_grid]
@@ -242,13 +274,11 @@ def check_necessary_condition(
     triple = adjoint_for(coeffs, forward)
     j_base = performance_values(coeffs, forward)
     times = grid.times()
-    prefixes = {}
 
     shape = (len(tau_grid), len(v_grid))
     stat = np.empty(shape)
     stat_se = np.empty(shape)
-    dq = np.empty(shape + (len(eps_grid),))
-    dq_se = np.empty(shape + (len(eps_grid),))
+    cells = []  # (spiked law, eps) in (tau, v, eps) order
 
     for a, tau in enumerate(tau_grid):
         i = grid.step_of(tau)
@@ -257,10 +287,24 @@ def check_necessary_condition(
         dh_du = hamiltonian_du(t_i, x_i, u_i, triple.p[:, i], triple.q[:, i], triple.r[:, i], coeffs, levy)
         for b, v in enumerate(v_grid):
             stat[a, b], stat_se[a, b] = mean_se(dh_du * (v - u_i))
-            for c, eps in enumerate(eps_grid):
-                law = spike_perturb(candidate, grid, tau, eps, v, x_at_tau=x_i)
-                j_eps = spiked_values(law, coeffs, forward, prefixes)
-                dq[a, b, c], dq_se[a, b, c] = mean_se((j_eps - j_base) / eps)
+            for eps in eps_grid:
+                cells.append((spike_perturb(candidate, grid, tau, eps, v, x_at_tau=x_i), eps))
+
+    # one (quotient, SE) row per cell; forked chunks write their rows through shared memory
+    costs = [noise.n_paths * (grid.n_steps - _run_start(law)) for law, _ in cells]
+    n_chunks = fork_chunk_count(sum(costs), grid.n_steps, len(cells))
+    quotients = shared_zeros((len(cells), 2), float)
+    prefixes = {}
+
+    def run_cells(lo: int, hi: int) -> None:
+        for k in range(lo, hi):
+            law, eps = cells[k]
+            j_eps = spiked_values(law, coeffs, forward, prefixes)
+            quotients[k] = mean_se((j_eps - j_base) / eps)
+
+    run_chunks(run_cells, _balanced_bounds(costs, n_chunks))
+    dq = np.array(quotients[:, 0]).reshape(shape + (len(eps_grid),))
+    dq_se = np.array(quotients[:, 1]).reshape(shape + (len(eps_grid),))
 
     pass_cells = stat <= 3.0 * stat_se
     gaps = np.abs(dq - stat[..., None])

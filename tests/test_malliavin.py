@@ -338,6 +338,27 @@ class TestProjection:
         assert np.abs(fit(fresh) - fresh).max() < 0.05
 
 
+class TestDesign:
+    @pytest.mark.parametrize("n_features", [1, 2, 3])
+    def test_bits_of_repeated_multiplication(self, n_features):
+        # column of exponent e: the powers x_c^p = ((x_c * x_c) ...) of each used
+        # feature, multiplied left to right, on signed zeros, inf and nan too
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((500, n_features)) * 3.0
+        x[:5], x[5:10], x[10, 0], x[11, -1], x[12, 0] = 0.0, -0.0, np.inf, np.nan, -1e-200
+        basis = malliavin.PolynomialBasis()
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = basis.design(x)
+            expected = np.empty_like(A)
+            for j, exp in enumerate(basis.exponents(n_features)):
+                terms = [math.prod([x[:, c]] * p) if p > 1 else x[:, c] for c, p in enumerate(exp) if p]
+                expected[:, j] = math.prod(terms) if terms else 1.0
+        assert A.shape == (500, math.comb(n_features + malliavin.DEGREE, malliavin.DEGREE))
+        assert A.flags.c_contiguous
+        assert A.tobytes() == expected.tobytes()
+        assert basis.design(x[:, 0]).tobytes() == basis.design(x[:, :1]).tobytes()
+
+
 class TestDuality:
     def test_brownian_duality_squared(self):
         report = check_duality(bm_squared(), lambda b: b.brownian()[:, :-1], "brownian", draw(50_000, 11))
@@ -533,10 +554,15 @@ class TestConditionalDerivative:
 
 
 class TestRunningPath:
-    @pytest.mark.parametrize("levy", [NO_JUMPS, LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])], ids=["brownian", "jump-K2"])
+    @pytest.mark.parametrize(
+        "levy",
+        [NO_JUMPS, LevyMeasure.from_pairs([(0.2, 1.0)]), LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])],
+        ids=["brownian", "jump-K1", "jump-K2"],
+    )
     def test_bits_of_the_cumulative_sum(self, levy):
         # node by node addition gives the bits of np.cumsum over the path-major
-        # increments; h = 0 on the first step makes signed zeros there
+        # increments; h = 0 on the first step makes signed zeros there.  3000
+        # paths end inside a block of the blocked jump product
         noise = draw(3000, 38, levy)
         h = np.linspace(-1.0, 2.0, GRID.n_steps)
         h[0] = 0.0

@@ -135,31 +135,6 @@ def per_path_reference(grid, levy, n_paths, seed):
     return dB, counts
 
 
-@pytest.fixture
-def fork_seams(monkeypatch):
-    """Set the CPU count and the chunk size of ``sample_noise``, and record its forks."""
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    def set_seams(cpus, chunk_paths):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(simulate, "FORK_CHUNK_PATHS", chunk_paths)
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return set_seams, forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestForkedDraw:
     @pytest.mark.parametrize("levy", sorted(LEVIES), ids=str)
     @pytest.mark.parametrize(
@@ -180,7 +155,6 @@ class TestForkedDraw:
         seed = 2**64 + 7
         bundle = sample_noise(GRID, LEVIES[levy], n_paths, seed)
         assert len(forks) == n_forks
-        assert_no_child_left()
         ref_db, ref_counts = per_path_reference(GRID, LEVIES[levy], n_paths, seed)
         assert np.array_equal(bundle.dB, ref_db)
         assert np.array_equal(bundle.jump_counts, ref_counts)
@@ -198,6 +172,8 @@ class TestForkedDraw:
         assert np.array_equal(bundle.dB, ref_db) and np.array_equal(bundle.jump_counts, ref_counts)
 
     def test_failed_worker_raises(self, fork_seams, monkeypatch):
+        # the failed chunks are drawn again in the caller, which raises what
+        # the worker raised
         set_seams, forks = fork_seams
         set_seams(3, 100)
         real_draw = simulate._draw_paths
@@ -208,10 +184,27 @@ class TestForkedDraw:
             real_draw(*args)
 
         monkeypatch.setattr(simulate, "_draw_paths", failing_in_worker)
-        with pytest.raises(RuntimeError, match="worker failed"):
+        with pytest.raises(MemoryError, match="worker out of memory"):
             sample_noise(GRID, ATOM, 600, 5)
         assert len(forks) == 2
-        assert_no_child_left()
+
+    def test_chunk_of_a_failed_worker_is_drawn_in_the_caller(self, fork_seams, monkeypatch):
+        # a failure that happens only in a child leaves the bundle of the serial draw
+        set_seams, forks = fork_seams
+        set_seams(3, 100)
+        real_draw = simulate._draw_paths
+        caller = os.getpid()
+
+        def failing_in_a_child(*args):
+            if os.getpid() != caller:
+                os._exit(9)
+            real_draw(*args)
+
+        monkeypatch.setattr(simulate, "_draw_paths", failing_in_a_child)
+        bundle = sample_noise(GRID, ATOM, 600, 5)
+        assert len(forks) == 2
+        ref_db, ref_counts = per_path_reference(GRID, ATOM, 600, 5)
+        assert np.array_equal(bundle.dB, ref_db) and np.array_equal(bundle.jump_counts, ref_counts)
 
     def test_failure_in_the_caller_leaves_no_worker(self, fork_seams, monkeypatch):
         set_seams, forks = fork_seams
@@ -227,7 +220,35 @@ class TestForkedDraw:
         with pytest.raises(ValueError, match="caller failed"):
             sample_noise(GRID, ATOM, 600, 5)
         assert len(forks) == 2
-        assert_no_child_left()
+
+
+class TestRunChunks:
+    def test_failed_chunks_run_again_in_chunk_order(self, fork_seams):
+        # every chunk but the caller's fails, in its child and again in the
+        # caller: the call raises the failure of the first failed chunk
+        _, forks = fork_seams
+        done = simulate.shared_zeros((12,), np.int8)
+
+        def work(lo, hi):
+            if lo:
+                raise ValueError(f"chunk from {lo}")
+            done[lo:hi] = 1
+
+        with pytest.raises(ValueError, match="chunk from 3$"):
+            simulate.run_chunks(work, [0, 3, 7, 12])
+        assert len(forks) == 2
+        assert done.tolist() == [1] * 3 + [0] * 9
+
+    def test_every_chunk_written_once(self, fork_seams):
+        _, forks = fork_seams
+        hits = simulate.shared_zeros((12,), np.int64)
+
+        def work(lo, hi):
+            hits[lo:hi] += 1
+
+        simulate.run_chunks(work, [0, 3, 7, 12])
+        assert len(forks) == 2
+        assert hits.tolist() == [1] * 12
 
 
 class TestEulerForward:

@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smplab import smp
 from smplab.errors import NonFiniteState
 from smplab.harness import _plain, build_model, parse_config, run
 from smplab.malliavin import mean_se
@@ -21,6 +23,7 @@ from smplab.model import (
 )
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import (
+    SmpVerdict,
     adjoint_for,
     check_necessary_condition,
     hamiltonian,
@@ -507,3 +510,114 @@ class TestNecessaryCondition:
         # row (tau, v, eps) = (0.75, 0.0, 0.1): floats at 17 digits, the cell's pass flag as a bool
         cells = [0.75, 0.0, 0.1, verdict.statistic[1, 0], verdict.statistic_se[1, 0], verdict.diff_quotient[1, 0, 1]]
         assert rows[6] == [format(v, ".17g") for v in cells] + [str(bool(verdict.pass_cells[1, 0]))]
+
+
+class TestForkedVerdict:
+    """The verdict runs its spiked cells in forked chunks of about equal
+    path-steps (``simulate.run_chunks``) and must give the in-process verdict
+    bit for bit; a failed cell raises what the in-process run raises."""
+
+    # runs start at steps 10, 50 and 85: 4 cells each of 90, 50 and 15 steps.
+    # Two chunks cut after cell 3 and three chunks after cells 2 and 5, so
+    # cells that share a running-cost prefix land in different processes
+    TAUS, VS, EPS = [0.1, 0.5, 0.85], [-0.5, 0.8], [0.1, 0.05]
+    N_PATHS = 300
+
+    @staticmethod
+    def verdict_fields(verdict):
+        return {f.name: getattr(verdict, f.name) for f in dataclasses.fields(SmpVerdict)}
+
+    @pytest.mark.parametrize("levy", [NO_JUMPS, ATOM], ids=["no-atoms", "one-atom"])
+    @pytest.mark.parametrize("cpus, n_forks", [(2, 1), (3, 2)])
+    def test_bits_of_the_in_process_verdict(self, fork_seams, levy, cpus, n_forks):
+        set_seams, forks = fork_seams
+        coeffs = TestSpikedValues.coeffs()
+        candidate = FeedbackLaw(lambda step, t, x: 1.5 - 2.0 * x + 0.02 * step)
+        noise = sample_noise(GRID, levy, self.N_PATHS, 48)
+        args = (candidate, coeffs, noise, 0.7, self.TAUS, self.VS, self.EPS)
+        set_seams(1, 1)
+        serial = check_necessary_condition(*args)
+        assert forks == []
+        # 12 cells of 620 x 300 path-steps in all: one chunk per 100 x 100 path-steps
+        # would allow 18 chunks, so the CPUs decide
+        set_seams(cpus, 100)
+        forked = check_necessary_condition(*args)
+        assert len(forks) == n_forks
+        for name, value in self.verdict_fields(serial).items():
+            other = self.verdict_fields(forked)[name]
+            if isinstance(value, np.ndarray):
+                assert value.dtype == other.dtype and np.array_equal(value, other), name
+                assert np.array_equal(np.signbit(value), np.signbit(other)), name
+            else:
+                assert value == other, name
+
+    @pytest.mark.parametrize("chunk_paths, n_forks", [(1861, 0), (1860, 0), (930, 1), (620, 2), (1, 2)])
+    def test_forks_above_the_work_floor(self, fork_seams, chunk_paths, n_forks):
+        # 186,000 path-steps, at chunk_paths x N = 100 path-steps per chunk: one
+        # chunk at 1860 paths, two at 930, three at 620; three CPUs cap the count
+        set_seams, forks = fork_seams
+        noise = sample_noise(GRID, NO_JUMPS, self.N_PATHS, 49)
+        set_seams(3, chunk_paths)
+        law = OpenLoopLaw(np.zeros(100))
+        check_necessary_condition(law, build_lq_coefficients(0.1), noise, 1.0, self.TAUS, [0.0, 1.0], self.EPS)
+        assert len(forks) == n_forks
+
+    def test_at_most_one_chunk_per_cell(self, fork_seams):
+        set_seams, forks = fork_seams
+        noise = sample_noise(GRID, NO_JUMPS, self.N_PATHS, 49)
+        set_seams(8, 1)
+        law = OpenLoopLaw(np.zeros(100))
+        check_necessary_condition(law, build_lq_coefficients(0.1), noise, 1.0, [0.2, 0.6], [1.0], [0.1, 0.05])
+        assert len(forks) == 3
+
+    @pytest.mark.parametrize(
+        "costs, n_chunks, bounds",
+        [([90] * 4 + [50] * 4 + [15] * 4, 2, [0, 3, 12]), ([90] * 4 + [50] * 4 + [15] * 4, 3, [0, 2, 5, 12]),
+         ([100, 1, 1], 3, [0, 1, 2, 3]), ([1, 1, 100], 2, [0, 2, 3]), ([5, 5], 1, [0, 2])],
+    )
+    def test_balanced_bounds(self, costs, n_chunks, bounds):
+        # each cut at the cell boundary nearest an equal share, no chunk empty
+        assert smp._balanced_bounds(costs, n_chunks) == bounds
+
+    @staticmethod
+    def exploding(switch_on: float):
+        # the exploding drift of TestSpikedValues, switched on by the control from time switch_on
+        coeffs = polynomial_coefficients(sigma_poly=(0.0, 0.5))
+
+        def drift(t, x, u):
+            return np.asarray(u, dtype=float) * np.exp(np.asarray(x, dtype=float) ** 2) * (np.asarray(t) >= switch_on)
+
+        return ControlledCoefficients(**{**coeffs.__dict__, "b": drift})
+
+    def test_non_finite_state_in_a_child_as_in_process(self, fork_seams):
+        # the caller runs the cells of tau = 0.1 but one, whose runs stay
+        # finite; the v = 1 cells at tau = 0.5 overflow in the child
+        set_seams, forks = fork_seams
+        coeffs = self.exploding(0.4)
+        noise = sample_noise(GRID, NO_JUMPS, 64, 47)
+        args = (OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.5, [0.1, 0.5], [0.0, 1.0], [0.2, 0.1])
+        set_seams(1, 1)
+        with pytest.raises(NonFiniteState) as serial:
+            check_necessary_condition(*args)
+        set_seams(2, 1)
+        with pytest.raises(NonFiniteState) as forked:
+            check_necessary_condition(*args)
+        assert len(forks) == 1
+        assert serial.value.step >= 50
+        assert (forked.value.step, forked.value.path) == (serial.value.step, serial.value.path)
+
+    def test_failure_in_the_callers_chunk_leaves_no_child(self, fork_seams):
+        # every v = 1 cell overflows, the first of them in the caller's chunk;
+        # the fixture checks that no child is left
+        set_seams, forks = fork_seams
+        coeffs = self.exploding(0.0)
+        noise = sample_noise(GRID, NO_JUMPS, 64, 47)
+        args = (OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.5, [0.1, 0.5], [1.0, 0.0], [0.2, 0.1])
+        set_seams(1, 1)
+        with pytest.raises(NonFiniteState) as serial:
+            check_necessary_condition(*args)
+        set_seams(2, 1)
+        with pytest.raises(NonFiniteState) as forked:
+            check_necessary_condition(*args)
+        assert len(forks) == 1
+        assert (forked.value.step, forked.value.path) == (serial.value.step, serial.value.path)
