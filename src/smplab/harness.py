@@ -221,13 +221,6 @@ def _family_keys(family: str) -> set:
     return {"family", "x0", "atoms"} | {key for spec in specs for key in (spec if isinstance(spec, tuple) else (spec,))}
 
 
-def _check_model_keys(model: dict, family: str) -> None:
-    """Every key of a [model] section is one that its family reads."""
-    stray = [key for key in model if key not in _family_keys(family)]
-    if stray:
-        raise ConfigError(f"[model] {', '.join(stray)} not read by the {family!r} family")
-
-
 def schema_for(kind: str, family: str | None = None) -> dict:
     """Sections and keys of ``kind``; with a ``family``, [model] holds only the keys it reads."""
     if kind not in EXPERIMENTS:
@@ -242,14 +235,22 @@ def schema_for(kind: str, family: str | None = None) -> dict:
     return schema
 
 
-def _check_known(given: dict, kind: str, schema: dict) -> None:
-    """Every section of ``given`` is one that ``kind`` takes, and every key one of its section."""
+def _check_known(given: dict, kind: str, family: str) -> dict:
+    """Every section of ``given`` is one that ``kind`` takes, every key one of its
+    section and every [model] key one that ``family`` reads; returns
+    ``schema_for(kind, family)``."""
+    schema = schema_for(kind)
     for section, keys in given.items():
         if section not in schema:
             raise ConfigError(f"unknown config section [{section}] for experiment {kind!r}")
         for key in keys:
             if key not in schema[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    schema = schema_for(kind, family)
+    stray = [key for key in given.get("model", {}) if key not in _family_keys(family)]
+    if stray:
+        raise ConfigError(f"[model] {', '.join(stray)} not read by the {family!r} family")
+    return schema
 
 
 def parse_config(path, kind: str | None = None, overrides: dict | None = None) -> dict:
@@ -274,11 +275,8 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
     if file_kind is not None and file_kind != kind:
         raise ConfigError(f"config declares kind {file_kind!r} but {kind!r} was requested")
 
-    _check_known(given, kind, schema_for(kind))
-    model = given.get("model", {})
-    family = _PARSERS["str"](model.get("family", _COMMON_SCHEMA["model"]["family"][1]), "[model] family")
-    schema = schema_for(kind, family)
-    _check_model_keys(model, family)
+    family = given.get("model", {}).get("family", _COMMON_SCHEMA["model"]["family"][1])
+    schema = _check_known(given, kind, _PARSERS["str"](family, "[model] family"))
     resolved: dict = {"experiment": {"kind": kind}}
     for section, keys in schema.items():
         resolved.setdefault(section, {})
@@ -734,13 +732,10 @@ _JSON_TYPES = {
 
 
 def _check_json_types(cfg: dict) -> None:
-    """The embedded config holds only the sections and keys of its kind (``_check_known``)
-    and [model] only those of its family, and every value has the JSON type its
-    schema entry resolves to."""
-    kind = cfg["experiment"]["kind"]
-    _check_known(cfg, kind, schema_for(kind))
-    schema = schema_for(kind, cfg["model"]["family"])
-    _check_model_keys(cfg["model"], cfg["model"]["family"])
+    """The embedded config holds only the sections and keys of its kind and [model]
+    only those of its family (``_check_known``), and every value has the JSON type
+    its schema entry resolves to."""
+    schema = _check_known(cfg, cfg["experiment"]["kind"], cfg["model"]["family"])
     for section, keys in schema.items():
         for key, (typ, _) in keys.items():
             name = "str" if isinstance(typ, tuple) else typ

@@ -69,12 +69,16 @@ class TimeGrid:
         Realizes the spike window, of positive length, starting in [0, T) and ending by T, on
         the grid: step i is selected iff t_i < start + length and t_{i+1} > start, with a
         1e-9 * dt tolerance so that grid-aligned windows select exactly the expected steps.
+        A window that selects no step is refused.
         """
         tol = 1e-9 * self.dt
         if not (length > 0.0 and 0.0 <= start < self.horizon and start + length <= self.horizon + tol):
             raise ValueError(f"window [{start}, {start} + {length}) needs a positive length inside [0, {self.horizon}]")
         times = self.times()
-        return (times[:-1] < start + length - tol) & (times[1:] > start + tol)
+        window = (times[:-1] < start + length - tol) & (times[1:] > start + tol)
+        if not window.any():
+            raise ValueError(f"window [{start}, {start} + {length}) meets no step of the grid (dt = {self.dt})")
+        return window
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ of worker count, and the first k paths of an n-path ensemble coincide with
 the k-path ensemble for the same seed.
 
 Two computations fork: ``sample_noise`` (per path) and
-``smp.check_necessary_condition`` (per spiked cell).  Each splits its work
-into contiguous chunks of about equal path-steps and runs every chunk but
-the first in a forked child that writes into shared memory (``run_chunks``).
-The number of chunks is ``fork_chunk_count``: the number of CPUs in the
-process's affinity set (``os.sched_getaffinity``; one where the platform has
-none), capped by the number of work items and at one chunk per
-``FORK_CHUNK_PATHS`` x N path-steps, so small runs and one-CPU processes
+``smp.check_necessary_condition`` (per spiked cell).  Each hands
+``run_chunks`` its work items with their path-step costs; ``run_chunks``
+cuts the items into contiguous chunks of about equal cost and runs every
+chunk but the first in a forked child that writes into shared memory.  There
+is one chunk per CPU in the process's affinity set (``os.sched_getaffinity``;
+one where the platform has none), at most one per item and at most one per
+``FORK_CHUNK_PATH_STEPS`` path-steps, so small runs and one-CPU processes
 compute in the calling process.  A chunk whose child fails is run again in
 the calling process, so a failure raises what the in-process run raises.  No
 setting selects any of it: the bits are the same either way.
@@ -36,9 +36,9 @@ MAX_STEP_RATE = 1e4
 # Rows per block of ``row_blocks`` and of the Brownian draw in ``sample_noise``.
 ROW_BLOCK = 1024
 
-# Fewest paths (of N steps each) per forked chunk: below two chunks the work
-# stays in the calling process, where a fork costs more than it saves.
-FORK_CHUNK_PATHS = 32_768
+# Fewest path-steps per forked chunk (32,768 paths of 100 steps): below two
+# chunks the work stays in the calling process, where a fork costs more than it saves.
+FORK_CHUNK_PATH_STEPS = 32_768 * 100
 
 
 def row_blocks(a: np.ndarray):
@@ -182,19 +182,28 @@ def shared_zeros(shape: tuple[int, ...], dtype, order: str = "C") -> np.ndarray:
     return np.ndarray(shape, dtype=dtype, buffer=mmap.mmap(-1, nbytes), order=order)
 
 
-def fork_chunk_count(path_steps: int, n_steps: int, n_items: int) -> int:
-    """Chunks for ``run_chunks``: one per CPU in the affinity set, at most one
-    per work item and per ``FORK_CHUNK_PATHS`` x ``n_steps`` path-steps, at least one."""
+def _chunk_bounds(costs) -> list[int]:
+    """Bounds of the chunks ``run_chunks`` cuts items of these path-step costs
+    into, by the chunk rule of the module docstring: each cut at the item
+    boundary nearest an equal share of the summed costs, no chunk empty."""
     import os
 
+    n = len(costs)
+    before = np.concatenate([[0], np.cumsum(costs)])
     # macOS and Windows have no affinity set; there the calling process does all the work
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return max(1, min(cpus, n_items, path_steps // (FORK_CHUNK_PATHS * n_steps)))
+    n_chunks = max(1, min(cpus, n, int(before[-1]) // FORK_CHUNK_PATH_STEPS))
+    bounds = [0]
+    for j in range(1, n_chunks):
+        cut = int(np.argmin(np.abs(before - before[-1] * j / n_chunks)))
+        bounds.append(min(max(cut, bounds[-1] + 1), n - (n_chunks - j)))
+    return bounds + [n]
 
 
-def run_chunks(work, bounds: list[int]) -> None:
-    """Run ``work(lo, hi)`` on every chunk [bounds[j], bounds[j+1]): the first in
-    this process, each other one in a forked child.
+def run_chunks(work, costs) -> None:
+    """Run ``work(lo, hi)`` on the items [lo, hi) of every chunk that
+    ``_chunk_bounds`` cuts the items of path-step ``costs`` into: the first
+    chunk in this process, each other one in a forked child.
 
     A chunk whose child does not exit with status 0 is run again in this
     process, in chunk order, once every child has exited; so the call raises
@@ -203,6 +212,7 @@ def run_chunks(work, bounds: list[int]) -> None:
     import os
     import signal
 
+    bounds = _chunk_bounds(costs)
     pids = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -233,25 +243,16 @@ def run_chunks(work, bounds: list[int]) -> None:
 def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> NoiseBundle:
     """Draw a noise bundle, deterministic in (grid, levy, n_paths, seed).
 
-    The paths split into ``fork_chunk_count`` contiguous chunks of equal
-    size; every chunk but the first is drawn in a forked child into shared
-    memory (``run_chunks``).
+    Paths are drawn in forked chunks (``run_chunks``) into shared memory.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     n_steps = grid.n_steps
     sqrt_dt = np.sqrt(grid.dt)
     rates = step_rates(grid, levy)
-    dB_shape, counts_shape = (n_paths, n_steps), (n_paths, n_steps, levy.n_atoms)
-    n_chunks = fork_chunk_count(n_paths * n_steps, n_steps, n_paths)
-    if n_chunks == 1:
-        dB = np.empty(dB_shape, order="F")
-        counts = np.zeros(counts_shape, dtype=np.int16)
-    else:
-        dB = shared_zeros(dB_shape, float, "F")
-        counts = shared_zeros(counts_shape, np.int16, "C")
-    bounds = [n_paths * j // n_chunks for j in range(n_chunks + 1)]
-    run_chunks(lambda lo, hi: _draw_paths(seed, rates, sqrt_dt, dB, counts, lo, hi), bounds)
+    dB = shared_zeros((n_paths, n_steps), float, "F")
+    counts = shared_zeros((n_paths, n_steps, levy.n_atoms), np.int16, "C")
+    run_chunks(lambda lo, hi: _draw_paths(seed, rates, sqrt_dt, dB, counts, lo, hi), np.full(n_paths, n_steps))
     dB.flags.writeable = False
     counts.flags.writeable = False
     return NoiseBundle(grid=grid, levy=levy, n_paths=n_paths, seed=seed, dB=dB, jump_counts=counts)

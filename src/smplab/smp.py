@@ -2,20 +2,17 @@
 
 For a candidate control u-hat the verdict estimates, per cell (tau, v),
 E[dH/du(tau, X(tau), u(tau)) (v - u(tau))] with its standard error and the
-common-noise difference quotients (J(u_spiked) - J(u)) / eps; the candidate
-passes when every statistic is below 3 standard errors (one-sided) and the
-quotient-statistic gaps shrink as eps does, within Monte Carlo bands.  A
-spiked path equals the base path before its window, so each spiked run
-starts at the window from the base state (``spiked_values``).
+common-noise difference quotients (J(u_spiked) - J(u)) / |W|, where |W| is
+the length of the steps that the spike window [tau, tau + eps) selects on
+the grid (``TimeGrid.window_steps``); the candidate passes when every
+statistic is below 3 standard errors (one-sided) and the quotient-statistic
+gaps shrink as eps does, within Monte Carlo bands.  A spiked path equals the
+base path before its window, so each spiked run starts at the window from
+the base state (``spiked_values``).
 
 The spiked runs are independent given the candidate's path bundle, so the
-verdict splits its (tau, v, eps) cells, in order, into contiguous chunks of
-about equal path-steps and runs every chunk but the first in a forked child
-(``simulate.run_chunks``, chunk count ``simulate.fork_chunk_count``); small
-verdicts and one-CPU processes run every cell in the calling process.  A
-failed chunk is run again in the calling process, so the verdict raises
-what the in-process run raises.  No setting selects it: the bits are the
-same either way.
+verdict runs its (tau, v, eps) cells, in order, in forked chunks by the
+fork rule of ``simulate`` (``simulate.run_chunks``).
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from .simulate import (
     PathBundle,
     _euler_step,
     euler_forward,
-    fork_chunk_count,
     linear_closed_form,
     run_chunks,
     shared_zeros,
@@ -121,9 +117,8 @@ def performance_values(coeffs: ControlledCoefficients, forward: PathBundle) -> n
 
 
 def _run_start(law: SpikedLaw) -> int:
-    """First step at which the spiked path can leave the base path: the window's
-    first step, or N for a window that meets no step."""
-    return int(np.argmax(law.window)) if law.window.any() else law.window.shape[0]
+    """First step at which the spiked path can leave the base path: the window's first step."""
+    return int(np.argmax(law.window))
 
 
 def spiked_values(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathBundle, prefixes: dict) -> np.ndarray:
@@ -173,9 +168,7 @@ def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, for
     part = partials_along(coeffs, forward)
 
     window = law.window
-    if not window.any():
-        return np.zeros((n_paths, n_steps + 1), order="F")
-    first = int(np.flatnonzero(window)[0])
+    first = _run_start(law)
     du = np.zeros((n_paths, n_steps), order="F")
     du[:, window] = np.reshape(coeffs.clamp(law.spike_values), (-1, 1)) - forward.u[:, window]
 
@@ -230,19 +223,6 @@ def check_spike_grids(coeffs: ControlledCoefficients, grid: TimeGrid, tau_grid, 
             grid.window_steps(tau, eps)
 
 
-def _balanced_bounds(costs: list[int], n_chunks: int) -> list[int]:
-    """Bounds of ``n_chunks`` non-empty contiguous ranges of the items, each
-    cut at the item boundary nearest an equal share of the summed costs."""
-    n = len(costs)
-    before = np.concatenate([[0], np.cumsum(costs)])
-    bounds = [0]
-    for j in range(1, n_chunks):
-        target = before[-1] * j / n_chunks
-        cut = int(np.argmin(np.abs(before - target)))
-        bounds.append(min(max(cut, bounds[-1] + 1), n - (n_chunks - j)))
-    return bounds + [n]
-
-
 def check_necessary_condition(
     candidate: ControlLaw,
     coeffs: ControlledCoefficients,
@@ -278,7 +258,7 @@ def check_necessary_condition(
     shape = (len(tau_grid), len(v_grid))
     stat = np.empty(shape)
     stat_se = np.empty(shape)
-    cells = []  # (spiked law, eps) in (tau, v, eps) order
+    cells = []  # spiked laws in (tau, v, eps) order
 
     for a, tau in enumerate(tau_grid):
         i = grid.step_of(tau)
@@ -288,21 +268,20 @@ def check_necessary_condition(
         for b, v in enumerate(v_grid):
             stat[a, b], stat_se[a, b] = mean_se(dh_du * (v - u_i))
             for eps in eps_grid:
-                cells.append((spike_perturb(candidate, grid, tau, eps, v, x_at_tau=x_i), eps))
+                cells.append(spike_perturb(candidate, grid, tau, eps, v, x_at_tau=x_i))
 
     # one (quotient, SE) row per cell; forked chunks write their rows through shared memory
-    costs = [noise.n_paths * (grid.n_steps - _run_start(law)) for law, _ in cells]
-    n_chunks = fork_chunk_count(sum(costs), grid.n_steps, len(cells))
     quotients = shared_zeros((len(cells), 2), float)
     prefixes = {}
 
     def run_cells(lo: int, hi: int) -> None:
         for k in range(lo, hi):
-            law, eps = cells[k]
+            law = cells[k]
             j_eps = spiked_values(law, coeffs, forward, prefixes)
-            quotients[k] = mean_se((j_eps - j_base) / eps)
+            # the quotient divides by the window the grid realizes, not by eps
+            quotients[k] = mean_se((j_eps - j_base) / (law.window.sum() * grid.dt))
 
-    run_chunks(run_cells, _balanced_bounds(costs, n_chunks))
+    run_chunks(run_cells, [noise.n_paths * (grid.n_steps - _run_start(law)) for law in cells])
     dq = np.array(quotients[:, 0]).reshape(shape + (len(eps_grid),))
     dq_se = np.array(quotients[:, 1]).reshape(shape + (len(eps_grid),))
 

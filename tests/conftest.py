@@ -22,9 +22,9 @@ def run_ini(tmp_path):
 
 @pytest.fixture
 def fork_seams(monkeypatch):
-    """Set the CPU count and the chunk size that ``simulate.fork_chunk_count``
-    reads, and record the forks of ``simulate.run_chunks``.  After the test no
-    child process may be left."""
+    """Set the CPU count and the path-step floor ``simulate.FORK_CHUNK_PATH_STEPS``
+    that ``simulate.run_chunks`` plans its chunks by, and record its forks.
+    After the test no child process may be left."""
     forks = []
     real_fork = os.fork
 
@@ -34,9 +34,9 @@ def fork_seams(monkeypatch):
             forks.append(pid)
         return pid
 
-    def set_seams(cpus, chunk_paths):
+    def set_seams(cpus, chunk_path_steps):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(simulate, "FORK_CHUNK_PATHS", chunk_paths)
+        monkeypatch.setattr(simulate, "FORK_CHUNK_PATH_STEPS", chunk_path_steps)
 
     monkeypatch.setattr(os, "fork", counting_fork)
     yield set_seams, forks

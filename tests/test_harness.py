@@ -136,6 +136,7 @@ class TestConfigParsing:
             ("check-smp", "\n[smp]\neps_grid = 0.0\n", {}),
             ("check-smp", "\n[smp]\neps_grid = -0.1\n", {}),
             ("check-smp", "\n[smp]\ntau_grid = 0.75\neps_grid = 0.5\n", {}),
+            ("check-smp", "\n[smp]\ntau_grid = 0.5\neps_grid = 0.1, 1e-12\n", {}),
             ("solve-lq", "\n[iteration]\ndamping = 1.5\n", {}),
             ("solve-lq", "\n[iteration]\ntol = 0\n", {}),
             ("solve-lq", "\n[iteration]\nmax_iters = 0\n", {}),
@@ -200,6 +201,7 @@ class TestConfigParsing:
             "zero-spike-length",
             "negative-spike-length",
             "spike-past-horizon",
+            "spike-window-meeting-no-step",
             "damping-above-one",
             "zero-tol",
             "zero-max-iters",
@@ -455,6 +457,7 @@ class TestRunAndReplay:
             ("check-smp", "smp", {"eps_grid": [0.0]}),
             ("check-smp", "smp", {"eps_grid": [-0.1]}),
             ("check-smp", "smp", {"tau_grid": [0.75], "eps_grid": [0.5]}),
+            ("check-smp", "smp", {"eps_grid": [1e-12]}),
             ("solve-lq", "iteration", {"damping": 1.5}),
             ("solve-lq", "iteration", {"tol": 0.0}),
             ("solve-lq", "iteration", {"max_iters": 0}),
@@ -467,6 +470,7 @@ class TestRunAndReplay:
             "zero-spike-length",
             "negative-spike-length",
             "spike-past-horizon",
+            "spike-window-meeting-no-step",
             "damping-above-one",
             "zero-tol",
             "zero-max-iters",

@@ -70,7 +70,8 @@ class TestTimeGrid:
             TimeGrid(1.0, 1)
 
     @pytest.mark.parametrize(
-        "start, length", [(0.5, 0.0), (0.5, -0.1), (-0.1, 0.2), (1.0, 0.1), (1.2, 0.1), (0.75, 0.5)]
+        "start, length",
+        [(0.5, 0.0), (0.5, -0.1), (-0.1, 0.2), (1.0, 0.1), (1.2, 0.1), (0.75, 0.5), (0.5, 1e-12), (1 - 1e-13, 1e-13)],
     )
     def test_window_steps_rejects_windows_off_the_grid(self, start, length):
         with pytest.raises(ValueError):

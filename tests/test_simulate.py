@@ -140,9 +140,9 @@ class TestForkedDraw:
     @pytest.mark.parametrize(
         "n_paths, cpus, chunk_paths, n_forks",
         [
-            (1001, 3, 300, 2),  # uneven: chunks of 333, 334 and 334 paths
+            (1001, 3, 300, 2),  # uneven: chunks of 334, 333 and 334 paths
             (2500, 2, 1000, 1),  # the second chunk starts at path 1250, inside a ROW_BLOCK
-            (2500, 4, 800, 2),  # chunk edges at paths 833 and 1666 straddle ROW_BLOCK
+            (2500, 4, 800, 2),  # chunk edges at paths 833 and 1667 straddle ROW_BLOCK
             (2500, 8, 1250, 1),  # at most one chunk per chunk_paths paths
             (2500, 1, 100, 0),  # one CPU: the calling process draws every path
             (999, 4, 500, 0),  # fewer than two chunks
@@ -150,8 +150,9 @@ class TestForkedDraw:
         ],
     )
     def test_matches_per_path_generator(self, fork_seams, levy, n_paths, cpus, chunk_paths, n_forks):
+        # a floor of chunk_paths paths of N steps each
         set_seams, forks = fork_seams
-        set_seams(cpus, chunk_paths)
+        set_seams(cpus, chunk_paths * GRID.n_steps)
         seed = 2**64 + 7
         bundle = sample_noise(GRID, LEVIES[levy], n_paths, seed)
         assert len(forks) == n_forks
@@ -164,7 +165,7 @@ class TestForkedDraw:
 
     def test_platform_without_affinity_set_draws_in_the_caller(self, fork_seams, monkeypatch):
         set_seams, forks = fork_seams
-        set_seams(4, 100)
+        set_seams(4, 10_000)
         monkeypatch.delattr(os, "sched_getaffinity")
         bundle = sample_noise(GRID, ATOM, 500, 3)
         assert forks == []
@@ -175,7 +176,7 @@ class TestForkedDraw:
         # the failed chunks are drawn again in the caller, which raises what
         # the worker raised
         set_seams, forks = fork_seams
-        set_seams(3, 100)
+        set_seams(3, 10_000)
         real_draw = simulate._draw_paths
 
         def failing_in_worker(*args):
@@ -191,7 +192,7 @@ class TestForkedDraw:
     def test_chunk_of_a_failed_worker_is_drawn_in_the_caller(self, fork_seams, monkeypatch):
         # a failure that happens only in a child leaves the bundle of the serial draw
         set_seams, forks = fork_seams
-        set_seams(3, 100)
+        set_seams(3, 10_000)
         real_draw = simulate._draw_paths
         caller = os.getpid()
 
@@ -208,7 +209,7 @@ class TestForkedDraw:
 
     def test_failure_in_the_caller_leaves_no_worker(self, fork_seams, monkeypatch):
         set_seams, forks = fork_seams
-        set_seams(3, 100)
+        set_seams(3, 10_000)
         real_draw = simulate._draw_paths
 
         def failing_in_caller(*args):
@@ -223,10 +224,34 @@ class TestForkedDraw:
 
 
 class TestRunChunks:
+    # on three CPUs these costs cut into chunks [0, 3), [3, 7) and [7, 12)
+    COSTS = [4, 4, 4, 3, 3, 3, 3, 2, 2, 2, 3, 3]
+
+    @pytest.mark.parametrize(
+        "costs, cpus, bounds",
+        [
+            ([90] * 4 + [50] * 4 + [15] * 4, 2, [0, 3, 12]),
+            ([90] * 4 + [50] * 4 + [15] * 4, 3, [0, 2, 5, 12]),
+            ([100, 1, 1], 3, [0, 1, 2, 3]),
+            ([1, 1, 100], 2, [0, 2, 3]),
+            ([5, 5], 1, [0, 2]),
+            # the equal path costs of sample_noise at N = 100
+            ([100] * 1001, 3, [0, 334, 667, 1001]),
+            ([100] * 2500, 2, [0, 1250, 2500]),
+            ([100] * 2500, 4, [0, 625, 1250, 1875, 2500]),
+        ],
+    )
+    def test_balanced_bounds(self, fork_seams, costs, cpus, bounds):
+        # one chunk per CPU, each cut at the item boundary nearest an equal share, no chunk empty
+        set_seams, _ = fork_seams
+        set_seams(cpus, 1)
+        assert simulate._chunk_bounds(costs) == bounds
+
     def test_failed_chunks_run_again_in_chunk_order(self, fork_seams):
         # every chunk but the caller's fails, in its child and again in the
         # caller: the call raises the failure of the first failed chunk
-        _, forks = fork_seams
+        set_seams, forks = fork_seams
+        set_seams(3, 1)
         done = simulate.shared_zeros((12,), np.int8)
 
         def work(lo, hi):
@@ -235,18 +260,19 @@ class TestRunChunks:
             done[lo:hi] = 1
 
         with pytest.raises(ValueError, match="chunk from 3$"):
-            simulate.run_chunks(work, [0, 3, 7, 12])
+            simulate.run_chunks(work, self.COSTS)
         assert len(forks) == 2
         assert done.tolist() == [1] * 3 + [0] * 9
 
     def test_every_chunk_written_once(self, fork_seams):
-        _, forks = fork_seams
+        set_seams, forks = fork_seams
+        set_seams(3, 1)
         hits = simulate.shared_zeros((12,), np.int64)
 
         def work(lo, hi):
             hits[lo:hi] += 1
 
-        simulate.run_chunks(work, [0, 3, 7, 12])
+        simulate.run_chunks(work, self.COSTS)
         assert len(forks) == 2
         assert hits.tolist() == [1] * 12
 

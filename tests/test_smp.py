@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smplab import smp
 from smplab.errors import NonFiniteState
 from smplab.harness import _plain, build_model, parse_config, run
 from smplab.malliavin import mean_se
@@ -267,8 +266,16 @@ class TestVariationalZ:
 class TestVerdictInputs:
     @pytest.mark.parametrize(
         "taus, vs, eps",
-        [([0.5], [-1.0], [0.1]), ([], [1.0], [0.1]), ([0.5], [], [0.1]), ([0.5], [1.0], []), ([1.0], [1.0], [0.1])],
-        ids=["v-outside-control-set", "empty-tau-grid", "empty-v-grid", "empty-eps-grid", "spike-at-horizon"],
+        [
+            ([0.5], [-1.0], [0.1]),
+            ([], [1.0], [0.1]),
+            ([0.5], [], [0.1]),
+            ([0.5], [1.0], []),
+            ([1.0], [1.0], [0.1]),
+            ([0.5], [1.0], [0.1, 1e-12]),
+        ],
+        ids=["v-outside-control-set", "empty-tau-grid", "empty-v-grid", "empty-eps-grid", "spike-at-horizon",
+             "window-meeting-no-step"],
     )
     def test_rejected_before_simulating(self, taus, vs, eps):
         coeffs = build_lq_coefficients(0.1)
@@ -283,12 +290,8 @@ class TestSpikedValues:
     ``performance_values`` of ``spike_perturb(...)`` bit for bit."""
 
     GRID = TimeGrid(1.0, 40)
-    # tau on a node, tau inside a step, tau = 0, windows that end at T, and a
-    # window too short to meet a step, whose run is the base run
-    WINDOWS = [
-        (0.25, 0.1), (0.25, 0.025), (0.313, 0.05), (0.313, 0.004), (0.0, 0.2), (0.9, 0.1), (0.975, 0.025),
-        (0.25, 1e-12),
-    ]
+    # tau on a node, tau inside a step, tau = 0 and windows that end at T
+    WINDOWS = [(0.25, 0.1), (0.25, 0.025), (0.313, 0.05), (0.313, 0.004), (0.0, 0.2), (0.9, 0.1), (0.975, 0.025)]
 
     @staticmethod
     def coeffs():
@@ -474,6 +477,17 @@ class TestNecessaryCondition:
         assert stat > 3 * verdict.statistic_se[0, 0]
         assert not verdict.passed
 
+    def test_quotient_divides_by_the_realized_window(self):
+        # from tau = 0.5 on 100 steps, eps = 0.015 selects the same two steps as
+        # eps = 0.02, so both cells run the same spiked law and give one quotient
+        coeffs = build_lq_coefficients(0.1)
+        noise = sample_noise(GRID, NO_JUMPS, 2000, 301)
+        law = OpenLoopLaw(np.ones(100))
+        verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [0.0], [0.02, 0.015, 0.01])
+        dq, dq_se = verdict.diff_quotient[0, 0], verdict.diff_quotient_se[0, 0]
+        assert dq[0] == dq[1] and dq_se[0] == dq_se[1]
+        assert dq[1] != dq[2]
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 3: at the interior optimum dH/du = p - u is zero up to solver and "
@@ -535,12 +549,12 @@ class TestForkedVerdict:
         candidate = FeedbackLaw(lambda step, t, x: 1.5 - 2.0 * x + 0.02 * step)
         noise = sample_noise(GRID, levy, self.N_PATHS, 48)
         args = (candidate, coeffs, noise, 0.7, self.TAUS, self.VS, self.EPS)
-        set_seams(1, 1)
+        set_seams(1, 100)
         serial = check_necessary_condition(*args)
         assert forks == []
-        # 12 cells of 620 x 300 path-steps in all: one chunk per 100 x 100 path-steps
+        # 12 cells of 620 x 300 path-steps in all: one chunk per 10,000 path-steps
         # would allow 18 chunks, so the CPUs decide
-        set_seams(cpus, 100)
+        set_seams(cpus, 10_000)
         forked = check_necessary_condition(*args)
         assert len(forks) == n_forks
         for name, value in self.verdict_fields(serial).items():
@@ -553,11 +567,11 @@ class TestForkedVerdict:
 
     @pytest.mark.parametrize("chunk_paths, n_forks", [(1861, 0), (1860, 0), (930, 1), (620, 2), (1, 2)])
     def test_forks_above_the_work_floor(self, fork_seams, chunk_paths, n_forks):
-        # 186,000 path-steps, at chunk_paths x N = 100 path-steps per chunk: one
-        # chunk at 1860 paths, two at 930, three at 620; three CPUs cap the count
+        # 186,000 path-steps, at a floor of chunk_paths x N = 100 path-steps per
+        # chunk: one chunk at 1860 paths, two at 930, three at 620; three CPUs cap the count
         set_seams, forks = fork_seams
         noise = sample_noise(GRID, NO_JUMPS, self.N_PATHS, 49)
-        set_seams(3, chunk_paths)
+        set_seams(3, chunk_paths * GRID.n_steps)
         law = OpenLoopLaw(np.zeros(100))
         check_necessary_condition(law, build_lq_coefficients(0.1), noise, 1.0, self.TAUS, [0.0, 1.0], self.EPS)
         assert len(forks) == n_forks
@@ -565,19 +579,10 @@ class TestForkedVerdict:
     def test_at_most_one_chunk_per_cell(self, fork_seams):
         set_seams, forks = fork_seams
         noise = sample_noise(GRID, NO_JUMPS, self.N_PATHS, 49)
-        set_seams(8, 1)
+        set_seams(8, 100)
         law = OpenLoopLaw(np.zeros(100))
         check_necessary_condition(law, build_lq_coefficients(0.1), noise, 1.0, [0.2, 0.6], [1.0], [0.1, 0.05])
         assert len(forks) == 3
-
-    @pytest.mark.parametrize(
-        "costs, n_chunks, bounds",
-        [([90] * 4 + [50] * 4 + [15] * 4, 2, [0, 3, 12]), ([90] * 4 + [50] * 4 + [15] * 4, 3, [0, 2, 5, 12]),
-         ([100, 1, 1], 3, [0, 1, 2, 3]), ([1, 1, 100], 2, [0, 2, 3]), ([5, 5], 1, [0, 2])],
-    )
-    def test_balanced_bounds(self, costs, n_chunks, bounds):
-        # each cut at the cell boundary nearest an equal share, no chunk empty
-        assert smp._balanced_bounds(costs, n_chunks) == bounds
 
     @staticmethod
     def exploding(switch_on: float):
@@ -596,10 +601,10 @@ class TestForkedVerdict:
         coeffs = self.exploding(0.4)
         noise = sample_noise(GRID, NO_JUMPS, 64, 47)
         args = (OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.5, [0.1, 0.5], [0.0, 1.0], [0.2, 0.1])
-        set_seams(1, 1)
+        set_seams(1, 100)
         with pytest.raises(NonFiniteState) as serial:
             check_necessary_condition(*args)
-        set_seams(2, 1)
+        set_seams(2, 100)
         with pytest.raises(NonFiniteState) as forked:
             check_necessary_condition(*args)
         assert len(forks) == 1
@@ -613,10 +618,10 @@ class TestForkedVerdict:
         coeffs = self.exploding(0.0)
         noise = sample_noise(GRID, NO_JUMPS, 64, 47)
         args = (OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.5, [0.1, 0.5], [1.0, 0.0], [0.2, 0.1])
-        set_seams(1, 1)
+        set_seams(1, 100)
         with pytest.raises(NonFiniteState) as serial:
             check_necessary_condition(*args)
-        set_seams(2, 1)
+        set_seams(2, 100)
         with pytest.raises(NonFiniteState) as forked:
             check_necessary_condition(*args)
         assert len(forks) == 1
