@@ -611,7 +611,7 @@ def _run_solve_lq(cfg, setup: _Setup):
         "comparison.json": payload["comparison"],
     }
     lines = [
-        f"constrained solver {'converged' if sol.converged else 'DID NOT converge'} in {len(sol.residual_history)} sweeps",
+        f"constrained solver {'converged' if sol.converged else 'DID NOT converge'} in {len(sol.residual_history)} iterates",
         f"control L2(dt x P) norm {payload['control_norm']:.4g}, fixed-point residual {sol.fbsde_residual:.3g}",
         f"distance to unconstrained feedback {comparison.control_distance:.4g}, binding fraction {comparison.binding_fraction:.3g}",
     ]

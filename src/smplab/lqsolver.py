@@ -1,11 +1,11 @@
 """Constrained linear-quadratic control solved as a coupled forward-backward system.
 
 Fixed common noise drives a damped Picard loop: simulate the state under the
-current control, regress the negated terminal state on the current state per
-step to get the adjoint, project onto the nonnegative controls, mix with the
-previous iterate, repeat until the control stops moving in L2(dt x P).  The
-unconstrained textbook feedback u*(t) = -X(t) / (T + 1 - t) serves as the
-benchmark when the constraint stays inactive.
+current control, sweep back for its adjoint p (``smp.adjoint_for``), project p
+onto the control set, mix with the previous iterate, repeat until the control
+stops moving in L2(dt x P).  The unconstrained textbook feedback
+u*(t) = -X(t) / (T + 1 - t) of the ``lq`` family serves as the benchmark when
+the constraint stays inactive.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import AdjointTriple, l2_dtP_norm, relative_l2_dtP
-from .malliavin import StateProjector, mean_se
+from .malliavin import mean_se
 from .model import ControlledCoefficients, FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid
 from .simulate import NoiseBundle, euler_forward
 from .smp import adjoint_for, performance_values
@@ -37,11 +37,13 @@ _PROBE_U = np.array([-1.0, 0.0, 0.4, 1.3])
 
 
 def check_lq_structure(coeffs: ControlledCoefficients, grid: TimeGrid, levy: LevyMeasure) -> None:
-    """The Picard update u = clamp(p), p = E[g_x(X(T)) | X(t)], maximizes the Hamiltonian only
-    when b_u = 1, sigma_u = gamma_u = 0, f_u = -u and f_x = b_x = sigma_x = gamma_x = 0.
+    """The Picard update u = clamp(p), p the adjoint of the backward sweep (``smp.adjoint_for``),
+    maximizes the Hamiltonian only when b_u = 1, sigma_u = gamma_u = 0 and f_u = -u.
 
-    Checked on the model's partial maps at every (x, u) probe pair, every left node of ``grid``
-    and every atom of ``levy``; a model of another form raises ``ValueError``.
+    f_x = b_x = sigma_x = gamma_x = 0 is required too, until a reference solution exists for a
+    model whose adjoint depends on the state partials.  Checked on the model's partial maps at
+    every (x, u) probe pair, every left node of ``grid`` and every atom of ``levy``; a model of
+    another form raises ``ValueError``.
     """
     x, u = (a.reshape(-1, 1) for a in np.meshgrid(_PROBE_X, coeffs.clamp(_PROBE_U)))
     t = grid.times()[None, :-1]
@@ -83,54 +85,40 @@ class LqSolution:
     converged: bool
 
     def feedback_law(self) -> FeedbackLaw:
-        """Out-of-sample control u(t_i, x) = p_fit_i(x); the forward step clamps it to [0, inf)."""
+        """Out-of-sample control u(t_i, x) = p_fit_i(x); the forward step clamps it to the control set."""
         fits = self.p_hat.p_fits
         return FeedbackLaw(lambda step, t, x: fits[step](np.atleast_1d(x)))
-
-
-def _picard_update(params: LqParams, u: np.ndarray) -> np.ndarray:
-    """One sweep: the damped mix of ``u`` with clamp(p), p(t_i) the regression of g_x(X(T)) on X(t_i).
-
-    The sweep's state and adjoint arrays die with it, before the next sweep or the final diagnostics.
-    """
-    coeffs = params.coeffs
-    X = euler_forward(coeffs, OpenLoopLaw(u), params.noise, params.x0).X
-    terminal = coeffs.g_x(X[:, -1])
-    # Filled in place: a list of fitted columns stacked at the end leaves heap
-    # garbage that keeps the run's peak resident set at the mercy of malloc.
-    p = np.empty_like(u)
-    for i in range(p.shape[1]):
-        p[:, i] = StateProjector(X[:, i]).fit(terminal).fitted
-    return (1.0 - params.damping) * u + params.damping * coeffs.clamp(p)
 
 
 def solve_constrained(params: LqParams) -> LqSolution:
     """Damped Picard iteration on the coupled state-adjoint system.
 
-    Starts from the zero control; each sweep regresses g_x(X(T)) = -X(T) on
-    X(t_i) per step for the adjoint and replaces the control by a damped mix with its
-    projection onto the control set.  A run that exhausts max_iters returns
-    the last iterate flagged unconverged rather than raising.
+    Starts from the adjoint of the zero control; each iterate mixes the control with
+    clamp(p) and sweeps once under the mix (``adjoint_for``), for the next iterate or,
+    after the last, the returned ``p_hat``: k iterates make k + 1 sweeps.  A run that
+    exhausts max_iters returns the last iterate flagged unconverged rather than raising.
     """
     noise, coeffs = params.noise, params.coeffs
     n_steps = noise.grid.n_steps
     dt = noise.grid.dt
 
+    def sweep(u: np.ndarray) -> AdjointTriple:
+        return adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0))
+
     u = np.zeros((noise.n_paths, n_steps), order="F")
+    p_hat = sweep(u)
     residual_history: list[float] = []
     converged = False
     for _ in range(params.max_iters):
-        u_next = _picard_update(params, u)
-        residual = l2_dtP_norm(u_next - u, dt)
-        residual_history.append(residual)
+        u_next = (1.0 - params.damping) * u + params.damping * coeffs.clamp(p_hat.p[:, :n_steps])
+        del p_hat  # the previous triple dies before the next sweep, or two are alive at its peak
+        residual_history.append(l2_dtP_norm(u_next - u, dt))
         u = u_next
-        if residual < params.tol:
+        p_hat = sweep(u)
+        if residual_history[-1] < params.tol:
             converged = True
             break
 
-    # Final diagnostics: the explicit adjoint under the returned control,
-    # p(t_i) = E[g_x(X(T)) | X(t_i)] = -E[X(T) | X(t_i)] since Gamma = 1 and f_x = 0.
-    p_hat = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0))
     fbsde_residual = l2_dtP_norm(u - coeffs.clamp(p_hat.p[:, :n_steps]), dt)
     return LqSolution(
         u_values=u,
@@ -144,8 +132,8 @@ def solve_constrained(params: LqParams) -> LqSolution:
 def unconstrained_feedback_law(grid: TimeGrid) -> FeedbackLaw:
     """The textbook feedback u*(t, x) = -x / (T + 1 - t), whose denominator stays >= 1 on [0, T].
 
-    Simulated through ``euler_forward`` under the LQ coefficients, its
-    values are clipped to [0, inf) wherever the constraint would bind.
+    Simulated through ``euler_forward``, its values are clamped to the
+    model's control set wherever the constraint would bind.
     """
     return FeedbackLaw(lambda step, t, x: -np.asarray(x, dtype=float) / (grid.horizon + 1.0 - t))
 
@@ -165,10 +153,10 @@ class ComparisonReport:
 def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonReport:
     """Simulate u* on the solver's noise and compare controls and values.
 
-    u* runs through ``euler_forward``, so it is clipped to [0, inf) wherever
-    the constraint would bind.  ``binding_fraction`` is the share of
-    (path, step) cells where the nonnegativity constraint binds, i.e. the
-    adjoint is negative.
+    u* runs through ``euler_forward``, so it is clamped to the model's
+    control set wherever the constraint would bind.  ``binding_fraction`` is
+    the share of (path, step) cells where the constraint binds on the
+    returned adjoint, i.e. clamp(p) differs from p.
     """
     noise, coeffs = params.noise, params.coeffs
     grid = noise.grid
@@ -179,7 +167,8 @@ def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonRep
     con_forward = euler_forward(coeffs, OpenLoopLaw(sol.u_values), noise, params.x0)
     j_con, j_con_se = mean_se(performance_values(coeffs, con_forward))
     j_unc, j_unc_se = mean_se(performance_values(coeffs, star_forward))
-    binding = float(np.mean(sol.p_hat.p[:, : grid.n_steps] < 0.0))
+    p = sol.p_hat.p[:, : grid.n_steps]
+    binding = float(np.mean(coeffs.clamp(p) != p))
     return ComparisonReport(
         control_distance=distance,
         j_constrained=j_con,

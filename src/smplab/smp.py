@@ -212,15 +212,20 @@ class SmpVerdict:
 
 
 def check_spike_grids(coeffs: ControlledCoefficients, grid: TimeGrid, tau_grid, v_grid, eps_grid) -> None:
-    """Inputs of the verdict: no grid is empty, every v lies in the control set, and every
-    [tau, tau + eps) is a spike window of ``grid`` (``TimeGrid.window_steps``)."""
+    """Inputs of the verdict: no grid is empty, every v lies in the control set, every
+    [tau, tau + eps) is a spike window of ``grid`` (``TimeGrid.window_steps``), and no two
+    eps select the same steps at one tau, which would run one spiked law twice."""
     for name, values in (("tau_grid", tau_grid), ("v_grid", v_grid), ("eps_grid", eps_grid)):
         if len(values) == 0:
             raise ValueError(f"{name} must not be empty")
     coeffs.check_controls(v_grid, "v_grid values")
     for tau in tau_grid:
+        seen = {}
         for eps in eps_grid:
-            grid.window_steps(tau, eps)
+            steps = tuple(np.flatnonzero(grid.window_steps(tau, eps)))
+            if steps in seen:
+                raise ValueError(f"eps_grid values {seen[steps]} and {eps} select the same steps at tau = {tau}")
+            seen[steps] = eps
 
 
 def check_necessary_condition(

@@ -137,6 +137,7 @@ class TestConfigParsing:
             ("check-smp", "\n[smp]\neps_grid = -0.1\n", {}),
             ("check-smp", "\n[smp]\ntau_grid = 0.75\neps_grid = 0.5\n", {}),
             ("check-smp", "\n[smp]\ntau_grid = 0.5\neps_grid = 0.1, 1e-12\n", {}),
+            ("check-smp", "\n[smp]\ntau_grid = 0.5\neps_grid = 0.05, 0.04\n", {}),
             ("solve-lq", "\n[iteration]\ndamping = 1.5\n", {}),
             ("solve-lq", "\n[iteration]\ntol = 0\n", {}),
             ("solve-lq", "\n[iteration]\nmax_iters = 0\n", {}),
@@ -202,6 +203,7 @@ class TestConfigParsing:
             "negative-spike-length",
             "spike-past-horizon",
             "spike-window-meeting-no-step",
+            "spike-grid-repeating-a-window",
             "damping-above-one",
             "zero-tol",
             "zero-max-iters",
@@ -458,6 +460,7 @@ class TestRunAndReplay:
             ("check-smp", "smp", {"eps_grid": [-0.1]}),
             ("check-smp", "smp", {"tau_grid": [0.75], "eps_grid": [0.5]}),
             ("check-smp", "smp", {"eps_grid": [1e-12]}),
+            ("check-smp", "smp", {"eps_grid": [0.2, 0.15]}),
             ("solve-lq", "iteration", {"damping": 1.5}),
             ("solve-lq", "iteration", {"tol": 0.0}),
             ("solve-lq", "iteration", {"max_iters": 0}),
@@ -471,6 +474,7 @@ class TestRunAndReplay:
             "negative-spike-length",
             "spike-past-horizon",
             "spike-window-meeting-no-step",
+            "spike-grid-repeating-a-window",
             "damping-above-one",
             "zero-tol",
             "zero-max-iters",

@@ -1,10 +1,12 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from smplab import lqsolver
 from smplab.bsde import l2_dtP_norm, relative_l2_dtP
 from smplab.harness import _plain
 from smplab.lqsolver import (
@@ -13,6 +15,7 @@ from smplab.lqsolver import (
     solve_constrained,
     unconstrained_feedback_law,
 )
+from smplab.malliavin import StateProjector
 from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, polynomial_coefficients
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import adjoint_for, check_necessary_condition, performance_values
@@ -153,6 +156,19 @@ class TestSolveConstrained:
             assert np.array_equal(mine.coeffs, theirs.coeffs)
             assert mine.fitted is None
 
+    def test_binding_fraction_reads_the_control_set(self):
+        # controls in [-0.5, inf): the constraint binds where p < -0.5, not where p < 0
+        coeffs = polynomial_coefficients(
+            b_u=1.0, sigma_poly=(0.1,), u_cost=1.0, g_poly=(0.0, 0.0, -0.5), control_set=(-0.5, math.inf)
+        )
+        p = params(coeffs=coeffs, grid=TimeGrid(1.0, 50), n_paths=4000)
+        sol = solve_constrained(p)
+        adjoint = sol.p_hat.p[:, :50]
+        report = compare_to_unconstrained(sol, p)
+        assert report.binding_fraction == float(np.mean(adjoint < -0.5))
+        assert 0.5 < report.binding_fraction < 0.7
+        assert np.all(adjoint < 0.0)
+
     def test_rejects_bad_iteration_parameters(self):
         with pytest.raises(ValueError):
             params(tol=0.0)
@@ -201,3 +217,65 @@ class TestDumps:
             "j_unconstrained_se",
             "binding_fraction",
         }
+
+
+class TestSweep:
+    """Every adjoint of the solver is one backward sweep, ``adjoint_for``."""
+
+    @pytest.mark.parametrize("levy", [NO_JUMPS, LevyMeasure.from_pairs([(-0.1, 0.5)])], ids=["no-atom", "one-atom"])
+    def test_sweep_is_the_projection_of_the_terminal_slope(self, levy):
+        # with f_x = b_x = sigma_x = gamma_x = 0 the sweep's p is, bit for bit, the
+        # per-step regression of g_x(X(T)) on X(t_i) that the Picard loop once ran itself
+        coeffs = build_lq_coefficients(0.1)
+        noise = sample_noise(GRID, levy, 2000, 213)
+        u = np.linspace(0.0, 0.8, GRID.n_steps)
+        forward = euler_forward(coeffs, OpenLoopLaw(u), noise, -1.0)
+        terminal = coeffs.g_x(forward.X[:, -1])
+        reference = np.empty((noise.n_paths, GRID.n_steps))
+        for i in range(GRID.n_steps):
+            reference[:, i] = StateProjector(forward.X[:, i]).fit(terminal).fitted
+        p = adjoint_for(coeffs, forward).p
+        assert np.array_equal(p[:, :-1], reference)
+        assert np.array_equal(p[:, -1], terminal)
+
+    def test_one_sweep_per_iterate_and_one_to_start(self, monkeypatch):
+        calls = []
+
+        def counting(coeffs, forward):
+            calls.append(forward.u.copy())
+            return adjoint_for(coeffs, forward)
+
+        monkeypatch.setattr(lqsolver, "adjoint_for", counting)
+        p = params(x0=-1.0, seed=214, n_paths=2000)
+        sol = solve_constrained(p)
+        assert len(sol.residual_history) > 1
+        assert len(calls) == len(sol.residual_history) + 1
+        assert np.all(calls[0] == 0.0)
+        assert np.array_equal(calls[-1], sol.u_values)
+        triple = adjoint_for(p.coeffs, euler_forward(p.coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0))
+        for name in ("p", "q", "r"):
+            assert np.array_equal(getattr(sol.p_hat, name), getattr(triple, name)), name
+
+    def test_one_triple_alive_at_a_time(self):
+        # the solver's peak traced memory stays below that of one sweep, with its
+        # control alive, plus half a triple: keeping the previous (p, q, r) through
+        # the next sweep adds a whole triple
+        p = params(x0=-1.0, seed=215, n_paths=4000)
+        coeffs = p.coeffs
+        u = np.full((p.noise.n_paths, GRID.n_steps), 0.3, order="F")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            triple = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(u), p.noise, p.x0))
+            sweep_peak = tracemalloc.get_traced_memory()[1] - base
+            triple_bytes = triple.p.nbytes + triple.q.nbytes + triple.r.nbytes
+            del triple
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            sol = solve_constrained(p)
+            solve_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(sol.residual_history) > 1
+        assert solve_peak < sweep_peak + u.nbytes + triple_bytes / 2

@@ -25,6 +25,7 @@ from smplab.smp import (
     SmpVerdict,
     adjoint_for,
     check_necessary_condition,
+    check_spike_grids,
     hamiltonian,
     hamiltonian_du,
     partials_along,
@@ -273,15 +274,23 @@ class TestVerdictInputs:
             ([0.5], [1.0], []),
             ([1.0], [1.0], [0.1]),
             ([0.5], [1.0], [0.1, 1e-12]),
+            ([0.5], [0.0], [0.02, 0.015]),
+            ([0.5], [1.0], [0.1, 0.1]),
         ],
         ids=["v-outside-control-set", "empty-tau-grid", "empty-v-grid", "empty-eps-grid", "spike-at-horizon",
-             "window-meeting-no-step"],
+             "window-meeting-no-step", "eps-repeating-a-window", "repeated-eps"],
     )
     def test_rejected_before_simulating(self, taus, vs, eps):
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 10, 40)
         with pytest.raises(ValueError):
             check_necessary_condition(OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.0, taus, vs, eps)
+
+    def test_repeated_window_names_tau_and_both_eps(self):
+        # on 100 steps eps = 0.02 and 0.015 select steps 25-27 and 25-26 from tau = 0.255,
+        # but both select steps 75 and 76 from tau = 0.75
+        with pytest.raises(ValueError, match=r"eps_grid values 0\.02 and 0\.015 select the same steps at tau = 0\.75"):
+            check_spike_grids(build_lq_coefficients(0.1), GRID, [0.255, 0.75], [0.0], [0.02, 0.015])
 
 
 class TestSpikedValues:
@@ -479,14 +488,13 @@ class TestNecessaryCondition:
 
     def test_quotient_divides_by_the_realized_window(self):
         # from tau = 0.5 on 100 steps, eps = 0.015 selects the same two steps as
-        # eps = 0.02, so both cells run the same spiked law and give one quotient
+        # eps = 0.02, so the two verdicts run the same spiked law and give one quotient
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 2000, 301)
         law = OpenLoopLaw(np.ones(100))
-        verdict = check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [0.0], [0.02, 0.015, 0.01])
-        dq, dq_se = verdict.diff_quotient[0, 0], verdict.diff_quotient_se[0, 0]
-        assert dq[0] == dq[1] and dq_se[0] == dq_se[1]
-        assert dq[1] != dq[2]
+        wide, narrow = (check_necessary_condition(law, coeffs, noise, 1.0, [0.5], [0.0], [eps]) for eps in (0.02, 0.015))
+        assert wide.diff_quotient[0, 0, 0] == narrow.diff_quotient[0, 0, 0]
+        assert wide.diff_quotient_se[0, 0, 0] == narrow.diff_quotient_se[0, 0, 0]
 
     @pytest.mark.xfail(
         strict=True,
