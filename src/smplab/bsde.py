@@ -4,11 +4,13 @@ Sign convention: a backward equation dp(t) = -h(t) dt + q(t) dB(t)
 + int r(t, zeta) compensated-N(dt, dzeta) with generator h discretizes to
 p(t_i) = E[p(t_{i+1}) + h(t_i) dt | F_{t_i}].  The adjoint equation of the
 control problem has generator h = dH/dx (``hamiltonian_sum``).
+The generator reads only the state partials f_x, b_x, sigma_x and gamma_x.
 ``solve_adjoint`` sweeps back once with one projector on the state per step:
-it solves the explicit adjoint and, optionally, the implicit backward
-regression scheme as a cross-check on the same projectors.  ``extract_qr``
+it solves the explicit adjoint and, optionally, the p of the implicit
+backward regression scheme as a cross-check on the same projectors.
+``fit_qr_step`` gives one step's (q, r) columns, and ``extract_qr``
 regresses the martingale coefficients of a given process on the driving
-noise.
+noise with it.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class AdjointTriple:
     q: np.ndarray  # (n_paths, N)
     r: np.ndarray  # (n_paths, N, K)
     unidentifiable_atoms: tuple[int, ...] = ()
-    p_fits: tuple = ()  # per-step ConditionalFit of p, without training values (explicit adjoint)
+    p_fits: tuple = ()  # per-step ConditionalFit of p, without training values
 
 
 def _squares_per_path(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -70,19 +72,21 @@ def unidentifiable_atoms(noise: NoiseBundle) -> tuple[int, ...]:
     return tuple(k for k, rate in enumerate(rates) if rate < UNIDENTIFIABLE_RATE)
 
 
-def fit_qr_step(projector: StateProjector, increment: np.ndarray, noise: NoiseBundle, step: int, q, r, dead) -> None:
-    """Fill q[:, step] and r[:, step, k] from one martingale increment of p.
-
-    q is the projection of increment dB_i / dt and r_k that of
-    increment (dN_k - lam_k dt) / (lam_k dt); atoms in ``dead`` keep r = 0.
+def fit_qr_step(projector: StateProjector, increment: np.ndarray, noise: NoiseBundle, step: int):
+    """The (q, r) columns of one step from one martingale increment of p:
+    q, shape (n_paths,), projects increment dB_i / dt and column k of r,
+    shape (n_paths, K), projects increment (dN_k - lam_k dt) / (lam_k dt);
+    the ``unidentifiable_atoms`` keep r = 0.
     """
-    dt = noise.grid.dt
-    q[:, step] = projector.fit(increment * noise.dB[:, step] / dt).fitted
+    dt, dead = noise.grid.dt, unidentifiable_atoms(noise)
+    q = projector.fit(increment * noise.dB[:, step] / dt).fitted
+    r = np.zeros((len(increment), noise.levy.n_atoms), order="F")
     lam = noise.levy.intensities
     for k in range(noise.levy.n_atoms):
         if k not in dead:
             rate = lam[k] * dt
-            r[:, step, k] = projector.fit(increment * noise.compensated_counts()[:, step, k] / rate).fitted
+            r[:, k] = projector.fit(increment * noise.compensated_counts()[:, step, k] / rate).fitted
+    return q, r
 
 
 def extract_qr(p: np.ndarray, noise: NoiseBundle) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -101,12 +105,11 @@ def extract_qr(p: np.ndarray, noise: NoiseBundle) -> tuple[np.ndarray, np.ndarra
     if p.shape != (n_paths, n_steps + 1):
         raise ValueError("p must hold one value per path and grid node")
     q = np.empty((n_paths, n_steps), order="F")
-    r = np.zeros((n_paths, n_steps, levy.n_atoms), order="F")
-    dead = unidentifiable_atoms(noise)
+    r = np.empty((n_paths, n_steps, levy.n_atoms), order="F")
     d_p = p[:, 1:] - p[:, :-1]
     for i in range(n_steps):
-        fit_qr_step(StateProjector(state_features(noise, i)), d_p[:, i], noise, i, q, r, dead)
-    return q, r, dead
+        q[:, i], r[:, i] = fit_qr_step(StateProjector(state_features(noise, i)), d_p[:, i], noise, i)
+    return q, r, unidentifiable_atoms(noise)
 
 
 def hamiltonian_sum(f, b, sigma, gammas, p, q, r, levy: LevyMeasure):
@@ -123,36 +126,31 @@ def hamiltonian_sum(f, b, sigma, gammas, p, q, r, levy: LevyMeasure):
     return out
 
 
-def _blank_triple(forward: PathBundle, terminal: np.ndarray) -> AdjointTriple:
-    """Triple with p(T) = terminal, its other entries filled in place by the sweep."""
-    grid, noise, n_paths = forward.grid, forward.noise, forward.n_paths
-    p = np.empty((n_paths, grid.n_steps + 1), order="F")
+def _nodes(forward: PathBundle, terminal: np.ndarray) -> np.ndarray:
+    """Step-major (n_paths, N+1) array with p(T) = terminal, its other columns filled by the sweep."""
+    p = np.empty((forward.n_paths, forward.grid.n_steps + 1), order="F")
     p[:, -1] = terminal
-    q = np.empty((n_paths, grid.n_steps), order="F")
-    r = np.zeros((n_paths, grid.n_steps, noise.levy.n_atoms), order="F")
-    return AdjointTriple(p=p, q=q, r=r, unidentifiable_atoms=unidentifiable_atoms(noise))
+    return p
 
 
-def _implicit_step(
-    projector: StateProjector, part: CoefficientPartials, triple: AdjointTriple, noise: NoiseBundle, i: int
-) -> None:
-    """Fill step i of ``triple`` by the implicit regression scheme
+def _implicit_step(projector: StateProjector, part: CoefficientPartials, p: np.ndarray, noise: NoiseBundle, i: int):
+    """Fill p[:, i] by the implicit regression scheme
     p(t_i) = E[p(t_{i+1}) | F_{t_i}] + h(p_i, q_i, r_i) dt, h the generator
-    ``hamiltonian_sum`` of the state partials.  h is affine in p_i with slope
-    b_x, so the step is solved exactly:
+    ``hamiltonian_sum`` of the state partials, with the step's (q, r)
+    columns from ``fit_qr_step``.  h is affine in p_i with slope b_x, so the
+    step is solved exactly:
     p_i = (E[p(t_{i+1}) | F_{t_i}] + h(0, q_i, r_i) dt) / (1 - b_x dt).
     A path with 1 - b_x dt <= 0 has no stable solution and raises
     ``ContractionFailure``.
     """
-    p, q, r = triple.p, triple.q, triple.r
     cond = projector.fit(p[:, i + 1]).fitted
-    fit_qr_step(projector, p[:, i + 1] - cond, noise, i, q, r, triple.unidentifiable_atoms)
+    q, r = fit_qr_step(projector, p[:, i + 1] - cond, noise, i)
     dt, b = noise.grid.dt, part.b_x[:, i]
     scale = 1.0 - b * dt
     if not np.all(scale > 0.0):
         raise ContractionFailure(f"1 - b_x dt falls to {float(np.min(scale)):.3e} on step {i}")
     gammas = part.gamma_x[:, i].T  # atom-major: gammas[k] is atom k's column
-    h0 = hamiltonian_sum(part.f_x[:, i], b, part.sigma_x[:, i], gammas, 0.0, q[:, i], r[:, i], noise.levy)
+    h0 = hamiltonian_sum(part.f_x[:, i], b, part.sigma_x[:, i], gammas, 0.0, q, r, noise.levy)
     p[:, i] = (cond + h0 * dt) / scale
 
 
@@ -161,7 +159,7 @@ def solve_adjoint(
     terminal: np.ndarray,
     forward: PathBundle,
     cross_check: bool = False,
-) -> tuple[AdjointTriple, AdjointTriple | None]:
+) -> tuple[AdjointTriple, np.ndarray | None]:
     """The adjoint triple of the linear equation with generator dH/dx, in one backward sweep.
 
     ``part`` holds the state partials along ``forward`` (``partials_along``)
@@ -174,7 +172,8 @@ def solve_adjoint(
     ``p_fits``.  Gamma is exactly 1 when b_x, sigma_x and gamma_x all vanish,
     and is then not computed.  With ``cross_check`` the sweep also runs the
     implicit backward regression scheme (``_implicit_step``) and returns its
-    triple second; otherwise the second item is None.
+    p, step-major of shape (n_paths, N+1), second; its q and r live one step
+    at a time.  Otherwise the second item is None.
     """
     noise = forward.noise
     n_steps, dt = noise.grid.n_steps, noise.grid.dt
@@ -184,9 +183,10 @@ def solve_adjoint(
         gam = gamma_process(part.b_x, part.sigma_x, part.gamma_x, noise)
     else:
         gam = np.ones((1, n_steps + 1))
-    explicit = _blank_triple(forward, terminal)
-    regression = _blank_triple(forward, terminal) if cross_check else None
-    p, q, r, dead = explicit.p, explicit.q, explicit.r, explicit.unidentifiable_atoms
+    p = _nodes(forward, terminal)
+    q = np.empty((forward.n_paths, n_steps), order="F")
+    r = np.empty((forward.n_paths, n_steps, noise.levy.n_atoms), order="F")
+    implicit = _nodes(forward, terminal) if cross_check else None
     fits = [None] * n_steps
     tail = gam[:, n_steps] * terminal
     for i in range(n_steps - 1, -1, -1):
@@ -195,7 +195,7 @@ def solve_adjoint(
         fit = projector.fit(tail / gam[:, i])
         p[:, i] = fit.fitted
         fits[i] = replace(fit, fitted=None)
-        fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i, q, r, dead)
-        if regression is not None:
-            _implicit_step(projector, part, regression, noise, i)
-    return replace(explicit, p_fits=tuple(fits)), regression
+        q[:, i], r[:, i] = fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i)
+        if implicit is not None:
+            _implicit_step(projector, part, implicit, noise, i)
+    return AdjointTriple(p, q, r, unidentifiable_atoms(noise), tuple(fits)), implicit

@@ -104,14 +104,33 @@ def _atoms(raw, key):
     return pairs
 
 
-_PARSERS = {
-    "float": _float,
-    "int": _int,
-    "float_list": _list_of(_float),
-    "int_list": _list_of(_int),
-    "atoms": _atoms,
-    "str": lambda raw, key: str(raw).strip(),
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+
+
+def _is_atom(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
+
+
+# Schema value types: name -> (parser of an INI value, check of an embedded JSON value).
+_TYPES = {
+    "float": (_float, _is_real),
+    "int": (_int, _is_int),
+    "float_list": (_list_of(_float), lambda v: isinstance(v, list) and all(map(_is_real, v))),
+    "int_list": (_list_of(_int), lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "atoms": (_atoms, lambda v: isinstance(v, list) and all(map(_is_atom, v))),
+    "str": (lambda raw, key: str(raw).strip(), lambda v: isinstance(v, str)),
 }
+
+
+def _type_name(typ) -> str:
+    """The ``_TYPES`` name of a schema type; a named option (a tuple of choices) is a str."""
+    return "str" if isinstance(typ, tuple) else typ
+
 
 # Functionals of [duality] and [clark_ocone]: name -> F(grid, levy).
 _FUNCTIONALS = {
@@ -276,7 +295,7 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
         raise ConfigError(f"config declares kind {file_kind!r} but {kind!r} was requested")
 
     family = given.get("model", {}).get("family", _COMMON_SCHEMA["model"]["family"][1])
-    schema = _check_known(given, kind, _PARSERS["str"](family, "[model] family"))
+    schema = _check_known(given, kind, _TYPES["str"][0](family, "[model] family"))
     resolved: dict = {"experiment": {"kind": kind}}
     for section, keys in schema.items():
         resolved.setdefault(section, {})
@@ -284,7 +303,7 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
             if section == "experiment" and key == "kind":
                 continue
             if key in given.get(section, {}):
-                resolved[section][key] = _PARSERS.get(typ, _PARSERS["str"])(given[section][key], f"[{section}] {key}")
+                resolved[section][key] = _TYPES[_type_name(typ)][0](given[section][key], f"[{section}] {key}")
             else:
                 resolved[section][key] = default
 
@@ -534,16 +553,16 @@ def _run_solve_bsde(cfg, setup: _Setup):
     law = _control_law(cfg["bsde"]["control"], cfg["bsde"]["control_value"], grid)
     forward = euler_forward(coeffs, law, setup.noise(), setup.x0)
     # the partials are not kept past the sweep: the distance below takes full-size temporaries
-    explicit, regression = solve_adjoint(
+    explicit, p_implicit = solve_adjoint(
         partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, cross_check=True
     )
-    distance = relative_l2_dtP(regression.p, explicit.p, grid.dt)
+    distance = relative_l2_dtP(p_implicit, explicit.p, grid.dt)
     ok = distance <= cfg["bsde"]["max_rel_distance"]
     payload = {
         "cross_solver_distance": float(distance),
         "max_rel_distance": cfg["bsde"]["max_rel_distance"],
         "p_explicit_digest": _digest(explicit.p),
-        "p_regression_digest": _digest(regression.p),
+        "p_regression_digest": _digest(p_implicit),
         "p0_mean_explicit": float(explicit.p[:, 0].mean()),
         "verdict": bool(ok),
     }
@@ -708,29 +727,6 @@ def _canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-def _is_atom(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(map(_is_real, value))
-
-
-# JSON value checks of an embedded config, by schema type; named options are strings.
-_JSON_TYPES = {
-    "float": _is_real,
-    "int": _is_int,
-    "float_list": lambda v: isinstance(v, list) and all(map(_is_real, v)),
-    "int_list": lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    "atoms": lambda v: isinstance(v, list) and all(map(_is_atom, v)),
-    "str": lambda v: isinstance(v, str),
-}
-
-
 def _check_json_types(cfg: dict) -> None:
     """The embedded config holds only the sections and keys of its kind and [model]
     only those of its family (``_check_known``), and every value has the JSON type
@@ -738,8 +734,8 @@ def _check_json_types(cfg: dict) -> None:
     schema = _check_known(cfg, cfg["experiment"]["kind"], cfg["model"]["family"])
     for section, keys in schema.items():
         for key, (typ, _) in keys.items():
-            name = "str" if isinstance(typ, tuple) else typ
-            if not _JSON_TYPES[name](cfg[section][key]):
+            name = _type_name(typ)
+            if not _TYPES[name][1](cfg[section][key]):
                 raise ConfigError(f"[{section}] {key}: expected a JSON {name}, got {cfg[section][key]!r}")
 
 

@@ -50,35 +50,35 @@ def hamiltonian_du(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyM
 
 @dataclass(frozen=True, eq=False)
 class CoefficientPartials:
-    """State and control partials along a path bundle; fields may be read-only broadcast views."""
+    """State partials along a path bundle, all that the adjoint generator dH/dx
+    reads; fields may be read-only broadcast views."""
 
     f_x: np.ndarray  # (n_paths, N)
     b_x: np.ndarray
     sigma_x: np.ndarray
     gamma_x: np.ndarray  # (n_paths, N, K)
-    f_u: np.ndarray
-    b_u: np.ndarray
-    sigma_u: np.ndarray
-    gamma_u: np.ndarray
+
+
+def _along(coeffs: ControlledCoefficients, forward: PathBundle, name: str) -> np.ndarray:
+    """Partial ``name`` of ``coeffs`` evaluated once at the left nodes of all
+    steps: ``t`` of shape (1, N) against ``x``, ``u`` of shape (n_paths, N).
+    A jump partial (``gamma_*``) carries one column per atom of the path
+    bundle's noise.  Arrays follow the step-major layout of ``x`` and ``u``."""
+    levy = forward.noise.levy
+    t, x, u = forward.grid.times()[None, :-1], forward.X[:, :-1], forward.u
+    if not name.startswith("gamma"):
+        return np.broadcast_to(np.asarray(getattr(coeffs, name)(t, x, u), dtype=float), u.shape)
+    out = np.empty(u.shape + (levy.n_atoms,), order="F")
+    for k, zeta in enumerate(levy.zetas):
+        out[:, :, k] = getattr(coeffs, name)(t, x, u, zeta)
+    return out
 
 
 def partials_along(coeffs: ControlledCoefficients, forward: PathBundle) -> CoefficientPartials:
-    """Each partial evaluated once at the left nodes of all steps: ``t`` of
-    shape (1, N) against ``x``, ``u`` of shape (n_paths, N); the jump
-    partials carry one column per atom of the path bundle's noise.  Arrays
-    follow the step-major layout of ``x`` and ``u``."""
-    levy = forward.noise.levy
-    shape = forward.u.shape
-    t, x, u = forward.grid.times()[None, :-1], forward.X[:, :-1], forward.u
-    fields = {
-        name: np.broadcast_to(np.asarray(getattr(coeffs, name)(t, x, u), dtype=float), shape)
-        for name in ("f_x", "b_x", "sigma_x", "f_u", "b_u", "sigma_u")
-    }
-    for name in ("gamma_x", "gamma_u"):
-        fields[name] = np.empty(shape + (levy.n_atoms,), order="F")
-        for k, zeta in enumerate(levy.zetas):
-            fields[name][:, :, k] = getattr(coeffs, name)(t, x, u, zeta)
-    return CoefficientPartials(**fields)
+    """The state partials f_x, b_x, sigma_x and gamma_x along ``forward``,
+    each evaluated once over all steps (``_along``); no control partial is
+    evaluated."""
+    return CoefficientPartials(*(_along(coeffs, forward, name) for name in ("f_x", "b_x", "sigma_x", "gamma_x")))
 
 
 def adjoint_for(coeffs: ControlledCoefficients, forward: PathBundle) -> AdjointTriple:
@@ -153,7 +153,9 @@ def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, for
 
     Both modes linearize around the base path bundle ``forward`` (partials
     at the base state and control, on its noise) with Z(tau) = 0; the
-    spike is the law's window and values (``spike_perturb``).
+    spike is the law's window and values (``spike_perturb``).  Z reads the
+    state partials of ``partials_along`` and the control partials b_u,
+    sigma_u and gamma_u, which it evaluates itself (``_along``).
     ``direct`` Euler-steps the linear equations driven by (v - u) on the
     window and homogeneously after it; ``closed_form`` evaluates the
     variation-of-constants solution through the same reciprocal-exponential
@@ -166,6 +168,7 @@ def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, for
     n_paths, n_steps = noise.n_paths, grid.n_steps
     dt = grid.dt
     part = partials_along(coeffs, forward)
+    b_u, sigma_u, gamma_u = (_along(coeffs, forward, name) for name in ("b_u", "sigma_u", "gamma_u"))
 
     window = law.window
     first = _run_start(law)
@@ -177,19 +180,19 @@ def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, for
         Z = np.zeros((n_paths, n_steps + 1), order="F")
         for i in range(first, n_steps):
             z = Z[:, i]
-            dz = (part.b_x[:, i] * z + part.b_u[:, i] * du[:, i]) * dt
-            dz += (part.sigma_x[:, i] * z + part.sigma_u[:, i] * du[:, i]) * noise.dB[:, i]
+            dz = (part.b_x[:, i] * z + b_u[:, i] * du[:, i]) * dt
+            dz += (part.sigma_x[:, i] * z + sigma_u[:, i] * du[:, i]) * noise.dB[:, i]
             for k in range(levy.n_atoms):
-                dz += (part.gamma_x[:, i, k] * z + part.gamma_u[:, i, k] * du[:, i]) * comp[:, i, k]
+                dz += (part.gamma_x[:, i, k] * z + gamma_u[:, i, k] * du[:, i]) * comp[:, i, k]
             Z[:, i + 1] = z + dz
         return Z
 
     lin = LinearCoefficients(
-        b0=part.b_u * du,
+        b0=b_u * du,
         b1=part.b_x,
-        s0=part.sigma_u * du,
+        s0=sigma_u * du,
         s1=part.sigma_x,
-        g0=part.gamma_u * du[:, :, None],
+        g0=gamma_u * du[:, :, None],
         g1=part.gamma_x,
     )
     return linear_closed_form(lin, noise, 0.0).X

@@ -115,7 +115,7 @@ def test_criterion_05_martingale_coefficient_surrogate():
     B = noise.brownian()
     forward = PathBundle(grid=grid, X=B, u=np.zeros((100_000, 100)), noise=noise)
     zeros, no_atoms = np.zeros((100_000, 100)), np.zeros((100_000, 100, 0))
-    part = CoefficientPartials(zeros, zeros, zeros, no_atoms, zeros, zeros, zeros, no_atoms)
+    part = CoefficientPartials(zeros, zeros, zeros, no_atoms)
     triple, _ = solve_adjoint(part, B[:, -1], forward)
     q_err = math.sqrt(float(np.mean((triple.q - 1.0) ** 2)))
     # (b) p(t) = B(t)^2 - t: extracted q within 5% L2 of 2B(t), and the
@@ -142,8 +142,8 @@ def test_criterion_06_cross_solver_equivalence():
     law = OpenLoopLaw(np.zeros(100))
     forward = euler_forward(coeffs, law, noise, 1.0)
     part = partials_along(coeffs, forward)
-    explicit, regression = solve_adjoint(part, coeffs.g_x(forward.X[:, -1]), forward, cross_check=True)
-    distance = relative_l2_dtP(regression.p, explicit.p, grid.dt)
+    explicit, p_implicit = solve_adjoint(part, coeffs.g_x(forward.X[:, -1]), forward, cross_check=True)
+    distance = relative_l2_dtP(p_implicit, explicit.p, grid.dt)
     _report(6, distance <= 0.05, f"relative L2(dt x P) distance {distance:.5f} <= 0.05")
 
 

@@ -7,6 +7,7 @@ import pytest
 from smplab.bsde import (
     UNIDENTIFIABLE_RATE,
     extract_qr,
+    fit_qr_step,
     hamiltonian_sum,
     l2_dtP_norm,
     relative_l2_dtP,
@@ -38,17 +39,12 @@ def brownian_forward(n_paths, seed, grid=GRID):
 
 
 def state_partials(fw, f_x=0.0, b_x=0.0, sigma_x=0.0, gamma_x=0.0):
-    """Partials of a model whose state partials are the given constants or
-    arrays and whose control partials vanish; ``gamma_x`` holds one value or
-    one column per atom of the bundle's noise."""
+    """State partials of the given constants or arrays; ``gamma_x`` holds one
+    value or one column per atom of the bundle's noise."""
     shape = fw.u.shape
     full = lambda value: np.broadcast_to(np.asarray(value, dtype=float), shape)
-    zero = full(0.0)
     gammas = np.broadcast_to(np.asarray(gamma_x, dtype=float), shape + (fw.noise.levy.n_atoms,))
-    return CoefficientPartials(
-        f_x=full(f_x), b_x=full(b_x), sigma_x=full(sigma_x), gamma_x=gammas,
-        f_u=zero, b_u=zero, sigma_u=zero, gamma_u=np.zeros_like(gammas),
-    )
+    return CoefficientPartials(f_x=full(f_x), b_x=full(b_x), sigma_x=full(sigma_x), gamma_x=gammas)
 
 
 def explicit_adjoint(fw, terminal, **partials):
@@ -58,7 +54,19 @@ def explicit_adjoint(fw, terminal, **partials):
 
 
 def regression_adjoint(fw, terminal, **partials):
+    """The p of the implicit cross-check."""
     return solve_adjoint(state_partials(fw, **partials), terminal, fw, cross_check=True)[1]
+
+
+def implicit_qr(fw, p):
+    """The (q, r) of the implicit scheme, refitted from its p with the fits of
+    its steps: one projector on X(t_i), the increment p(t_{i+1}) minus its
+    conditional expectation, and ``fit_qr_step``."""
+    columns = []
+    for i in range(fw.grid.n_steps):
+        projector = StateProjector(fw.X[:, i])
+        columns.append(fit_qr_step(projector, p[:, i + 1] - projector.fit(p[:, i + 1]).fitted, fw.noise, i))
+    return np.stack([q for q, _ in columns], axis=1), np.stack([r for _, r in columns], axis=1)
 
 
 class TestSolveLinearExplicit:
@@ -106,9 +114,9 @@ class TestSolveRegression:
 
     def test_all_zero(self):
         fw = brownian_forward(1000, 6)
-        triple = regression_adjoint(fw, np.zeros(1000))
-        assert np.allclose(triple.p, 0.0, atol=1e-9)
-        assert np.allclose(triple.q, 0.0, atol=1e-9)
+        p = regression_adjoint(fw, np.zeros(1000))
+        assert np.allclose(p, 0.0, atol=1e-9)
+        assert np.allclose(implicit_qr(fw, p)[0], 0.0, atol=1e-9)
 
     def test_linear_ode_oracle(self):
         # generator a*p with unit terminal: p(0) = e^{aT}
@@ -116,16 +124,16 @@ class TestSolveRegression:
         fw = brownian_forward(64, 7, grid)
         fw = PathBundle(grid=grid, X=np.zeros_like(fw.X), u=fw.u, noise=fw.noise)
         a = 0.8
-        triple = regression_adjoint(fw, np.ones(64), b_x=a)
-        assert abs(triple.p[0, 0] - math.exp(a)) < 1e-3
+        p = regression_adjoint(fw, np.ones(64), b_x=a)
+        assert abs(p[0, 0] - math.exp(a)) < 1e-3
 
     def test_cross_solver_equivalence_lq(self):
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 8)
         law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
-        explicit, regression = solve_adjoint(partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1]), fw, cross_check=True)
-        assert relative_l2_dtP(regression.p, explicit.p, GRID.dt) < 0.02
+        explicit, p_implicit = solve_adjoint(partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1]), fw, cross_check=True)
+        assert relative_l2_dtP(p_implicit, explicit.p, GRID.dt) < 0.02
 
     def test_cross_solver_equivalence_all_channels(self):
         # state-dependent drift, diffusion, and jump coefficient make every
@@ -153,16 +161,16 @@ class TestSolveRegression:
         noise = sample_noise(GRID, levy, 30_000, 55)
         law = OpenLoopLaw(np.zeros(100))
         fw = euler_forward(coeffs, law, noise, 1.0)
-        explicit, regression = solve_adjoint(partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1]), fw, cross_check=True)
-        assert relative_l2_dtP(regression.p, explicit.p, GRID.dt) < 0.05
+        explicit, p_implicit = solve_adjoint(partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1]), fw, cross_check=True)
+        assert relative_l2_dtP(p_implicit, explicit.p, GRID.dt) < 0.05
         # both channels carry signal in this model
         assert math.sqrt(float(np.mean(explicit.q**2))) > 0.1
         assert math.sqrt(float(np.mean(explicit.r**2))) > 0.05
 
     def test_terminal_exact(self):
         fw = brownian_forward(800, 9)
-        triple = regression_adjoint(fw, -fw.X[:, -1])
-        assert np.array_equal(triple.p[:, -1], -fw.X[:, -1])
+        p = regression_adjoint(fw, -fw.X[:, -1])
+        assert np.array_equal(p[:, -1], -fw.X[:, -1])
 
     def test_contraction_failure_raised(self):
         fw = brownian_forward(200, 10)
@@ -182,16 +190,17 @@ class TestSolveRegression:
         X = noise.brownian() + noise.compensated_jump_path()
         fw = PathBundle(grid=GRID, X=X, u=np.zeros((400, GRID.n_steps)), noise=noise)
         part = state_partials(fw, **partials)
-        triple = regression_adjoint(fw, X[:, -1], **partials)
-        assert np.all(np.isfinite(triple.p))
-        bound = 1e-12 * np.max(np.abs(triple.p))
+        p = regression_adjoint(fw, X[:, -1], **partials)
+        assert np.all(np.isfinite(p))
+        q, r = implicit_qr(fw, p)
+        bound = 1e-12 * np.max(np.abs(p))
         for i in range(GRID.n_steps):
-            cond = StateProjector(X[:, i]).fit(triple.p[:, i + 1]).fitted
+            cond = StateProjector(X[:, i]).fit(p[:, i + 1]).fitted
             h = hamiltonian_sum(
                 part.f_x[:, i], part.b_x[:, i], part.sigma_x[:, i], part.gamma_x[:, i].T,
-                triple.p[:, i], triple.q[:, i], triple.r[:, i], noise.levy,
+                p[:, i], q[:, i], r[:, i], noise.levy,
             )
-            assert np.max(np.abs(triple.p[:, i] - cond - h * GRID.dt)) <= bound
+            assert np.max(np.abs(p[:, i] - cond - h * GRID.dt)) <= bound
 
     def test_insufficient_paths(self):
         fw = brownian_forward(5, 11)
@@ -387,17 +396,22 @@ class TestSharedProjectorBitContract:
         # the generator 0.5 q + 0.3 r_0, with 0.3 = gamma_x lam_0
         part = state_partials(fw, sigma_x=0.5, gamma_x=(0.15, 0.0))
         terminal = fw.X[:, -1] ** 2
-        _, triple = solve_adjoint(part, terminal, fw, cross_check=True)
-        self.assert_triple(triple, self.regression_reference(fw, part, terminal))
-        assert triple.p_fits == ()
+        _, p_implicit = solve_adjoint(part, terminal, fw, cross_check=True)
+        p, q, r = self.regression_reference(fw, part, terminal)
+        assert np.array_equal(p_implicit, p)
+        # the steps fitted the reference's (q, r) columns: refitted from p they agree bit for bit
+        q_steps, r_steps = implicit_qr(fw, p_implicit)
+        assert np.array_equal(q_steps, q)
+        assert np.array_equal(r_steps, r)
+        assert np.any(r[:, :, 0] != 0.0) and np.all(r[:, :, 1] == 0.0)
 
     def test_cross_check_returns_both(self):
         fw = self.bundle()
         part = state_partials(fw, f_x=0.5 * fw.X[:, :-1], sigma_x=0.5, gamma_x=(0.15, 0.0))
         terminal = fw.X[:, -1] ** 2
-        explicit, regression = solve_adjoint(part, terminal, fw, cross_check=True)
+        explicit, p_implicit = solve_adjoint(part, terminal, fw, cross_check=True)
         self.assert_triple(explicit, self.explicit_reference(fw, part, terminal))
-        self.assert_triple(regression, self.regression_reference(fw, part, terminal))
+        assert np.array_equal(p_implicit, self.regression_reference(fw, part, terminal)[0])
 
     def test_extract_qr(self):
         fw = self.bundle()

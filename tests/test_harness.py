@@ -11,7 +11,7 @@ from smplab.errors import ConfigError, ReplayMismatch
 from smplab.harness import EXPERIMENTS, _family_keys, build_model, parse_config, replay, run, schema_for
 from smplab.model import OpenLoopLaw, TimeGrid, validate_coefficients
 from smplab.simulate import euler_forward, sample_noise
-from smplab.smp import partials_along
+from smplab.smp import _along, partials_along
 
 ROOT = Path(__file__).resolve().parent.parent
 BASE = """
@@ -349,8 +349,11 @@ class TestBuildModel:
         grid = TimeGrid(1.0, 40)
         forward = euler_forward(coeffs, OpenLoopLaw(np.full(40, 0.3)), sample_noise(grid, levy, 200, 5), x0)
         part = partials_along(coeffs, forward)
-        for name in ("b_x", "b_u", "sigma_x", "sigma_u", "f_x"):
+        for name in ("b_x", "sigma_x", "f_x"):
             assert getattr(part, name).strides == (0, 0), name
+        # the control partials, which variational_Z evaluates with the same helper
+        for name in ("b_u", "sigma_u"):
+            assert _along(coeffs, forward, name).strides == (0, 0), name
 
     @pytest.mark.parametrize("kind", sorted(RESTATEMENT_RUNS))
     def test_lq_and_its_polynomial_restatement_agree(self, tmp_path, kind):

@@ -61,14 +61,35 @@ class TestStepMajorStorage:
         fw = forward(n_paths)
         part = partials_along(COEFFS, fw)
         step_major(part.gamma_x, (n_paths, GRID.n_steps, LEVY.n_atoms))
-        explicit, regression = solve_adjoint(part, COEFFS.g_x(fw.X[:, -1]), fw, cross_check=True)
-        for triple in (explicit, regression):
-            step_major(triple.p, (n_paths, GRID.n_steps + 1))
-            step_major(triple.q, (n_paths, GRID.n_steps))
-            step_major(triple.r, (n_paths, GRID.n_steps, LEVY.n_atoms))
+        explicit, p_implicit = solve_adjoint(part, COEFFS.g_x(fw.X[:, -1]), fw, cross_check=True)
+        step_major(explicit.p, (n_paths, GRID.n_steps + 1))
+        step_major(explicit.q, (n_paths, GRID.n_steps))
+        step_major(explicit.r, (n_paths, GRID.n_steps, LEVY.n_atoms))
+        step_major(p_implicit, (n_paths, GRID.n_steps + 1))
         q, r, _ = extract_qr(explicit.p, fw.noise)
         step_major(q, (n_paths, GRID.n_steps))
         step_major(r, (n_paths, GRID.n_steps, LEVY.n_atoms))
+
+    def test_cross_check_keeps_only_its_p(self):
+        # the implicit scheme's q and r live one step at a time: the cross-check
+        # adds its p and step-sized temporaries to the sweep's peak, no full-size q or r
+        grid = TimeGrid(1.0, 100)
+        noise = sample_noise(grid, LEVY, 4000, 3)
+        fw = euler_forward(COEFFS, OpenLoopLaw(np.full(grid.n_steps, 0.4)), noise, 1.0)
+        part, terminal = partials_along(COEFFS, fw), COEFFS.g_x(fw.X[:, -1])
+        noise.compensated_counts()  # built once per bundle, before either peak
+        peaks = []
+        tracemalloc.start()
+        try:
+            for cross_check in (False, True):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                explicit, p_implicit = solve_adjoint(part, terminal, fw, cross_check=cross_check)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                del explicit, p_implicit
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < fw.X.nbytes + fw.u.nbytes / 2
 
     @pytest.mark.parametrize("mode", ["direct", "closed_form"])
     @pytest.mark.parametrize("n_paths", PATH_COUNTS)

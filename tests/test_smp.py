@@ -20,7 +20,8 @@ from smplab.model import (
     like,
     polynomial_coefficients,
 )
-from smplab.simulate import euler_forward, sample_noise
+from smplab.bsde import solve_adjoint
+from smplab.simulate import LinearCoefficients, euler_forward, linear_closed_form, sample_noise
 from smplab.smp import (
     SmpVerdict,
     adjoint_for,
@@ -251,6 +252,55 @@ class TestVariationalZ:
         rel = np.sqrt(np.mean((Zd[:, -1] - Zc[:, -1]) ** 2) / np.mean(Zc[:, -1] ** 2))
         assert rel < 0.01
 
+    def test_reads_the_partials_of_each_step(self):
+        # state and control partials that vary with t, x and u, and one jump
+        # column per atom: both modes equal the linearization written out on
+        # partials evaluated step by step, bit for bit
+        grid = TimeGrid(1.0, 20)
+        levy = LevyMeasure.from_pairs([(0.2, 1.0), (-0.1, 2.0)])
+        poly = polynomial_coefficients(b_poly=(0.1, 0.2, -0.05), sigma_poly=(0.2, 0.1), gamma_poly=(0.05, 0.1, 0.2))
+        coeffs = ControlledCoefficients(
+            **{
+                **poly.__dict__,
+                "b_u": lambda t, x, u: 1.0 + 0.5 * t * np.asarray(x, dtype=float) + 0.1 * np.asarray(u, dtype=float),
+                "sigma_u": lambda t, x, u: 0.1 - 0.2 * t * np.asarray(x, dtype=float),
+                "gamma_u": lambda t, x, u, z: z * (0.2 + 0.3 * np.asarray(x, dtype=float) * np.asarray(u, dtype=float)),
+            }
+        )
+        noise = sample_noise(grid, levy, 300, 44)
+        base = OpenLoopLaw(np.linspace(-0.5, 0.5, 20))
+        forward = euler_forward(coeffs, base, noise, 0.5)
+        law = spike_perturb(base, grid, 0.3, 0.2, 0.9)
+
+        times = grid.times()
+        comp = noise.compensated_counts()
+
+        def at(name, *zeta):
+            return np.column_stack(
+                [getattr(coeffs, name)(times[i], forward.X[:, i], forward.u[:, i], *zeta) for i in range(20)]
+            )
+
+        def jump(name):
+            return np.asfortranarray(np.stack([at(name, zeta) for zeta in levy.zetas], axis=2))
+
+        b_x, b_u, sigma_x, sigma_u = (np.asfortranarray(at(name)) for name in ("b_x", "b_u", "sigma_x", "sigma_u"))
+        gamma_x, gamma_u = jump("gamma_x"), jump("gamma_u")
+        assert np.ptp(b_u) > 0.0 and np.ptp(sigma_u) > 0.0 and np.ptp(gamma_u[:, :, 1]) > 0.0
+        du = np.where(law.window, 0.9 - forward.u, 0.0)
+        Z = np.zeros((300, 21))
+        for i in range(int(np.argmax(law.window)), 20):
+            z = Z[:, i]
+            dz = (b_x[:, i] * z + b_u[:, i] * du[:, i]) * grid.dt
+            dz += (sigma_x[:, i] * z + sigma_u[:, i] * du[:, i]) * noise.dB[:, i]
+            for k in range(2):
+                dz += (gamma_x[:, i, k] * z + gamma_u[:, i, k] * du[:, i]) * comp[:, i, k]
+            Z[:, i + 1] = z + dz
+        assert np.array_equal(variational_Z(law, "direct", coeffs, forward), Z)
+        lin = LinearCoefficients(
+            b0=b_u * du, b1=b_x, s0=sigma_u * du, s1=sigma_x, g0=gamma_u * du[:, :, None], g1=gamma_x
+        )
+        assert np.array_equal(variational_Z(law, "closed_form", coeffs, forward), linear_closed_form(lin, noise, 0.0).X)
+
     def test_closed_form_matches_direct_with_atoms(self):
         # with atoms, the closed form still agrees with the direct simulation
         coeffs = build_lq_coefficients(0.1)
@@ -353,8 +403,8 @@ class TestSpikedValues:
 
 class TestPartialsAlong:
     def test_matches_per_step_evaluation(self, tmp_path):
-        # custom-polynomial partials depend on x, and gamma_x / gamma_u carry
-        # one column per atom
+        # custom-polynomial partials depend on x, and gamma_x carries one
+        # column per atom
         path = tmp_path / "model.ini"
         path.write_text(
             "[experiment]\nkind = simulate\n[model]\nfamily = custom-polynomial\n"
@@ -368,29 +418,45 @@ class TestPartialsAlong:
         forward = euler_forward(coeffs, OpenLoopLaw(np.linspace(-0.5, 0.5, 20)), noise, x0)
         part = partials_along(coeffs, forward)
 
+        # the state partials, the only ones the adjoint generator reads
+        assert [field.name for field in dataclasses.fields(part)] == ["f_x", "b_x", "sigma_x", "gamma_x"]
         times = grid.times()
-        for name in ("f_x", "b_x", "sigma_x", "f_u", "b_u", "sigma_u"):
+        for name in ("f_x", "b_x", "sigma_x"):
             expected = np.column_stack(
                 [getattr(coeffs, name)(times[i], forward.X[:, i], forward.u[:, i]) for i in range(20)]
             )
             assert getattr(part, name).shape == (300, 20)
             assert np.array_equal(getattr(part, name), expected), name
-        for name in ("gamma_x", "gamma_u"):
-            expected = np.stack(
-                [
-                    np.column_stack(
-                        [getattr(coeffs, name)(times[i], forward.X[:, i], forward.u[:, i], zeta) for i in range(20)]
-                    )
-                    for zeta in levy.zetas
-                ],
-                axis=2,
-            )
-            assert getattr(part, name).shape == (300, 20, 2)
-            assert np.array_equal(getattr(part, name), expected), name
+        expected = np.stack(
+            [
+                np.column_stack([coeffs.gamma_x(times[i], forward.X[:, i], forward.u[:, i], zeta) for i in range(20)])
+                for zeta in levy.zetas
+            ],
+            axis=2,
+        )
+        assert part.gamma_x.shape == (300, 20, 2)
+        assert np.array_equal(part.gamma_x, expected)
         assert np.ptp(part.b_x) > 0.0 and np.ptp(part.gamma_x[:, :, 0]) > 0.0
 
 
 class TestAdjointFor:
+    def test_sweep_evaluates_no_control_partial(self):
+        # the adjoint generator reads only state partials: a model whose control
+        # partials raise still has its adjoint and its implicit cross-check
+        def raising(*args):
+            raise AssertionError("a control partial was evaluated")
+
+        lq = build_lq_coefficients(0.1)
+        control_partials = ("f_u", "b_u", "sigma_u", "gamma_u")
+        coeffs = ControlledCoefficients(**{**lq.__dict__, **dict.fromkeys(control_partials, raising)})
+        noise = sample_noise(GRID, ATOM, 500, 43)
+        forward = euler_forward(coeffs, OpenLoopLaw(np.full(100, 0.2)), noise, 1.0)
+        triple = adjoint_for(coeffs, forward)
+        part = partials_along(coeffs, forward)
+        explicit, p_implicit = solve_adjoint(part, coeffs.g_x(forward.X[:, -1]), forward, cross_check=True)
+        assert np.array_equal(explicit.p, triple.p)
+        assert p_implicit.shape == triple.p.shape and np.all(np.isfinite(p_implicit))
+
     def test_zero_costs_give_zero_adjoint(self):
         lq = build_lq_coefficients(0.1)
         coeffs = ControlledCoefficients(
