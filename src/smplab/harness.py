@@ -363,8 +363,12 @@ def _validate_resolved(cfg: dict) -> _Setup:
     if kind == "clark-ocone" and cfg["model"]["atoms"]:
         raise ConfigError("[model] atoms: clark-ocone reconstructs Brownian functionals and takes no atoms")
     study = kind == "convergence-study"
-    if study and len(cfg["convergence"]["n_steps_list"]) < 2:
+    step_counts = cfg["convergence"]["n_steps_list"] if study else [cfg["grid"]["n_steps"]]
+    if study and len(step_counts) < 2:
         raise ConfigError("[convergence] n_steps_list needs at least two entries to measure a ratio")
+    # The ratio band is a band for halving ratios: each grid halves the step of the one before.
+    if any(finer != 2 * coarser for coarser, finer in zip(step_counts, step_counts[1:])):
+        raise ConfigError(f"[convergence] n_steps_list must double from entry to entry, got {step_counts}")
     # A verdict threshold no run can meet would turn every run into a FAIL.
     if study and cfg["convergence"]["ratio_low"] > cfg["convergence"]["ratio_high"]:
         raise ConfigError("[convergence] ratio_low must not exceed ratio_high")
@@ -372,7 +376,6 @@ def _validate_resolved(cfg: dict) -> _Setup:
                               ("bsde", "max_rel_distance", 0), ("clark_ocone", "max_rel_error", 0)):
         if section in cfg and cfg[section][key] < low:
             raise ConfigError(f"[{section}] {key} must be >= {low}, got {cfg[section][key]}")
-    step_counts = cfg["convergence"]["n_steps_list"] if study else [cfg["grid"]["n_steps"]]
     where = "[grid] or [convergence]" if study else "[grid]"
     grids = tuple(_checked(where, TimeGrid, cfg["grid"]["horizon"], n) for n in step_counts)
     coeffs, levy, x0 = _checked("[model]", build_model, cfg)

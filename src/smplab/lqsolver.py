@@ -17,7 +17,7 @@ import numpy as np
 from .bsde import AdjointTriple, l2_dtP_norm, relative_l2_dtP
 from .malliavin import mean_se
 from .model import ControlledCoefficients, FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid
-from .simulate import NoiseBundle, euler_forward
+from .simulate import NoiseBundle, PathBundle, euler_forward
 from .smp import adjoint_for, performance_values
 
 
@@ -79,6 +79,7 @@ class LqSolution:
     """Converged control, its adjoint, and iteration diagnostics."""
 
     u_values: np.ndarray  # (n_paths, N) on the training noise, step-major
+    values: np.ndarray  # (n_paths,) per-path value of u_values, from the last sweep's forward run
     p_hat: AdjointTriple  # its p_fits are the per-step fits of the feedback law
     residual_history: list
     fbsde_residual: float
@@ -95,33 +96,39 @@ def solve_constrained(params: LqParams) -> LqSolution:
 
     Starts from the adjoint of the zero control; each iterate mixes the control with
     clamp(p) and sweeps once under the mix (``adjoint_for``), for the next iterate or,
-    after the last, the returned ``p_hat``: k iterates make k + 1 sweeps.  A run that
+    after the last, the returned ``p_hat``: k iterates make k + 1 sweeps.  The last
+    sweep's forward run also gives the returned per-path ``values``.  A run that
     exhausts max_iters returns the last iterate flagged unconverged rather than raising.
     """
     noise, coeffs = params.noise, params.coeffs
     n_steps = noise.grid.n_steps
     dt = noise.grid.dt
 
-    def sweep(u: np.ndarray) -> AdjointTriple:
-        return adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0))
+    def sweep(u: np.ndarray) -> tuple[PathBundle, AdjointTriple]:
+        forward = euler_forward(coeffs, OpenLoopLaw(u), noise, params.x0)
+        return forward, adjoint_for(coeffs, forward)
 
     u = np.zeros((noise.n_paths, n_steps), order="F")
-    p_hat = sweep(u)
+    forward, p_hat = sweep(u)
     residual_history: list[float] = []
     converged = False
     for _ in range(params.max_iters):
+        del forward  # the update reads only p
         u_next = (1.0 - params.damping) * u + params.damping * coeffs.clamp(p_hat.p[:, :n_steps])
         del p_hat  # the previous triple dies before the next sweep, or two are alive at its peak
         residual_history.append(l2_dtP_norm(u_next - u, dt))
         u = u_next
-        p_hat = sweep(u)
+        forward, p_hat = sweep(u)
         if residual_history[-1] < params.tol:
             converged = True
             break
 
+    values = performance_values(coeffs, forward)
+    del forward  # before the residual's temporaries
     fbsde_residual = l2_dtP_norm(u - coeffs.clamp(p_hat.p[:, :n_steps]), dt)
     return LqSolution(
         u_values=u,
+        values=values,
         p_hat=p_hat,
         residual_history=residual_history,
         fbsde_residual=fbsde_residual,
@@ -151,7 +158,8 @@ class ComparisonReport:
 
 
 def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonReport:
-    """Simulate u* on the solver's noise and compare controls and values.
+    """Simulate u* on the solver's noise and compare controls and values; the
+    constrained values are the solver's own (``LqSolution.values``).
 
     u* runs through ``euler_forward``, so it is clamped to the model's
     control set wherever the constraint would bind.  ``binding_fraction`` is
@@ -164,8 +172,7 @@ def compare_to_unconstrained(sol: LqSolution, params: LqParams) -> ComparisonRep
     star_forward = euler_forward(coeffs, unconstrained_feedback_law(grid), noise, params.x0)
     distance = relative_l2_dtP(sol.u_values, star_forward.u, grid.dt)
 
-    con_forward = euler_forward(coeffs, OpenLoopLaw(sol.u_values), noise, params.x0)
-    j_con, j_con_se = mean_se(performance_values(coeffs, con_forward))
+    j_con, j_con_se = mean_se(sol.values)
     j_unc, j_unc_se = mean_se(performance_values(coeffs, star_forward))
     p = sol.p_hat.p[:, : grid.n_steps]
     binding = float(np.mean(coeffs.clamp(p) != p))

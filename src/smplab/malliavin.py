@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InsufficientPaths, JumpDependentFunctional, NonAdaptedIntegrand, UnsupportedNode
 from .model import LevyMeasure, TimeGrid
-from .simulate import ROW_BLOCK, NoiseBundle, row_blocks
+from .simulate import ROW_BLOCK, NoiseBundle, row_blocks, running_sum
 
 # --------------------------------------------------------------------------
 # Smooth maps
@@ -341,32 +341,24 @@ def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None
 
 
 def _running_path(leaf: BMIntegral | JumpIntegral, bundle: NoiseBundle, memo: dict) -> np.ndarray:
-    """The integral stopped at every grid node, built once per memo.
-
-    Shape (N+1, n_paths): node-major, so that the values at one node are contiguous.
-    """
+    """The integral stopped at every grid node, built once per memo: the
+    ``running_sum`` of its step increments, (n_paths, N+1), step-major."""
     key = ("running", id(leaf))
     hit = memo.get(key)
     if hit is not None and hit[0] is leaf:
         return hit[1]
     _check_leaf(leaf, bundle)
-    # Row i + 1 first holds the increment over step i, then the running sum.
-    out = np.empty((bundle.grid.n_steps + 1, bundle.n_paths))
-    out[0] = 0.0
+    out = np.empty((bundle.n_paths, bundle.grid.n_steps + 1), order="F")
     if isinstance(leaf, BMIntegral):
-        np.multiply(leaf.values[:, None], bundle.dB.T, out=out[1:])
+        np.multiply(leaf.values, bundle.dB, out=out[:, 1:])
     else:
         # The counts are path-major; a block of ROW_BLOCK paths at a time keeps
         # the transposing product in cache, with the bits of one einsum.
         comp = bundle.compensated_counts()
         for start in range(0, bundle.n_paths, ROW_BLOCK):
             stop = start + ROW_BLOCK
-            np.einsum("pik,ik->ip", comp[start:stop], leaf.values, out=out[1:, start:stop])
-    # The running sum node by node adds contiguous rows; it is the sum that
-    # np.cumsum(axis=0) forms, without walking the array across its layout.
-    for i in range(1, bundle.grid.n_steps):
-        np.add(out[i], out[i + 1], out=out[i + 1])
-    memo[key] = (leaf, out)
+            np.einsum("pik,ik->pi", comp[start:stop], leaf.values, out=out[start:stop, 1:])
+    memo[key] = (leaf, running_sum(out))
     return out
 
 
@@ -376,7 +368,7 @@ def _stopped_value(F: WienerFunctional, bundle: NoiseBundle, node: int, memo: di
         return F.phi.fn([_stopped_value(c, bundle, node, memo) for c in F.children])
     if isinstance(F, Constant):
         return np.full(bundle.n_paths, F.value)
-    return _running_path(F, bundle, memo)[node]
+    return _running_path(F, bundle, memo)[:, node]
 
 
 def hm_derivative(F: WienerFunctional, direction: Brownian | Jump) -> WienerFunctional:
@@ -680,7 +672,8 @@ def check_duality(F: WienerFunctional, integrand, mode: str, noise: NoiseBundle)
     phi = phi.reshape(n_paths, n_steps, -1)
 
     memo: dict = {}
-    lhs_vals = evaluate(F, noise, memo) * (phi * driver()).sum(axis=(1, 2))
+    # the product is C-ordered whatever the integrand's layout, so its per-path sum has one set of bits
+    lhs_vals = evaluate(F, noise, memo) * np.multiply(phi, driver(), out=np.empty(phi.shape)).sum(axis=(1, 2))
     rhs_vals = np.zeros(n_paths)
     for i in range(n_steps):
         cond = conditional_derivative(F, noise, i, mode, _memo=memo).reshape(n_paths, -1)

@@ -55,13 +55,24 @@ def row_blocks(a: np.ndarray):
         yield np.ascontiguousarray(a[start : start + ROW_BLOCK])
 
 
+def running_sum(out: np.ndarray) -> np.ndarray:
+    """In place: column 0 of the step-major (n_paths, N+1) ``out`` becomes 0 and column i the
+    sum of the step increments in columns 1..i, added a contiguous column at a time in step
+    order, which gives the bits of a cumulative sum along the steps.  Returns ``out``."""
+    out[:, 0] = 0.0
+    for i in range(1, out.shape[1] - 1):
+        np.add(out[:, i], out[:, i + 1], out=out[:, i + 1])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseBundle:
     """Driving noise on a grid: Brownian increments and per-atom jump counts.
 
     ``dB`` has shape (n_paths, N), stored step-major; ``jump_counts`` has
     shape (n_paths, N, n_atoms), C-ordered, and bins every jump to the step
-    in which it occurred.  Arrays are read-only.
+    in which it occurred.  Arrays are read-only.  The paths built from them are
+    step-major ``running_sum``s; ``compensated_counts`` is read whole and stays C-ordered.
     """
 
     grid: TimeGrid
@@ -83,15 +94,15 @@ class NoiseBundle:
             cache[name] = arr
         return cache[name]
 
+    def _path(self, increments: np.ndarray) -> np.ndarray:
+        """The ``running_sum`` of (n_paths, N) step increments: (n_paths, N+1), step-major, 0 at t = 0."""
+        out = np.empty((self.n_paths, self.grid.n_steps + 1), order="F")
+        out[:, 1:] = increments
+        return running_sum(out)
+
     def brownian(self) -> np.ndarray:
-        """Brownian path values at the N+1 grid nodes, B(0) = 0."""
-
-        def build():
-            out = np.zeros((self.n_paths, self.grid.n_steps + 1))
-            np.cumsum(self.dB, axis=1, out=out[:, 1:])
-            return out
-
-        return self._cached("brownian", build)
+        """Brownian path values at the N+1 grid nodes, B(0) = 0, step-major."""
+        return self._cached("brownian", lambda: self._path(self.dB))
 
     def compensated_counts(self) -> np.ndarray:
         """Per-step compensated jump counts dN - intensity * dt, shape (n_paths, N, K)."""
@@ -103,14 +114,10 @@ class NoiseBundle:
         return self._cached("compensated_counts", build)
 
     def compensated_jump_path(self) -> np.ndarray:
-        """Path of the compensated jump process sum_k zeta_k * (N_k - lam_k t)."""
+        """Path of the compensated jump process sum_k zeta_k * (N_k - lam_k t), step-major; 0 with no atom."""
 
         def build():
-            out = np.zeros((self.n_paths, self.grid.n_steps + 1))
-            if self.levy.n_atoms:
-                incr = (self.compensated_counts() * self.levy.zetas[None, None, :]).sum(axis=2)
-                np.cumsum(incr, axis=1, out=out[:, 1:])
-            return out
+            return self._path((self.compensated_counts() * self.levy.zetas).sum(axis=2))
 
         return self._cached("compensated_jump_path", build)
 
@@ -369,10 +376,9 @@ def _upsilon(b1, s1, g1, noise: NoiseBundle) -> np.ndarray:
         jump_log = (np.log1p(g1) * noise.jump_counts).sum(axis=2)
     else:
         jump_log = 0.0
-    d_pi = drift * dt - s1 * noise.dB - jump_log
-    pi = np.zeros((d_pi.shape[0], grid.n_steps + 1), order="F")
-    np.cumsum(d_pi, axis=1, out=pi[:, 1:])
-    return np.exp(pi)
+    pi = np.empty((noise.n_paths, grid.n_steps + 1), order="F")
+    np.subtract(drift * dt - s1 * noise.dB, jump_log, out=pi[:, 1:])
+    return np.exp(running_sum(pi), out=pi)
 
 
 def linear_closed_form(lin: LinearCoefficients, noise: NoiseBundle, x0: float) -> PathBundle:
@@ -396,12 +402,15 @@ def linear_closed_form(lin: LinearCoefficients, noise: NoiseBundle, x0: float) -
         one_plus = 1.0 + g1
         drift = drift + ((1.0 / one_plus - 1.0) * g0 * lam).sum(axis=2)
         jump = (g0 / one_plus * noise.compensated_counts()).sum(axis=2)
-    incr = ups[:, :-1] * (drift * dt + s0 * noise.dB + jump)
-    Y = np.full((n_paths, n_steps + 1), float(x0), order="F")
-    Y[:, 1:] += np.cumsum(incr, axis=1)
-    X = Y / ups
-    if not np.all(np.isfinite(X)):
-        path, step = [int(v[0]) for v in np.nonzero(~np.isfinite(X))]
+    X = np.empty((n_paths, n_steps + 1), order="F")
+    np.multiply(ups[:, :-1], drift * dt + s0 * noise.dB + jump, out=X[:, 1:])
+    running_sum(X)[:, 1:] += x0
+    X[:, 0] = x0
+    X /= ups
+    # the earliest step whose end state is not finite, then the lowest path, as in ``_euler_step``
+    bad = np.flatnonzero(~np.isfinite(X[:, 1:]).ravel(order="F"))
+    if bad.size:
+        step, path = divmod(int(bad[0]), n_paths)
         raise NonFiniteState(step=step, path=path)
     u = np.zeros((n_paths, n_steps), order="F")
     return PathBundle(grid=grid, X=X, u=u, noise=noise)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import re
@@ -147,6 +148,8 @@ class TestConfigParsing:
             ("check-smp", "\n[smp]\neps_grid =\n", {}),
             ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nn_steps_list = 64\n", {}),
             ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nn_steps_list =\n", {}),
+            ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nn_steps_list = 64, 96, 100\n", {}),
+            ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nn_steps_list = 32, 16\n", {}),
             ("convergence-study", "\n[model]\nfamily = custom-polynomial\nu_cost = 0\n[convergence]\nratio_low = 2.6\nratio_high = 1.4\n", {}),
             ("solve-bsde", "\n[bsde]\nmax_rel_distance = -1.0\n", {}),
             ("clark-ocone", "\n[clark_ocone]\nmax_rel_error = -0.01\n", {}),
@@ -213,6 +216,8 @@ class TestConfigParsing:
             "empty-eps-grid",
             "one-study-grid",
             "no-study-grid",
+            "study-grids-not-doubling",
+            "study-grids-halving",
             "ratio-band-inverted",
             "negative-bsde-threshold",
             "negative-clark-ocone-threshold",
@@ -468,6 +473,7 @@ class TestRunAndReplay:
             ("solve-lq", "iteration", {"tol": 0.0}),
             ("solve-lq", "iteration", {"max_iters": 0}),
             ("convergence-study", "convergence", {"ratio_low": 2.6, "ratio_high": 1.4}),
+            ("convergence-study", "convergence", {"n_steps_list": [8, 12]}),
             ("solve-bsde", "bsde", {"max_rel_distance": -1.0}),
             ("clark-ocone", "clark_ocone", {"max_rel_error": -0.01}),
         ],
@@ -482,6 +488,7 @@ class TestRunAndReplay:
             "zero-tol",
             "zero-max-iters",
             "ratio-band-inverted",
+            "study-grids-not-doubling",
             "negative-bsde-threshold",
             "negative-clark-ocone-threshold",
         ],
@@ -667,6 +674,21 @@ class TestRunAndReplay:
 def test_shipped_configs_parse(path):
     # every shipped config and benchmark workload holds only keys of the current schema
     assert parse_config(path)["experiment"]["kind"]
+
+
+def test_digest_tool_covers_the_artifacts(tmp_path):
+    # tools/payload_digests.py: one run's digests repeat, and the artifact digest
+    # sees the path rows of adjoint.csv, which the payload does not hold
+    spec = importlib.util.spec_from_file_location("payload_digests", ROOT / "tools" / "payload_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = write_config(tmp_path, "solve-bsde", n_steps=10, n_paths=500)
+    first = tool.run_digests(path)
+    assert tool.run_digests(path) == first
+    fewer = write_config(tmp_path, "solve-bsde", extra="\n[output]\ncsv_paths = 3\n", n_steps=10, n_paths=500, name="fewer.ini")
+    code, payload, artifacts = tool.run_digests(fewer)
+    assert (code, payload) == first[:2]
+    assert artifacts != first[2]
 
 
 # experiment -> (config extra, {artifact: payload key it holds, None for the whole payload})

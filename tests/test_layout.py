@@ -17,9 +17,19 @@ import pytest
 from smplab.bsde import _squares_per_path, extract_qr, l2_dtP_norm, relative_l2_dtP, solve_adjoint
 from smplab.harness import _digest
 from smplab.lqsolver import LqParams, solve_constrained
-from smplab.malliavin import bm_integral, evaluate
+from smplab import malliavin
+from smplab.malliavin import Compose, bm_integral, check_duality, evaluate, mean_se, square_map
 from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
-from smplab.simulate import ROW_BLOCK, _path_generator, euler_forward, row_blocks, sample_noise
+from smplab.simulate import (
+    ROW_BLOCK,
+    LinearCoefficients,
+    _path_generator,
+    euler_forward,
+    gamma_process,
+    linear_closed_form,
+    row_blocks,
+    sample_noise,
+)
 from smplab.smp import partials_along, spike_perturb, variational_Z
 
 GRID = TimeGrid(1.0, 8)
@@ -40,6 +50,26 @@ def forward(n_paths, control=0.4):
     return euler_forward(COEFFS, OpenLoopLaw(np.full(GRID.n_steps, control)), noise, 1.0)
 
 
+def cumulative(increments):
+    """The running sum as ``np.cumsum`` forms it along the steps of path-major increments, 0 at t = 0."""
+    out = np.zeros((increments.shape[0], increments.shape[1] + 1))
+    np.cumsum(increments, axis=1, out=out[:, 1:])
+    return out
+
+
+def upsilon(b1, s1, g1, noise):
+    """Reciprocal stochastic exponential of the homogeneous linear SDE, from ``cumulative``."""
+    lam = noise.levy.intensities[None, None, :]
+    drift = -b1 + 0.5 * s1 * s1 + (g1 * lam).sum(axis=2)
+    jump_log = (np.log1p(g1) * noise.jump_counts).sum(axis=2)
+    return np.exp(cumulative(drift * GRID.dt - s1 * noise.dB - jump_log))
+
+
+def same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestStepMajorStorage:
     @pytest.mark.parametrize("n_paths", PATH_COUNTS)
     def test_noise_and_forward_paths(self, n_paths):
@@ -48,6 +78,36 @@ class TestStepMajorStorage:
         step_major(fw.X, (n_paths, GRID.n_steps + 1))
         step_major(fw.u, (n_paths, GRID.n_steps))
         assert fw.noise.jump_counts.flags.c_contiguous  # read whole, so it keeps its layout
+
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_running_sums_of_the_noise(self, n_paths):
+        noise = sample_noise(GRID, LEVY, n_paths, 3)
+        nodes = (n_paths, GRID.n_steps + 1)
+        step_major(noise.brownian(), nodes)
+        same_bits(noise.brownian(), cumulative(noise.dB))
+        step_major(noise.compensated_jump_path(), nodes)
+        same_bits(noise.compensated_jump_path(), cumulative((noise.compensated_counts() * LEVY.zetas).sum(axis=2)))
+
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_closed_form_and_gamma(self, n_paths):
+        noise = sample_noise(GRID, LEVY, n_paths, 3)
+        nodes = (n_paths, GRID.n_steps + 1)
+        lin = LinearCoefficients(b0=0.1, b1=-0.4, s0=0.3, s1=0.2, g0=np.array([0.05, -0.02]), g1=np.array([0.1, 0.2]))
+        b0, b1, s0, s1, g0, g1 = lin.broadcast(n_paths, GRID.n_steps, LEVY.n_atoms)
+        ups = upsilon(b1, s1, g1, noise)
+        lam = LEVY.intensities[None, None, :]
+        drift = b0 + ((1.0 / (1.0 + g1) - 1.0) * g0 * lam).sum(axis=2)
+        jump = (g0 / (1.0 + g1) * noise.compensated_counts()).sum(axis=2)
+        X = linear_closed_form(lin, noise, 0.7).X
+        step_major(X, nodes)
+        same_bits(X, (0.7 + cumulative(ups[:, :-1] * (drift * GRID.dt + s0 * noise.dB + jump))) / ups)
+
+        rng = np.random.default_rng(n_paths)
+        b_x, sigma_x = 0.3 * rng.standard_normal((2, n_paths, GRID.n_steps))
+        gamma_x = 0.1 * rng.standard_normal((n_paths, GRID.n_steps, LEVY.n_atoms))
+        gamma = gamma_process(b_x, sigma_x, gamma_x, noise)
+        step_major(gamma, nodes)
+        same_bits(gamma, 1.0 / upsilon(b_x, sigma_x, gamma_x, noise))
 
     def test_block_copy_keeps_each_paths_draw(self):
         # paths on both sides of a block boundary carry the normals of their own generator
@@ -138,6 +198,26 @@ class TestRowBlockReductions:
         F = bm_integral(GRID, np.linspace(-1.0, 2.0, GRID.n_steps))
         values = [evaluate(F, replace(noise, dB=order(noise.dB))) for order in (np.ascontiguousarray, np.asfortranarray)]
         assert np.array_equal(values[0], values[1])
+
+    @pytest.mark.parametrize("mode", ["brownian", "jump"])
+    def test_duality_report(self, mode, monkeypatch):
+        # the left side's product is C-ordered: a C-ordered and a step-major
+        # integrand with the same values give the same per-path sides, which
+        # the report's means alone could hide
+        grid = TimeGrid(1.0, 100)
+        noise = sample_noise(grid, LEVY, ROW_BLOCK + 3, 8)
+        tree = Compose(square_map(), (bm_integral(grid, 1.0),))
+        if mode == "brownian":
+            values = lambda b: b.brownian()[:, :-1]
+        else:
+            values = lambda b: b.brownian()[:, :-1, None] * b.levy.zetas
+        sides = []
+        monkeypatch.setattr(malliavin, "mean_se", lambda v: (sides.append(v), mean_se(v))[1])
+        layouts = (np.asfortranarray, np.ascontiguousarray)
+        reports = [check_duality(tree, lambda b: order(values(b)), mode, noise) for order in layouts]
+        assert reports[0] == reports[1]
+        for first, second in zip(sides[:2], sides[2:]):  # (lhs, rhs) per report
+            assert np.array_equal(first, second)
 
     def test_blocks_cover_the_rows_in_order(self):
         a_c, a_f = layouts(2 * ROW_BLOCK + 5, 6, n_cols=3)

@@ -15,7 +15,7 @@ from smplab.lqsolver import (
     solve_constrained,
     unconstrained_feedback_law,
 )
-from smplab.malliavin import StateProjector
+from smplab.malliavin import StateProjector, mean_se
 from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients, polynomial_coefficients
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import adjoint_for, check_necessary_condition, performance_values
@@ -255,6 +255,23 @@ class TestSweep:
         triple = adjoint_for(p.coeffs, euler_forward(p.coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0))
         for name in ("p", "q", "r"):
             assert np.array_equal(getattr(sol.p_hat, name), getattr(triple, name)), name
+
+    def test_comparison_simulates_only_the_unconstrained_law(self, monkeypatch):
+        # the constrained values come from the solver's last sweep, which ran that control
+        p = params(x0=-1.0, seed=216, n_paths=2000)
+        sol = solve_constrained(p)
+        laws = []
+
+        def counting(coeffs, law, noise, x0):
+            laws.append(law)
+            return euler_forward(coeffs, law, noise, x0)
+
+        monkeypatch.setattr(lqsolver, "euler_forward", counting)
+        report = compare_to_unconstrained(sol, p)
+        assert len(laws) == 1
+        again = performance_values(p.coeffs, euler_forward(p.coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0))
+        assert np.array_equal(sol.values, again)
+        assert (report.j_constrained, report.j_constrained_se) == mean_se(again)
 
     def test_one_triple_alive_at_a_time(self):
         # the solver's peak traced memory stays below that of one sweep, with its

@@ -560,8 +560,8 @@ class TestRunningPath:
         ids=["brownian", "jump-K1", "jump-K2"],
     )
     def test_bits_of_the_cumulative_sum(self, levy):
-        # node by node addition gives the bits of np.cumsum over the path-major
-        # increments; h = 0 on the first step makes signed zeros there.  3000
+        # step by step addition gives the bits of np.cumsum along the steps of
+        # the increments; h = 0 on the first step makes signed zeros there.  3000
         # paths end inside a block of the blocked jump product
         noise = draw(3000, 38, levy)
         h = np.linspace(-1.0, 2.0, GRID.n_steps)
@@ -575,7 +575,8 @@ class TestRunningPath:
         expected = np.zeros((GRID.n_steps + 1, noise.n_paths))
         np.cumsum(increments, axis=0, out=expected[1:])
         running = malliavin._running_path(leaf, noise, {})
-        assert running.flags.c_contiguous
+        assert running.shape == (noise.n_paths, GRID.n_steps + 1) and running.flags.f_contiguous
+        running = running.T  # node-major view, as ``expected`` is laid out
         assert np.array_equal(running, expected)
         assert np.array_equal(np.signbit(running), np.signbit(expected))
 

@@ -333,6 +333,15 @@ class TestEulerForward:
 
 
 class TestLinearClosedForm:
+    def test_non_finite_site_is_that_of_the_euler_stepper(self):
+        # the earliest step whose end state is not finite, then the lowest path
+        noise = sample_noise(TimeGrid(1.0, 10), LevyMeasure.empty(), 4, 1)
+        b0 = np.zeros((4, 10))
+        b0[0, 5] = b0[1, 2] = np.inf
+        with pytest.raises(NonFiniteState) as err:
+            linear_closed_form(LinearCoefficients(b0=b0), noise, 1.0)
+        assert (err.value.step, err.value.path) == (2, 1)
+
     def test_fully_homogeneous_is_constant(self):
         noise = sample_noise(GRID, ATOM, 30, 2)
         pb = linear_closed_form(LinearCoefficients(), noise, 2.5)
