@@ -190,7 +190,8 @@ class ControlLaw:
 class OpenLoopLaw(ControlLaw):
     """Per-step control values, constant on [t_i, t_{i+1}).
 
-    ``values`` has shape (N,) shared by all paths or (n_paths, N).
+    ``values`` has shape (N,) shared by all paths or (n_paths, N);
+    ``euler_forward`` refuses any other shape before its first step.
     """
 
     def __init__(self, values: np.ndarray):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState, SingularJumpCoefficient
-from .model import DELTA_SING, ControlLaw, ControlledCoefficients, LevyMeasure, TimeGrid
+from .model import DELTA_SING, ControlLaw, ControlledCoefficients, LevyMeasure, OpenLoopLaw, TimeGrid
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -267,11 +267,15 @@ def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> 
 
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    """Forward states on grid nodes plus the controls that produced them."""
+    """Forward states on grid nodes plus the controls that produced them.
+
+    A control that is the same on every path is stored once: ``u`` is then a
+    read-only broadcast view of one (1, N) row, which a writer copies first.
+    """
 
     grid: TimeGrid
     X: np.ndarray  # (n_paths, N+1), step-major
-    u: np.ndarray  # (n_paths, N), step-major
+    u: np.ndarray  # (n_paths, N), step-major, or a read-only view of one row
     noise: NoiseBundle
 
     @property
@@ -305,20 +309,30 @@ def euler_forward(coeffs: ControlledCoefficients, law: ControlLaw, noise: NoiseB
     """Euler step with explicit compensation of the jump measure.
 
     X[i+1] = X[i] + b dt + sigma dB_i + sum_k gamma(.., zeta_k) (dN_k - lam_k dt),
-    all coefficients evaluated at the left node (t_i, X_i, u_i).
+    all coefficients evaluated at the left node (t_i, X_i, u_i).  An open-loop
+    law of (N,) values gives every path the same clamped control, so ``u`` is a
+    read-only broadcast view of one row; every other law stores one per path.
+    Open-loop values of another shape than (N,) and (n_paths, N) are refused.
     """
     grid = noise.grid
     n_paths, n_steps = noise.n_paths, grid.n_steps
     times = grid.times()
+    open_loop = isinstance(law, OpenLoopLaw)
+    if open_loop and law.values.shape not in ((n_steps,), (n_paths, n_steps)):
+        raise ValueError(
+            f"open-loop values have shape {law.values.shape}, but the run needs ({n_steps},) or ({n_paths}, {n_steps})"
+        )
+    shared = open_loop and law.values.ndim == 1
 
     X = np.empty((n_paths, n_steps + 1), order="F")
-    U = np.empty((n_paths, n_steps), order="F")
+    U = np.empty((1 if shared else n_paths, n_steps), order="F")
     x = np.full(n_paths, x0, dtype=float)
     X[:, 0] = x
     for i in range(n_steps):
-        U[:, i], x = _euler_step(coeffs, law, noise, i, times[i], x)
+        u, x = _euler_step(coeffs, law, noise, i, times[i], x)
+        U[:, i] = u[0] if shared else u
         X[:, i + 1] = x
-    return PathBundle(grid=grid, X=X, u=U, noise=noise)
+    return PathBundle(grid=grid, X=X, u=np.broadcast_to(U, (n_paths, n_steps)) if shared else U, noise=noise)
 
 
 @dataclass(frozen=True)
@@ -387,7 +401,8 @@ def linear_closed_form(lin: LinearCoefficients, noise: NoiseBundle, x0: float) -
     X(t) = Upsilon(t)^{-1} [x0 + int Upsilon (b0 + sum_k (1/(1+g1_k) - 1) g0_k lam_k) ds
            + int Upsilon s0 dB + int Upsilon g0/(1+g1) d(compensated N)],
     with every stochastic integral discretized at the left endpoint on the
-    same noise bundle.
+    same noise bundle.  The control is zero on every path: ``u`` is a read-only
+    broadcast view of one zero row.
     """
     grid, levy = noise.grid, noise.levy
     n_paths, n_steps, n_atoms = noise.n_paths, grid.n_steps, levy.n_atoms
@@ -412,8 +427,7 @@ def linear_closed_form(lin: LinearCoefficients, noise: NoiseBundle, x0: float) -
     if bad.size:
         step, path = divmod(int(bad[0]), n_paths)
         raise NonFiniteState(step=step, path=path)
-    u = np.zeros((n_paths, n_steps), order="F")
-    return PathBundle(grid=grid, X=X, u=u, noise=noise)
+    return PathBundle(grid=grid, X=X, u=np.broadcast_to(np.zeros((1, n_steps)), (n_paths, n_steps)), noise=noise)
 
 
 def gamma_process(b_x: np.ndarray, sigma_x: np.ndarray, gamma_x: np.ndarray, noise: NoiseBundle) -> np.ndarray:

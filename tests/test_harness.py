@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +690,25 @@ def test_digest_tool_covers_the_artifacts(tmp_path):
     code, payload, artifacts = tool.run_digests(fewer)
     assert (code, payload) == first[:2]
     assert artifacts != first[2]
+
+
+def test_solve_bsde_run_holds_only_its_arrays(tmp_path):
+    # a zero control is stored once, so at its peak the run holds X, the explicit p and q,
+    # the cross-check's p and less than half of one (n_paths, N) array besides: the
+    # distance's and the digests' row blocks, of ROW_BLOCK rows each whatever the path count
+    n_paths, n_steps = 20_000, 100
+    extra = "\n[model]\nfamily = lq\nsigma = 0.1\nx0 = 1.0\n\n[bsde]\ncontrol = zero\n"
+    cfg = parse_config(write_config(tmp_path, "solve-bsde", extra=extra, n_steps=n_steps, n_paths=n_paths, seed=77))
+    tracemalloc.start()
+    try:
+        result = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0
+    step_array = n_paths * n_steps * 8
+    node_array = n_paths * (n_steps + 1) * 8
+    assert peak < 3 * node_array + step_array + step_array / 2
 
 
 # experiment -> (config extra, {artifact: payload key it holds, None for the whole payload})

@@ -19,10 +19,11 @@ from smplab.harness import _digest
 from smplab.lqsolver import LqParams, solve_constrained
 from smplab import malliavin
 from smplab.malliavin import Compose, bm_integral, check_duality, evaluate, mean_se, square_map
-from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
+from smplab.model import FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
 from smplab.simulate import (
     ROW_BLOCK,
     LinearCoefficients,
+    _euler_step,
     _path_generator,
     euler_forward,
     gamma_process,
@@ -43,6 +44,23 @@ SOLVER_PATH_COUNTS = PATH_COUNTS[1:]  # a regression needs more paths than its b
 def step_major(a, shape):
     assert a.shape == shape
     assert a.flags.f_contiguous, "per-step arrays are stored step-major"
+
+
+def one_row(a, shape):
+    """A control that is the same on every path: a read-only view of one row, path stride 0."""
+    assert a.shape == shape
+    assert not a.flags.writeable
+    assert a.strides[0] == 0 or shape[0] == 1, "one row serves every path"
+
+
+def per_path_laws(n_paths):
+    """Laws whose controls differ between paths: 2-D open-loop values, feedback and a spiked feedback law."""
+    feedback = FeedbackLaw(lambda step, t, x: 0.4 - 0.1 * x)
+    return [
+        OpenLoopLaw(np.linspace(-0.5, 0.5, n_paths * GRID.n_steps).reshape(n_paths, GRID.n_steps)),
+        feedback,
+        spike_perturb(feedback, GRID, 0.25, 0.25, 1.5),
+    ]
 
 
 def forward(n_paths, control=0.4):
@@ -76,8 +94,49 @@ class TestStepMajorStorage:
         fw = forward(n_paths)
         step_major(fw.noise.dB, (n_paths, GRID.n_steps))
         step_major(fw.X, (n_paths, GRID.n_steps + 1))
-        step_major(fw.u, (n_paths, GRID.n_steps))
+        # a control that is the same on every path is stored once; a law that differs between paths stores all
+        one_row(fw.u, (n_paths, GRID.n_steps))
+        for law in per_path_laws(n_paths):
+            step_major(euler_forward(COEFFS, law, fw.noise, 1.0).u, (n_paths, GRID.n_steps))
         assert fw.noise.jump_counts.flags.c_contiguous  # read whole, so it keeps its layout
+
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_shared_control_keeps_the_bits_of_every_path(self, n_paths):
+        # values below, at and above the control set [0, inf), a negative zero among them
+        values = np.array([-1.0, -0.0, 0.0, 0.4, 5.0, -1e-300, 1e300, 0.25])
+        law = OpenLoopLaw(values)
+        noise = sample_noise(GRID, LEVY, n_paths, 3)
+        fw = euler_forward(COEFFS, law, noise, 1.0)
+        one_row(fw.u, (n_paths, GRID.n_steps))
+        # the per-path controls as a loop that stores every path's clamped value builds them
+        per_path = np.empty((n_paths, GRID.n_steps), order="F")
+        x = np.full(n_paths, 1.0)
+        for i, t in enumerate(GRID.times()[:-1]):
+            per_path[:, i], x = _euler_step(COEFFS, law, noise, i, t, x)
+        same_bits(fw.u, per_path)
+        same_bits(fw.X[:, -1], x)
+
+    @pytest.mark.parametrize("n_paths", PATH_COUNTS)
+    def test_closed_form_control_is_one_zero_row(self, n_paths):
+        noise = sample_noise(GRID, LEVY, n_paths, 3)
+        u = linear_closed_form(LinearCoefficients(b1=-0.4, s0=0.3), noise, 0.7).u
+        one_row(u, (n_paths, GRID.n_steps))
+        same_bits(u, np.zeros((n_paths, GRID.n_steps)))
+
+    def test_shared_control_allocates_no_per_path_array(self):
+        # besides X, one step holds a few state columns of temporaries; a stored
+        # (n_paths, N) control would add a hundred columns
+        grid = TimeGrid(1.0, 100)
+        noise = sample_noise(grid, LEVY, 4000, 3)
+        law = OpenLoopLaw(np.full(grid.n_steps, 0.4))
+        tracemalloc.start()
+        try:
+            fw = euler_forward(COEFFS, law, noise, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column = fw.X[:, 0].nbytes
+        assert peak < fw.X.nbytes + 16 * column
 
     @pytest.mark.parametrize("n_paths", PATH_COUNTS)
     def test_running_sums_of_the_noise(self, n_paths):

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,19 @@ class TestEulerForward:
             euler_forward(exploding, OpenLoopLaw(np.zeros(20)), noise, 30.0)
         assert err.value.step >= 0
         assert err.value.path >= 0
+
+    @pytest.mark.parametrize(
+        "shape", [(15,), (5,), (7, 10), (1, 10), (50, 15)], ids=["long", "short", "rows", "one-row", "wide"]
+    )
+    def test_open_loop_values_of_another_shape_refused(self, shape, monkeypatch):
+        # (10,) or (50, 10) only: no step runs on values of another shape
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(simulate, "_euler_step", no_step)
+        noise = sample_noise(TimeGrid(1.0, 10), LevyMeasure.empty(), 50, 3)
+        with pytest.raises(ValueError, match=re.escape(f"{shape}, but the run needs (10,) or (50, 10)")):
+            euler_forward(build_lq_coefficients(0.1), OpenLoopLaw(np.zeros(shape)), noise, 1.0)
 
 
 class TestLinearClosedForm:
