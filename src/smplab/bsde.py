@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ContractionFailure
 from .malliavin import StateProjector, state_features
 from .model import LevyMeasure
-from .simulate import NoiseBundle, PathBundle, gamma_process, row_blocks
+from .simulate import ROW_BLOCK, NoiseBundle, PathBundle, gamma_process, row_blocks
 
 if TYPE_CHECKING:
     from .smp import CoefficientPartials
@@ -49,10 +49,16 @@ def _squares_per_path(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Per-path sum over steps of (a - b)^2, or of a^2 without ``b``.
 
     Summed over C-ordered row blocks (``row_blocks``): the bits do not depend
-    on the layout of ``a`` and ``b``, and no temporary exceeds one block.
+    on the layout of ``a`` and ``b``.  The difference and the square are taken
+    in place in ``a``'s block, so at most two blocks are held at once.
     """
-    blocks = row_blocks(a) if b is None else (x - y for x, y in zip(row_blocks(a), row_blocks(b)))
-    return np.concatenate([np.sum(x**2, axis=1) for x in blocks])
+    out = np.empty(a.shape[0])
+    for start, x in zip(range(0, a.shape[0], ROW_BLOCK), row_blocks(a)):
+        rows = slice(start, start + ROW_BLOCK)
+        if b is not None:
+            np.subtract(x, b[rows], out=x)
+        out[rows] = np.sum(np.square(x, out=x), axis=1)
+    return out
 
 
 def relative_l2_dtP(a: np.ndarray, b: np.ndarray, dt: float) -> float:
@@ -85,7 +91,7 @@ def fit_qr_step(projector: StateProjector, increment: np.ndarray, noise: NoiseBu
     for k in range(noise.levy.n_atoms):
         if k not in dead:
             rate = lam[k] * dt
-            r[:, k] = projector.fit(increment * noise.compensated_counts()[:, step, k] / rate).fitted
+            r[:, k] = projector.fit(increment * noise.compensated_column(step, k) / rate).fitted
     return q, r
 
 

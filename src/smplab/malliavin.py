@@ -330,7 +330,8 @@ def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None
         out = np.concatenate([block @ F.values for block in row_blocks(bundle.dB)])
     elif isinstance(F, JumpIntegral):
         _check_leaf(F, bundle)
-        out = np.einsum("pik,ik->p", bundle.compensated_counts(), F.values)
+        blocks = (bundle.compensated_counts(s, s + ROW_BLOCK) for s in range(0, bundle.n_paths, ROW_BLOCK))
+        out = np.concatenate([np.einsum("pik,ik->p", comp, F.values) for comp in blocks])
     elif isinstance(F, Compose):
         out = F.phi.fn([evaluate(c, bundle, _memo) for c in F.children])
     else:
@@ -354,10 +355,9 @@ def _running_path(leaf: BMIntegral | JumpIntegral, bundle: NoiseBundle, memo: di
     else:
         # The counts are path-major; a block of ROW_BLOCK paths at a time keeps
         # the transposing product in cache, with the bits of one einsum.
-        comp = bundle.compensated_counts()
         for start in range(0, bundle.n_paths, ROW_BLOCK):
             stop = start + ROW_BLOCK
-            np.einsum("pik,ik->pi", comp[start:stop], leaf.values, out=out[start:stop, 1:])
+            np.einsum("pik,ik->pi", bundle.compensated_counts(start, stop), leaf.values, out=out[start:stop, 1:])
     memo[key] = (leaf, running_sum(out))
     return out
 
@@ -608,7 +608,8 @@ def _probe_adapted(integrand, bundle: NoiseBundle, reference: np.ndarray) -> Non
 
     The value on [t_i, t_{i+1}) may only use increments before step i, so
     perturbing every increment from step i on must leave values at steps
-    <= i untouched.
+    <= i untouched.  The probes share one copy of ``dB`` and ``jump_counts``,
+    and compare with ``reference`` one ``ROW_BLOCK`` of paths at a time.
     """
     n_steps = bundle.grid.n_steps
     # One copy of the noise serves every probe.  Latest step first, each probe
@@ -623,7 +624,11 @@ def _probe_adapted(integrand, bundle: NoiseBundle, reference: np.ndarray) -> Non
         counts[:, i:perturbed] += 1
         perturbed = i
         probe = np.asarray(integrand(replace(bundle, dB=dB_seen, jump_counts=counts_seen)), dtype=float)
-        if not np.array_equal(probe[:, : i + 1], reference[:, : i + 1]):
+        past, seen = probe[:, : i + 1], reference[:, : i + 1]
+        starts = range(0, past.shape[0], ROW_BLOCK)
+        if past.shape != seen.shape or not all(
+            np.array_equal(past[s : s + ROW_BLOCK], seen[s : s + ROW_BLOCK]) for s in starts
+        ):
             raise NonAdaptedIntegrand(f"integrand value at or before step {i} depends on increments from step {i} on")
 
 
@@ -649,16 +654,18 @@ def check_duality(F: WienerFunctional, integrand, mode: str, noise: NoiseBundle)
 
     ``integrand`` maps a noise bundle to adapted step values: shape
     (n_paths, N) in Brownian mode, (n_paths, N, K) in jump mode.  Adaptedness
-    is enforced by a dependence probe on perturbed bundles.  F's stochastic
-    leaves must live on the bundle's grid.
+    is enforced by a dependence probe on perturbed bundles, which copies
+    ``dB`` and ``jump_counts`` once.  F's stochastic leaves must live on the
+    bundle's grid.  The left side's driver is formed one ``ROW_BLOCK`` of
+    paths at a time, after the probe.
     """
     levy, n_paths, n_steps = noise.levy, noise.n_paths, noise.grid.n_steps
     check_duality_mode(mode, levy)
     # Brownian mode is one channel of weight 1 driven by dB; jump mode has one
     # channel per atom, weighted by its intensity and driven by compensated counts.
-    # The driver is read after the adaptedness probe, which copies the bundle.
+    # ``driver(start, stop)`` is the driver of the paths [start, stop).
     if mode == "brownian":
-        shape, weights, driver = (n_paths, n_steps), np.ones(1), lambda: noise.dB[:, :, None]
+        shape, weights, driver = (n_paths, n_steps), np.ones(1), lambda start, stop: noise.dB[start:stop, :, None]
         wanted = "Brownian integrand must have shape (n_paths, N)"
     else:
         shape, weights, driver = (n_paths, n_steps, levy.n_atoms), levy.intensities, noise.compensated_counts
@@ -672,8 +679,13 @@ def check_duality(F: WienerFunctional, integrand, mode: str, noise: NoiseBundle)
     phi = phi.reshape(n_paths, n_steps, -1)
 
     memo: dict = {}
-    # the product is C-ordered whatever the integrand's layout, so its per-path sum has one set of bits
-    lhs_vals = evaluate(F, noise, memo) * np.multiply(phi, driver(), out=np.empty(phi.shape)).sum(axis=(1, 2))
+    integral = np.empty(n_paths)  # per path, sum over steps and channels of phi times the driver
+    for start in range(0, n_paths, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        # the product is C-ordered whatever the integrand's layout, so its per-path sum has one set of bits
+        product = np.multiply(phi[rows], driver(start, rows.stop), out=np.empty(phi[rows].shape))
+        integral[rows] = product.sum(axis=(1, 2))
+    lhs_vals = evaluate(F, noise, memo) * integral
     rhs_vals = np.zeros(n_paths)
     for i in range(n_steps):
         cond = conditional_derivative(F, noise, i, mode, _memo=memo).reshape(n_paths, -1)

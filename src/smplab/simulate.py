@@ -49,10 +49,11 @@ def row_blocks(a: np.ndarray):
     such an array gives other bits than on the C-ordered array, and
     ``np.ascontiguousarray`` of all of it is a second full-size array; row by
     row through these blocks, each gives the C-ordered bits and holds at most
-    one block.
+    one block.  A block is a copy whatever the layout of ``a``, so a reader may
+    write into it.
     """
     for start in range(0, a.shape[0], ROW_BLOCK):
-        yield np.ascontiguousarray(a[start : start + ROW_BLOCK])
+        yield np.array(a[start : start + ROW_BLOCK], order="C")
 
 
 def running_sum(out: np.ndarray) -> np.ndarray:
@@ -72,7 +73,9 @@ class NoiseBundle:
     ``dB`` has shape (n_paths, N), stored step-major; ``jump_counts`` has
     shape (n_paths, N, n_atoms), C-ordered, and bins every jump to the step
     in which it occurred.  Arrays are read-only.  The paths built from them are
-    step-major ``running_sum``s; ``compensated_counts`` is read whole and stays C-ordered.
+    step-major ``running_sum``s.  The compensated counts are never stored:
+    ``compensated_counts`` forms a range of paths and ``compensated_column``
+    one step of one atom, both from ``jump_counts`` elementwise.
     """
 
     grid: TimeGrid
@@ -104,20 +107,28 @@ class NoiseBundle:
         """Brownian path values at the N+1 grid nodes, B(0) = 0, step-major."""
         return self._cached("brownian", lambda: self._path(self.dB))
 
-    def compensated_counts(self) -> np.ndarray:
-        """Per-step compensated jump counts dN - intensity * dt, shape (n_paths, N, K)."""
+    def compensated_counts(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Per-step compensated jump counts dN - intensity * dt of the paths [start, stop),
+        shape (stop - start, N, K), C-ordered.  Formed afresh on every call and not kept:
+        a reader that reduces over steps takes one ``ROW_BLOCK`` of paths at a time."""
+        lam = self.levy.intensities
+        return self.jump_counts[start:stop].astype(float) - lam[None, None, :] * self.grid.dt
 
-        def build():
-            lam = self.levy.intensities
-            return self.jump_counts.astype(float) - lam[None, None, :] * self.grid.dt
-
-        return self._cached("compensated_counts", build)
+    def compensated_column(self, step: int, atom: int) -> np.ndarray:
+        """Compensated counts dN_k - lam_k dt of one step and atom on every path, shape (n_paths,),
+        with the bits of that column of ``compensated_counts``."""
+        rate = (self.levy.intensities * self.grid.dt)[atom]
+        return self.jump_counts[:, step, atom].astype(float) - rate
 
     def compensated_jump_path(self) -> np.ndarray:
         """Path of the compensated jump process sum_k zeta_k * (N_k - lam_k t), step-major; 0 with no atom."""
 
         def build():
-            return self._path((self.compensated_counts() * self.levy.zetas).sum(axis=2))
+            out = np.empty((self.n_paths, self.grid.n_steps + 1), order="F")
+            for start in range(0, self.n_paths, ROW_BLOCK):
+                comp = self.compensated_counts(start, start + ROW_BLOCK)
+                out[start : start + ROW_BLOCK, 1:] = (comp * self.levy.zetas).sum(axis=2)
+            return running_sum(out)
 
         return self._cached("compensated_jump_path", build)
 
@@ -295,10 +306,8 @@ def _euler_step(coeffs: ControlledCoefficients, law: ControlLaw, noise: NoiseBun
         u = coeffs.clamp(law.control_at(i, t, x))
         nxt = x + coeffs.b(t, x, u) * dt + coeffs.sigma(t, x, u) * noise.dB[:, i]
         if levy.n_atoms:
-            zetas, lams = levy.zetas, levy.intensities
-            for k in range(levy.n_atoms):
-                comp = noise.jump_counts[:, i, k].astype(float) - lams[k] * dt
-                nxt = nxt + coeffs.gamma(t, x, u, zetas[k]) * comp
+            for k, zeta in enumerate(levy.zetas):
+                nxt = nxt + coeffs.gamma(t, x, u, zeta) * noise.compensated_column(i, k)
     if not np.all(np.isfinite(nxt)):
         bad = int(np.flatnonzero(~np.isfinite(nxt))[0])
         raise NonFiniteState(step=i, path=bad)
@@ -416,7 +425,10 @@ def linear_closed_form(lin: LinearCoefficients, noise: NoiseBundle, x0: float) -
         lam = levy.intensities[None, None, :]
         one_plus = 1.0 + g1
         drift = drift + ((1.0 / one_plus - 1.0) * g0 * lam).sum(axis=2)
-        jump = (g0 / one_plus * noise.compensated_counts()).sum(axis=2)
+        jump = np.empty((n_paths, n_steps))
+        for start in range(0, n_paths, ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            jump[rows] = (g0[rows] / one_plus[rows] * noise.compensated_counts(start, rows.stop)).sum(axis=2)
     X = np.empty((n_paths, n_steps + 1), order="F")
     np.multiply(ups[:, :-1], drift * dt + s0 * noise.dB + jump, out=X[:, 1:])
     running_sum(X)[:, 1:] += x0

@@ -176,14 +176,13 @@ def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, for
     du[:, window] = np.reshape(coeffs.clamp(law.spike_values), (-1, 1)) - forward.u[:, window]
 
     if mode == "direct":
-        comp = noise.compensated_counts() if levy.n_atoms else None
         Z = np.zeros((n_paths, n_steps + 1), order="F")
         for i in range(first, n_steps):
             z = Z[:, i]
             dz = (part.b_x[:, i] * z + b_u[:, i] * du[:, i]) * dt
             dz += (part.sigma_x[:, i] * z + sigma_u[:, i] * du[:, i]) * noise.dB[:, i]
             for k in range(levy.n_atoms):
-                dz += (part.gamma_x[:, i, k] * z + gamma_u[:, i, k] * du[:, i]) * comp[:, i, k]
+                dz += (part.gamma_x[:, i, k] * z + gamma_u[:, i, k] * du[:, i]) * noise.compensated_column(i, k)
             Z[:, i + 1] = z + dz
         return Z
 

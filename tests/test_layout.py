@@ -14,11 +14,22 @@ from hashlib import sha256
 import numpy as np
 import pytest
 
-from smplab.bsde import _squares_per_path, extract_qr, l2_dtP_norm, relative_l2_dtP, solve_adjoint
-from smplab.harness import _digest
+from smplab.bsde import _squares_per_path, extract_qr, fit_qr_step, l2_dtP_norm, relative_l2_dtP, solve_adjoint
+from smplab.harness import _FUNCTIONALS, _digest, _integrand
 from smplab.lqsolver import LqParams, solve_constrained
 from smplab import malliavin
-from smplab.malliavin import Compose, bm_integral, check_duality, evaluate, mean_se, square_map
+from smplab.malliavin import (
+    Compose,
+    StateProjector,
+    _running_path,
+    bm_integral,
+    check_duality,
+    evaluate,
+    jump_integral,
+    mean_se,
+    square_map,
+    state_features,
+)
 from smplab.model import FeedbackLaw, LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
 from smplab.simulate import (
     ROW_BLOCK,
@@ -80,7 +91,7 @@ def upsilon(b1, s1, g1, noise):
     lam = noise.levy.intensities[None, None, :]
     drift = -b1 + 0.5 * s1 * s1 + (g1 * lam).sum(axis=2)
     jump_log = (np.log1p(g1) * noise.jump_counts).sum(axis=2)
-    return np.exp(cumulative(drift * GRID.dt - s1 * noise.dB - jump_log))
+    return np.exp(cumulative(drift * noise.grid.dt - s1 * noise.dB - jump_log))
 
 
 def same_bits(a, b):
@@ -196,7 +207,6 @@ class TestStepMajorStorage:
         noise = sample_noise(grid, LEVY, 4000, 3)
         fw = euler_forward(COEFFS, OpenLoopLaw(np.full(grid.n_steps, 0.4)), noise, 1.0)
         part, terminal = partials_along(COEFFS, fw), COEFFS.g_x(fw.X[:, -1])
-        noise.compensated_counts()  # built once per bundle, before either peak
         peaks = []
         tracemalloc.start()
         try:
@@ -296,3 +306,81 @@ class TestRowBlockReductions:
         finally:
             tracemalloc.stop()
         assert peak < a_f.nbytes / 2
+
+
+class TestCompensatedCounts:
+    """The compensated counts are formed one row block or one step at a time and never stored;
+    every reader gives the bits of the whole-array form it replaces."""
+
+    GRID = TimeGrid(1.0, 100)
+    MEASURES = {1: LevyMeasure.from_pairs([(0.2, 30.0)]), 2: LevyMeasure.from_pairs([(0.2, 30.0), (-0.3, 50.0)])}
+
+    @pytest.mark.parametrize("n_atoms", [1, 2])
+    @pytest.mark.parametrize("n_paths", [1, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_blocked_readers_keep_the_whole_array_bits(self, n_paths, n_atoms, monkeypatch):
+        grid, levy = self.GRID, self.MEASURES[n_atoms]
+        noise = sample_noise(grid, levy, n_paths, 21)
+        lam, dt = levy.intensities, grid.dt
+        whole = noise.jump_counts.astype(float) - lam * dt
+        same_bits(noise.compensated_counts(), whole)
+        for i, k in ((0, 0), (57, n_atoms - 1), (grid.n_steps - 1, 0)):
+            same_bits(noise.compensated_column(i, k), whole[:, i, k])
+
+        psi = np.linspace(-1.0, 2.0, grid.n_steps * n_atoms).reshape(grid.n_steps, n_atoms)
+        leaf = jump_integral(grid, levy, psi)
+        same_bits(evaluate(leaf, noise), np.einsum("pik,ik->p", whole, psi))
+        eta = cumulative(np.einsum("pik,ik->pi", whole, psi))
+        same_bits(_running_path(leaf, noise, {}), eta)
+        same_bits(noise.compensated_jump_path(), cumulative((whole * levy.zetas).sum(axis=2)))
+        g0, g1 = np.linspace(0.05, -0.02, n_atoms), np.linspace(0.1, 0.2, n_atoms)
+        X = linear_closed_form(LinearCoefficients(g0=g0, g1=g1), noise, 0.7).X
+        ups = upsilon(0.0, 0.0, np.broadcast_to(g1, whole.shape), noise)
+        lin_drift = ((1.0 / (1.0 + g1) - 1.0) * g0 * lam).sum() * dt
+        jump = (np.broadcast_to(g0, whole.shape) / (1.0 + np.broadcast_to(g1, whole.shape)) * whole).sum(axis=2)
+        same_bits(X, (0.7 + cumulative(ups[:, :-1] * (lin_drift + jump))) / ups)
+
+        # both sides of the duality: the left from one full-size product, the right from
+        # E[D F | F_t] = (eta(t) + psi)^2 - eta(t)^2 on the whole-array running path
+        sides = []
+        monkeypatch.setattr(malliavin, "mean_se", lambda v: (sides.append(v), mean_se(v))[1])
+        F = Compose(square_map(), (leaf,))
+        phi = np.asfortranarray(noise.brownian()[:, :-1, None] * levy.zetas)
+        check_duality(F, lambda b: np.asfortranarray(b.brownian()[:, :-1, None] * b.levy.zetas), "jump", noise)
+        lhs = evaluate(F, noise) * np.multiply(phi, whole, out=np.empty(phi.shape)).sum(axis=(1, 2))
+        rhs = np.zeros(n_paths)
+        for i in range(grid.n_steps):
+            for k in range(n_atoms):
+                cond = (eta[:, i] + np.full(n_paths, psi[i, k])) ** 2 - eta[:, i] ** 2
+                rhs += cond * phi[:, i, k] * lam[k] * dt
+        same_bits(sides[0], lhs)
+        same_bits(sides[1], rhs)
+
+        if n_paths > ROW_BLOCK:  # a projector needs more paths than its basis has terms
+            projector = StateProjector(state_features(noise, 40))
+            increment = np.random.default_rng(n_paths).standard_normal(n_paths)
+            _, r = fit_qr_step(projector, increment, noise, 40)
+            for k in range(n_atoms):
+                same_bits(r[:, k], projector.fit(increment * whole[:, 40, k] / (lam[k] * dt)).fitted)
+
+    def test_jump_duality_holds_no_compensated_array(self):
+        # Bound on the traced peak of a jump-mode duality check at N = 100 and
+        # one atom.  The adaptedness probe copies dB (8N bytes a path) and the
+        # counts (2NK bytes a path), and holds them while the integrand runs on
+        # the copy.  After it, the largest arrays are the leaf's running path
+        # (8(N+1) bytes a path, less than dB and counts together for N >= 4)
+        # and a few path-long columns.  Row blocks of the left side's driver
+        # and product and of the probe's comparison, with those columns, fit
+        # in 4 blocks of ROW_BLOCK paths and N+1 float columns.  A stored
+        # (n_paths, N, K) float array of compensated counts would add 8NK
+        # bytes a path, as much as dB, and break the bound.
+        grid, levy = self.GRID, self.MEASURES[1]
+        noise = sample_noise(grid, levy, 20_000, 12)
+        F = _FUNCTIONALS["jump_squared"](grid, levy)
+        integrand = _integrand("zeta", 0.0, "jump")
+        tracemalloc.start()
+        try:
+            check_duality(F, integrand, "jump", noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < noise.dB.nbytes + noise.jump_counts.nbytes + 4 * ROW_BLOCK * (grid.n_steps + 1) * 8
