@@ -7,7 +7,8 @@ control problem has generator h = dH/dx (``hamiltonian_sum``).
 The generator reads only the state partials f_x, b_x, sigma_x and gamma_x.
 ``solve_adjoint`` sweeps back once with one projector on the state per step:
 it solves the explicit adjoint and, optionally, the p of the implicit
-backward regression scheme as a cross-check on the same projectors.
+backward regression scheme as a cross-check on the same projectors, which
+large runs compute in a helper thread beside the sweep.
 ``fit_qr_step`` gives one step's (q, r) columns, and ``extract_qr``
 regresses the martingale coefficients of a given process on the driving
 noise with it.
@@ -16,7 +17,9 @@ noise with it.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -24,7 +27,7 @@ import numpy as np
 from .errors import ContractionFailure
 from .malliavin import StateProjector, state_features
 from .model import LevyMeasure
-from .simulate import ROW_BLOCK, NoiseBundle, PathBundle, gamma_process, row_blocks
+from .simulate import ROW_BLOCK, NoiseBundle, PathBundle, beside, gamma_process, row_blocks
 
 if TYPE_CHECKING:
     from .smp import CoefficientPartials
@@ -139,7 +142,7 @@ def _nodes(forward: PathBundle, terminal: np.ndarray) -> np.ndarray:
     return p
 
 
-def _implicit_step(projector: StateProjector, part: CoefficientPartials, p: np.ndarray, noise: NoiseBundle, i: int):
+def _implicit_step(part: CoefficientPartials, p: np.ndarray, noise: NoiseBundle, projector: StateProjector, i: int):
     """Fill p[:, i] by the implicit regression scheme
     p(t_i) = E[p(t_{i+1}) | F_{t_i}] + h(p_i, q_i, r_i) dt, h the generator
     ``hamiltonian_sum`` of the state partials, with the step's (q, r)
@@ -179,7 +182,12 @@ def solve_adjoint(
     and is then not computed.  With ``cross_check`` the sweep also runs the
     implicit backward regression scheme (``_implicit_step``) and returns its
     p, step-major of shape (n_paths, N+1), second; its q and r live one step
-    at a time.  Otherwise the second item is None.
+    at a time.  Otherwise the second item is None.  Implicit step i runs on
+    the projector of step i after its explicit fits, through
+    ``simulate.beside``: in a helper thread beside the sweep when its chunk
+    rule allows two chunks (two CPUs, n_paths * N >= ``FORK_CHUNK_PATH_STEPS``),
+    else in the sweep.  The bits, and the error raised first (such as
+    ``ContractionFailure`` with its step), are those of the one-thread sweep.
     """
     noise = forward.noise
     n_steps, dt = noise.grid.n_steps, noise.grid.dt
@@ -192,16 +200,20 @@ def solve_adjoint(
     p = _nodes(forward, terminal)
     q = np.empty((forward.n_paths, n_steps), order="F")
     r = np.empty((forward.n_paths, n_steps, noise.levy.n_atoms), order="F")
-    implicit = _nodes(forward, terminal) if cross_check else None
+    implicit, stage = None, nullcontext()
+    if cross_check:
+        implicit = _nodes(forward, terminal)
+        stage = beside(partial(_implicit_step, part, implicit, noise), forward.n_paths * n_steps)
     fits = [None] * n_steps
     tail = gam[:, n_steps] * terminal
-    for i in range(n_steps - 1, -1, -1):
-        tail = tail + gam[:, i] * part.f_x[:, i] * dt
-        projector = StateProjector(forward.X[:, i])
-        fit = projector.fit(tail / gam[:, i])
-        p[:, i] = fit.fitted
-        fits[i] = replace(fit, fitted=None)
-        q[:, i], r[:, i] = fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i)
-        if implicit is not None:
-            _implicit_step(projector, part, implicit, noise, i)
+    with stage as implicit_step:
+        for i in range(n_steps - 1, -1, -1):
+            tail = tail + gam[:, i] * part.f_x[:, i] * dt
+            projector = StateProjector(forward.X[:, i])
+            fit = projector.fit(tail / gam[:, i])
+            p[:, i] = fit.fitted
+            fits[i] = replace(fit, fitted=None)
+            q[:, i], r[:, i] = fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i)
+            if implicit_step is not None:
+                implicit_step(projector, i)
     return AdjointTriple(p, q, r, unidentifiable_atoms(noise), tuple(fits)), implicit

@@ -44,6 +44,7 @@ from .model import (
 from .simulate import (
     LinearCoefficients,
     NoiseBundle,
+    beside,
     euler_forward,
     linear_closed_form,
     row_blocks,
@@ -446,7 +447,7 @@ def _digest(arr: np.ndarray) -> str:
     """sha256 of the array's C-ordered bytes, hashed one row block at a time."""
     digest = sha256()
     for block in row_blocks(arr):
-        digest.update(block.tobytes())
+        digest.update(block)
     return digest.hexdigest()
 
 
@@ -555,17 +556,21 @@ def _run_solve_bsde(cfg, setup: _Setup):
     grid, coeffs = setup.grid, setup.coeffs
     law = _control_law(cfg["bsde"]["control"], cfg["bsde"]["control_value"], grid)
     forward = euler_forward(coeffs, law, setup.noise(), setup.x0)
-    # the partials are not kept past the sweep: the distance below takes full-size temporaries
+    # no name holds the partials, so those of full size (f_x = x in the lq family) are freed with the sweep
     explicit, p_implicit = solve_adjoint(
         partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, cross_check=True
     )
-    distance = relative_l2_dtP(p_implicit, explicit.p, grid.dt)
+    digests = []  # in call order: explicit, then implicit
+    with beside(lambda arr: digests.append(_digest(arr)), setup.n_paths * grid.n_steps) as digest:
+        digest(explicit.p)
+        digest(p_implicit)
+        distance = relative_l2_dtP(p_implicit, explicit.p, grid.dt)
     ok = distance <= cfg["bsde"]["max_rel_distance"]
     payload = {
         "cross_solver_distance": float(distance),
         "max_rel_distance": cfg["bsde"]["max_rel_distance"],
-        "p_explicit_digest": _digest(explicit.p),
-        "p_regression_digest": _digest(p_implicit),
+        "p_explicit_digest": digests[0],
+        "p_regression_digest": digests[1],
         "p0_mean_explicit": float(explicit.p[:, 0].mean()),
         "verdict": bool(ok),
     }

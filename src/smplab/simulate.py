@@ -14,12 +14,20 @@ is one chunk per CPU in the process's affinity set (``os.sched_getaffinity``;
 one where the platform has none), at most one per item and at most one per
 ``FORK_CHUNK_PATH_STEPS`` path-steps, so small runs and one-CPU processes
 compute in the calling process.  A chunk whose child fails is run again in
-the calling process, so a failure raises what the in-process run raises.  No
-setting selects any of it: the bits are the same either way.
+the calling process, so a failure raises what the in-process run raises.
+
+Two more run in a thread (``beside``): the implicit cross-check of
+``bsde.solve_adjoint`` beside its explicit sweep, and the two digests of a
+``solve-bsde`` run beside its cross-solver distance.  The same chunk rule
+decides, each of the two stages costing n_paths * N path-steps: a helper
+thread when the rule cuts them into two chunks, else the calling thread.
+numpy and hashlib release the GIL on whole columns, so the stages overlap.
+No setting selects any of it: the bits are the same either way.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,6 +264,53 @@ def run_chunks(work, costs) -> None:
     for j, status in enumerate(statuses, start=1):
         if status:
             work(bounds[j], bounds[j + 1])
+
+
+@contextmanager
+def beside(stage, path_steps: int):
+    """Context yielding ``put``: ``put(*args)`` runs ``stage(*args)``, the calls in order.
+
+    When ``_chunk_bounds`` cuts two items of ``path_steps`` each into two
+    chunks, the calls run in one helper thread beside the caller, which hands
+    them over through a queue of at most two; else ``put`` is ``stage`` and
+    runs it at once.  A stage may not read what the caller writes after its
+    ``put``.  Leaving the context joins the helper.  The first error of a stage
+    is raised at the next ``put`` or on leaving, in place of any error the
+    caller meets after that call's ``put``: the context raises what running
+    each call at its ``put`` raises.
+    """
+    import queue
+    import threading
+
+    if len(_chunk_bounds([path_steps, path_steps])) < 3:
+        yield stage
+        return
+    calls = queue.Queue(maxsize=2)
+    failures = []
+
+    def drain():
+        # after a failure the calls are taken but not run, so ``put`` never blocks for good
+        while (args := calls.get()) is not None:
+            if not failures:
+                try:
+                    stage(*args)
+                except BaseException as exc:
+                    failures.append(exc)
+
+    def put(*args):
+        if failures:
+            raise failures[0]
+        calls.put(args)
+
+    helper = threading.Thread(target=drain)
+    helper.start()
+    try:
+        yield put
+    finally:
+        calls.put(None)
+        helper.join()
+        if failures:
+            raise failures[0]
 
 
 def sample_noise(grid: TimeGrid, levy: LevyMeasure, n_paths: int, seed: int) -> NoiseBundle:

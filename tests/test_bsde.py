@@ -1,11 +1,14 @@
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from smplab import bsde
 from smplab.bsde import (
     UNIDENTIFIABLE_RATE,
+    _implicit_step,
     extract_qr,
     fit_qr_step,
     hamiltonian_sum,
@@ -206,6 +209,62 @@ class TestSolveRegression:
         fw = brownian_forward(5, 11)
         with pytest.raises(InsufficientPaths):
             regression_adjoint(fw, fw.X[:, -1])
+
+
+class TestCrossCheckThread:
+    """The implicit cross-check in a helper thread beside the explicit sweep (two CPUs and a
+    floor of n_paths * N path-steps) against the one-thread sweep (one CPU)."""
+
+    n_paths = 600
+    levy = LevyMeasure.from_pairs([(0.2, 2.0), (-0.1, 3.0)])
+
+    def forward(self):
+        noise = sample_noise(GRID, self.levy, self.n_paths, 23)
+        X = 0.5 + noise.brownian() + noise.compensated_jump_path()
+        return PathBundle(grid=GRID, X=X, u=np.zeros((self.n_paths, GRID.n_steps)), noise=noise)
+
+    def solve(self, fork_seams, monkeypatch, cpus, fw, **partials):
+        """solve_adjoint with the cross-check; ``self.threads`` collects the threads its implicit steps ran in."""
+        set_seams, forks = fork_seams
+        set_seams(cpus, self.n_paths * GRID.n_steps)
+        self.threads = set()
+
+        def recording_step(*args):
+            self.threads.add(threading.current_thread())
+            _implicit_step(*args)
+
+        monkeypatch.setattr(bsde, "_implicit_step", recording_step)
+        before = threading.active_count()
+        try:
+            return solve_adjoint(state_partials(fw, **partials), fw.X[:, -1] ** 2, fw, cross_check=True)
+        finally:
+            assert threading.active_count() == before and forks == []
+
+    def assert_helper_thread(self):
+        assert len(self.threads) == 1 and threading.current_thread() not in self.threads
+
+    def test_bits_of_the_one_thread_sweep(self, fork_seams, monkeypatch):
+        fw = self.forward()
+        X = fw.X[:, :-1]
+        partials = {"f_x": 0.5 * X, "b_x": 0.3 * np.tanh(X), "sigma_x": 0.2 + 0.1 * X, "gamma_x": (0.15, -0.05)}
+        threaded, p_threaded = self.solve(fork_seams, monkeypatch, 2, fw, **partials)
+        self.assert_helper_thread()
+        serial, p_serial = self.solve(fork_seams, monkeypatch, 1, fw, **partials)
+        assert self.threads == {threading.current_thread()}
+        for name in ("p", "q", "r"):
+            assert np.array_equal(getattr(threaded, name), getattr(serial, name))
+        assert np.any(serial.r[:, :, 0] != 0.0) and np.any(serial.r[:, :, 1] != 0.0)
+        for a, b in zip(threaded.p_fits, serial.p_fits):
+            assert np.array_equal(a.coeffs, b.coeffs) and a.rank_deficient == b.rank_deficient
+            assert np.array_equal(a.feature_mean, b.feature_mean) and np.array_equal(a.feature_scale, b.feature_scale)
+        assert np.array_equal(p_threaded, p_serial)
+
+    def test_contraction_failure_raised_from_the_thread(self, fork_seams, monkeypatch):
+        # as in TestSolveRegression.test_contraction_failure_raised: b_x dt = 1 on the first implicit step
+        fw = self.forward()
+        with pytest.raises(ContractionFailure, match="step 99"):
+            self.solve(fork_seams, monkeypatch, 2, fw, b_x=100.0)
+        self.assert_helper_thread()
 
 
 class TestExtractQr:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -692,13 +693,14 @@ def test_digest_tool_covers_the_artifacts(tmp_path):
     assert artifacts != first[2]
 
 
-def test_solve_bsde_run_holds_only_its_arrays(tmp_path):
+def assert_solve_bsde_run_holds_only_its_arrays(tmp_path):
     # a zero control is stored once, so at its peak the run holds X, the explicit p and q,
     # the cross-check's p and less than half of one (n_paths, N) array besides: the
     # distance's and the digests' row blocks, of ROW_BLOCK rows each whatever the path count
     n_paths, n_steps = 20_000, 100
     extra = "\n[model]\nfamily = lq\nsigma = 0.1\nx0 = 1.0\n\n[bsde]\ncontrol = zero\n"
     cfg = parse_config(write_config(tmp_path, "solve-bsde", extra=extra, n_steps=n_steps, n_paths=n_paths, seed=77))
+    before = threading.active_count()
     tracemalloc.start()
     try:
         result = run(cfg)
@@ -706,9 +708,30 @@ def test_solve_bsde_run_holds_only_its_arrays(tmp_path):
     finally:
         tracemalloc.stop()
     assert result.exit_code == 0
+    assert threading.active_count() == before
     step_array = n_paths * n_steps * 8
     node_array = n_paths * (n_steps + 1) * 8
     assert peak < 3 * node_array + step_array + step_array / 2
+
+
+def test_solve_bsde_run_holds_only_its_arrays(tmp_path):
+    assert_solve_bsde_run_holds_only_its_arrays(tmp_path)
+
+
+def test_solve_bsde_run_beside_helper_threads_holds_only_its_arrays(tmp_path, fork_seams, monkeypatch):
+    # two CPUs and a floor of one path-step: the cross-check runs beside the sweep and the
+    # digests beside the distance, and neither thread raises the peak past the same bound
+    set_seams, _ = fork_seams
+    set_seams(2, 1)
+    started, real_start = [], threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    assert_solve_bsde_run_holds_only_its_arrays(tmp_path)
+    assert len(started) == 2
 
 
 # experiment -> (config extra, {artifact: payload key it holds, None for the whole payload})

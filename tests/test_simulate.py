@@ -2,6 +2,8 @@ import csv
 import math
 import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -276,6 +278,115 @@ class TestRunChunks:
         simulate.run_chunks(work, self.COSTS)
         assert len(forks) == 2
         assert hits.tolist() == [1] * 12
+
+
+class TestBeside:
+    """``beside`` runs a stage's calls in a helper thread exactly when the chunk rule cuts two
+    items of the stage's path-steps into two chunks; the calls, their order and the error
+    raised are the same either way, and no thread outlives the context."""
+
+    @pytest.mark.parametrize(
+        "cpus, floor, threaded",
+        [(2, 100, True), (3, 1, True), (2, 101, False), (1, 1, False)],
+    )
+    def test_calls_in_order_in_the_thread_the_rule_picks(self, fork_seams, cpus, floor, threaded):
+        set_seams, forks = fork_seams
+        set_seams(cpus, floor)
+        caller, before = threading.current_thread(), threading.active_count()
+        calls = []
+        with simulate.beside(lambda *args: calls.append((args, threading.current_thread())), 100) as put:
+            for i in range(5):
+                put(i, -i)
+        assert [args for args, _ in calls] == [(i, -i) for i in range(5)]
+        assert {thread is caller for _, thread in calls} == {not threaded}
+        assert threading.active_count() == before and forks == []
+
+    def test_every_call_once_in_order_under_fast_thread_switches(self, fork_seams):
+        # a lost, repeated or reordered call through the queue breaks the sequence
+        set_seams, _ = fork_seams
+        set_seams(2, 1)
+        calls, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for fail_at in (None, 7_000):
+
+                def stage(i):
+                    if i == fail_at:
+                        raise ValueError(f"call {i}")
+                    calls.append(i)
+
+                calls.clear()
+                raised = None
+                try:
+                    with simulate.beside(stage, 100) as put:
+                        for i in range(10_000):
+                            put(i)
+                except ValueError as exc:
+                    raised = str(exc)
+                assert raised == (None if fail_at is None else f"call {fail_at}")
+                assert calls == list(range(10_000 if fail_at is None else fail_at))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_stage_failure_raised_at_a_later_put(self, fork_seams, cpus):
+        set_seams, _ = fork_seams
+        set_seams(cpus, 1)
+        before = threading.active_count()
+        calls, puts = [], []
+
+        def stage(i):
+            if i == 2:
+                raise ValueError("stage 2")
+            calls.append(i)
+
+        with pytest.raises(ValueError, match="stage 2"):
+            with simulate.beside(stage, 100) as put:
+                for i in range(1000):
+                    put(i)
+                    puts.append(i)
+        # no call after the failed one runs; the caller stops within the two queued calls
+        # and the one it was blocked on when the stage failed
+        assert calls == [0, 1]
+        assert puts == list(range(len(puts))) and len(puts) <= 6
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_earlier_stage_failure_raised_in_place_of_the_callers(self, fork_seams, cpus):
+        # the caller fails after handing over call 1 but, in the helper thread, before
+        # call 1 fails: call 1 comes first in call order, so its failure is raised
+        set_seams, _ = fork_seams
+        set_seams(cpus, 1)
+        caller, before = threading.current_thread(), threading.active_count()
+        handed_over = threading.Event()
+
+        def stage(i):
+            if i == 1:
+                if threading.current_thread() is not caller:
+                    handed_over.wait(timeout=10.0)
+                raise ValueError("stage 1")
+
+        with pytest.raises(ValueError, match="stage 1"):
+            with simulate.beside(stage, 100) as put:
+                put(0)
+                put(1)
+                handed_over.set()
+                raise RuntimeError("caller after call 1")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_caller_failure_after_the_handed_over_calls(self, fork_seams, cpus):
+        set_seams, _ = fork_seams
+        set_seams(cpus, 1)
+        before = threading.active_count()
+        calls = []
+        with pytest.raises(RuntimeError, match="caller"):
+            with simulate.beside(calls.append, 100) as put:
+                put(0)
+                put(1)
+                raise RuntimeError("caller")
+        assert calls == [0, 1]
+        assert threading.active_count() == before
 
 
 class TestEulerForward:
