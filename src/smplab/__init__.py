@@ -12,7 +12,6 @@ from .model import (
     SpikedLaw,
     TimeGrid,
     build_lq_coefficients,
-    validate_coefficients,
 )
 from .simulate import (
     LinearCoefficients,
@@ -43,7 +42,6 @@ from .smp import (
     SmpVerdict,
     adjoint_for,
     check_necessary_condition,
-    hamiltonian,
     hamiltonian_du,
     spike_perturb,
     variational_Z,

@@ -7,14 +7,6 @@ class SmplabError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyProbeSet(SmplabError):
-    """Coefficient validation was called without probe points."""
-
-
-class NonFiniteEvaluation(SmplabError):
-    """A coefficient map returned NaN or infinity at a probe point."""
-
-
 class NonFiniteState(SmplabError):
     """Forward simulation produced a non-finite state value."""
 

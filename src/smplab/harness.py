@@ -281,9 +281,9 @@ def parse_config(path, kind: str | None = None, overrides: dict | None = None) -
     """
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
         given = {section: dict(parser[section]) for section in parser.sections()}
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is malformed: {exc}") from exc
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
@@ -541,7 +541,7 @@ def _run_check_duality(cfg, setup: _Setup):
 def _run_clark_ocone(cfg, setup: _Setup):
     c = cfg["clark_ocone"]
     F = _FUNCTIONALS[c["functional"]](setup.grid, setup.levy)
-    report = clark_ocone_reconstruct(F, setup.noise())
+    report, _, _ = clark_ocone_reconstruct(F, setup.noise())
     ok = report.l2_error <= c["max_rel_error"]
     payload = dict(_plain(report), max_rel_error=c["max_rel_error"], verdict=bool(ok))
     lines = [
@@ -759,12 +759,12 @@ def replay(report_path) -> int:
     if not path.is_file():
         raise ConfigError(f"report file {path} not found")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
         cfg = report["config"]
         recorded = report["payload"]
         _check_json_types(cfg)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"report file {path} is not a valid run report: {exc}") from exc
     result = run(cfg)
     if _canonical(result.report["payload"]) != _canonical(recorded):

@@ -440,10 +440,6 @@ def _design_plan(n_features: int) -> tuple[tuple[tuple[int, ...], ...], tuple]:
 class PolynomialBasis:
     """Monomials of total degree <= ``DEGREE`` in the feature columns."""
 
-    def exponents(self, n_features: int) -> list[tuple[int, ...]]:
-        """All exponent tuples with total degree <= DEGREE, in lexicographic order."""
-        return list(_design_plan(n_features)[0])
-
     def design(self, features: np.ndarray) -> np.ndarray:
         """The C-ordered (n, dimension) design, each monomial written straight
         into its column by repeated multiplication, as ``_design_plan`` says."""
@@ -707,13 +703,13 @@ class ClarkOconeReport:
     seed: int
 
 
-def clark_ocone_reconstruct(F: WienerFunctional, noise: NoiseBundle, return_paths: bool = False):
+def clark_ocone_reconstruct(F: WienerFunctional, noise: NoiseBundle):
     """Rebuild F as mean(F) + sum_i E[D_{t_i} F | F_{t_i}] dB_i per path.
 
     Covers the Brownian filtration only: trees containing jump integrals are
     rejected, and so is a bundle that carries atoms.  F's stochastic leaves
-    must live on the bundle's grid.  Reported error is the squared-L2 ratio
-    E[(F - Fhat)^2]/E[F^2]; ``return_paths`` adds the per-path values of F
+    must live on the bundle's grid.  Returns the report, whose error is the
+    squared-L2 ratio E[(F - Fhat)^2]/E[F^2], and the per-path values of F
     and of the reconstruction.
     """
     if has_jump_nodes(F):
@@ -730,6 +726,4 @@ def clark_ocone_reconstruct(F: WienerFunctional, noise: NoiseBundle, return_path
     denom = float(np.mean(f_vals**2))
     err = float(np.mean((f_vals - recon) ** 2) / denom) if denom > 0.0 else 0.0
     report = ClarkOconeReport(l2_error=err, mean_value=float(f_vals.mean()), n_paths=noise.n_paths, seed=noise.seed)
-    if return_paths:
-        return report, f_vals, recon
-    return report
+    return report, f_vals, recon

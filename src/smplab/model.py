@@ -11,21 +11,15 @@ take the terminal state only.  All maps must be pure and elementwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import EmptyProbeSet, NonFiniteEvaluation
 
 # Lower margin for 1 + dgamma/dx: the closed forms divide by it and take
 # its log, so the jump-size bound gamma >= -1 is strengthened to a strict
 # positive distance from the singularity.
 DELTA_SING = 1e-6
-
-# Relative step used by the finite-difference cross-check of user partials.
-_FD_STEP = 1e-5
-_FD_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -118,11 +112,6 @@ class LevyMeasure:
     def intensities(self) -> np.ndarray:
         return np.array([l for _, l in self.atoms], dtype=float)
 
-    @property
-    def second_moment(self) -> float:
-        """sum of intensity * zeta**2 over atoms."""
-        return float(sum(l * z * z for z, l in self.atoms))
-
     def atom_index(self, zeta: float) -> int:
         """Index of the first atom whose size matches ``zeta`` to a relative 1e-12."""
         for k, (z, _) in enumerate(self.atoms):
@@ -138,8 +127,8 @@ CoeffMap = Callable[..., np.ndarray]
 class ControlledCoefficients:
     """Evaluation maps of the controlled system and their partials.
 
-    Partials are user-supplied; ``validate_coefficients`` cross-checks them
-    against central finite differences on a probe set.  Maps must broadcast
+    Partials are supplied with the maps and taken as given;
+    ``polynomial_coefficients`` derives them exactly.  Maps must broadcast
     elementwise: partials are evaluated over whole (path, step) arrays, with
     ``t`` of shape (1, N) against ``x`` and ``u`` of shape (n_paths, N), and
     may return read-only broadcast views (``like``) that callers copy first.
@@ -200,10 +189,6 @@ class OpenLoopLaw(ControlLaw):
             raise ValueError("open-loop values must be 1- or 2-dimensional")
         self.values = values
 
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[-1]
-
     def control_at(self, step, t, x):
         u = self.values[step] if self.values.ndim == 1 else self.values[:, step]
         return like(u, x, u)
@@ -232,101 +217,6 @@ class SpikedLaw(ControlLaw):
         if self.window[step]:
             return like(self.spike_values, x, self.spike_values)
         return self.base.control_at(step, t, x)
-
-
-@dataclass
-class ValidationReport:
-    """Outcome of the finite-difference cross-check of supplied partials."""
-
-    discrepancies: dict = field(default_factory=dict)
-    max_discrepancy: float = 0.0
-    min_one_plus_gamma_x: float = math.inf
-    lipschitz_x: float = 0.0
-    passed: bool = False
-
-
-def _central_difference(fn, args, index, h):
-    lo = list(args)
-    hi = list(args)
-    lo[index] = args[index] - h
-    hi[index] = args[index] + h
-    with np.errstate(all="ignore"):
-        return (fn(*hi) - fn(*lo)) / (2.0 * h)
-
-
-def _check_finite(name, value):
-    if not np.all(np.isfinite(value)):
-        raise NonFiniteEvaluation(f"{name} returned a non-finite value")
-
-
-def validate_coefficients(coeffs: ControlledCoefficients, probe) -> ValidationReport:
-    """Cross-check supplied partials against central differences on a probe set.
-
-    Parameters
-    ----------
-    coeffs : ControlledCoefficients
-    probe : list of (t, x, u, zeta) tuples; every u must lie in the control set.
-
-    Returns
-    -------
-    ValidationReport with the worst normalized discrepancy
-    |fd - partial| / max(1, |partial|) per partial, the minimum of
-    1 + gamma_x over probes, and an empirical Lipschitz-in-x estimate from
-    probe pairs.  ``passed`` requires max discrepancy < 1e-4 and
-    min(1 + gamma_x) >= DELTA_SING.
-    """
-    probe = list(probe)
-    if not probe:
-        raise EmptyProbeSet("validation requires at least one probe point")
-    coeffs.check_controls([u for t, x, u, zeta in probe], "probe controls")
-
-    report = ValidationReport()
-
-    checks = [
-        ("b_x", coeffs.b, coeffs.b_x, 1, 3),
-        ("b_u", coeffs.b, coeffs.b_u, 2, 3),
-        ("sigma_x", coeffs.sigma, coeffs.sigma_x, 1, 3),
-        ("sigma_u", coeffs.sigma, coeffs.sigma_u, 2, 3),
-        ("gamma_x", coeffs.gamma, coeffs.gamma_x, 1, 4),
-        ("gamma_u", coeffs.gamma, coeffs.gamma_u, 2, 4),
-        ("f_x", coeffs.f, coeffs.f_x, 1, 3),
-        ("f_u", coeffs.f, coeffs.f_u, 2, 3),
-        ("g_x", lambda t, x: coeffs.g(x), lambda t, x: coeffs.g_x(x), 1, 2),
-    ]
-    for name, fn, partial, index, arity in checks:
-        worst = 0.0
-        for t, x, u, zeta in probe:
-            args = (t, x, u, zeta)[:arity]
-            exact = np.asarray(partial(*args), dtype=float)
-            _check_finite(name, exact)
-            h = _FD_STEP * max(1.0, abs(args[index]))
-            fd = _central_difference(fn, args, index, h)
-            _check_finite(name + " (finite difference)", fd)
-            worst = max(worst, float(abs(fd - exact) / max(1.0, abs(exact))))
-        report.discrepancies[name] = worst
-
-    min_gx = min(1.0 + float(coeffs.gamma_x(t, x, u, zeta)) for t, x, u, zeta in probe)
-
-    # Empirical Lipschitz-in-x constant over probe pairs, aggregating drift,
-    # diffusion and jump coefficients the way the model regularity bound does.
-    lip_sq = 0.0
-    for i in range(len(probe)):
-        for j in range(i + 1, len(probe)):
-            t, xi, u, zeta = probe[i]
-            xj = probe[j][1]
-            dx_sq = (xi - xj) ** 2
-            if dx_sq == 0.0:
-                continue
-            db = float(coeffs.b(t, xi, u) - coeffs.b(t, xj, u))
-            ds = float(coeffs.sigma(t, xi, u) - coeffs.sigma(t, xj, u))
-            dg = float(coeffs.gamma(t, xi, u, zeta) - coeffs.gamma(t, xj, u, zeta))
-            lip_sq = max(lip_sq, (db * db + ds * ds + dg * dg) / dx_sq)
-
-    report.max_discrepancy = max(report.discrepancies.values())
-    report.min_one_plus_gamma_x = min_gx
-    report.lipschitz_x = math.sqrt(lip_sq)
-    report.passed = report.max_discrepancy < _FD_RTOL and min_gx >= DELTA_SING
-    return report
 
 
 def like(value, x, u) -> np.ndarray:

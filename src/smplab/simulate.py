@@ -140,11 +140,6 @@ class NoiseBundle:
 
         return self._cached("compensated_jump_path", build)
 
-    def jumps(self, path: int) -> list[tuple[int, int, int]]:
-        """Jump events of one path as (step_index, atom_index, count >= 1)."""
-        steps, atoms = np.nonzero(self.jump_counts[path])
-        return [(int(i), int(k), int(self.jump_counts[path, i, k])) for i, k in zip(steps, atoms)]
-
 
 def _path_generator(seed: int, path: int) -> np.random.Generator:
     key = np.array([seed & _SEED_MASK, path & _SEED_MASK], dtype=np.uint64)

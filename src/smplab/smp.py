@@ -24,22 +24,7 @@ import numpy as np
 from .bsde import AdjointTriple, hamiltonian_sum, solve_adjoint
 from .malliavin import mean_se
 from .model import ControlLaw, ControlledCoefficients, LevyMeasure, SpikedLaw, TimeGrid
-from .simulate import (
-    LinearCoefficients,
-    NoiseBundle,
-    PathBundle,
-    _euler_step,
-    euler_forward,
-    linear_closed_form,
-    run_chunks,
-    shared_zeros,
-)
-
-
-def hamiltonian(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
-    """f + b p + sigma q + sum_k gamma(.., zeta_k) r_k lam_k, elementwise."""
-    gammas = [coeffs.gamma(t, x, u, zeta) for zeta in levy.zetas]
-    return hamiltonian_sum(coeffs.f(t, x, u), coeffs.b(t, x, u), coeffs.sigma(t, x, u), gammas, p, q, r, levy)
+from .simulate import NoiseBundle, PathBundle, _euler_step, euler_forward, run_chunks, shared_zeros
 
 
 def hamiltonian_du(t, x, u, p, q, r, coeffs: ControlledCoefficients, levy: LevyMeasure):
@@ -148,21 +133,16 @@ def spiked_values(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathB
     return total + coeffs.g(x)
 
 
-def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, forward: PathBundle) -> np.ndarray:
+def variational_Z(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathBundle) -> np.ndarray:
     """State sensitivity Z of the spiked control ``law``, per path on grid nodes.
 
-    Both modes linearize around the base path bundle ``forward`` (partials
-    at the base state and control, on its noise) with Z(tau) = 0; the
-    spike is the law's window and values (``spike_perturb``).  Z reads the
-    state partials of ``partials_along`` and the control partials b_u,
-    sigma_u and gamma_u, which it evaluates itself (``_along``).
-    ``direct`` Euler-steps the linear equations driven by (v - u) on the
-    window and homogeneously after it; ``closed_form`` evaluates the
-    variation-of-constants solution through the same reciprocal-exponential
-    weight used for linear forward models.
+    Z linearizes around the base path bundle ``forward`` (partials at the
+    base state and control, on its noise) with Z(tau) = 0; the spike is the
+    law's window and values (``spike_perturb``).  Z reads the state partials
+    of ``partials_along`` and the control partials b_u, sigma_u and gamma_u,
+    which it evaluates itself (``_along``), and Euler-steps the linear
+    equations driven by (v - u) on the window and homogeneously after it.
     """
-    if mode not in ("direct", "closed_form"):
-        raise ValueError(f"mode must be 'direct' or 'closed_form', got {mode!r}")
     noise = forward.noise
     grid, levy = noise.grid, noise.levy
     n_paths, n_steps = noise.n_paths, grid.n_steps
@@ -175,26 +155,15 @@ def variational_Z(law: SpikedLaw, mode: str, coeffs: ControlledCoefficients, for
     du = np.zeros((n_paths, n_steps), order="F")
     du[:, window] = np.reshape(coeffs.clamp(law.spike_values), (-1, 1)) - forward.u[:, window]
 
-    if mode == "direct":
-        Z = np.zeros((n_paths, n_steps + 1), order="F")
-        for i in range(first, n_steps):
-            z = Z[:, i]
-            dz = (part.b_x[:, i] * z + b_u[:, i] * du[:, i]) * dt
-            dz += (part.sigma_x[:, i] * z + sigma_u[:, i] * du[:, i]) * noise.dB[:, i]
-            for k in range(levy.n_atoms):
-                dz += (part.gamma_x[:, i, k] * z + gamma_u[:, i, k] * du[:, i]) * noise.compensated_column(i, k)
-            Z[:, i + 1] = z + dz
-        return Z
-
-    lin = LinearCoefficients(
-        b0=b_u * du,
-        b1=part.b_x,
-        s0=sigma_u * du,
-        s1=part.sigma_x,
-        g0=gamma_u * du[:, :, None],
-        g1=part.gamma_x,
-    )
-    return linear_closed_form(lin, noise, 0.0).X
+    Z = np.zeros((n_paths, n_steps + 1), order="F")
+    for i in range(first, n_steps):
+        z = Z[:, i]
+        dz = (part.b_x[:, i] * z + b_u[:, i] * du[:, i]) * dt
+        dz += (part.sigma_x[:, i] * z + sigma_u[:, i] * du[:, i]) * noise.dB[:, i]
+        for k in range(levy.n_atoms):
+            dz += (part.gamma_x[:, i, k] * z + gamma_u[:, i, k] * du[:, i]) * noise.compensated_column(i, k)
+        Z[:, i + 1] = z + dz
+    return Z
 
 
 @dataclass

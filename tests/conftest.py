@@ -5,6 +5,28 @@ import pytest
 from smplab import simulate
 from smplab.harness import parse_config, run
 
+# (map, variable) of every partial a ControlledCoefficients carries
+PARTIALS = [(name, var) for name in ("b", "sigma", "gamma", "f") for var in ("x", "u")] + [("g", "x")]
+
+
+def _at(coeffs, name, t, x, u, zeta):
+    if name in ("g", "g_x"):
+        return float(getattr(coeffs, name)(x))
+    return float(getattr(coeffs, name)(*((t, x, u, zeta) if name.startswith("gamma") else (t, x, u))))
+
+
+def assert_partials_match_differences(coeffs, probes, rtol=1e-4):
+    """Each partial of ``coeffs`` equals the central difference of its map at every
+    (t, x, u, zeta) probe, to ``rtol`` times max(1, |partial|); the step in x or u
+    is 1e-5 times max(1, |x| or |u|)."""
+    for t, x, u, zeta in probes:
+        for name, var in PARTIALS:
+            h = 1e-5 * max(1.0, abs(x if var == "x" else u))
+            dx, du = (h, 0.0) if var == "x" else (0.0, h)
+            hi, lo = _at(coeffs, name, t, x + dx, u + du, zeta), _at(coeffs, name, t, x - dx, u - du, zeta)
+            exact = _at(coeffs, f"{name}_{var}", t, x, u, zeta)
+            assert abs((hi - lo) / (2.0 * h) - exact) <= rtol * max(1.0, abs(exact)), (f"{name}_{var}", t, x, u, zeta)
+
 
 @pytest.fixture
 def run_ini(tmp_path):

@@ -100,7 +100,7 @@ def test_criterion_04_martingale_reconstruction():
     grid = TimeGrid(1.0, 200)
     F = Compose(square_map(), (bm_integral(grid, 1.0),))
     bundle = sample_noise(grid, LevyMeasure.empty(), 100_000, 13)
-    report, f_vals, recon = clark_ocone_reconstruct(F, bundle, return_paths=True)
+    report, f_vals, recon = clark_ocone_reconstruct(F, bundle)
     B = bundle.brownian()
     oracle = grid.horizon + 2.0 * np.sum(B[:, :-1] * bundle.dB, axis=1)
     vs_oracle = float(np.mean((recon - oracle) ** 2) / np.mean(oracle**2))
@@ -224,7 +224,7 @@ def test_criterion_09_spike_gateaux_consistency():
     z_prev = None
     for eps in (0.2, 0.1, 0.05):
         Z = variational_Z(
-            spike_perturb(law, grid, 0.5, eps, 1.0), "direct", coeffs, euler_forward(coeffs, law, noise, 1.0)
+            spike_perturb(law, grid, 0.5, eps, 1.0), coeffs, euler_forward(coeffs, law, noise, 1.0)
         )
         z_sq = float(np.mean(Z[:, -1] ** 2))
         if z_prev is not None:

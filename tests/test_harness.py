@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_partials_match_differences
 from smplab.cli import main
 from smplab.errors import ConfigError, ReplayMismatch
 from smplab.harness import EXPERIMENTS, _family_keys, build_model, parse_config, replay, run, schema_for
-from smplab.model import OpenLoopLaw, TimeGrid, validate_coefficients
+from smplab.model import OpenLoopLaw, TimeGrid
 from smplab.simulate import euler_forward, sample_noise
 from smplab.smp import _along, partials_along
 
@@ -348,7 +349,7 @@ class TestBuildModel:
         got = (coeffs.b(0.0, x, u), coeffs.sigma(0.0, x, u), coeffs.gamma(0.0, x, u, z), coeffs.f(0.0, x, u), coeffs.g(x))
         assert [float(v) for v in got] == pytest.approx(expected(x, u, z), rel=1e-12, abs=1e-15)
         probes = [(0.0, x, u, z) for x in (-1.0, 0.5, 1.2) for u in (0.1, 0.3)]
-        assert validate_coefficients(coeffs, probes).passed
+        assert_partials_match_differences(coeffs, probes)
 
     def test_lq_partials_are_zero_stride_views(self, tmp_path):
         path = write_config(tmp_path, "simulate", extra="\n[model]\nfamily = lq\natoms = 0.2:1.0\n")
@@ -380,8 +381,7 @@ class TestBuildModel:
         )
         cfg = parse_config(path)
         coeffs, levy, x0 = build_model(cfg)
-        report = validate_coefficients(coeffs, [(0.0, 1.0, 0.3, -0.1), (0.5, -1.0, 0.1, -0.1)])
-        assert report.passed
+        assert_partials_match_differences(coeffs, [(0.0, 1.0, 0.3, -0.1), (0.5, -1.0, 0.1, -0.1)])
 
     def test_custom_polynomial_family(self, tmp_path):
         path = write_config(
@@ -393,8 +393,7 @@ class TestBuildModel:
         coeffs, levy, x0 = build_model(cfg)
         assert float(coeffs.b(0.0, 2.0, 1.0)) == pytest.approx(0.1 + 0.4 + 1.0)
         assert float(coeffs.g_x(3.0)) == pytest.approx(-1.0)
-        report = validate_coefficients(coeffs, [(0.0, 0.5, 0.2, 0.1)])
-        assert report.passed
+        assert_partials_match_differences(coeffs, [(0.0, 0.5, 0.2, 0.1)])
 
 
 class TestRunAndReplay:
@@ -779,6 +778,26 @@ class TestCli:
         assert not out2.exists()
         # missing replay file: 2
         assert main(["replay", str(tmp_path / "missing.json")]) == 2
+
+    def test_config_file_not_utf8_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "simulate")
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_file_not_utf8_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "simulate", n_paths=200)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        report = out / "report.json"
+        report.write_bytes(report.read_bytes().replace(b'"config"', b'"\xffconfig"', 1))
+        written = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["replay", str(report)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == written
 
     def test_cli_seed_override_changes_payload(self, tmp_path):
         extra = "\n[duality]\nfunctional = bm_squared\nmode = brownian\nintegrand = brownian\n"

@@ -220,12 +220,11 @@ class TestStepMajorStorage:
             tracemalloc.stop()
         assert peaks[1] - peaks[0] < fw.X.nbytes + fw.u.nbytes / 2
 
-    @pytest.mark.parametrize("mode", ["direct", "closed_form"])
     @pytest.mark.parametrize("n_paths", PATH_COUNTS)
-    def test_variational_Z(self, n_paths, mode):
+    def test_variational_Z(self, n_paths):
         fw = forward(n_paths)
         law = spike_perturb(OpenLoopLaw(np.full(GRID.n_steps, 0.4)), GRID, 0.25, 0.25, 1.5)
-        step_major(variational_Z(law, mode, COEFFS, fw), (n_paths, GRID.n_steps + 1))
+        step_major(variational_Z(law, COEFFS, fw), (n_paths, GRID.n_steps + 1))
 
     @pytest.mark.parametrize("n_paths", SOLVER_PATH_COUNTS)
     def test_constrained_lq_arrays(self, n_paths):

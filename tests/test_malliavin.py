@@ -350,7 +350,7 @@ class TestDesign:
         with np.errstate(over="ignore", invalid="ignore"):
             A = basis.design(x)
             expected = np.empty_like(A)
-            for j, exp in enumerate(basis.exponents(n_features)):
+            for j, exp in enumerate(malliavin._design_plan(n_features)[0]):
                 terms = [math.prod([x[:, c]] * p) if p > 1 else x[:, c] for c, p in enumerate(exp) if p]
                 expected[:, j] = math.prod(terms) if terms else 1.0
         assert A.shape == (500, math.comb(n_features + malliavin.DEGREE, malliavin.DEGREE))
@@ -455,20 +455,20 @@ class TestDuality:
 class TestClarkOcone:
     def test_bm_integral_reconstructs_exactly(self):
         h = np.linspace(0.2, 1.0, GRID.n_steps)
-        report, f_vals, recon = clark_ocone_reconstruct(bm_integral(GRID, h), draw(5000, 18), return_paths=True)
+        report, f_vals, recon = clark_ocone_reconstruct(bm_integral(GRID, h), draw(5000, 18))
         # the integrand part reconstructs exactly on a matched grid: the only
         # residual is the estimated mean, itself CLT-sized
         assert np.allclose(recon - f_vals, f_vals.mean(), atol=1e-12)
         assert report.l2_error < 1e-3
 
     def test_constant_exact(self):
-        report = clark_ocone_reconstruct(constant(2.0), draw(1000, 19))
+        report, _, _ = clark_ocone_reconstruct(constant(2.0), draw(1000, 19))
         assert report.l2_error == 0.0
 
     def test_bm_squared_against_ito_oracle(self):
         grid = TimeGrid(1.0, 200)
         bundle = sample_noise(grid, NO_JUMPS, 50_000, 20)
-        report, f_vals, recon = clark_ocone_reconstruct(bm_squared(grid), bundle, return_paths=True)
+        report, f_vals, recon = clark_ocone_reconstruct(bm_squared(grid), bundle)
         assert report.l2_error < 0.03
         # oracle: B(T)^2 = T + 2 int B dB, discretized on the same bundle
         B = bundle.brownian()
@@ -484,7 +484,7 @@ class TestClarkOcone:
         # B_T^2 = sum_i dB_i^2 + 2 sum_i B_{t_i} dB_i, and the exact E[D_t F | F_t] = 2 B_t
         # rebuilds the second sum, so F - Fhat = sum_i dB_i^2 - mean(F) on every path
         noise = draw(5000, 36)
-        _, f_vals, recon = clark_ocone_reconstruct(bm_squared(), noise, return_paths=True)
+        _, f_vals, recon = clark_ocone_reconstruct(bm_squared(), noise)
         residual = (noise.dB**2).sum(axis=1) - f_vals.mean()
         assert np.allclose(f_vals - recon, residual, rtol=0.0, atol=1e-12)
 

@@ -76,7 +76,6 @@ class TestSampleNoise:
     def test_no_atoms_no_jumps(self):
         bundle = sample_noise(GRID, LevyMeasure.empty(), 50, 3)
         assert bundle.jump_counts.shape == (50, 100, 0)
-        assert all(bundle.jumps(k) == [] for k in range(5))
 
     def test_brownian_moments(self):
         bundle = sample_noise(GRID, LevyMeasure.empty(), 10_000, 11)
@@ -108,15 +107,6 @@ class TestSampleNoise:
         assert np.all(np.abs(at_bound.jump_counts - MAX_STEP_RATE) < 10 * math.sqrt(MAX_STEP_RATE))
         with pytest.raises(ValueError):
             sample_noise(grid, LevyMeasure.from_pairs([(0.001, 400_000.0)]), 4, 1)
-
-    def test_jump_event_listing(self):
-        bundle = sample_noise(GRID, ATOM, 200, 7)
-        events = bundle.jumps(3)
-        rebuilt = np.zeros((100, 1), dtype=int)
-        for step, atom, count in events:
-            assert count >= 1
-            rebuilt[step, atom] = count
-        assert np.array_equal(rebuilt, bundle.jump_counts[3])
 
 
 LEVIES = {

@@ -20,14 +20,14 @@ from smplab.model import (
     like,
     polynomial_coefficients,
 )
-from smplab.bsde import solve_adjoint
+from smplab.bsde import hamiltonian_sum, solve_adjoint
 from smplab.simulate import LinearCoefficients, euler_forward, linear_closed_form, sample_noise
 from smplab.smp import (
     SmpVerdict,
+    _along,
     adjoint_for,
     check_necessary_condition,
     check_spike_grids,
-    hamiltonian,
     hamiltonian_du,
     partials_along,
     performance_values,
@@ -55,19 +55,25 @@ def affine_cost_coeffs(run_u=-0.6):
     )
 
 
+def hamiltonian_of(t, x, u, p, q, r, coeffs, levy):
+    """H = f + b p + sigma q + sum_k gamma(.., zeta_k) r_k lam_k: ``hamiltonian_sum`` of the maps of ``coeffs``."""
+    gammas = [coeffs.gamma(t, x, u, zeta) for zeta in levy.zetas]
+    return hamiltonian_sum(coeffs.f(t, x, u), coeffs.b(t, x, u), coeffs.sigma(t, x, u), gammas, p, q, r, levy)
+
+
 class TestHamiltonian:
     def test_lq_form(self):
         coeffs = build_lq_coefficients(0.3)
-        value = hamiltonian(0.1, 1.0, 2.0, 0.5, 0.7, np.array([1.5]), coeffs, ATOM)
+        value = hamiltonian_of(0.1, 1.0, 2.0, 0.5, 0.7, np.array([1.5]), coeffs, ATOM)
         expected = -0.5 * 4.0 + 2.0 * 0.5 + 0.3 * 0.7 + 0.2 * 1.5 * 1.0
         assert float(value) == pytest.approx(expected)
 
     def test_zero_adjoints_reduce_to_cost(self):
         coeffs = build_lq_coefficients(0.3)
-        value = hamiltonian(0.1, 1.0, 2.0, 0.0, 0.0, np.array([0.0]), coeffs, ATOM)
+        value = hamiltonian_of(0.1, 1.0, 2.0, 0.0, 0.0, np.array([0.0]), coeffs, ATOM)
         assert float(value) == pytest.approx(float(coeffs.f(0.1, 1.0, 2.0)))
         # zero control with p arbitrary and q = r = 0: drift term vanishes too
-        assert float(hamiltonian(0.1, 1.0, 0.0, 2.0, 0.0, np.array([0.0]), coeffs, ATOM)) == pytest.approx(0.0)
+        assert float(hamiltonian_of(0.1, 1.0, 0.0, 2.0, 0.0, np.array([0.0]), coeffs, ATOM)) == pytest.approx(0.0)
 
     def test_du_stationarity(self):
         coeffs = build_lq_coefficients(0.3)
@@ -87,9 +93,10 @@ class TestHamiltonian:
     def test_affine_in_adjoints(self, p1, q1, r1, p2, q2, r2):
         coeffs = build_lq_coefficients(0.3)
         args = (0.2, 0.7, 1.3)
-        h1 = float(hamiltonian(*args, p1, q1, np.array([r1]), coeffs, ATOM))
-        h2 = float(hamiltonian(*args, p2, q2, np.array([r2]), coeffs, ATOM))
-        h_mid = float(hamiltonian(*args, 0.5 * (p1 + p2), 0.5 * (q1 + q2), np.array([0.5 * (r1 + r2)]), coeffs, ATOM))
+        h1 = float(hamiltonian_of(*args, p1, q1, np.array([r1]), coeffs, ATOM))
+        h2 = float(hamiltonian_of(*args, p2, q2, np.array([r2]), coeffs, ATOM))
+        mid = (0.5 * (p1 + p2), 0.5 * (q1 + q2), np.array([0.5 * (r1 + r2)]))
+        h_mid = float(hamiltonian_of(*args, *mid, coeffs, ATOM))
         assert h_mid == pytest.approx(0.5 * (h1 + h2), rel=1e-9, abs=1e-9)
 
 
@@ -179,15 +186,26 @@ class TestPerformance:
         assert abs(estimate - (-0.505)) <= 5 * se
 
 
+def closed_form_Z(law, coeffs, forward):
+    """The variation-of-constants solution of the linear equation ``smp.variational_Z``
+    Euler-steps: ``linear_closed_form`` of the same partials and spike."""
+    part = partials_along(coeffs, forward)
+    b_u, sigma_u, gamma_u = (_along(coeffs, forward, name) for name in ("b_u", "sigma_u", "gamma_u"))
+    du = np.zeros(forward.u.shape, order="F")
+    du[:, law.window] = np.reshape(coeffs.clamp(law.spike_values), (-1, 1)) - forward.u[:, law.window]
+    lin = LinearCoefficients(
+        b0=b_u * du, b1=part.b_x, s0=sigma_u * du, s1=part.sigma_x, g0=gamma_u * du[:, :, None], g1=part.gamma_x
+    )
+    return linear_closed_form(lin, forward.noise, 0.0).X
+
+
 class TestVariationalZ:
     def test_zero_perturbation(self):
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, ATOM, 400, 34)
         base = OpenLoopLaw(np.full(100, 0.4))
-        for mode in ("direct", "closed_form"):
-            Z = variational_Z(
-                spike_perturb(base, GRID, 0.3, 0.2, 0.4), mode, coeffs, euler_forward(coeffs, base, noise, 1.0)
-            )
+        for solution in (variational_Z, closed_form_Z):
+            Z = solution(spike_perturb(base, GRID, 0.3, 0.2, 0.4), coeffs, euler_forward(coeffs, base, noise, 1.0))
             assert np.allclose(Z, 0.0, atol=1e-14)
 
     def test_lq_drift_only_integral(self):
@@ -195,11 +213,11 @@ class TestVariationalZ:
         noise = sample_noise(GRID, NO_JUMPS, 200, 35)
         base = OpenLoopLaw(np.zeros(100))
         Z = variational_Z(
-            spike_perturb(base, GRID, 0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+            spike_perturb(base, GRID, 0.5, 0.1, 1.0), coeffs, euler_forward(coeffs, base, noise, 1.0)
         )
         assert np.allclose(Z[:, -1], 0.1, atol=1e-12)
-        Zc = variational_Z(
-            spike_perturb(base, GRID, 0.5, 0.1, 1.0), "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0)
+        Zc = closed_form_Z(
+            spike_perturb(base, GRID, 0.5, 0.1, 1.0), coeffs, euler_forward(coeffs, base, noise, 1.0)
         )
         assert np.allclose(Z, Zc, atol=1e-12)
 
@@ -208,10 +226,10 @@ class TestVariationalZ:
         noise = sample_noise(GRID, NO_JUMPS, 200, 36)
         base = OpenLoopLaw(np.zeros(100))
         z_big = variational_Z(
-            spike_perturb(base, GRID, 0.5, 0.2, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+            spike_perturb(base, GRID, 0.5, 0.2, 1.0), coeffs, euler_forward(coeffs, base, noise, 1.0)
         )
         z_small = variational_Z(
-            spike_perturb(base, GRID, 0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+            spike_perturb(base, GRID, 0.5, 0.1, 1.0), coeffs, euler_forward(coeffs, base, noise, 1.0)
         )
         ratio = np.mean(z_big[:, -1] ** 2) / np.mean(z_small[:, -1] ** 2)
         assert 4.0 * 0.7 <= ratio <= 4.0 * 1.3
@@ -223,7 +241,7 @@ class TestVariationalZ:
         seconds, sups = [], []
         for eps in (0.4, 0.2, 0.1, 0.05):
             Z = variational_Z(
-                spike_perturb(base, GRID, 0.5, eps, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+                spike_perturb(base, GRID, 0.5, eps, 1.0), coeffs, euler_forward(coeffs, base, noise, 1.0)
             )
             seconds.append(float(np.mean(Z[:, -1] ** 2)))
             sups.append(float(np.abs(Z).max()))
@@ -244,10 +262,10 @@ class TestVariationalZ:
         noise = sample_noise(grid, NO_JUMPS, 2000, 38)
         base = OpenLoopLaw(np.zeros(400))
         Zd = variational_Z(
-            spike_perturb(base, grid, 0.5, 0.1, 1.0), "direct", coeffs, euler_forward(coeffs, base, noise, 1.0)
+            spike_perturb(base, grid, 0.5, 0.1, 1.0), coeffs, euler_forward(coeffs, base, noise, 1.0)
         )
-        Zc = variational_Z(
-            spike_perturb(base, grid, 0.5, 0.1, 1.0), "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0)
+        Zc = closed_form_Z(
+            spike_perturb(base, grid, 0.5, 0.1, 1.0), coeffs, euler_forward(coeffs, base, noise, 1.0)
         )
         rel = np.sqrt(np.mean((Zd[:, -1] - Zc[:, -1]) ** 2) / np.mean(Zc[:, -1] ** 2))
         assert rel < 0.01
@@ -295,11 +313,11 @@ class TestVariationalZ:
             for k in range(2):
                 dz += (gamma_x[:, i, k] * z + gamma_u[:, i, k] * du[:, i]) * comp[:, i, k]
             Z[:, i + 1] = z + dz
-        assert np.array_equal(variational_Z(law, "direct", coeffs, forward), Z)
+        assert np.array_equal(variational_Z(law, coeffs, forward), Z)
         lin = LinearCoefficients(
             b0=b_u * du, b1=b_x, s0=sigma_u * du, s1=sigma_x, g0=gamma_u * du[:, :, None], g1=gamma_x
         )
-        assert np.array_equal(variational_Z(law, "closed_form", coeffs, forward), linear_closed_form(lin, noise, 0.0).X)
+        assert np.array_equal(closed_form_Z(law, coeffs, forward), linear_closed_form(lin, noise, 0.0).X)
 
     def test_closed_form_matches_direct_with_atoms(self):
         # with atoms, the closed form still agrees with the direct simulation
@@ -307,8 +325,8 @@ class TestVariationalZ:
         noise = sample_noise(GRID, ATOM, 3000, 39)
         base = OpenLoopLaw(np.zeros(100))
         spike = spike_perturb(base, GRID, 0.5, 0.1, 1.0)
-        Zd = variational_Z(spike, "direct", coeffs, euler_forward(coeffs, base, noise, 1.0))
-        Zc = variational_Z(spike, "closed_form", coeffs, euler_forward(coeffs, base, noise, 1.0))
+        Zd = variational_Z(spike, coeffs, euler_forward(coeffs, base, noise, 1.0))
+        Zc = closed_form_Z(spike, coeffs, euler_forward(coeffs, base, noise, 1.0))
         assert np.allclose(Zd, Zc, atol=1e-10)
         agreement = np.sqrt(np.mean((Zc[:, -1] - Zd[:, -1]) ** 2))
         assert agreement < 1e-10
