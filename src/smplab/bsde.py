@@ -8,7 +8,9 @@ The generator reads only the state partials f_x, b_x, sigma_x and gamma_x.
 ``solve_adjoint`` sweeps back once with one projector on the state per step:
 it solves the explicit adjoint and, optionally, the p of the implicit
 backward regression scheme as a cross-check on the same projectors, which
-large runs compute in a helper thread beside the sweep.
+large runs compute in a helper thread beside the sweep.  The explicit
+adjoint keeps p on every path and node, and (q, r) as per-step fits in the
+state, which ``AdjointTriple.qr_at`` evaluates where a reader needs them.
 ``fit_qr_step`` gives one step's (q, r) columns, and ``extract_qr``
 regresses the martingale coefficients of a given process on the driving
 noise with it.
@@ -39,13 +41,32 @@ UNIDENTIFIABLE_RATE = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class AdjointTriple:
-    """Grid-indexed adjoint solution: p on nodes, (q, r) on step intervals."""
+    """Grid-indexed adjoint solution: p on nodes, and (q, r) on step intervals
+    as functions of the state X(t_i), one ``ConditionalFit`` per step and atom.
 
-    p: np.ndarray  # (n_paths, N+1), step-major like every array below
-    q: np.ndarray  # (n_paths, N)
-    r: np.ndarray  # (n_paths, N, K)
+    q and r are never stored per path: ``qr_at`` evaluates a step's fits.
+    """
+
+    p: np.ndarray  # (n_paths, N+1), step-major
     unidentifiable_atoms: tuple[int, ...] = ()
-    p_fits: tuple = ()  # per-step ConditionalFit of p, without training values
+    # per step, ConditionalFits without training values: p's, q's, and r's, one
+    # per atom, with None for an unidentifiable atom
+    p_fits: tuple = ()
+    q_fits: tuple = ()
+    r_fits: tuple = ()
+
+    def qr_at(self, step: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """q, shape (n,), and r, shape (n, K), of step ``step`` at the states
+        X(t_step) of n paths; an unidentifiable atom reads r = 0.  On the full
+        column ``forward.X[:, step]`` of the sweep's paths each value has the
+        bits of the fit's values on its training sample, since the call repeats
+        the projector's standardization, design and product."""
+        q = self.q_fits[step](states)
+        r = np.zeros((q.shape[0], len(self.r_fits[step])), order="F")
+        for k, fit in enumerate(self.r_fits[step]):
+            if fit is not None:
+                r[:, k] = fit(states)
+        return q, r
 
 
 def _squares_per_path(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
@@ -81,20 +102,28 @@ def unidentifiable_atoms(noise: NoiseBundle) -> tuple[int, ...]:
     return tuple(k for k, rate in enumerate(rates) if rate < UNIDENTIFIABLE_RATE)
 
 
-def fit_qr_step(projector: StateProjector, increment: np.ndarray, noise: NoiseBundle, step: int):
-    """The (q, r) columns of one step from one martingale increment of p:
-    q, shape (n_paths,), projects increment dB_i / dt and column k of r,
-    shape (n_paths, K), projects increment (dN_k - lam_k dt) / (lam_k dt);
-    the ``unidentifiable_atoms`` keep r = 0.
-    """
+def _qr_targets(increment: np.ndarray, noise: NoiseBundle, step: int):
+    """Yield the regression targets of one step's (q, r) from one martingale
+    increment of p, one at a time: q's, increment dB_i / dt, then atom k's,
+    increment (dN_k - lam_k dt) / (lam_k dt), or None for an atom of
+    ``unidentifiable_atoms``."""
     dt, dead = noise.grid.dt, unidentifiable_atoms(noise)
-    q = projector.fit(increment * noise.dB[:, step] / dt).fitted
+    yield increment * noise.dB[:, step] / dt
+    for k, lam in enumerate(noise.levy.intensities):
+        yield None if k in dead else increment * noise.compensated_column(step, k) / (lam * dt)
+
+
+def fit_qr_step(projector: StateProjector, increment: np.ndarray, noise: NoiseBundle, step: int):
+    """The (q, r) columns of one step, the fitted values of the ``_qr_targets``
+    of one martingale increment of p: q of shape (n_paths,) and r of shape
+    (n_paths, K); the ``unidentifiable_atoms`` keep r = 0.
+    """
+    targets = _qr_targets(increment, noise, step)
+    q = projector.fit(next(targets)).fitted
     r = np.zeros((len(increment), noise.levy.n_atoms), order="F")
-    lam = noise.levy.intensities
-    for k in range(noise.levy.n_atoms):
-        if k not in dead:
-            rate = lam[k] * dt
-            r[:, k] = projector.fit(increment * noise.compensated_column(step, k) / rate).fitted
+    for k, target in enumerate(targets):
+        if target is not None:
+            r[:, k] = projector.fit(target).fitted
     return q, r
 
 
@@ -177,9 +206,11 @@ def solve_adjoint(
     by Gamma, the first-variation weight of b_x, sigma_x and gamma_x:
     p(t_i) = E[Gamma(T)/Gamma(t_i) terminal
               + sum_{j>=i} Gamma(t_j)/Gamma(t_i) f_x(t_j) dt | F_{t_i}],
-    with (q, r) fitted as in ``extract_qr`` and the per-step fits of p kept in
-    ``p_fits``.  Gamma is exactly 1 when b_x, sigma_x and gamma_x all vanish,
-    and is then not computed.  With ``cross_check`` the sweep also runs the
+    with (q, r) fitted to the targets of ``extract_qr``.  The per-step fits of
+    p, q and r are kept in ``p_fits``, ``q_fits`` and ``r_fits``; q and r are
+    never formed on the paths (``AdjointTriple.qr_at`` evaluates them).
+    Gamma is exactly 1 when b_x, sigma_x and gamma_x all vanish, and is then
+    not computed.  With ``cross_check`` the sweep also runs the
     implicit backward regression scheme (``_implicit_step``) and returns its
     p, step-major of shape (n_paths, N+1), second; its q and r live one step
     at a time.  Otherwise the second item is None.  Implicit step i runs on
@@ -198,13 +229,11 @@ def solve_adjoint(
     else:
         gam = np.ones((1, n_steps + 1))
     p = _nodes(forward, terminal)
-    q = np.empty((forward.n_paths, n_steps), order="F")
-    r = np.empty((forward.n_paths, n_steps, noise.levy.n_atoms), order="F")
     implicit, stage = None, nullcontext()
     if cross_check:
         implicit = _nodes(forward, terminal)
         stage = beside(partial(_implicit_step, part, implicit, noise), forward.n_paths * n_steps)
-    fits = [None] * n_steps
+    p_fits, q_fits, r_fits = [None] * n_steps, [None] * n_steps, [None] * n_steps
     tail = gam[:, n_steps] * terminal
     with stage as implicit_step:
         for i in range(n_steps - 1, -1, -1):
@@ -212,8 +241,11 @@ def solve_adjoint(
             projector = StateProjector(forward.X[:, i])
             fit = projector.fit(tail / gam[:, i])
             p[:, i] = fit.fitted
-            fits[i] = replace(fit, fitted=None)
-            q[:, i], r[:, i] = fit_qr_step(projector, p[:, i + 1] - p[:, i], noise, i)
+            p_fits[i] = replace(fit, fitted=None)
+            targets = _qr_targets(p[:, i + 1] - p[:, i], noise, i)
+            q_fits[i] = projector.fit(next(targets), fitted=False)
+            r_fits[i] = tuple(None if t is None else projector.fit(t, fitted=False) for t in targets)
             if implicit_step is not None:
                 implicit_step(projector, i)
-    return AdjointTriple(p, q, r, unidentifiable_atoms(noise), tuple(fits)), implicit
+    triple = AdjointTriple(p, unidentifiable_atoms(noise), tuple(p_fits), tuple(q_fits), tuple(r_fits))
+    return triple, implicit

@@ -42,6 +42,7 @@ from .model import (
     polynomial_coefficients,
 )
 from .simulate import (
+    ROW_BLOCK,
     LinearCoefficients,
     NoiseBundle,
     beside,
@@ -575,8 +576,14 @@ def _run_solve_bsde(cfg, setup: _Setup):
         "verdict": bool(ok),
     }
     k = cfg["output"]["csv_paths"]
-    r = {f"r_atom{a}": explicit.r[:k, :, a] for a in range(explicit.r.shape[2])}
-    columns = {"p": explicit.p[:k], "q": explicit.q[:k]} | r
+    # (q, r) of the first k paths, from each step's fits evaluated on whole row blocks of
+    # leading paths: on fewer rows the fits' product may take another BLAS kernel path,
+    # and other bits than on the sweep's full column
+    leading = forward.X[: min(setup.n_paths, ROW_BLOCK * math.ceil(k / ROW_BLOCK))]
+    qr = [explicit.qr_at(i, leading[:, i]) for i in range(grid.n_steps)]
+    r = np.stack([r for _, r in qr], axis=1)[:k]
+    columns = {"p": explicit.p[:k], "q": np.column_stack([q for q, _ in qr])[:k]}
+    columns |= {f"r_atom{a}": r[:, :, a] for a in range(r.shape[2])}
     lines = [
         f"adjoint equation solved two ways on {setup.n_paths} paths",
         f"relative L2(dt x P) distance {distance:.4g} (threshold {cfg['bsde']['max_rel_distance']:.4g})",

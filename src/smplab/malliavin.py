@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InsufficientPaths, JumpDependentFunctional, NonAdaptedIntegrand, UnsupportedNode
 from .model import LevyMeasure, TimeGrid
-from .simulate import ROW_BLOCK, NoiseBundle, row_blocks, running_sum
+from .simulate import ROW_BLOCK, NoiseBundle, row_blocks
 
 # --------------------------------------------------------------------------
 # Smooth maps
@@ -341,25 +341,32 @@ def evaluate(F: WienerFunctional, bundle: NoiseBundle, _memo: dict | None = None
     return out
 
 
-def _running_path(leaf: BMIntegral | JumpIntegral, bundle: NoiseBundle, memo: dict) -> np.ndarray:
-    """The integral stopped at every grid node, built once per memo: the
-    ``running_sum`` of its step increments, (n_paths, N+1), step-major."""
+def _running_column(leaf: BMIntegral | JumpIntegral, bundle: NoiseBundle, node: int, memo: dict) -> np.ndarray:
+    """The integral stopped at grid node ``node``, shape (n_paths,).
+
+    The memo keeps one running column per leaf and advances it a step at a
+    time, adding each step's increment in step order, so it holds the bits
+    of that column of the leaf's ``running_sum`` path.  A node before the
+    kept one restarts from node 0.  The column is updated in place by the
+    next call on a later node, so a reader copies what it keeps.
+    """
     key = ("running", id(leaf))
     hit = memo.get(key)
-    if hit is not None and hit[0] is leaf:
-        return hit[1]
-    _check_leaf(leaf, bundle)
-    out = np.empty((bundle.n_paths, bundle.grid.n_steps + 1), order="F")
-    if isinstance(leaf, BMIntegral):
-        np.multiply(leaf.values, bundle.dB, out=out[:, 1:])
-    else:
-        # The counts are path-major; a block of ROW_BLOCK paths at a time keeps
-        # the transposing product in cache, with the bits of one einsum.
-        for start in range(0, bundle.n_paths, ROW_BLOCK):
-            stop = start + ROW_BLOCK
-            np.einsum("pik,ik->pi", bundle.compensated_counts(start, stop), leaf.values, out=out[start:stop, 1:])
-    memo[key] = (leaf, running_sum(out))
-    return out
+    if hit is None or hit[0] is not leaf or hit[1] > node:
+        _check_leaf(leaf, bundle)
+        hit = memo[key] = [leaf, 0, np.zeros(bundle.n_paths)]
+    column = hit[2]
+    for i in range(hit[1], node):
+        if isinstance(leaf, BMIntegral):
+            increment = leaf.values[i] * bundle.dB[:, i]
+        else:
+            increment = np.einsum("pk,k->p", bundle.compensated_step(i), leaf.values[i])
+        if i:
+            np.add(column, increment, out=column)
+        else:  # node 1 holds the first increment itself, signed zeros too, as in ``running_sum``
+            np.copyto(column, increment)
+    hit[1] = node
+    return column
 
 
 def _stopped_value(F: WienerFunctional, bundle: NoiseBundle, node: int, memo: dict) -> np.ndarray:
@@ -368,7 +375,7 @@ def _stopped_value(F: WienerFunctional, bundle: NoiseBundle, node: int, memo: di
         return F.phi.fn([_stopped_value(c, bundle, node, memo) for c in F.children])
     if isinstance(F, Constant):
         return np.full(bundle.n_paths, F.value)
-    return _running_path(F, bundle, memo)[:, node]
+    return _running_column(F, bundle, node, memo)
 
 
 def hm_derivative(F: WienerFunctional, direction: Brownian | Jump) -> WienerFunctional:
@@ -515,15 +522,16 @@ class StateProjector:
             gram = gram + 1e-8 * np.trace(gram) / dim * np.eye(dim)
         self._gram = gram
 
-    def fit(self, values: np.ndarray) -> ConditionalFit:
-        """Fit of one target, one value per path of the state sample."""
+    def fit(self, values: np.ndarray, fitted: bool = True) -> ConditionalFit:
+        """Fit of one target, one value per path of the state sample, with its
+        values on the sample unless ``fitted`` is false."""
         coeffs = np.linalg.solve(self._gram, self.design.T @ np.asarray(values, dtype=float))
         return ConditionalFit(
             coeffs=coeffs,
             feature_mean=self.feature_mean,
             feature_scale=self.feature_scale,
             rank_deficient=self.rank_deficient,
-            fitted=self.design @ coeffs,
+            fitted=self.design @ coeffs if fitted else None,
         )
 
 
@@ -545,10 +553,10 @@ def conditional_derivative(
     when the derivative tree is deterministic or of degree <= 1 by
     ``tree_degree``: such a tree is an affine function of integrals with
     deterministic integrands, which are martingales, so it is evaluated with
-    every integral stopped at node i (each integral's running path is built
-    once, in ``_memo`` when given).  Any other tree is projected onto
-    polynomial features of the time-t_i driving state, through one
-    projector per step shared by every atom.
+    every integral stopped at node i (each integral's running column is
+    kept in ``_memo`` when given, and advanced node by node).  Any other
+    tree is projected onto polynomial features of the time-t_i driving
+    state, through one projector per step shared by every atom.
     """
     t = bundle.grid.times()[step]
     if mode == "brownian":

@@ -82,8 +82,9 @@ class NoiseBundle:
     shape (n_paths, N, n_atoms), C-ordered, and bins every jump to the step
     in which it occurred.  Arrays are read-only.  The paths built from them are
     step-major ``running_sum``s.  The compensated counts are never stored:
-    ``compensated_counts`` forms a range of paths and ``compensated_column``
-    one step of one atom, both from ``jump_counts`` elementwise.
+    ``compensated_counts`` forms a range of paths, ``compensated_step`` one
+    step and ``compensated_column`` one step of one atom, all from
+    ``jump_counts`` elementwise.
     """
 
     grid: TimeGrid
@@ -127,6 +128,11 @@ class NoiseBundle:
         with the bits of that column of ``compensated_counts``."""
         rate = (self.levy.intensities * self.grid.dt)[atom]
         return self.jump_counts[:, step, atom].astype(float) - rate
+
+    def compensated_step(self, step: int) -> np.ndarray:
+        """Compensated counts of one step on every path, shape (n_paths, K), with the bits of
+        that step of ``compensated_counts``."""
+        return self.jump_counts[:, step].astype(float) - self.levy.intensities * self.grid.dt
 
     def compensated_jump_path(self) -> np.ndarray:
         """Path of the compensated jump process sum_k zeta_k * (N_k - lam_k t), step-major; 0 with no atom."""

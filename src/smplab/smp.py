@@ -240,7 +240,8 @@ def check_necessary_condition(
         i = grid.step_of(tau)
         t_i = times[i]
         x_i, u_i = forward.X[:, i], forward.u[:, i]
-        dh_du = hamiltonian_du(t_i, x_i, u_i, triple.p[:, i], triple.q[:, i], triple.r[:, i], coeffs, levy)
+        q_i, r_i = triple.qr_at(i, x_i)
+        dh_du = hamiltonian_du(t_i, x_i, u_i, triple.p[:, i], q_i, r_i, coeffs, levy)
         for b, v in enumerate(v_grid):
             stat[a, b], stat_se[a, b] = mean_se(dh_du * (v - u_i))
             for eps in eps_grid:

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from smplab import simulate
@@ -26,6 +27,13 @@ def assert_partials_match_differences(coeffs, probes, rtol=1e-4):
             hi, lo = _at(coeffs, name, t, x + dx, u + du, zeta), _at(coeffs, name, t, x - dx, u - du, zeta)
             exact = _at(coeffs, f"{name}_{var}", t, x, u, zeta)
             assert abs((hi - lo) / (2.0 * h) - exact) <= rtol * max(1.0, abs(exact)), (f"{name}_{var}", t, x, u, zeta)
+
+
+def qr_on_paths(triple, X):
+    """The q, shape (n_paths, N), and r, shape (n_paths, N, K), of an adjoint triple on
+    the state paths X, shape (n_paths, N+1): each step's fits evaluated on its full column."""
+    steps = [triple.qr_at(i, X[:, i]) for i in range(X.shape[1] - 1)]
+    return np.column_stack([q for q, _ in steps]), np.stack([r for _, r in steps], axis=1)
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import qr_on_paths
 
 from smplab.bsde import extract_qr, l2_dtP_norm, relative_l2_dtP, solve_adjoint
 from smplab.harness import parse_config, replay, run
@@ -117,7 +118,7 @@ def test_criterion_05_martingale_coefficient_surrogate():
     zeros, no_atoms = np.zeros((100_000, 100)), np.zeros((100_000, 100, 0))
     part = CoefficientPartials(zeros, zeros, zeros, no_atoms)
     triple, _ = solve_adjoint(part, B[:, -1], forward)
-    q_err = math.sqrt(float(np.mean((triple.q - 1.0) ** 2)))
+    q_err = math.sqrt(float(np.mean((qr_on_paths(triple, B)[0] - 1.0) ** 2)))
     # (b) p(t) = B(t)^2 - t: extracted q within 5% L2 of 2B(t), and the
     # symbolic conditional derivative matches the regression
     p_man = B**2 - grid.times()[None, :]

@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from conftest import qr_on_paths
 
 from smplab import bsde
 from smplab.bsde import (
@@ -28,7 +29,7 @@ from smplab.malliavin import (
     square_map,
 )
 from smplab.model import LevyMeasure, OpenLoopLaw, TimeGrid, build_lq_coefficients
-from smplab.simulate import PathBundle, euler_forward, gamma_process, sample_noise
+from smplab.simulate import ROW_BLOCK, PathBundle, euler_forward, gamma_process, sample_noise
 from smplab.smp import CoefficientPartials, adjoint_for, partials_along
 
 GRID = TimeGrid(1.0, 100)
@@ -78,9 +79,10 @@ class TestSolveLinearExplicit:
     def test_constant_terminal(self):
         fw = brownian_forward(2000, 1)
         triple = explicit_adjoint(fw, np.full(2000, 2.5))
+        q, r = qr_on_paths(triple, fw.X)
         assert np.allclose(triple.p, 2.5, atol=1e-6)
-        assert np.allclose(triple.q, 0.0, atol=1e-6)
-        assert triple.r.shape == (2000, 100, 0)
+        assert np.allclose(q, 0.0, atol=1e-6)
+        assert r.shape == (2000, 100, 0)
 
     def test_terminal_consistency_exact(self):
         fw = brownian_forward(500, 2)
@@ -92,7 +94,8 @@ class TestSolveLinearExplicit:
         fw = brownian_forward(50_000, 3)
         triple = explicit_adjoint(fw, fw.X[:, -1])
         assert relative_l2_dtP(triple.p[:, :-1], fw.X[:, :-1], GRID.dt) < 0.03
-        assert math.sqrt(np.mean((triple.q - 1.0) ** 2)) < 0.03
+        q, _ = qr_on_paths(triple, fw.X)
+        assert math.sqrt(np.mean((q - 1.0) ** 2)) < 0.03
 
     def test_lq_adjoint_is_negated_conditional_terminal(self):
         coeffs = build_lq_coefficients(0.1)
@@ -167,8 +170,9 @@ class TestSolveRegression:
         explicit, p_implicit = solve_adjoint(partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1]), fw, cross_check=True)
         assert relative_l2_dtP(p_implicit, explicit.p, GRID.dt) < 0.05
         # both channels carry signal in this model
-        assert math.sqrt(float(np.mean(explicit.q**2))) > 0.1
-        assert math.sqrt(float(np.mean(explicit.r**2))) > 0.05
+        q, r = qr_on_paths(explicit, fw.X)
+        assert math.sqrt(float(np.mean(q**2))) > 0.1
+        assert math.sqrt(float(np.mean(r**2))) > 0.05
 
     def test_terminal_exact(self):
         fw = brownian_forward(800, 9)
@@ -251,10 +255,13 @@ class TestCrossCheckThread:
         self.assert_helper_thread()
         serial, p_serial = self.solve(fork_seams, monkeypatch, 1, fw, **partials)
         assert self.threads == {threading.current_thread()}
-        for name in ("p", "q", "r"):
-            assert np.array_equal(getattr(threaded, name), getattr(serial, name))
-        assert np.any(serial.r[:, :, 0] != 0.0) and np.any(serial.r[:, :, 1] != 0.0)
-        for a, b in zip(threaded.p_fits, serial.p_fits):
+        assert np.array_equal(threaded.p, serial.p)
+        for a, b in zip(qr_on_paths(threaded, fw.X), qr_on_paths(serial, fw.X)):
+            assert np.array_equal(a, b)
+        r = qr_on_paths(serial, fw.X)[1]
+        assert np.any(r[:, :, 0] != 0.0) and np.any(r[:, :, 1] != 0.0)
+        every_fit = lambda triple: triple.p_fits + triple.q_fits + sum(triple.r_fits, ())
+        for a, b in zip(every_fit(threaded), every_fit(serial)):
             assert np.array_equal(a.coeffs, b.coeffs) and a.rank_deficient == b.rank_deficient
             assert np.array_equal(a.feature_mean, b.feature_mean) and np.array_equal(a.feature_scale, b.feature_scale)
         assert np.array_equal(p_threaded, p_serial)
@@ -322,9 +329,10 @@ class TestExtractQr:
         coeffs = build_lq_coefficients(0.1)
         noise = sample_noise(GRID, NO_JUMPS, 30_000, 16)
         law = OpenLoopLaw(np.zeros(100))
-        triple = adjoint_for(coeffs, euler_forward(coeffs, law, noise, 1.0))
+        fw = euler_forward(coeffs, law, noise, 1.0)
+        triple = adjoint_for(coeffs, fw)
         d_p = np.diff(triple.p, axis=1)
-        residual = d_p - triple.q * noise.dB
+        residual = d_p - qr_on_paths(triple, fw.X)[0] * noise.dB
         mean = residual.mean(axis=0)
         se = d_p.std(axis=0, ddof=1) / math.sqrt(residual.shape[0])
         assert np.all(np.abs(mean) <= 5 * se)
@@ -357,6 +365,21 @@ class TestAdjointCsv:
         noise = sample_noise(TimeGrid(1.0, 4), LevyMeasure.from_pairs([(0.2, 1.0), (-0.1, 0.5)]), 200, 18)
         fw = euler_forward(build_lq_coefficients(0.1), OpenLoopLaw(np.zeros(4)), noise, 1.0)
         assert [rows[5 * j + 5][3] for j in range(3)] == [format(-fw.X[j, -1], ".17g") for j in range(3)]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_q_and_r_are_the_sweeps_values(self, run_ini, k):
+        # more paths than a row block: each step's fits are evaluated on the leading block
+        # and give, for the first k paths, the bits of the fits on the sweep's full column
+        n_paths, levy = ROW_BLOCK + 200, LevyMeasure.from_pairs([(0.2, 1.0), (-0.1, 0.5)])
+        sections = f"[grid]\nn_steps = 4\n[mc]\nn_paths = {n_paths}\nseed = 19\n[model]\natoms = 0.2:1.0; -0.1:0.5\n"
+        out = run_ini("solve-bsde", sections + f"[output]\ncsv_paths = {k}\n")
+        rows = list(csv.reader(open(out / "adjoint.csv", newline="")))
+        coeffs = build_lq_coefficients(0.1)
+        fw = euler_forward(coeffs, OpenLoopLaw(np.zeros(4)), sample_noise(TimeGrid(1.0, 4), levy, n_paths, 19), 1.0)
+        q, r = qr_on_paths(adjoint_for(coeffs, fw), fw.X)
+        assert np.any(q[:k] != 0.0) and np.all(r[:k] != 0.0)
+        expected = [[format(v, ".17g") for v in (q[j, i], *r[j, i])] for j in range(k) for i in range(4)]
+        assert [row[4:] for row in rows[1:] if row[1] != "4"] == expected
 
 
 class TestNorms:
@@ -425,13 +448,18 @@ class TestSharedProjectorBitContract:
             p[:, i] = cond + h * dt
         return p, q, r
 
-    def assert_triple(self, triple, reference):
+    def assert_triple(self, triple, reference, X):
+        # (q, r) are kept as fits without training values, and the fits evaluated on the
+        # sweep's own state columns give the bits of the values fitted alone
         p, q, r = reference
         assert np.array_equal(triple.p, p)
-        assert np.array_equal(triple.q, q)
-        assert np.array_equal(triple.r, r)
+        q_paths, r_paths = qr_on_paths(triple, X)
+        assert np.array_equal(q_paths, q)
+        assert np.array_equal(r_paths, r)
         assert np.any(r[:, :, 0] != 0.0) and np.all(r[:, :, 1] == 0.0)
         assert triple.unidentifiable_atoms == (1,)
+        assert all(fit.fitted is None for fit in triple.q_fits)
+        assert all(fits[0].fitted is None and fits[1] is None for fits in triple.r_fits)
 
     def test_solve_linear_explicit(self):
         fw = self.bundle()
@@ -446,7 +474,7 @@ class TestSharedProjectorBitContract:
             assert regression is None
             assert scale or np.all(gamma_process(part.b_x, part.sigma_x, part.gamma_x, fw.noise) == 1.0)
             p, _, _ = reference = self.explicit_reference(fw, part, terminal)
-            self.assert_triple(triple, reference)
+            self.assert_triple(triple, reference, fw.X)
             assert [fit.fitted for fit in triple.p_fits] == [None] * N
             assert np.array_equal(np.column_stack([fit(fw.X[:, i]) for i, fit in enumerate(triple.p_fits)]), p[:, :N])
 
@@ -469,7 +497,7 @@ class TestSharedProjectorBitContract:
         part = state_partials(fw, f_x=0.5 * fw.X[:, :-1], sigma_x=0.5, gamma_x=(0.15, 0.0))
         terminal = fw.X[:, -1] ** 2
         explicit, p_implicit = solve_adjoint(part, terminal, fw, cross_check=True)
-        self.assert_triple(explicit, self.explicit_reference(fw, part, terminal))
+        self.assert_triple(explicit, self.explicit_reference(fw, part, terminal), fw.X)
         assert np.array_equal(p_implicit, self.regression_reference(fw, part, terminal)[0])
 
     def test_extract_qr(self):

@@ -21,7 +21,7 @@ from smplab import malliavin
 from smplab.malliavin import (
     Compose,
     StateProjector,
-    _running_path,
+    _running_column,
     bm_integral,
     check_duality,
     evaluate,
@@ -193,8 +193,10 @@ class TestStepMajorStorage:
         step_major(part.gamma_x, (n_paths, GRID.n_steps, LEVY.n_atoms))
         explicit, p_implicit = solve_adjoint(part, COEFFS.g_x(fw.X[:, -1]), fw, cross_check=True)
         step_major(explicit.p, (n_paths, GRID.n_steps + 1))
-        step_major(explicit.q, (n_paths, GRID.n_steps))
-        step_major(explicit.r, (n_paths, GRID.n_steps, LEVY.n_atoms))
+        # (q, r) are per-step fits, evaluated a step at a time
+        q_0, r_0 = explicit.qr_at(0, fw.X[:, 0])
+        assert q_0.shape == (n_paths,)
+        step_major(r_0, (n_paths, LEVY.n_atoms))
         step_major(p_implicit, (n_paths, GRID.n_steps + 1))
         q, r, _ = extract_qr(explicit.p, fw.noise)
         step_major(q, (n_paths, GRID.n_steps))
@@ -287,6 +289,22 @@ class TestRowBlockReductions:
         for first, second in zip(sides[:2], sides[2:]):  # (lhs, rhs) per report
             assert np.array_equal(first, second)
 
+    @pytest.mark.parametrize("n_features", [1, 2], ids=["4-column", "10-column"])
+    @pytest.mark.parametrize("n_paths", [1_000, 4_001, 20_000, 100_003])
+    def test_fit_on_leading_row_blocks(self, n_paths, n_features):
+        # a fit evaluated on the leading ROW_BLOCK paths, or two blocks of them, gives the
+        # bits of its values on the whole sample, as the solve-bsde CSV assumes of the BLAS
+        # product; one row, or a few, may not (measured on several OpenBLAS kernels)
+        rng = np.random.default_rng(n_paths + n_features)
+        features = rng.standard_normal((n_paths, n_features))
+        if n_features == 1:
+            features = features[:, 0]  # one state column, as the sweep fits on X(t_i)
+        projector = StateProjector(features)
+        fit = projector.fit(np.sin(3.0 * rng.standard_normal(n_paths)) + np.reshape(features, (n_paths, -1))[:, 0])
+        same_bits(fit(features), fit.fitted)
+        for rows in (ROW_BLOCK, 2 * ROW_BLOCK):
+            same_bits(fit(features[:rows]), fit.fitted[:rows])
+
     def test_blocks_cover_the_rows_in_order(self):
         a_c, a_f = layouts(2 * ROW_BLOCK + 5, 6, n_cols=3)
         blocks = list(row_blocks(a_f))
@@ -324,12 +342,15 @@ class TestCompensatedCounts:
         same_bits(noise.compensated_counts(), whole)
         for i, k in ((0, 0), (57, n_atoms - 1), (grid.n_steps - 1, 0)):
             same_bits(noise.compensated_column(i, k), whole[:, i, k])
+            same_bits(noise.compensated_step(i), whole[:, i])
 
         psi = np.linspace(-1.0, 2.0, grid.n_steps * n_atoms).reshape(grid.n_steps, n_atoms)
         leaf = jump_integral(grid, levy, psi)
         same_bits(evaluate(leaf, noise), np.einsum("pik,ik->p", whole, psi))
         eta = cumulative(np.einsum("pik,ik->pi", whole, psi))
-        same_bits(_running_path(leaf, noise, {}), eta)
+        memo = {}
+        for node in range(grid.n_steps + 1):
+            same_bits(_running_column(leaf, noise, node, memo), eta[:, node])
         same_bits(noise.compensated_jump_path(), cumulative((whole * levy.zetas).sum(axis=2)))
         g0, g1 = np.linspace(0.05, -0.02, n_atoms), np.linspace(0.1, 0.2, n_atoms)
         X = linear_closed_form(LinearCoefficients(g0=g0, g1=g1), noise, 0.7).X

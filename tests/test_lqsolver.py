@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import qr_on_paths
 
 from smplab import lqsolver
 from smplab.bsde import l2_dtP_norm, relative_l2_dtP
@@ -147,10 +148,12 @@ class TestSolveConstrained:
         p = params(levy=levy, x0=-1.0, seed=212, n_paths=2000)
         sol = solve_constrained(p)
         coeffs = p.coeffs
-        triple = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0))
-        for name in ("p", "q", "r"):
-            assert np.array_equal(getattr(sol.p_hat, name), getattr(triple, name)), name
-        assert np.any(triple.r != 0.0)
+        fw = euler_forward(coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0)
+        triple = adjoint_for(coeffs, fw)
+        assert np.array_equal(sol.p_hat.p, triple.p)
+        (q, r), (q_hat, r_hat) = qr_on_paths(triple, fw.X), qr_on_paths(sol.p_hat, fw.X)
+        assert np.array_equal(q_hat, q) and np.array_equal(r_hat, r)
+        assert np.any(r != 0.0)
         assert len(sol.p_hat.p_fits) == len(triple.p_fits) == GRID.n_steps
         for mine, theirs in zip(sol.p_hat.p_fits, triple.p_fits):
             assert np.array_equal(mine.coeffs, theirs.coeffs)
@@ -252,9 +255,11 @@ class TestSweep:
         assert len(calls) == len(sol.residual_history) + 1
         assert np.all(calls[0] == 0.0)
         assert np.array_equal(calls[-1], sol.u_values)
-        triple = adjoint_for(p.coeffs, euler_forward(p.coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0))
-        for name in ("p", "q", "r"):
-            assert np.array_equal(getattr(sol.p_hat, name), getattr(triple, name)), name
+        fw = euler_forward(p.coeffs, OpenLoopLaw(sol.u_values), p.noise, p.x0)
+        triple = adjoint_for(p.coeffs, fw)
+        assert np.array_equal(sol.p_hat.p, triple.p)
+        for mine, theirs in zip(qr_on_paths(sol.p_hat, fw.X), qr_on_paths(triple, fw.X)):
+            assert np.array_equal(mine, theirs)
 
     def test_comparison_simulates_only_the_unconstrained_law(self, monkeypatch):
         # the constrained values come from the solver's last sweep, which ran that control
@@ -275,8 +280,8 @@ class TestSweep:
 
     def test_one_triple_alive_at_a_time(self):
         # the solver's peak traced memory stays below that of one sweep, with its
-        # control alive, plus half a triple: keeping the previous (p, q, r) through
-        # the next sweep adds a whole triple
+        # control alive, plus half an adjoint p: keeping the previous triple through
+        # the next sweep adds a whole p ((q, r) are per-step fits, a few bytes a step)
         p = params(x0=-1.0, seed=215, n_paths=4000)
         coeffs = p.coeffs
         u = np.full((p.noise.n_paths, GRID.n_steps), 0.3, order="F")
@@ -286,7 +291,7 @@ class TestSweep:
             tracemalloc.reset_peak()
             triple = adjoint_for(coeffs, euler_forward(coeffs, OpenLoopLaw(u), p.noise, p.x0))
             sweep_peak = tracemalloc.get_traced_memory()[1] - base
-            triple_bytes = triple.p.nbytes + triple.q.nbytes + triple.r.nbytes
+            triple_bytes = triple.p.nbytes
             del triple
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()

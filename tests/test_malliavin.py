@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -553,17 +554,20 @@ class TestConditionalDerivative:
         assert len(projectors_built) == 1
 
 
+RUNNING_MEASURES = pytest.mark.parametrize(
+    "levy",
+    [NO_JUMPS, LevyMeasure.from_pairs([(0.2, 1.0)]), LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])],
+    ids=["brownian", "jump-K1", "jump-K2"],
+)
+
+
 class TestRunningPath:
-    @pytest.mark.parametrize(
-        "levy",
-        [NO_JUMPS, LevyMeasure.from_pairs([(0.2, 1.0)]), LevyMeasure.from_pairs([(0.2, 1.0), (-0.3, 2.0)])],
-        ids=["brownian", "jump-K1", "jump-K2"],
-    )
-    def test_bits_of_the_cumulative_sum(self, levy):
-        # step by step addition gives the bits of np.cumsum along the steps of
-        # the increments; h = 0 on the first step makes signed zeros there.  3000
-        # paths end inside a block of the blocked jump product
-        noise = draw(3000, 38, levy)
+    """An integral stopped at each node: one running column per leaf, advanced a step at a time."""
+
+    @staticmethod
+    def leaf_and_expected(levy, noise):
+        """A leaf whose integrand is 0 on the first step, which makes signed zeros there, and
+        its path, node-major, as np.cumsum forms it from the whole-array increments."""
         h = np.linspace(-1.0, 2.0, GRID.n_steps)
         h[0] = 0.0
         if levy.n_atoms:
@@ -574,11 +578,51 @@ class TestRunningPath:
             increments = leaf.values[:, None] * noise.dB.T
         expected = np.zeros((GRID.n_steps + 1, noise.n_paths))
         np.cumsum(increments, axis=0, out=expected[1:])
-        running = malliavin._running_path(leaf, noise, {})
-        assert running.shape == (noise.n_paths, GRID.n_steps + 1) and running.flags.f_contiguous
-        running = running.T  # node-major view, as ``expected`` is laid out
-        assert np.array_equal(running, expected)
-        assert np.array_equal(np.signbit(running), np.signbit(expected))
+        return leaf, expected
+
+    @staticmethod
+    def same_bits(column, expected):
+        assert np.array_equal(column, expected)
+        assert np.array_equal(np.signbit(column), np.signbit(expected))
+
+    @RUNNING_MEASURES
+    def test_bits_of_the_cumulative_sum(self, levy):
+        # step by step addition gives the bits of np.cumsum along the steps of the increments
+        noise = draw(3000, 38, levy)
+        leaf, expected = self.leaf_and_expected(levy, noise)
+        memo = {}
+        for node in range(GRID.n_steps + 1):
+            column = malliavin._running_column(leaf, noise, node, memo)
+            assert column.shape == (noise.n_paths,)
+            self.same_bits(column, expected[node])
+
+    @RUNNING_MEASURES
+    def test_an_earlier_node_restarts_from_node_0(self, levy):
+        # conditional_derivative is public, so a caller may ask for nodes in any order
+        noise = draw(1500, 39, levy)
+        leaf, expected = self.leaf_and_expected(levy, noise)
+        memo = {}
+        for node in (60, 60, 20, 0, 1, 100, 99):
+            self.same_bits(malliavin._running_column(leaf, noise, node, memo), expected[node])
+        assert len(memo) == 1
+
+    @RUNNING_MEASURES
+    def test_duality_loop_holds_no_running_path(self, levy):
+        # the right-side loop of check_duality, every step in order on one memo, holds a
+        # running column per leaf and a few columns of the step, not a (n_paths, N+1) path
+        n_paths = 20_000
+        noise = draw(n_paths, 40, levy)
+        F, mode = (eta_squared(levy=levy), "jump") if levy.n_atoms else (bm_squared(), "brownian")
+        memo = {}
+        evaluate(F, noise, memo)  # the left side's values, as check_duality builds them first
+        tracemalloc.start()
+        try:
+            for i in range(GRID.n_steps):
+                conditional_derivative(F, noise, i, mode, _memo=memo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n_paths * 8
 
 
 class TestBundleChecks:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import qr_on_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -488,9 +489,10 @@ class TestAdjointFor:
         )
         noise = sample_noise(GRID, NO_JUMPS, 1000, 40)
         law = OpenLoopLaw(np.zeros(100))
-        triple = adjoint_for(coeffs, euler_forward(coeffs, law, noise, 1.0))
+        fw = euler_forward(coeffs, law, noise, 1.0)
+        triple = adjoint_for(coeffs, fw)
         assert np.allclose(triple.p, 0.0, atol=1e-9)
-        assert np.allclose(triple.q, 0.0, atol=1e-7)
+        assert np.allclose(qr_on_paths(triple, fw.X)[0], 0.0, atol=1e-7)
 
     def test_exponential_weight_through_drift_slope(self):
         # b = c x, g = x: p(t) = e^{c (T - t)}
