@@ -5,7 +5,8 @@ Sign convention: a backward equation dp(t) = -h(t) dt + q(t) dB(t)
 p(t_i) = E[p(t_{i+1}) + h(t_i) dt | F_{t_i}].  The adjoint equation of the
 control problem has generator h = dH/dx (``hamiltonian_sum``).
 The generator reads only the state partials f_x, b_x, sigma_x and gamma_x.
-``solve_adjoint`` sweeps back once with one projector on the state per step:
+``solve_adjoint`` sweeps back once with one projector on the state per step
+(or, for a reader of a few steps, per step it reads and its successor):
 it solves the explicit adjoint and, optionally, the p of the implicit
 backward regression scheme as a cross-check on the same projectors, which
 large runs compute in a helper thread beside the sweep.  The explicit
@@ -60,7 +61,10 @@ class AdjointTriple:
         X(t_step) of n paths; an unidentifiable atom reads r = 0.  On the full
         column ``forward.X[:, step]`` of the sweep's paths each value has the
         bits of the fit's values on its training sample, since the call repeats
-        the projector's standardization, design and product."""
+        the projector's standardization, design and product.  A step that the
+        sweep did not fit (``solve_adjoint``'s ``steps``) raises ``ValueError``."""
+        if self.q_fits[step] is None:
+            raise ValueError(f"step {step} has no (q, r) fits: the sweep fitted only the steps it was given")
         q = self.q_fits[step](states)
         r = np.zeros((q.shape[0], len(self.r_fits[step])), order="F")
         for k, fit in enumerate(self.r_fits[step]):
@@ -197,6 +201,7 @@ def solve_adjoint(
     terminal: np.ndarray,
     forward: PathBundle,
     cross_check: bool = False,
+    steps=None,
 ) -> tuple[AdjointTriple, np.ndarray | None]:
     """The adjoint triple of the linear equation with generator dH/dx, in one backward sweep.
 
@@ -219,10 +224,28 @@ def solve_adjoint(
     rule allows two chunks (two CPUs, n_paths * N >= ``FORK_CHUNK_PATH_STEPS``),
     else in the sweep.  The bits, and the error raised first (such as
     ``ContractionFailure`` with its step), are those of the one-thread sweep.
+
+    ``steps``, a collection of step indices, restricts the fits to what a
+    reader of those steps needs; None, the default, fits every step.  The
+    recursion of the weighted tail still runs over every step, so the fits
+    that are built have the bits of the full sweep's.  The sweep builds the
+    projector and p fit of each step i in ``steps`` and of its successor
+    i + 1 < N, whose p the (q, r) targets of step i read, and the (q, r)
+    fits of the steps in ``steps`` only.  A step that is neither keeps NaN
+    in its p column and None for its fits, and ``qr_at`` raises on every
+    step outside ``steps``.  The implicit scheme needs every step, so
+    ``steps`` with ``cross_check`` raises ``ValueError``.
     """
     noise = forward.noise
     n_steps, dt = noise.grid.n_steps, noise.grid.dt
     terminal = np.asarray(terminal, dtype=float)
+    if steps is None:
+        wanted = built = range(n_steps)
+    else:
+        if cross_check:
+            raise ValueError("the implicit cross-check needs every step, so it takes no steps")
+        wanted = frozenset(steps)
+        built = wanted | {i + 1 for i in wanted if i + 1 < n_steps}
 
     if np.any(part.b_x) or np.any(part.sigma_x) or np.any(part.gamma_x):
         gam = gamma_process(part.b_x, part.sigma_x, part.gamma_x, noise)
@@ -238,10 +261,15 @@ def solve_adjoint(
     with stage as implicit_step:
         for i in range(n_steps - 1, -1, -1):
             tail = tail + gam[:, i] * part.f_x[:, i] * dt
+            if i not in built:
+                p[:, i] = np.nan
+                continue
             projector = StateProjector(forward.X[:, i])
             fit = projector.fit(tail / gam[:, i])
             p[:, i] = fit.fitted
             p_fits[i] = replace(fit, fitted=None)
+            if i not in wanted:
+                continue
             targets = _qr_targets(p[:, i + 1] - p[:, i], noise, i)
             q_fits[i] = projector.fit(next(targets), fitted=False)
             r_fits[i] = tuple(None if t is None else projector.fit(t, fitted=False) for t in targets)

@@ -10,9 +10,15 @@ gaps shrink as eps does, within Monte Carlo bands.  A spiked path equals the
 base path before its window, so each spiked run starts at the window from
 the base state (``spiked_values``).
 
-The spiked runs are independent given the candidate's path bundle, so the
-verdict runs its (tau, v, eps) cells, in order, in forked chunks by the
-fork rule of ``simulate`` (``simulate.run_chunks``).
+The verdict computes only what it reads.  Its statistics read the adjoint
+at the tau steps alone, so the backward sweep fits only those steps and
+their successors (``solve_adjoint``'s ``steps``).  A cell whose clamped
+spike value equals the candidate's control bit for bit on every path and
+window step moves no path: its spiked run is the base run, so it is not
+run, and its quotient reads the base value.  The other spiked runs are
+independent given the candidate's path bundle, so the verdict runs them,
+in (tau, v, eps) order, in forked chunks by the fork rule of ``simulate``
+(``simulate.run_chunks``).
 """
 
 from __future__ import annotations
@@ -66,10 +72,11 @@ def partials_along(coeffs: ControlledCoefficients, forward: PathBundle) -> Coeff
     return CoefficientPartials(*(_along(coeffs, forward, name) for name in ("f_x", "b_x", "sigma_x", "gamma_x")))
 
 
-def adjoint_for(coeffs: ControlledCoefficients, forward: PathBundle) -> AdjointTriple:
+def adjoint_for(coeffs: ControlledCoefficients, forward: PathBundle, steps=None) -> AdjointTriple:
     """Explicit adjoint triple along the simulated paths of a control
-    (``solve_adjoint``); grid and atoms come from the path bundle's noise."""
-    return solve_adjoint(partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward)[0]
+    (``solve_adjoint``, fitted at ``steps`` or, by default, every step);
+    grid and atoms come from the path bundle's noise."""
+    return solve_adjoint(partials_along(coeffs, forward), coeffs.g_x(forward.X[:, -1]), forward, steps=steps)[0]
 
 
 def spike_perturb(base: ControlLaw, grid: TimeGrid, tau: float, epsilon: float, v, x_at_tau=None) -> SpikedLaw:
@@ -104,6 +111,15 @@ def performance_values(coeffs: ControlledCoefficients, forward: PathBundle) -> n
 def _run_start(law: SpikedLaw) -> int:
     """First step at which the spiked path can leave the base path: the window's first step."""
     return int(np.argmax(law.window))
+
+
+def _moves_no_path(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathBundle) -> bool:
+    """True when the clamped spike value equals the base control ``forward.u``
+    bit for bit on every path and window step, so the spiked run is the base
+    run.  The int64 views tell -0.0 from 0.0, which the forward step keeps
+    apart (``clamp`` returns -0.0 for -0.0)."""
+    spike = np.asarray(coeffs.clamp(law.spike_values), dtype=float).view(np.int64)
+    return all(np.all(forward.u[:, i].view(np.int64) == spike) for i in np.flatnonzero(law.window))
 
 
 def spiked_values(law: SpikedLaw, coeffs: ControlledCoefficients, forward: PathBundle, prefixes: dict) -> np.ndarray:
@@ -215,10 +231,13 @@ def check_necessary_condition(
     3 SE noise bands.  The Hamiltonian sums over the atoms of the noise
     bundle, the same measure that drives the state and fits the adjoint.
     The inputs are checked first (``check_spike_grids``).  The candidate is
-    simulated once; every (tau, v, eps) run starts at its window from the
-    base state and the base running cost (``spiked_values``), and the runs
-    that start at one step in one process share that cost.  The runs go in
-    forked chunks as the module docstring says.
+    simulated once and its adjoint is fitted at the tau steps only
+    (``adjoint_for`` with ``steps``).  A cell whose spike moves no path
+    (``_moves_no_path``) takes the base value as its spiked value; every
+    other (tau, v, eps) run starts at its window from the base state and
+    the base running cost (``spiked_values``), and the runs that start at
+    one step in one process share that cost.  The runs go in forked chunks
+    as the module docstring says.
     """
     grid, levy = noise.grid, noise.levy
     tau_grid = [float(t) for t in tau_grid]
@@ -227,7 +246,7 @@ def check_necessary_condition(
     check_spike_grids(coeffs, grid, tau_grid, v_grid, eps_grid)
 
     forward = euler_forward(coeffs, candidate, noise, x0)
-    triple = adjoint_for(coeffs, forward)
+    triple = adjoint_for(coeffs, forward, steps={grid.step_of(tau) for tau in tau_grid})
     j_base = performance_values(coeffs, forward)
     times = grid.times()
 
@@ -251,14 +270,22 @@ def check_necessary_condition(
     quotients = shared_zeros((len(cells), 2), float)
     prefixes = {}
 
-    def run_cells(lo: int, hi: int) -> None:
-        for k in range(lo, hi):
-            law = cells[k]
-            j_eps = spiked_values(law, coeffs, forward, prefixes)
-            # the quotient divides by the window the grid realizes, not by eps
-            quotients[k] = mean_se((j_eps - j_base) / (law.window.sum() * grid.dt))
+    def quotient(k: int, j_eps: np.ndarray) -> None:
+        # the quotient divides by the window the grid realizes, not by eps
+        quotients[k] = mean_se((j_eps - j_base) / (cells[k].window.sum() * grid.dt))
 
-    run_chunks(run_cells, [noise.n_paths * (grid.n_steps - _run_start(law)) for law in cells])
+    live = []  # cells whose spike moves a path, in cell order
+    for k, law in enumerate(cells):
+        if _moves_no_path(law, coeffs, forward):
+            quotient(k, j_base)
+        else:
+            live.append(k)
+
+    def run_cells(lo: int, hi: int) -> None:
+        for k in live[lo:hi]:
+            quotient(k, spiked_values(cells[k], coeffs, forward, prefixes))
+
+    run_chunks(run_cells, [noise.n_paths * (grid.n_steps - _run_start(cells[k])) for k in live])
     dq = np.array(quotients[:, 0]).reshape(shape + (len(eps_grid),))
     dq_se = np.array(quotients[:, 1]).reshape(shape + (len(eps_grid),))
 

@@ -1,6 +1,7 @@
 import csv
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from smplab.bsde import (
     solve_adjoint,
 )
 from smplab.errors import ContractionFailure, InsufficientPaths
+from smplab.harness import build_model, parse_config
 from smplab.malliavin import (
     Brownian,
     Compose,
@@ -380,6 +382,87 @@ class TestAdjointCsv:
         assert np.any(q[:k] != 0.0) and np.all(r[:k] != 0.0)
         expected = [[format(v, ".17g") for v in (q[j, i], *r[j, i])] for j in range(k) for i in range(4)]
         assert [row[4:] for row in rows[1:] if row[1] != "4"] == expected
+
+
+    @pytest.mark.parametrize("n_paths, k", [(300, 3), (ROW_BLOCK + 200, 3), (ROW_BLOCK + 200, ROW_BLOCK + 1)])
+    def test_q_and_r_evaluated_on_whole_row_blocks(self, run_ini, monkeypatch, n_paths, k):
+        # on fewer rows than a whole number of row blocks a fit's product may take another
+        # BLAS kernel path than on the full column; every qr_at call of a run gets the
+        # run's n_paths rows or a whole number of ROW_BLOCKs, on every BLAS kernel
+        rows, qr_at = [], bsde.AdjointTriple.qr_at
+
+        def counting(triple, step, states):
+            rows.append(len(states))
+            return qr_at(triple, step, states)
+
+        monkeypatch.setattr(bsde.AdjointTriple, "qr_at", counting)
+        sections = f"[grid]\nn_steps = 4\n[mc]\nn_paths = {n_paths}\nseed = 19\n[model]\natoms = 0.2:1.0\n"
+        run_ini("solve-bsde", sections + f"[output]\ncsv_paths = {k}\n")
+        assert len(rows) == 4
+        assert all(n == n_paths or n % ROW_BLOCK == 0 for n in rows), rows
+
+
+class TestChosenSteps:
+    """``solve_adjoint`` with ``steps`` fits the chosen steps and their
+    successors only, with the bits of the full sweep."""
+
+    STEPS = (0, 37, 38, 99)  # the first and last step, and a step whose successor is chosen too
+
+    @staticmethod
+    def solve_bsde_model():
+        """The model of configs/solve_bsde.ini (b_x, sigma_x and gamma_x nonzero, so
+        Gamma is live; one atom) under the zero control, on fewer paths."""
+        coeffs, levy, x0 = build_model(parse_config(Path(__file__).resolve().parents[1] / "configs" / "solve_bsde.ini"))
+        return coeffs, euler_forward(coeffs, OpenLoopLaw(np.zeros(100)), sample_noise(GRID, levy, 2000, 77), x0)
+
+    @staticmethod
+    def lq_model():
+        coeffs = build_lq_coefficients(0.1)
+        noise = sample_noise(GRID, LevyMeasure.from_pairs([(0.2, 1.0)]), 2000, 78)
+        return coeffs, euler_forward(coeffs, OpenLoopLaw(np.full(100, 0.3)), noise, 1.0)
+
+    @staticmethod
+    def assert_same_fit(a, b):
+        assert np.array_equal(a.coeffs, b.coeffs) and a.rank_deficient == b.rank_deficient
+        assert np.array_equal(a.feature_mean, b.feature_mean) and np.array_equal(a.feature_scale, b.feature_scale)
+
+    @pytest.mark.parametrize("model", ["solve_bsde", "lq"])
+    def test_chosen_steps_keep_the_full_sweeps_bits(self, model):
+        coeffs, fw = getattr(self, f"{model}_model")()
+        part, terminal = partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1])
+        assert model == "lq" or np.any(part.b_x) and np.any(part.sigma_x) and np.any(part.gamma_x)
+        full, _ = solve_adjoint(part, terminal, fw)
+        chosen, _ = solve_adjoint(part, terminal, fw, steps=set(self.STEPS))
+        successors = {1, 39}
+        for i in range(GRID.n_steps):
+            if i in self.STEPS:
+                for a, b in zip(chosen.qr_at(i, fw.X[:, i]), full.qr_at(i, fw.X[:, i])):
+                    assert np.array_equal(a, b), i
+                self.assert_same_fit(chosen.q_fits[i], full.q_fits[i])
+                self.assert_same_fit(chosen.r_fits[i][0], full.r_fits[i][0])
+            else:
+                assert chosen.q_fits[i] is None and chosen.r_fits[i] is None, i
+            if i in self.STEPS or i in successors:
+                assert np.array_equal(chosen.p[:, i], full.p[:, i]), i
+                self.assert_same_fit(chosen.p_fits[i], full.p_fits[i])
+            else:
+                assert np.all(np.isnan(chosen.p[:, i])) and chosen.p_fits[i] is None, i
+        assert np.array_equal(chosen.p[:, -1], full.p[:, -1])
+        assert chosen.p.shape == full.p.shape and chosen.p.flags.f_contiguous
+
+    def test_steps_refused_with_the_cross_check(self):
+        coeffs, fw = self.lq_model()
+        with pytest.raises(ValueError, match="cross-check needs every step"):
+            solve_adjoint(partials_along(coeffs, fw), coeffs.g_x(fw.X[:, -1]), fw, cross_check=True, steps={3})
+
+    def test_a_step_outside_the_set_cannot_be_read(self):
+        coeffs, fw = self.lq_model()
+        triple = adjoint_for(coeffs, fw, steps={10})
+        triple.qr_at(10, fw.X[:, 10])
+        # step 11 is fitted for p alone, as the successor whose p step 10's (q, r) targets read
+        for i in (9, 11, 12):
+            with pytest.raises(ValueError, match=f"step {i} has no \\(q, r\\) fits"):
+                triple.qr_at(i, fw.X[:, i])
 
 
 class TestNorms:

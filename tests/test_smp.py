@@ -8,6 +8,7 @@ from conftest import qr_on_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smplab import bsde, smp
 from smplab.errors import NonFiniteState
 from smplab.harness import _plain, build_model, parse_config, run
 from smplab.malliavin import mean_se
@@ -22,6 +23,7 @@ from smplab.model import (
     polynomial_coefficients,
 )
 from smplab.bsde import hamiltonian_sum, solve_adjoint
+from smplab.lqsolver import LqParams, solve_constrained
 from smplab.simulate import LinearCoefficients, euler_forward, linear_closed_form, sample_noise
 from smplab.smp import (
     SmpVerdict,
@@ -620,6 +622,107 @@ class TestNecessaryCondition:
         assert rows[6] == [format(v, ".17g") for v in cells] + [str(bool(verdict.pass_cells[1, 0]))]
 
 
+def assert_same_verdict(expected: SmpVerdict, got: SmpVerdict) -> None:
+    """Every field of the two verdicts has the same bits, the sign bits of zeros included."""
+    for f in dataclasses.fields(SmpVerdict):
+        value, other = getattr(expected, f.name), getattr(got, f.name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and np.array_equal(value, other), f.name
+            assert np.array_equal(np.signbit(value), np.signbit(other)), f.name
+        else:
+            assert value == other, f.name
+
+
+class TestVerdictWork:
+    """The verdict fits the adjoint at its tau steps only and does not run a
+    cell whose spike moves no path, with the bits of the full work."""
+
+    TAUS, EPS = [0.25, 0.5, 0.75], [0.2, 0.1, 0.05]
+
+    @pytest.fixture
+    def spiked_laws(self, fork_seams, monkeypatch):
+        """The law of every ``spiked_values`` call of the verdict, which runs every cell in this process."""
+        set_seams, _ = fork_seams
+        set_seams(1, 100)
+        laws = []
+
+        def counting(law, *args):
+            laws.append(law)
+            return spiked_values(law, *args)
+
+        monkeypatch.setattr(smp, "spiked_values", counting)
+        return laws
+
+    @pytest.mark.parametrize(
+        "taus, n_projectors", [([0.25, 0.5, 0.75], 6), ([0.5, 0.51, 0.995], 4)], ids=["apart", "adjacent-and-last"]
+    )
+    def test_projectors_at_the_tau_steps_only(self, monkeypatch, taus, n_projectors):
+        # each tau step and its successor before N: at most 2 |tau| projectors
+        built = []
+
+        class CountingProjector(bsde.StateProjector):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bsde, "StateProjector", CountingProjector)
+        noise = sample_noise(GRID, ATOM, 500, 50)
+        check_necessary_condition(OpenLoopLaw(np.zeros(100)), build_lq_coefficients(0.1), noise, 1.0, taus, [1.0], [0.005])
+        assert len(built) == n_projectors <= 2 * len(taus)
+
+    @pytest.mark.parametrize(
+        "candidate, coeffs, v_grid",
+        [
+            (OpenLoopLaw(np.zeros(100)), build_lq_coefficients(0.1), [0.0, 1.0]),
+            # a feedback law clamped to the top of [-0.5, 0.8] on every path: one u per path
+            (FeedbackLaw(lambda step, t, x: 5.0 + 0.0 * x), TestSpikedValues.coeffs(), [0.8, 0.3]),
+        ],
+        ids=["zero-open-loop", "clamped-feedback"],
+    )
+    def test_bits_of_the_full_work(self, spiked_laws, monkeypatch, candidate, coeffs, v_grid):
+        noise = sample_noise(GRID, ATOM, 400, 51)
+        args = (candidate, coeffs, noise, 0.7, self.TAUS, v_grid, self.EPS)
+        lean = check_necessary_condition(*args)
+        # the first v equals the candidate's control on every path: only the other v runs
+        assert [law.spike_values for law in spiked_laws] == [v_grid[1]] * 9
+        monkeypatch.setattr(smp, "adjoint_for", lambda coeffs, forward, steps=None: adjoint_for(coeffs, forward))
+        monkeypatch.setattr(smp, "_moves_no_path", lambda *args: False)
+        full = check_necessary_condition(*args)
+        assert len(spiked_laws) == 9 + 18
+        assert_same_verdict(full, lean)
+
+    def test_null_cells_as_run_directly(self, spiked_laws):
+        # each cell that is not run has the quotient and SE, signbit included, of its spiked run
+        coeffs, candidate = build_lq_coefficients(0.1), OpenLoopLaw(np.zeros(100))
+        noise = sample_noise(GRID, NO_JUMPS, 400, 52)
+        verdict = check_necessary_condition(candidate, coeffs, noise, 1.0, self.TAUS, [0.0, 1.0], self.EPS)
+        assert len(spiked_laws) == 9 and all(law.spike_values == 1.0 for law in spiked_laws)
+        forward = euler_forward(coeffs, candidate, noise, 1.0)
+        j_base = performance_values(coeffs, forward)
+        for a, tau in enumerate(self.TAUS):
+            for c, eps in enumerate(verdict.eps_grid):
+                law = spike_perturb(candidate, GRID, tau, eps, 0.0)
+                mean, se = mean_se((spiked_values(law, coeffs, forward, {}) - j_base) / (law.window.sum() * GRID.dt))
+                got = verdict.diff_quotient[a, 0, c], verdict.diff_quotient_se[a, 0, c]
+                assert np.array_equal([mean, se], got) and np.array_equal(np.signbit([mean, se]), np.signbit(got))
+
+    def test_negative_zero_candidate_runs_every_cell(self, spiked_laws):
+        # the clamp keeps -0.0, so v = 0.0 differs from the candidate in its sign bit and moves the path
+        coeffs, candidate = build_lq_coefficients(0.1), OpenLoopLaw(np.full(100, -0.0))
+        noise = sample_noise(GRID, NO_JUMPS, 300, 53)
+        assert np.all(np.signbit(euler_forward(coeffs, candidate, noise, 1.0).u))
+        check_necessary_condition(candidate, coeffs, noise, 1.0, self.TAUS, [0.0], self.EPS)
+        assert len(spiked_laws) == 9
+
+    def test_interior_candidate_runs_every_cell(self, spiked_laws):
+        # the solved control from x0 = -1 leaves the corner u = 0: no v matches it on every path
+        coeffs = build_lq_coefficients(0.1)
+        noise = sample_noise(GRID, NO_JUMPS, 2000, 301)
+        candidate = solve_constrained(LqParams(x0=-1.0, coeffs=coeffs, noise=noise)).feedback_law()
+        check_necessary_condition(candidate, coeffs, noise, -1.0, self.TAUS, [0.0, 0.5, 1.0], self.EPS)
+        assert len(spiked_laws) == 27
+
+
 class TestForkedVerdict:
     """The verdict runs its spiked cells in forked chunks of about equal
     path-steps (``simulate.run_chunks``) and must give the in-process verdict
@@ -630,10 +733,6 @@ class TestForkedVerdict:
     # cells that share a running-cost prefix land in different processes
     TAUS, VS, EPS = [0.1, 0.5, 0.85], [-0.5, 0.8], [0.1, 0.05]
     N_PATHS = 300
-
-    @staticmethod
-    def verdict_fields(verdict):
-        return {f.name: getattr(verdict, f.name) for f in dataclasses.fields(SmpVerdict)}
 
     @pytest.mark.parametrize("levy", [NO_JUMPS, ATOM], ids=["no-atoms", "one-atom"])
     @pytest.mark.parametrize("cpus, n_forks", [(2, 1), (3, 2)])
@@ -651,23 +750,18 @@ class TestForkedVerdict:
         set_seams(cpus, 10_000)
         forked = check_necessary_condition(*args)
         assert len(forks) == n_forks
-        for name, value in self.verdict_fields(serial).items():
-            other = self.verdict_fields(forked)[name]
-            if isinstance(value, np.ndarray):
-                assert value.dtype == other.dtype and np.array_equal(value, other), name
-                assert np.array_equal(np.signbit(value), np.signbit(other)), name
-            else:
-                assert value == other, name
+        assert_same_verdict(serial, forked)
 
     @pytest.mark.parametrize("chunk_paths, n_forks", [(1861, 0), (1860, 0), (930, 1), (620, 2), (1, 2)])
     def test_forks_above_the_work_floor(self, fork_seams, chunk_paths, n_forks):
         # 186,000 path-steps, at a floor of chunk_paths x N = 100 path-steps per
-        # chunk: one chunk at 1860 paths, two at 930, three at 620; three CPUs cap the count
+        # chunk: one chunk at 1860 paths, two at 930, three at 620; three CPUs cap the count.
+        # No v equals the zero candidate, so every cell runs
         set_seams, forks = fork_seams
         noise = sample_noise(GRID, NO_JUMPS, self.N_PATHS, 49)
         set_seams(3, chunk_paths * GRID.n_steps)
         law = OpenLoopLaw(np.zeros(100))
-        check_necessary_condition(law, build_lq_coefficients(0.1), noise, 1.0, self.TAUS, [0.0, 1.0], self.EPS)
+        check_necessary_condition(law, build_lq_coefficients(0.1), noise, 1.0, self.TAUS, [0.5, 1.0], self.EPS)
         assert len(forks) == n_forks
 
     def test_at_most_one_chunk_per_cell(self, fork_seams):
@@ -690,11 +784,12 @@ class TestForkedVerdict:
 
     def test_non_finite_state_in_a_child_as_in_process(self, fork_seams):
         # the caller runs the cells of tau = 0.1 but one, whose runs stay
-        # finite; the v = 1 cells at tau = 0.5 overflow in the child
+        # finite; the cells at tau = 0.5 overflow in the child.  No v equals
+        # the zero candidate, so every cell runs
         set_seams, forks = fork_seams
         coeffs = self.exploding(0.4)
         noise = sample_noise(GRID, NO_JUMPS, 64, 47)
-        args = (OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.5, [0.1, 0.5], [0.0, 1.0], [0.2, 0.1])
+        args = (OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.5, [0.1, 0.5], [0.5, 1.0], [0.2, 0.1])
         set_seams(1, 100)
         with pytest.raises(NonFiniteState) as serial:
             check_necessary_condition(*args)
@@ -706,12 +801,13 @@ class TestForkedVerdict:
         assert (forked.value.step, forked.value.path) == (serial.value.step, serial.value.path)
 
     def test_failure_in_the_callers_chunk_leaves_no_child(self, fork_seams):
-        # every v = 1 cell overflows, the first of them in the caller's chunk;
-        # the fixture checks that no child is left
+        # every cell overflows, the first of them in the caller's chunk; the
+        # fixture checks that no child is left.  No v equals the zero
+        # candidate, so every cell runs
         set_seams, forks = fork_seams
         coeffs = self.exploding(0.0)
         noise = sample_noise(GRID, NO_JUMPS, 64, 47)
-        args = (OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.5, [0.1, 0.5], [1.0, 0.0], [0.2, 0.1])
+        args = (OpenLoopLaw(np.zeros(100)), coeffs, noise, 1.5, [0.1, 0.5], [1.0, 0.5], [0.2, 0.1])
         set_seams(1, 100)
         with pytest.raises(NonFiniteState) as serial:
             check_necessary_condition(*args)
